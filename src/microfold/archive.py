@@ -73,7 +73,7 @@ def _fetch_upstream(ref):
         if not path.exists():
             return None
         return carc.load_tree(path)
-    data = transport.fetch_url(url)
+    data = transport.get(url) if transport.is_url(url) else None
     return None if data is None else carc.File(data)
 
 

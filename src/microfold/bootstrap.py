@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .derivation import Derivation, derivation_hash, parse_derivation
+from .derivation import Derivation, derivation_hash, load_derivation
 from .errors import DanglingReference, InvalidLabel
 from .hashing import ContentHash
 from .store import Store, StorePath
@@ -90,11 +90,7 @@ class _Audit:
                 self.sourced.add(component)
                 self._leaf("fixed")
         for inp in drv.inputs:
-            data = self.store.get_derivation_bytes(inp.derivation_hash)
-            if data is None:
-                raise DanglingReference(
-                    f"input derivation {inp.derivation_hash} unknown")
-            input_drv = parse_derivation(data.decode("utf-8", "surrogateescape"))
+            input_drv = load_derivation(self.store, inp.derivation_hash)
             self.walk_derivation(input_drv)
             input_path = StorePath(self.store.root,
                                    inp.derivation_hash.prefix, input_drv.label)
@@ -143,12 +139,12 @@ class _Audit:
             if rec.deriver is None:
                 self._flag(path.component, "derived-without-deriver")
                 return
-            data = self.store.get_derivation_bytes(rec.deriver)
-            if data is None:
+            try:
+                deriver = load_derivation(self.store, rec.deriver)
+            except DanglingReference:
                 self._flag(path.component, "deriver-derivation-missing")
                 return
-            self.walk_derivation(
-                parse_derivation(data.decode("utf-8", "surrogateescape")))
+            self.walk_derivation(deriver)
             return
         # kind == fixed
         if rec.references:

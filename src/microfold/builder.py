@@ -23,9 +23,8 @@ from pathlib import Path
 from . import carc
 from .archive import fetch_source
 from .derivation import (Derivation, canonical_serialize, derivation_hash,
-                         parse_derivation)
-from .errors import (DanglingReference, EscapedClosure, MicrofoldError,
-                     OutputCollision, StepFailure)
+                         load_derivation)
+from .errors import EscapedClosure, MicrofoldError, StepFailure
 from .store import Store, StorePath
 
 OUT_PLACEHOLDER = "@out@"
@@ -66,13 +65,6 @@ class Builder:
 
     # -- input resolution --------------------------------------------------
 
-    def _load_input_drv(self, input_hash) -> Derivation:
-        data = self.store.get_derivation_bytes(input_hash)
-        if data is None:
-            raise DanglingReference(
-                f"input derivation {input_hash} not registered in store")
-        return parse_derivation(data.decode("utf-8", "surrogateescape"))
-
     def _drv_lock(self, hex_digest: str) -> threading.Lock:
         with self._memo_lock:
             return self._drv_locks.setdefault(hex_digest, threading.Lock())
@@ -105,7 +97,8 @@ class Builder:
             return self._run(drv, drv_hash, target, source_paths)
 
     def _ensure_inputs(self, drv: Derivation):
-        input_drvs = [self._load_input_drv(i.derivation_hash) for i in drv.inputs]
+        input_drvs = [load_derivation(self.store, i.derivation_hash)
+                      for i in drv.inputs]
         if self.options.workers > 1 and len(input_drvs) > 1:
             threads = [threading.Thread(target=self.build, args=(d,))
                        for d in input_drvs]
@@ -125,7 +118,7 @@ class Builder:
         for src, sp in zip(drv.sources, source_paths):
             roots[src.label] = sp.path
         for inp in drv.inputs:
-            idrv = self._load_input_drv(inp.derivation_hash)
+            idrv = load_derivation(self.store, inp.derivation_hash)
             isp = StorePath(self.store.root, inp.derivation_hash.prefix,
                             idrv.label)
             for member in self.store.closure(isp):
@@ -167,33 +160,24 @@ class Builder:
                 for index, step in enumerate(drv.steps):
                     try:
                         self._step(step, roots, out, scratch, env)
-                    except (OSError, subprocess.SubprocessError) as e:
-                        raise StepFailure(index, str(e)) from e
-                    except StepFailure:
-                        raise
                     except EscapedClosure:
                         raise
-                    except MicrofoldError as e:
+                    except (MicrofoldError, OSError,
+                            subprocess.SubprocessError) as e:
                         raise StepFailure(index, str(e)) from e
                 node = carc.load_tree(out)
             finally:
                 shutil.rmtree(scratch, ignore_errors=True)
 
         references = self._scan_references(node, roots, source_paths)
-        existing = self.store.get_record(target)
-        rec = self.store.register_output(node, target, deriver=drv_hash,
-                                         references=references)
-        output_hash = carc.hash_tree(node)
-        if rec.output_hash != output_hash:
-            raise OutputCollision(
-                f"{target.component}: existing output {rec.output_hash}, "
-                f"rebuilt output {output_hash}")
+        self.store.register_output(node, target, deriver=drv_hash,
+                                   references=references)
         return target
 
     def _env(self, drv: Derivation, scratch: Path) -> dict:
         bin_dirs = []
         for inp in drv.inputs:
-            idrv = self._load_input_drv(inp.derivation_hash)
+            idrv = load_derivation(self.store, inp.derivation_hash)
             isp = StorePath(self.store.root, inp.derivation_hash.prefix,
                             idrv.label)
             bin_dirs.append(str(isp.path / "bin"))
@@ -208,6 +192,7 @@ class Builder:
         return env
 
     def _step(self, step, roots, out: Path, scratch: Path, env: dict):
+        """Run one step; _run turns its errors into StepFailure(index)."""
         op, args = step.op, step.args
         if op == "write":
             dest = out / args[0]
@@ -218,7 +203,7 @@ class Builder:
         elif op == "copy":
             src = self._resolve(roots, out, args[0])
             if not src.exists() and not src.is_symlink():
-                raise StepFailure(-1, f"copy source missing: {args[0]}")
+                raise MicrofoldError(f"copy source missing: {args[0]}")
             dest = out / args[1]
             dest.parent.mkdir(parents=True, exist_ok=True)
             carc.write_tree(carc.load_tree(src), dest)
@@ -245,11 +230,11 @@ class Builder:
             proc = subprocess.run(argv, cwd=scratch, env=env,
                                   capture_output=True)
             if proc.returncode != 0:
-                raise StepFailure(
-                    -1, f"exec {args[0]} exited {proc.returncode}: "
-                        f"{proc.stderr.decode(errors='replace')[:500]}")
+                raise MicrofoldError(
+                    f"exec {args[0]} exited {proc.returncode}: "
+                    f"{proc.stderr.decode(errors='replace')[:500]}")
         else:  # pragma: no cover - Step rejects unknown ops at construction
-            raise StepFailure(-1, f"unknown op {op}")
+            raise MicrofoldError(f"unknown op {op}")
 
     def _scan_references(self, node, roots, source_paths) -> list:
         """Store paths whose digest prefix appears in the output bytes."""
@@ -312,11 +297,7 @@ def check_rebuild(drv: Derivation, store: Store, rounds: int = 2, *,
         try:
             scratch_store = Store(scratch_root)
             _clone_trust_roots(store, scratch_store)
-            try:
-                path = build(drv, scratch_store, archive=archive,
-                             options=options)
-            except MicrofoldError as e:
-                raise type(e)(f"round {rnd}: {e}") from e
+            path = build(drv, scratch_store, archive=archive, options=options)
             rec = scratch_store.get_record(path)
             results.append(RoundResult(rnd, rec.output_hash.hex))
         finally:

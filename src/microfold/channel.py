@@ -11,8 +11,6 @@ Repository layout: <repo>/revisions/<id>, <repo>/objects/<hash>,
 
 from __future__ import annotations
 
-import fcntl
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,6 +21,7 @@ from .errors import (BadCommit, CorruptRevision, DuplicatePackage, NoHead,
                      UnreachableRemote)
 from .hashing import ContentHash
 from .derivation import SourceRef
+from .store import locked
 
 
 @dataclass
@@ -150,10 +149,7 @@ def render_pin(pins) -> str:
 
 
 def parse_pin(text: str) -> PinFile:
-    try:
-        form = sexpr.parse_one(text)
-    except ParseError:
-        raise
+    form = sexpr.parse_one(text)
     if not isinstance(form, list) or not form or form[0] != sexpr.Sym("channels"):
         raise ParseError("expected a (channels ...) form")
     pins = []
@@ -198,15 +194,6 @@ class ChannelRepo:
         if url_file.exists():
             return url_file.read_text().strip()
         return "file://" + str(self.root)
-
-    def _lock(self):
-        fd = os.open(self.root / "repo.lock", os.O_CREAT | os.O_RDWR, 0o644)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        return fd
-
-    def _unlock(self, fd):
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
 
     # -- local access ------------------------------------------------------
 
@@ -254,8 +241,7 @@ class ChannelRepo:
     def commit_revision(self, packages, parent: ContentHash | None = None,
                         message: str = "") -> ChannelRevision:
         """Append a revision holding the given package definitions."""
-        fd = self._lock()
-        try:
+        with locked(self.root / "repo.lock"):
             if parent is not None and not self.has_revision(parent):
                 raise UnknownParent(parent.hex)
             tree = {}
@@ -279,8 +265,6 @@ class ChannelRepo:
             (self.root / "HEAD").write_text(rev_id.hex + "\n")
             return ChannelRevision(id=rev_id, parent=parent, tree=tree,
                                    message=message)
-        finally:
-            self._unlock(fd)
 
     # -- checkout ----------------------------------------------------------
 
@@ -295,16 +279,16 @@ class ChannelRepo:
             out[key] = pkg
         return out
 
-    # -- pull --------------------------------------------------------------
+    # -- fetch and pull ----------------------------------------------------
 
-    def pull(self, remote) -> ContentHash:
-        """Fetch all revisions reachable from the remote head; idempotent."""
+    def fetch(self, remote) -> ContentHash:
+        """Copy the verified revisions and objects reachable from the remote
+        head; returns that head.  HEAD and URL are left alone; idempotent."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
             raise UnreachableRemote(str(remote))
         remote_head = ContentHash(head_bytes.decode().strip())
-        fd = self._lock()
-        try:
+        with locked(self.root / "repo.lock"):
             cur = remote_head
             while cur is not None and not self.has_revision(cur):
                 data = transport.read_bytes(remote, f"revisions/{cur.hex}")
@@ -328,13 +312,17 @@ class ChannelRepo:
                     obj_path.write_bytes(blob)
                 (self.root / "revisions" / cur.hex).write_bytes(data)
                 cur = rev.parent
+        return remote_head
+
+    def pull(self, remote) -> ContentHash:
+        """fetch, then point HEAD at the remote head and URL at the remote."""
+        remote_head = self.fetch(remote)
+        if not transport.is_url(str(remote)):
+            remote = "file://" + str(Path(remote))
+        with locked(self.root / "repo.lock"):
             (self.root / "HEAD").write_text(remote_head.hex + "\n")
-            if not transport.is_url(str(remote)):
-                remote = "file://" + str(Path(remote))
             (self.root / "URL").write_text(str(remote) + "\n")
-            return remote_head
-        finally:
-            self._unlock(fd)
+        return remote_head
 
     # -- pins and replay ---------------------------------------------------
 
@@ -349,7 +337,7 @@ class ChannelRepo:
         if url.startswith("file://"):
             url = url[len("file://"):]
         try:
-            self.pull(url)
+            self.fetch(url)
         except (UnreachableRemote, OSError):
             pass
         if not self.has_revision(rev_id):

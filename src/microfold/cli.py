@@ -18,7 +18,7 @@ from .archive import Archive
 from .bootstrap import audit_trust, register_seed
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, parse_pin
-from .derivation import derivation_hash, parse_derivation
+from .derivation import derivation_hash, load_derivation, parse_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
 from .manifest import Instantiator, Manifest, Spec, parse_manifest, parse_spec, resolve_spec
@@ -44,9 +44,8 @@ _VERIFY_ERRORS = (
     errors.CorruptItem, errors.AllProvidersCorrupt, errors.OutputCollision,
 )
 _ENV_ERRORS = (
-    errors.UnreachableRemote, errors.SourceUnavailable, errors.MissingSource,
-    errors.CacheWriteError, errors.ArchiveWriteError, errors.StepFailure,
-    errors.SubstituteNotFound,
+    errors.UnreachableRemote, errors.SourceUnavailable, errors.CacheWriteError,
+    errors.ArchiveWriteError, errors.StepFailure, errors.SubstituteNotFound,
 )
 
 
@@ -212,15 +211,13 @@ def cmd_challenge(ctx: Context, args) -> int:
 
 
 def _graph_edges(drv, store, nodes, edges):
-    from .derivation import parse_derivation as _parse
     h = derivation_hash(drv)
     label = f"{drv.label}\\n{h.hex[:12]}"
     if label in nodes:
         return label
     nodes.add(label)
     for inp in drv.inputs:
-        data = store.get_derivation_bytes(inp.derivation_hash)
-        sub = _parse(data.decode("utf-8", "surrogateescape"))
+        sub = load_derivation(store, inp.derivation_hash)
         sub_label = _graph_edges(sub, store, nodes, edges)
         edges.add((label, sub_label))
     return label

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sexpr
-from .errors import InvariantViolation, ParseError
+from .errors import DanglingReference, InvariantViolation, ParseError
 from .hashing import ContentHash
 from .store import LABEL_RE, StorePath
 
@@ -249,3 +249,12 @@ def parse_derivation(text: str) -> Derivation:
     )
     drv.validate()
     return drv
+
+
+def load_derivation(store, drv_hash: ContentHash) -> Derivation:
+    """The derivation registered in the store under drv_hash."""
+    data = store.get_derivation_bytes(drv_hash)
+    if data is None:
+        raise DanglingReference(
+            f"derivation {drv_hash} not registered in store")
+    return parse_derivation(data.decode("utf-8", "surrogateescape"))

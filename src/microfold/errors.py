@@ -48,10 +48,6 @@ class StepFailure(MicrofoldError):
         self.detail = detail
 
 
-class MissingSource(MicrofoldError):
-    """A source could not be fetched from any leg."""
-
-
 class EscapedClosure(MicrofoldError):
     """An exec program does not resolve inside the input closure or seeds."""
 

@@ -11,12 +11,12 @@ their dependencies) to derivations whose hashes pin the whole graph.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 from . import sexpr
 from .channel import PackageDef
-from .derivation import Derivation, InputRef, SourceRef, Step, derivation_hash
+from .derivation import (Derivation, InputRef, SourceRef, Step,
+                         canonical_serialize, derivation_hash)
 from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
                      ParseError, ReplacementCycle, UnknownPackage,
                      UnknownVersion, UnsupportedForm)
@@ -83,23 +83,17 @@ def parse_manifest(text: str) -> Manifest:
 
 # -- version ordering ------------------------------------------------------
 
+def version_key(version: str) -> list:
+    """Sort key of a total order: dot-split; all-digit components compare
+    numerically and sort before the others, which compare bytewise; a
+    shorter prefix loses."""
+    return [(0, int(c), c.encode()) if c.isdecimal() else (1, 0, c.encode())
+            for c in version.split(".")]
+
+
 def compare_versions(a: str, b: str) -> int:
-    """Total order: dot-split, numeric when both components are all-digit,
-    bytewise otherwise; a shorter prefix loses."""
-    pa, pb = a.split("."), b.split(".")
-    for ca, cb in zip(pa, pb):
-        if ca == cb:
-            continue
-        if ca.isdigit() and cb.isdigit():
-            return -1 if int(ca) < int(cb) else 1
-        ba, bb = ca.encode(), cb.encode()
-        return -1 if ba < bb else 1
-    if len(pa) != len(pb):
-        return -1 if len(pa) < len(pb) else 1
-    return 0
-
-
-version_key = functools.cmp_to_key(compare_versions)
+    ka, kb = version_key(a), version_key(b)
+    return (ka > kb) - (ka < kb)
 
 
 # -- resolution ------------------------------------------------------------
@@ -136,7 +130,6 @@ class Instantiator:
         self.store = store
         self.archive = archive
         self.by_key = {}
-        self.by_hash = {}  # component/hash bookkeeping for callers
 
     def _seed_component(self, label: str) -> str:
         if self.store is None:
@@ -201,12 +194,10 @@ class Instantiator:
 
         drv = Derivation(name=pkg.name, version=pkg.version,
                          sources=sources, inputs=inputs, steps=steps)
-        drv_hash = derivation_hash(drv)
         if self.store is not None:
-            from .derivation import canonical_serialize
-            self.store.put_derivation(drv_hash, canonical_serialize(drv))
+            self.store.put_derivation(derivation_hash(drv),
+                                      canonical_serialize(drv))
         self.by_key[pkg.key] = drv
-        self.by_hash[drv_hash.hex] = drv
         return drv
 
 

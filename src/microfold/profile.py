@@ -12,7 +12,6 @@ hashes.txt, created.txt}, <profile>/current (the active number).
 from __future__ import annotations
 
 import datetime
-import fcntl
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from . import carc
 from .builder import BuildOptions, Builder
 from .derivation import derivation_hash
 from .errors import ProfileCollision, UnknownGeneration
-from .store import Store, StorePath
+from .store import Store, StorePath, locked
 
 
 @dataclass
@@ -80,15 +79,6 @@ class Profile:
         self.root = Path(root)
         (self.root / "generations").mkdir(parents=True, exist_ok=True)
 
-    def _lock(self):
-        fd = os.open(self.root / "lock", os.O_CREAT | os.O_RDWR, 0o644)
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        return fd
-
-    def _unlock(self, fd):
-        fcntl.flock(fd, fcntl.LOCK_UN)
-        os.close(fd)
-
     def generation_numbers(self) -> list:
         out = []
         for entry in (self.root / "generations").iterdir():
@@ -109,14 +99,11 @@ class Profile:
         return (self.generation_dir(number) / "store-path").read_text().strip()
 
     def rollback(self, number: int) -> int:
-        fd = self._lock()
-        try:
+        with locked(self.root / "lock"):
             if number not in self.generation_numbers():
                 raise UnknownGeneration(str(number))
             (self.root / "current").write_text(str(number) + "\n")
             return number
-        finally:
-            self._unlock(fd)
 
 
 def build_profile(derivations, store: Store, profile: Profile, *,
@@ -137,8 +124,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
     union = union_tree(outputs)
     union_path = store.add_fixed(union, "profile", references=member_paths)
 
-    fd = profile._lock()
-    try:
+    with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()
         number = (numbers[-1] + 1) if numbers else 1
         gen_dir = profile.generation_dir(number)
@@ -157,8 +143,6 @@ def build_profile(derivations, store: Store, profile: Profile, *,
         (tmp / "created.txt").write_text(created + "\n")
         os.rename(tmp, gen_dir)
         (profile.root / "current").write_text(str(number) + "\n")
-    finally:
-        profile._unlock(fd)
 
     return Generation(number=number, profile_tree=union_path,
                       pin_text=pin_text, manifest_text=manifest_text,

@@ -6,6 +6,9 @@ Layout under the store root (a plain user-writable directory):
     db/items/<component>                one record per item, "key: value" lines
     db/drvs/<64-hex>                    canonical derivation bytes by hash
     locks/<digest_prefix>.lock          per-digest advisory write locks
+
+Records are written once and never edited.  This module also owns the two
+helpers other layers share: the `flock` lock and the "key: value" codec.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import carc
-from .errors import (DanglingReference, InvalidLabel, StoreCorruption)
+from .errors import (DanglingReference, InvalidLabel, OutputCollision,
+                     StoreCorruption)
 from .hashing import ContentHash, PREFIX_LEN
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9._+-]+$")
@@ -29,6 +33,27 @@ _COMPONENT_RE = re.compile(r"^[0-9a-f]{32}-[A-Za-z0-9._+-]+$")
 def check_label(label: str):
     if not LABEL_RE.match(label):
         raise InvalidLabel(f"invalid store label: {label!r}")
+
+
+@contextmanager
+def locked(lock_path):
+    """Hold an exclusive advisory lock on lock_path (created if absent)."""
+    fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        fcntl.flock(fd, fcntl.LOCK_UN)
+        os.close(fd)
+
+
+def render_fields(fields: dict) -> str:
+    """"key: value" lines, keys sorted: store records and cache info files."""
+    return "".join(f"{k}: {v}\n" for k, v in sorted(fields.items()))
+
+
+def parse_fields(text: str) -> dict:
+    return dict(line.partition(": ")[::2] for line in text.splitlines())
 
 
 @dataclass(frozen=True)
@@ -103,16 +128,8 @@ class Store:
 
     # -- locking ----------------------------------------------------------
 
-    @contextmanager
     def lock(self, digest_prefix: str):
-        lock_path = self.root / "locks" / f"{digest_prefix}.lock"
-        fd = os.open(lock_path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
+        return locked(self.root / "locks" / f"{digest_prefix}.lock")
 
     # -- records ----------------------------------------------------------
 
@@ -130,18 +147,14 @@ class Store:
             lines["deriver"] = rec.deriver.hex
         if rec.description:
             lines["description"] = rec.description
-        text = "".join(f"{k}: {v}\n" for k, v in sorted(lines.items()))
-        self._record_path(rec.path.component).write_text(text)
+        self._record_path(rec.path.component).write_text(render_fields(lines))
 
     def get_record(self, path) -> StoreItemRecord | None:
         component = path.component if isinstance(path, StorePath) else path
         rec_path = self._record_path(component)
         if not rec_path.exists():
             return None
-        fields = {}
-        for line in rec_path.read_text().splitlines():
-            key, _, value = line.partition(": ")
-            fields[key] = value
+        fields = parse_fields(rec_path.read_text())
         refs = [StorePath.from_component(self.root, c)
                 for c in fields.get("references", "").split() if c]
         return StoreItemRecord(
@@ -209,23 +222,27 @@ class Store:
         return store_path
 
     def register_output(self, tree, store_path: StorePath, *,
-                        deriver: ContentHash, references: list) -> StoreItemRecord:
-        """Register a built output tree at a derivation-addressed path.
+                        deriver: ContentHash | None, references: list,
+                        kind: str = "derived") -> StoreItemRecord:
+        """Register an output tree at a derivation-addressed path.
 
-        Raises StoreCorruption via OutputCollision semantics at the caller:
-        here an existing record with a different hash is returned as-is so
-        the builder can decide; identical hash is a no-op.
+        An existing record with the same hash is a no-op; one with a
+        different hash raises OutputCollision.  Records are never rewritten.
         """
         node = _as_node(tree)
         archive = carc.serialize_tree(node)
         output_hash = ContentHash.of_bytes(archive)
         refs = sorted(set(references), key=lambda p: p.component)
         rec = StoreItemRecord(path=store_path, output_hash=output_hash,
-                              references=refs, kind="derived",
+                              references=refs, kind=kind,
                               deriver=deriver, size=len(archive))
         with self.lock(store_path.digest_prefix):
             existing = self.get_record(store_path)
             if existing is not None:
+                if existing.output_hash != output_hash:
+                    raise OutputCollision(
+                        f"{store_path.component}: existing output "
+                        f"{existing.output_hash}, rebuilt output {output_hash}")
                 return existing
             self._materialize(node, store_path)
             self._write_record(rec)

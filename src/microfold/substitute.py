@@ -21,7 +21,7 @@ from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
                      MicrofoldError, SubstituteNotFound)
 from .hashing import ContentHash
-from .store import Store, StorePath
+from .store import Store, StorePath, parse_fields, render_fields
 
 log = logging.getLogger(__name__)
 
@@ -43,14 +43,11 @@ class SubstituteInfo:
         }
         if self.deriver is not None:
             fields["deriver"] = self.deriver.hex
-        return "".join(f"{k}: {v}\n" for k, v in sorted(fields.items()))
+        return render_fields(fields)
 
     @classmethod
     def parse(cls, text: str) -> "SubstituteInfo":
-        fields = {}
-        for line in text.splitlines():
-            key, _, value = line.partition(": ")
-            fields[key] = value
+        fields = parse_fields(text)
         return cls(
             store_path=fields["storepath"],
             output_hash=ContentHash(fields["outputhash"]),
@@ -86,9 +83,16 @@ def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
 
 
 def _provider_lookup(cache, digest_prefix: str):
-    """(info, carc_bytes) from one provider; either may be None."""
-    info_text = transport.read_bytes(cache, f"info/{digest_prefix}")
-    data = transport.read_bytes(cache, f"carc/{digest_prefix}")
+    """(info, carc_bytes) from one provider; either may be None.
+
+    A provider that cannot be reached (refused, reset, timed out) has
+    nothing to offer.
+    """
+    try:
+        info_text = transport.read_bytes(cache, f"info/{digest_prefix}")
+        data = transport.read_bytes(cache, f"carc/{digest_prefix}")
+    except OSError:
+        return None, None
     info = SubstituteInfo.parse(info_text.decode()) if info_text else None
     return info, data
 
@@ -134,13 +138,9 @@ def fetch_substitute(path: StorePath, caches, store: Store,
             log.warning("cache %s: reference of %s unavailable (%s); skipping",
                         cache, path.component, e)
             continue
-        store.register_output(carc.parse(data), path,
-                              deriver=info.deriver, references=refs)
-        if info.deriver is None:
-            # No deriver: demote the record kind to fixed.
-            rec = store.get_record(path)
-            rec.kind = "fixed"
-            store._write_record(rec)
+        store.register_output(carc.parse(data), path, deriver=info.deriver,
+                              references=refs,
+                              kind="fixed" if info.deriver is None else "derived")
         return path
 
     if found and corrupt:

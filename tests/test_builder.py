@@ -133,6 +133,14 @@ def test_failing_step_reports_index(store):
     ])
     with pytest.raises((StepFailure, EscapedClosure)):
         build(drv, store)
+    drv = Derivation(name="boom", version="2", steps=[
+        d.write("ok.txt", b"fine"),
+        d.copy("out/missing", "g"),
+    ])
+    with pytest.raises(StepFailure) as info:
+        build(drv, store)
+    assert info.value.index == 1
+    assert str(info.value).startswith("step 1: ")
 
 
 def test_check_rebuild_deterministic(store, toolchain):

@@ -205,6 +205,20 @@ def test_time_machine_pulls_from_pin_url(repo, tmp_path):
     assert result == {"a@1.0", "b@2.0", "c@0.1"}
 
 
+def test_time_machine_leaves_head_and_url_alone(tmp_path):
+    other = ChannelRepo(tmp_path / "other")
+    remote = other.commit_revision(golden_tree(), message="remote only")
+    repo = ChannelRepo(tmp_path / "mine", url="file:///srv/channel")
+    own = repo.commit_revision(golden_tree()[:1], message="local")
+    url_before = (repo.root / "URL").read_bytes()
+    pin = PinFile([ChannelPin("c", "file://" + str(other.root),
+                              remote.id.hex)])
+    seen = repo.time_machine(pin, lambda pkgs: set(pkgs))
+    assert seen == {"a@1.0", "b@2.0", "c@0.1"}
+    assert repo.head() == own.id
+    assert (repo.root / "URL").read_bytes() == url_before
+
+
 def test_describe_human_mentions_commit(repo):
     rev = repo.commit_revision(golden_tree(), message="one")
     text = repo.describe_human()

@@ -61,6 +61,17 @@ def test_build_derivation_file(env, tmp_path, capsys):
     assert out.endswith(f"{derivation_hash(drv).prefix}-hand-1")
 
 
+def test_build_check_reports_failing_step(env, tmp_path, capsys):
+    drv = Derivation(name="broken", version="1",
+                     steps=[d.write("f", b"x"), d.copy("out/missing", "g")])
+    drv_file = tmp_path / "broken.drv"
+    drv_file.write_bytes(canonical_serialize(drv))
+    assert run_command(["build", str(drv_file), "--check", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("microfold: error: step 1: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_build_check_deterministic(env, capsys):
     assert run_command(["build", "app-alpha", "--check", "2"]) == 0
     out = capsys.readouterr().out

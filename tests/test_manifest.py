@@ -1,7 +1,7 @@
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from microfold import derivation as d
 from microfold.builder import build
@@ -84,6 +84,8 @@ versions = st.lists(version_part, min_size=1, max_size=4).map(".".join)
 
 
 @given(versions, versions, versions)
+@example("2", "10", "1a")
+@example("01", "1", "1")
 def test_version_order_is_total_and_transitive(a, b, c):
     assert compare_versions(a, b) == -compare_versions(b, a)
     assert compare_versions(a, a) == 0

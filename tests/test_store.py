@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from microfold import carc
-from microfold.errors import DanglingReference, InvalidLabel, StoreCorruption
+from microfold.errors import (DanglingReference, InvalidLabel, OutputCollision,
+                              StoreCorruption)
 from microfold.hashing import ContentHash
 from microfold.store import Store, StorePath
 
@@ -32,6 +33,31 @@ def test_add_fixed_digest_matches_oracle(store):
     p = store.add_fixed(b"hello", "greeting-1.0")
     assert p.digest_prefix == HELLO_CARC_HASH[:32]
     assert p.component == HELLO_CARC_HASH[:32] + "-greeting-1.0"
+
+
+def test_record_bytes_match_oracle(store):
+    p = store.add_fixed(b"hello", "greeting-1.0")
+    record = store.root / "db" / "items" / p.component
+    assert record.read_text() == (f"kind: fixed\noutputhash: {HELLO_CARC_HASH}\n"
+                                  "references: \nsize: 15\n")
+
+
+def test_register_output_is_write_once(store):
+    target = StorePath(store.root, "0" * 32, "out-1")
+    deriver = ContentHash("ab" * 32)
+    rec = store.register_output(carc.Dir({"f": carc.File(b"one")}), target,
+                                deriver=deriver, references=[])
+    assert rec.kind == "derived"
+    record = store.root / "db" / "items" / target.component
+    before = record.read_bytes()
+    again = store.register_output(carc.Dir({"f": carc.File(b"one")}), target,
+                                  deriver=deriver, references=[])
+    assert again.output_hash == rec.output_hash
+    with pytest.raises(OutputCollision):
+        store.register_output(carc.Dir({"f": carc.File(b"two")}), target,
+                              deriver=deriver, references=[])
+    assert record.read_bytes() == before
+    assert store.verify_item(target).ok
 
 
 def test_invalid_labels_rejected(store):

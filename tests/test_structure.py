@@ -1,0 +1,20 @@
+"""One implementation per job: each of these calls lives in one module."""
+
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
+
+
+@pytest.mark.parametrize("needle, home", [
+    ("fcntl.flock", "store.py"),          # the one lock helper
+    ("urlopen", "transport.py"),          # the one HTTP GET
+    (".get_derivation_bytes(", "derivation.py"),  # the one derivation loader
+    ("_write_record(", "store.py"),       # store records are written once
+])
+def test_single_home(needle, home):
+    assert (SRC / home).is_file()
+    offenders = sorted(p.name for p in SRC.glob("*.py")
+                       if p.name != home and needle in p.read_text())
+    assert offenders == []

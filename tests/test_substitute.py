@@ -1,10 +1,11 @@
 import functools
 import http.server
+import socket
 import threading
 
 import pytest
 
-from microfold import carc
+from microfold import carc, transport
 from microfold import derivation as d
 from microfold.builder import BuildOptions, build
 from microfold.derivation import Derivation, InputRef, canonical_serialize, derivation_hash
@@ -157,6 +158,54 @@ def test_fetch_over_http(tmp_path, cache):
         assert consumer.verify_item(got).ok
     finally:
         server.shutdown()
+
+
+def test_deriverless_item_substituted_as_fixed(tmp_path, cache):
+    producer = Store(tmp_path / "producer")
+    path = producer.add_fixed(carc.Dir({"f": carc.File(b"data")}), "blob-1")
+    publish(producer, path, cache)
+    consumer = Store(tmp_path / "consumer")
+    fetch_substitute(StorePath.from_component(consumer.root, path.component),
+                     [cache], consumer)
+    assert consumer.get_record(path.component).kind == "fixed"
+    record = ("db", "items", path.component)
+    assert consumer.root.joinpath(*record).read_bytes() == \
+        producer.root.joinpath(*record).read_bytes()
+
+
+def test_refused_cache_skipped(tmp_path, cache):
+    producer = Store(tmp_path / "producer")
+    path = build(hello_drv(), producer)
+    publish(producer, path, cache)
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        dead = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    consumer = Store(tmp_path / "consumer")
+    target = StorePath.from_component(consumer.root, path.component)
+    report = challenge([target], [dead, cache], consumer)
+    assert [p for p, _ in report.entries[path.component].values] == [str(cache)]
+    fetch_substitute(target, [dead, cache], consumer)
+    assert consumer.verify_item(target).ok
+
+
+def test_silent_cache_times_out(tmp_path, cache, monkeypatch):
+    producer = Store(tmp_path / "producer")
+    path = build(hello_drv(), producer)
+    publish(producer, path, cache)
+    monkeypatch.setattr(transport, "TIMEOUT_S", 0.5, raising=False)
+    consumer = Store(tmp_path / "consumer")
+    target = StorePath.from_component(consumer.root, path.component)
+    with socket.socket() as silent:  # accepts connections, never answers
+        silent.bind(("127.0.0.1", 0))
+        silent.listen(4)
+        url = f"http://127.0.0.1:{silent.getsockname()[1]}"
+        worker = threading.Thread(
+            target=fetch_substitute, args=(target, [url, cache], consumer),
+            daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "fetch hung on a silent cache"
+    assert consumer.verify_item(target).ok
 
 
 # -- challenge -------------------------------------------------------------
