@@ -73,7 +73,12 @@ def _fetch_upstream(ref):
         if not path.exists():
             return None
         return carc.load_tree(path)
-    data = transport.get(url) if transport.is_url(url) else None
+    if not transport.is_url(url):
+        return None
+    try:
+        data = transport.get(url)
+    except OSError:
+        return None  # refused, reset or timed out: the archive leg still runs
     return None if data is None else carc.File(data)
 
 

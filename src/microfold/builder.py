@@ -25,6 +25,7 @@ from .archive import fetch_source
 from .derivation import (Derivation, canonical_serialize, derivation_hash,
                          load_derivation)
 from .errors import EscapedClosure, MicrofoldError, StepFailure
+from .hashing import ContentHash
 from .store import Store, StorePath
 
 OUT_PLACEHOLDER = "@out@"
@@ -72,8 +73,13 @@ class Builder:
     # -- public entry ------------------------------------------------------
 
     def build(self, drv: Derivation) -> StorePath:
-        drv_hash = derivation_hash(drv)
-        self.store.put_derivation(drv_hash, canonical_serialize(drv))
+        data = canonical_serialize(drv)
+        drv_hash = ContentHash.of_bytes(data)
+        self.store.put_derivation(drv_hash, data)
+        return self._build(drv, drv_hash)
+
+    def _build(self, drv: Derivation, drv_hash) -> StorePath:
+        """Build drv, whose bytes are registered under drv_hash."""
         target = StorePath(self.store.root, drv_hash.prefix, drv.label)
 
         with self._drv_lock(drv_hash.hex):
@@ -88,44 +94,44 @@ class Builder:
                 except MicrofoldError:
                     pass  # fall back to building from source
 
-            self._ensure_inputs(drv)
+            input_paths = self._ensure_inputs(drv)
             source_paths = [
                 fetch_source(src, self.store, self.archive,
                              archive_fallback=self.options.archive_fallback)
                 for src in drv.sources
             ]
-            return self._run(drv, drv_hash, target, source_paths)
+            return self._run(drv, drv_hash, target, source_paths, input_paths)
 
-    def _ensure_inputs(self, drv: Derivation):
-        input_drvs = [load_derivation(self.store, i.derivation_hash)
-                      for i in drv.inputs]
-        if self.options.workers > 1 and len(input_drvs) > 1:
-            threads = [threading.Thread(target=self.build, args=(d,))
-                       for d in input_drvs]
+    def _ensure_inputs(self, drv: Derivation) -> list:
+        """Build every input; their store paths, in input order."""
+        inputs = [(load_derivation(self.store, i.derivation_hash),
+                   i.derivation_hash) for i in drv.inputs]
+        if self.options.workers > 1 and len(inputs) > 1:
+            threads = [threading.Thread(target=self._build, args=i)
+                       for i in inputs]
             for t in threads:
                 t.start()
             for t in threads:
                 t.join()
             # Re-run serially to surface any error from the threads.
-        for d in input_drvs:
-            self.build(d)
+        return [self._build(d, h) for d, h in inputs]
 
     # -- step execution ----------------------------------------------------
 
-    def _roots(self, drv: Derivation, source_paths) -> dict:
-        """Map first-path-component names to store directories."""
-        roots = {}
-        for src, sp in zip(drv.sources, source_paths):
-            roots[src.label] = sp.path
-        for inp in drv.inputs:
-            idrv = load_derivation(self.store, inp.derivation_hash)
-            isp = StorePath(self.store.root, inp.derivation_hash.prefix,
-                            idrv.label)
+    def _roots(self, drv: Derivation, source_paths, input_paths):
+        """Map first-path-component names to store directories.  Also
+        returns the store items among the roots (the inputs' closures and
+        the seeds), by component."""
+        items = {}
+        for isp in input_paths:
             for member in self.store.closure(isp):
-                roots[member.component] = member.path
+                items[member.component] = member
         for seed in self.store.seeds():
-            roots[seed.path.component] = seed.path.path
-        return roots
+            items[seed.path.component] = seed.path
+        roots = {src.label: sp.path
+                 for src, sp in zip(drv.sources, source_paths)}
+        roots.update((c, p.path) for c, p in items.items())
+        return roots, items
 
     def _resolve(self, roots: dict, out: Path, path: str) -> Path:
         comp, _, rest = path.partition("/")
@@ -142,8 +148,8 @@ class Builder:
         raise EscapedClosure(f"{path!r} does not resolve inside the build closure")
 
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
-             source_paths) -> StorePath:
-        roots = self._roots(drv, source_paths)
+             source_paths, input_paths) -> StorePath:
+        roots, items = self._roots(drv, source_paths, input_paths)
         with self._exec_slots:
             scratch = Path(tempfile.mkdtemp(prefix="microfold-build-"))
             try:
@@ -151,12 +157,14 @@ class Builder:
                 out.mkdir()
                 (scratch / "homeless").mkdir()
                 # Expose the roots as symlinks so exec'd tools can reach
-                # sources and inputs through cwd-relative paths.
-                for root_name, root_dir in roots.items():
-                    link = scratch / root_name
-                    if not link.exists() and not link.is_symlink():
-                        link.symlink_to(root_dir)
-                env = self._env(drv, scratch)
+                # sources and inputs through cwd-relative paths.  The other
+                # steps resolve paths through `roots` and never read them.
+                if any(step.op == "exec" for step in drv.steps):
+                    for root_name, root_dir in roots.items():
+                        link = scratch / root_name
+                        if not link.exists() and not link.is_symlink():
+                            link.symlink_to(root_dir)
+                env = self._env(drv, scratch, input_paths)
                 for index, step in enumerate(drv.steps):
                     try:
                         self._step(step, roots, out, scratch, env)
@@ -169,20 +177,14 @@ class Builder:
             finally:
                 shutil.rmtree(scratch, ignore_errors=True)
 
-        references = self._scan_references(node, roots, source_paths)
+        references = self._scan_references(node, items, source_paths)
         self.store.register_output(node, target, deriver=drv_hash,
                                    references=references)
         return target
 
-    def _env(self, drv: Derivation, scratch: Path) -> dict:
-        bin_dirs = []
-        for inp in drv.inputs:
-            idrv = load_derivation(self.store, inp.derivation_hash)
-            isp = StorePath(self.store.root, inp.derivation_hash.prefix,
-                            idrv.label)
-            bin_dirs.append(str(isp.path / "bin"))
+    def _env(self, drv: Derivation, scratch: Path, input_paths) -> dict:
         env = {
-            "PATH": ":".join(bin_dirs),
+            "PATH": ":".join(str(isp.path / "bin") for isp in input_paths),
             "SOURCE_DATE_EPOCH": "1",
             "TZ": "UTC",
             "LC_ALL": "C",
@@ -236,7 +238,7 @@ class Builder:
         else:  # pragma: no cover - Step rejects unknown ops at construction
             raise MicrofoldError(f"unknown op {op}")
 
-    def _scan_references(self, node, roots, source_paths) -> list:
+    def _scan_references(self, node, items: dict, source_paths) -> list:
         """Store paths whose digest prefix appears in the output bytes."""
         blobs = []
 
@@ -251,17 +253,10 @@ class Builder:
 
         collect(node)
         haystack = b"\x00".join(blobs)
-        candidates = {}
-        for comp in roots:
-            if "-" in comp and self.store.get_record(comp) is not None:
-                candidates[comp] = comp.split("-", 1)[0].encode()
-        for sp in source_paths:
-            candidates[sp.component] = sp.digest_prefix.encode()
-        refs = []
-        for comp, prefix in sorted(candidates.items()):
-            if prefix in haystack:
-                refs.append(StorePath.from_component(self.store.root, comp))
-        return refs
+        candidates = dict(items)
+        candidates.update((sp.component, sp) for sp in source_paths)
+        return [sp for _, sp in sorted(candidates.items())
+                if sp.digest_prefix.encode() in haystack]
 
 
 def build(drv: Derivation, store: Store, *, archive=None,

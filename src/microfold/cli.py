@@ -11,13 +11,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cached_property
 from pathlib import Path
 
 from . import errors
 from .archive import Archive
 from .bootstrap import audit_trust, register_seed
 from .builder import BuildOptions, Builder, check_rebuild
-from .channel import ChannelRepo, parse_pin
+from .channel import ChannelRepo, parse_pin, render_pin
 from .derivation import derivation_hash, load_derivation, parse_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
@@ -73,8 +74,9 @@ class Context:
         self.default_profile = os.environ.get(
             "MICROFOLD_PROFILE", str(base / "profile"))
         self._packages = None  # time-machine override
+        self._pin_text = None  # time-machine override
 
-    @property
+    @cached_property
     def store(self) -> Store:
         return Store(self.store_root)
 
@@ -91,6 +93,15 @@ class Context:
             return self._packages
         repo = self.repo
         return repo.checkout(repo.head())
+
+    def pin_text(self) -> str:
+        """The pin of the package set packages() returns; "" with no HEAD."""
+        if self._pin_text is not None:
+            return self._pin_text
+        try:
+            return self.repo.describe_pin()
+        except errors.NoHead:
+            return ""
 
 
 def _build_options(args) -> BuildOptions:
@@ -138,13 +149,9 @@ def cmd_package(ctx: Context, args) -> int:
     inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
     derivs = [inst.instantiate(resolve_spec(s, packages))
               for s in manifest.specs]
-    try:
-        pin_text = ctx.repo.describe_pin()
-    except errors.NoHead:
-        pin_text = ""
     gen = build_profile(derivs, ctx.store, Profile(args.profile or ctx.default_profile),
                         archive=ctx.archive, options=_build_options(args),
-                        pin_text=pin_text, manifest_text=manifest_text)
+                        pin_text=ctx.pin_text(), manifest_text=manifest_text)
     print(f"generation {gen.number}")
     for label, drv_hex, _ in gen.drv_hashes:
         print(f"  {label} {drv_hex[:12]}")
@@ -184,11 +191,11 @@ def cmd_time_machine(ctx: Context, args) -> int:
         return EXIT_USER
 
     def action(packages):
-        ctx._packages = packages
+        ctx._packages, ctx._pin_text = packages, render_pin(pin_file.pins)
         try:
             return _dispatch(ctx, rest)
         finally:
-            ctx._packages = None
+            ctx._packages = ctx._pin_text = None
 
     return ctx.repo.time_machine(pin_file, action)
 

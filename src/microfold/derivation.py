@@ -252,9 +252,17 @@ def parse_derivation(text: str) -> Derivation:
 
 
 def load_derivation(store, drv_hash: ContentHash) -> Derivation:
-    """The derivation registered in the store under drv_hash."""
-    data = store.get_derivation_bytes(drv_hash)
-    if data is None:
-        raise DanglingReference(
-            f"derivation {drv_hash} not registered in store")
-    return parse_derivation(data.decode("utf-8", "surrogateescape"))
+    """The derivation registered in the store under drv_hash.
+
+    Derivation files are named by their hash and never change, so each is
+    parsed once per Store; every caller gets the same object.
+    """
+    drv = store.derivations.get(drv_hash.hex)
+    if drv is None:
+        data = store.get_derivation_bytes(drv_hash)
+        if data is None:
+            raise DanglingReference(
+                f"derivation {drv_hash} not registered in store")
+        drv = parse_derivation(data.decode("utf-8", "surrogateescape"))
+        store.derivations[drv_hash.hex] = drv
+    return drv

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import sexpr
 from .channel import PackageDef
 from .derivation import (Derivation, InputRef, SourceRef, Step,
-                         canonical_serialize, derivation_hash)
+                         canonical_serialize)
 from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
                      ParseError, ReplacementCycle, UnknownPackage,
                      UnknownVersion, UnsupportedForm)
@@ -130,6 +130,7 @@ class Instantiator:
         self.store = store
         self.archive = archive
         self.by_key = {}
+        self.hashes = {}  # package key -> derivation hash
 
     def _seed_component(self, label: str) -> str:
         if self.store is None:
@@ -163,7 +164,7 @@ class Instantiator:
         for dep_spec in pkg.deps:
             dep = resolve_spec(parse_spec(dep_spec), self.packages)
             dep_drv = self.instantiate(dep, stack)
-            dep_hash = derivation_hash(dep_drv)
+            dep_hash = self.hashes[dep.key]
             inputs.append(InputRef(derivation_hash=dep_hash, label=dep.name))
             mapping[dep.name] = f"{dep_hash.prefix}-{dep_drv.label}"
 
@@ -194,9 +195,10 @@ class Instantiator:
 
         drv = Derivation(name=pkg.name, version=pkg.version,
                          sources=sources, inputs=inputs, steps=steps)
+        data = canonical_serialize(drv)
+        self.hashes[pkg.key] = ContentHash.of_bytes(data)
         if self.store is not None:
-            self.store.put_derivation(derivation_hash(drv),
-                                      canonical_serialize(drv))
+            self.store.put_derivation(self.hashes[pkg.key], data)
         self.by_key[pkg.key] = drv
         return drv
 

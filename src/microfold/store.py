@@ -7,18 +7,31 @@ Layout under the store root (a plain user-writable directory):
     db/drvs/<64-hex>                    canonical derivation bytes by hash
     locks/<digest_prefix>.lock          per-digest advisory write locks
 
-Records are written once and never edited.  This module also owns the two
-helpers other layers share: the `flock` lock and the "key: value" codec.
+Records are written once and never edited: each is written to a dot-named
+tmp file and renamed into place, so a reader sees all of a record or none
+of it.  This module also owns the two helpers other layers share: the
+`flock` lock and the "key: value" codec.
+
+Because records never change, a `Store` memoizes what it reads from them for
+the life of the object: records, closures and the seed index (and
+`derivation.load_derivation` keeps parsed derivations here too).  Only hits
+are kept, so an item registered later by anyone is still found.  The write
+path (`add_fixed`, `register_output`) does not trust the memo: under the
+item's lock it re-reads the record from disk, through the same reader, so a
+record changed behind the store's back is still caught as corruption.
 """
 
 from __future__ import annotations
 
 import fcntl
+import heapq
 import os
 import re
 import shutil
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import carc
@@ -64,11 +77,11 @@ class StorePath:
     digest_prefix: str
     label: str
 
-    @property
+    @cached_property
     def component(self) -> str:
         return f"{self.digest_prefix}-{self.label}"
 
-    @property
+    @cached_property
     def path(self) -> Path:
         return Path(self.store_root) / "items" / self.component
 
@@ -120,11 +133,47 @@ def _as_node(content):
     return content
 
 
+def _referrers_first(refs: dict) -> list:
+    """Order the keys of refs (node -> set of nodes it references, itself
+    excluded) so that every node precedes the nodes it references, taking
+    the smallest ready node each time; on a cycle, the smallest node left.
+    Kahn's algorithm over a min-heap."""
+    referrers = dict.fromkeys(refs, 0)
+    for targets in refs.values():
+        for t in targets:
+            referrers[t] += 1
+    ready = [c for c, n in referrers.items() if n == 0]
+    heapq.heapify(ready)
+    by_name = sorted(refs)
+    next_left = 0  # no node before by_name[next_left] is left to emit
+    emitted, order = set(), []
+    while len(order) < len(refs):
+        if ready:
+            pick = heapq.heappop(ready)
+        else:
+            while by_name[next_left] in emitted:
+                next_left += 1
+            pick = by_name[next_left]
+        emitted.add(pick)
+        order.append(pick)
+        for t in refs[pick]:
+            referrers[t] -= 1
+            if referrers[t] == 0 and t not in emitted:
+                heapq.heappush(ready, t)
+    return order
+
+
 class Store:
     def __init__(self, root):
         self.root = Path(root)
         for sub in ("items", "db/items", "db/drvs", "locks"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
+        # Memos over write-once data (see the module docstring).
+        self._records = {}  # component -> StoreItemRecord
+        self._closures = {}  # component -> closure list
+        self._seeds = None  # component -> seed record, once the db is listed
+        self._seeds_lock = threading.Lock()
+        self.derivations = {}  # drv hash hex -> Derivation, for load_derivation
 
     # -- locking ----------------------------------------------------------
 
@@ -147,14 +196,19 @@ class Store:
             lines["deriver"] = rec.deriver.hex
         if rec.description:
             lines["description"] = rec.description
-        self._record_path(rec.path.component).write_text(render_fields(lines))
+        path = self._record_path(rec.path.component)
+        tmp = path.with_name(f".{path.name}.tmp")
+        tmp.write_text(render_fields(lines))
+        os.replace(tmp, path)
+        self._records[rec.path.component] = rec
 
-    def get_record(self, path) -> StoreItemRecord | None:
-        component = path.component if isinstance(path, StorePath) else path
-        rec_path = self._record_path(component)
-        if not rec_path.exists():
+    def _read_record(self, component: str) -> StoreItemRecord | None:
+        """Parse the record file of component; None when there is none."""
+        try:
+            text = self._record_path(component).read_text()
+        except FileNotFoundError:
             return None
-        fields = parse_fields(rec_path.read_text())
+        fields = parse_fields(text)
         refs = [StorePath.from_component(self.root, c)
                 for c in fields.get("references", "").split() if c]
         return StoreItemRecord(
@@ -167,14 +221,27 @@ class Store:
             description=fields.get("description", ""),
         )
 
+    def get_record(self, path) -> StoreItemRecord | None:
+        component = path.component if isinstance(path, StorePath) else path
+        rec = self._records.get(component)
+        if rec is None:
+            rec = self._read_record(component)
+            if rec is not None:
+                self._records[component] = rec
+        return rec
+
     def list_records(self) -> list:
-        out = []
-        for entry in sorted((self.root / "db" / "items").iterdir()):
-            out.append(self.get_record(entry.name))
-        return out
+        names = sorted(os.listdir(self.root / "db" / "items"))
+        return [self.get_record(n) for n in names if _COMPONENT_RE.match(n)]
 
     def seeds(self) -> list:
-        return [r for r in self.list_records() if r.kind == "seed"]
+        """Seed records by component.  The db is listed once per Store;
+        seeds that this Store inserts afterwards are added as they land."""
+        with self._seeds_lock:
+            if self._seeds is None:
+                self._seeds = {r.path.component: r for r in self.list_records()
+                               if r.kind == "seed"}
+            return [self._seeds[c] for c in sorted(self._seeds)]
 
     # -- derivations ------------------------------------------------------
 
@@ -208,17 +275,21 @@ class Store:
         store_path = StorePath(self.root, content_hash.prefix, label)
         refs = sorted(set(references), key=lambda p: p.component)
         with self.lock(content_hash.prefix):
-            existing = self.get_record(store_path)
-            if existing is not None:
-                if existing.output_hash != content_hash:
-                    raise StoreCorruption(
-                        f"{store_path.component}: recorded hash "
-                        f"{existing.output_hash} != content hash {content_hash}")
-                return store_path
-            self._materialize(node, store_path)
-            self._write_record(StoreItemRecord(
-                path=store_path, output_hash=content_hash, references=refs,
-                kind=kind, size=len(archive), description=description))
+            rec = self._read_record(store_path.component)
+            if rec is None:
+                rec = StoreItemRecord(
+                    path=store_path, output_hash=content_hash, references=refs,
+                    kind=kind, size=len(archive), description=description)
+                self._materialize(node, store_path)
+                self._write_record(rec)
+            elif rec.output_hash != content_hash:
+                raise StoreCorruption(
+                    f"{store_path.component}: recorded hash "
+                    f"{rec.output_hash} != content hash {content_hash}")
+        if rec.kind == "seed":
+            with self._seeds_lock:
+                if self._seeds is not None:
+                    self._seeds[store_path.component] = rec
         return store_path
 
     def register_output(self, tree, store_path: StorePath, *,
@@ -237,7 +308,7 @@ class Store:
                               references=refs, kind=kind,
                               deriver=deriver, size=len(archive))
         with self.lock(store_path.digest_prefix):
-            existing = self.get_record(store_path)
+            existing = self._read_record(store_path.component)
             if existing is not None:
                 if existing.output_hash != output_hash:
                     raise OutputCollision(
@@ -260,31 +331,23 @@ class Store:
         return VerifyReport("ok", expected=rec.output_hash, actual=actual)
 
     def closure(self, path: StorePath) -> list:
-        """Transitive references closure, root first, deterministic order."""
-        graph = {}
-        stack = [path]
-        while stack:
-            p = stack.pop()
-            if p.component in graph:
-                continue
-            rec = self.get_record(p)
-            if rec is None:
-                raise DanglingReference(p.component)
-            graph[p.component] = rec.references
-            stack.extend(rec.references)
-
-        # Topological: referrers before referees, ties by component bytes.
-        referrers = {c: set() for c in graph}
-        for c, refs in graph.items():
-            for r in refs:
-                if r.component != c:
-                    referrers[r.component].add(c)
-        emitted = []
-        remaining = set(graph)
-        while remaining:
-            ready = sorted(c for c in remaining
-                           if not (referrers[c] & remaining))
-            pick = ready[0] if ready else sorted(remaining)[0]
-            emitted.append(StorePath.from_component(self.root, pick))
-            remaining.remove(pick)
-        return emitted
+        """Transitive references closure, root first, deterministic order:
+        referrers before referees, ties by component bytes."""
+        order = self._closures.get(path.component)
+        if order is None:
+            graph = {}
+            stack = [path]
+            while stack:
+                p = stack.pop()
+                if p.component in graph:
+                    continue
+                rec = self.get_record(p)
+                if rec is None:
+                    raise DanglingReference(p.component)
+                graph[p.component] = rec
+                stack.extend(rec.references)
+            refs = {c: {r.component for r in rec.references} - {c}
+                    for c, rec in graph.items()}
+            order = [graph[c].path for c in _referrers_first(refs)]
+            self._closures[path.component] = order
+        return list(order)

@@ -1,3 +1,5 @@
+import socket
+
 import pytest
 
 from microfold import carc
@@ -52,6 +54,16 @@ def test_fetch_upstream_then_auto_ingest(tmp_path, store, archive):
     assert archive.has(ref.expected_hash)
     path2 = fetch_source(ref, store, archive)
     assert path2 == path
+
+
+def test_fetch_archive_fallback_when_upstream_refuses(store, archive):
+    h = archive.ingest(b"archived body")
+    with socket.socket() as s:  # a port that nothing listens on
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    ref = SourceRef(f"http://127.0.0.1:{port}/gone.tar", h, "gone-src")
+    path = fetch_source(ref, store, archive)
+    assert path.path.read_bytes() == b"archived body"
 
 
 def test_fetch_hash_mismatch_refuses_upstream(tmp_path, store, archive):

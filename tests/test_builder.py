@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+from collections import Counter
 
 import pytest
 
@@ -7,6 +10,7 @@ from microfold import derivation as d
 from microfold.archive import Archive
 from microfold.bootstrap import register_seed
 from microfold.builder import BuildOptions, Builder, build, check_rebuild
+from microfold.channel import PackageDef
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
                                   derivation_hash)
 from microfold.errors import EscapedClosure, StepFailure
@@ -184,3 +188,70 @@ def test_parallel_build(store, archive, toolchain, packages):
     opts = BuildOptions(workers=4)
     path = Builder(store, archive=archive, options=opts).build(alpha)
     assert store.verify_item(path).ok
+
+
+def chain_packages(n: int) -> dict:
+    """n pure-step packages, each writing the components of the previous
+    three and of the seed, so each build references its inputs."""
+    pkgs = {}
+    for i in range(n):
+        deps = [f"c{j:02d}" for j in range(max(0, i - 3), i)]
+        text = "".join(f"dep {{{dep}}}\n" for dep in deps)
+        text += "tool {seed:toolchain-1.0}\n"
+        pkg = PackageDef(name=f"c{i:02d}", version="1", deps=deps,
+                         steps=[d.write(f"share/c{i:02d}.txt", text.encode())])
+        pkgs[pkg.key] = pkg
+    return pkgs
+
+
+def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
+    pkgs = chain_packages(30)
+    half = Instantiator(pkgs, store=store).instantiate(pkgs["c14@1"])
+    build(half, store)  # c00..c14 are on disk before the spied store opens
+
+    reads = Counter()  # (caller, component) -> record files read
+    read_record = Store._read_record
+
+    def spy(self, component):
+        rec = read_record(self, component)
+        if rec is not None:
+            reads[sys._getframe(1).f_code.co_name, component] += 1
+        return rec
+
+    monkeypatch.setattr(Store, "_read_record", spy)
+    fresh = Store(store.root)
+    top = Instantiator(pkgs, store=fresh).instantiate(pkgs["c29@1"])
+    path = build(top, fresh)
+    assert len(fresh.closure(path)) == 31  # the chain and the seed
+    cached = {c: n for (caller, c), n in reads.items() if caller == "get_record"}
+    assert len(cached) == 16  # c00..c14 and the seed, found on disk
+    assert max(cached.values()) == 1
+    # The only other reader is the write path's re-read under the lock.
+    assert {caller for caller, _ in reads} <= {
+        "get_record", "add_fixed", "register_output"}
+
+
+def test_parallel_chain_build_shares_memos(store, toolchain):
+    """Build threads share the store's memos; what they leave must match
+    the records on disk."""
+    pkgs = chain_packages(30)
+    top = Instantiator(pkgs, store=store).instantiate(pkgs["c29@1"])
+    builder = Builder(store, options=BuildOptions(workers=4))
+    result = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker = threading.Thread(target=lambda: result.append(builder.build(top)))
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and len(result) == 1
+    members = store.closure(result[0])
+    assert len(members) == 31
+    disk = Store(store.root)
+    for member in members:
+        assert store.get_record(member) == disk.get_record(member)
+        assert store.verify_item(member).ok
+    assert [p.component for p in disk.closure(result[0])] == \
+        [p.component for p in members]

@@ -152,6 +152,23 @@ def test_time_machine_replays_pinned_revision(env, tmp_path, capsys):
     assert capsys.readouterr().out.strip().endswith("-python-3.9")
 
 
+def test_time_machine_package_records_replayed_pin(env, tmp_path, capsys):
+    assert run_command(["describe", "-f", "channels"]) == 0
+    pin_file = tmp_path / "channels.scm"
+    r1_pin = capsys.readouterr().out
+    pin_file.write_text(r1_pin)
+    r2 = env["repo_obj"].commit_revision(fixture_packages_v2(),
+                                         parent=env["repo_obj"].head(),
+                                         message="upgrades")
+    manifest = tmp_path / "manifest.scm"
+    manifest.write_text(MANIFEST)
+    assert run_command(["time-machine", "-C", str(pin_file), "--",
+                        "package", "-m", str(manifest)]) == 0
+    recorded = (env["profile"] / "generations/1/channels.scm").read_text()
+    assert recorded == r1_pin
+    assert r2.id.hex not in recorded
+
+
 def test_time_machine_missing_command(env, tmp_path, capsys):
     pin_file = tmp_path / "channels.scm"
     run_command(["describe", "-f", "channels"])

@@ -1,8 +1,11 @@
 import hashlib
+import os
 import random
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microfold import carc
 from microfold.errors import (DanglingReference, InvalidLabel, OutputCollision,
@@ -195,3 +198,90 @@ def test_concurrent_registration_single_item(store):
     assert not errs
     assert len({p.component for p in paths}) == 1
     assert store.verify_item(paths[0]).ok
+
+
+def test_missing_record_is_not_cached(tmp_path):
+    store = Store(tmp_path / "store")
+    target = StorePath(store.root, HELLO_CARC_HASH[:32], "greeting-1.0")
+    assert store.get_record(target) is None
+    Store(store.root).add_fixed(b"hello", "greeting-1.0")  # another writer
+    assert store.get_record(target).output_hash.hex == HELLO_CARC_HASH
+
+
+def test_record_write_is_atomic(store, monkeypatch):
+    def crash(src, dst):
+        raise OSError("crashed before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        store.add_fixed(b"hello", "greeting-1.0")
+    monkeypatch.undo()
+    target = StorePath(store.root, HELLO_CARC_HASH[:32], "greeting-1.0")
+    assert store.get_record(target) is None
+    reader = Store(store.root)
+    assert reader.get_record(target) is None
+    assert reader.list_records() == []
+
+
+def test_seed_index_grows_with_own_inserts(store):
+    assert store.seeds() == []  # the db is listed here, once
+    p = store.add_fixed(b"tool", "tool-1", kind="seed")
+    store.add_fixed(b"plain", "plain-1")
+    assert [r.path for r in store.seeds()] == [p]
+
+
+def _closure_oracle(graph: dict, root: str) -> list:
+    """The closure order of the reference implementation: rescan the
+    remaining nodes for the smallest one with no remaining referrer."""
+    reach, stack = set(), [root]
+    while stack:
+        c = stack.pop()
+        if c not in reach:
+            reach.add(c)
+            stack.extend(graph[c])
+    referrers = {c: set() for c in reach}
+    for c in reach:
+        for r in graph[c]:
+            if r != c:
+                referrers[r].add(c)
+    emitted, remaining = [], set(reach)
+    while remaining:
+        ready = sorted(c for c in remaining if not (referrers[c] & remaining))
+        pick = ready[0] if ready else sorted(remaining)[0]
+        emitted.append(pick)
+        remaining.remove(pick)
+    return emitted
+
+
+@st.composite
+def ref_graphs(draw):
+    """Edges over n nodes: forward edges make a DAG, plus self-references
+    and at most one cycle, b -> b+1 -> ... -> a -> b."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(a, b) for a, b in draw(st.lists(pairs, max_size=3 * n)) if a < b}
+    edges |= {(a, a) for a in draw(st.sets(st.integers(0, n - 1), max_size=2))}
+    if n > 1 and draw(st.booleans()):
+        a, b = draw(pairs.filter(lambda e: e[0] > e[1]))
+        edges |= {(i, i + 1) for i in range(b, a)} | {(a, b)}
+    return n, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(ref_graphs())
+def test_closure_order_matches_oracle(graph):
+    n, edges = graph
+    contents = [b"node %d" % i for i in range(n)]
+    comps = [f"{carc.hash_tree(carc.File(c)).prefix}-n{i}"
+             for i, c in enumerate(contents)]
+    refs = {comps[i]: {comps[b] for a, b in edges if a == i} for i in range(n)}
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root)
+        for i, c in enumerate(contents):
+            store.add_fixed(c, f"n{i}", references=[
+                StorePath.from_component(store.root, r) for r in refs[comps[i]]])
+        for i in range(n):
+            root_path = StorePath.from_component(store.root, comps[i])
+            got = [p.component for p in store.closure(root_path)]
+            assert got == _closure_oracle(refs, comps[i])
+            assert [p.component for p in Store(root).closure(root_path)] == got
