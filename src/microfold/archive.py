@@ -5,7 +5,7 @@ are advisory metadata.  When an upstream URL dies, any source whose hash
 was ever ingested remains fetchable forever.
 
 Layout: <root>/carc/<64-hex>, <root>/origins/<64-hex> (one URL per line,
-sorted, deduplicated).
+sorted, deduplicated), updated under <root>/origins.lock.
 """
 
 from __future__ import annotations
@@ -14,8 +14,10 @@ import os
 from pathlib import Path
 
 from . import carc, transport
-from .errors import ArchiveWriteError, HashMismatch, SourceUnavailable
+from .errors import (ArchiveWriteError, HashMismatch, ParseError,
+                     SourceUnavailable)
 from .hashing import ContentHash
+from .store import Staged, locked, write_atomic
 
 
 class Archive:
@@ -25,20 +27,18 @@ class Archive:
         (self.root / "origins").mkdir(parents=True, exist_ok=True)
 
     def ingest(self, content, origin: str | None = None) -> ContentHash:
-        """Store content (bytes, path, or carc node) by its CARC hash."""
-        if isinstance(content, bytes):
-            data = carc.serialize_bytes(content)
-        elif isinstance(content, (str, Path)):
-            data = carc.serialize_path(content)
-        else:
-            data = carc.serialize_tree(content)
-        content_hash = ContentHash.of_bytes(data)
+        """Store content (bytes, path, or carc node) by its CARC hash.  A
+        path is streamed into a tmp file, hashed on the way, and renamed."""
         try:
-            target = self.root / "carc" / content_hash.hex
-            if not target.exists():
-                tmp = target.with_suffix(".tmp")
-                tmp.write_bytes(data)
-                os.rename(tmp, target)
+            if isinstance(content, (str, Path)):
+                tmp, content_hash, _ = carc.dump_to_tmp(content, self.root / "carc")
+                os.replace(tmp, self.root / "carc" / content_hash.hex)
+            else:
+                node = carc.File(content) if isinstance(content, bytes) else content
+                data = carc.serialize_tree(node)
+                content_hash = ContentHash.of_bytes(data)
+                if not self.has(content_hash):
+                    write_atomic(self.root / "carc" / content_hash.hex, data)
             if origin:
                 self._add_origin(content_hash, origin)
         except OSError as e:
@@ -46,10 +46,12 @@ class Archive:
         return content_hash
 
     def _add_origin(self, content_hash: ContentHash, origin: str):
-        path = self.root / "origins" / content_hash.hex
-        origins = set(path.read_text().splitlines()) if path.exists() else set()
-        origins.add(origin)
-        path.write_text("".join(o + "\n" for o in sorted(origins)))
+        with locked(self.root / "origins.lock"):
+            origins = set(self.origins(content_hash))
+            if origin not in origins:
+                text = "".join(o + "\n" for o in sorted(origins | {origin}))
+                write_atomic(self.root / "origins" / content_hash.hex,
+                             text.encode())
 
     def origins(self, content_hash: ContentHash) -> list:
         path = self.root / "origins" / content_hash.hex
@@ -63,59 +65,69 @@ class Archive:
         return (self.root / "carc" / content_hash.hex).exists()
 
 
-def _fetch_upstream(ref):
-    """Fetch ref.url; returns a carc node or None when unreachable."""
+def _fetch_upstream(ref, dest: Path) -> Staged | None:
+    """Materialize ref.url at dest; None when unreachable.  A file:// tree
+    is copied, and the copy's own bytes are hashed."""
     url = ref.url
     if url.startswith("archive://"):
         return None  # archive-only source, handled by the second leg
     if url.startswith("file://"):
-        path = Path(url[len("file://"):])
-        if not path.exists():
+        path = url[len("file://"):]
+        if not os.path.lexists(path):
             return None
-        return carc.load_tree(path)
+        return Staged(dest, *carc.copy(path, dest))
     if not transport.is_url(url):
         return None
     try:
         data = transport.get(url)
     except OSError:
         return None  # refused, reset or timed out: the archive leg still runs
-    return None if data is None else carc.File(data)
+    if data is None:
+        return None
+    return Staged(dest, *carc.restore([carc.serialize_bytes(data)], dest))
 
 
 def fetch_source(ref, store, archive: Archive | None,
                  *, archive_fallback: bool = True, auto_ingest: bool = True):
     """Fetch a source, verifying its hash: upstream first, then the archive.
 
-    Returns the store path of the fixed item.  Every leg re-hashes what it
-    fetched; bytes that do not match ref.expected_hash never enter the store.
+    Returns the store path of the fixed item.  Every leg stages what it
+    fetched under <store>/tmp and hashes the staged bytes; bytes that do
+    not match ref.expected_hash never get a record.
     """
     legs = []
-
-    node = _fetch_upstream(ref)
-    if node is None:
-        legs.append(f"upstream {ref.url}: unavailable")
-    else:
-        actual = carc.hash_tree(node)
-        if actual == ref.expected_hash:
-            path = store.add_fixed(node, ref.label)
-            if auto_ingest and archive is not None:
-                archive.ingest(node, origin=ref.url)
+    with store.scratch() as scratch:
+        staged = _fetch_upstream(ref, scratch / "upstream")
+        if staged is None:
+            legs.append(f"upstream {ref.url}: unavailable")
+        elif staged.output_hash == ref.expected_hash:
+            path = store.add_fixed(staged, ref.label)
+            if (auto_ingest and archive is not None
+                    and not archive.has(staged.output_hash)):
+                archive.ingest(path.path, origin=ref.url)
             return path
-        mismatch = HashMismatch("upstream", ref.expected_hash, actual)
-        legs.append(f"upstream {ref.url}: {mismatch}")
-
-    if archive_fallback and archive is not None:
-        data = archive.lookup(ref.expected_hash)
-        if data is None:
-            legs.append("archive: not present")
         else:
-            actual = ContentHash.of_bytes(data)
-            if actual == ref.expected_hash:
-                return store.add_fixed(carc.parse(data), ref.label)
-            legs.append(f"archive: {HashMismatch('archive', ref.expected_hash, actual)}")
-    elif archive_fallback:
-        legs.append("archive: not configured")
-    else:
-        legs.append("archive: fallback disabled")
+            mismatch = HashMismatch("upstream", ref.expected_hash,
+                                    staged.output_hash)
+            legs.append(f"upstream {ref.url}: {mismatch}")
+
+        if archive_fallback and archive is not None:
+            data = archive.lookup(ref.expected_hash)
+            if data is None:
+                legs.append("archive: not present")
+            else:
+                dest = scratch / "archived"
+                try:
+                    staged = Staged(dest, *carc.restore([data], dest))
+                    actual = staged.output_hash
+                except ParseError as e:
+                    actual = f"an unreadable archive ({e})"
+                if actual == ref.expected_hash:
+                    return store.add_fixed(staged, ref.label)
+                legs.append(f"archive: {HashMismatch('archive', ref.expected_hash, actual)}")
+        elif archive_fallback:
+            legs.append("archive: not configured")
+        else:
+            legs.append("archive: fallback disabled")
 
     raise SourceUnavailable(legs)

@@ -1,6 +1,7 @@
 """Hermetic execution of derivations.
 
-Each build runs in a fresh scratch directory with a scrubbed environment:
+Each build runs in a fresh scratch directory under <store>/tmp with a
+scrubbed environment:
 exactly PATH (input bin dirs, input order), SOURCE_DATE_EPOCH=1, TZ=UTC,
 LC_ALL=C and HOME pointing into the scratch, plus the derivation's own
 declared env.  Steps only see the output tree under construction, the
@@ -9,10 +10,15 @@ fetched sources, and store items addressed by digest-prefixed component.
 Isolation is contractual, not kernel-enforced: the step language cannot
 escape the scratch directory, and exec is restricted to programs resolved
 through the store.
+
+When the steps are done, the output directory is given canonical mode bits,
+then hashed in one streaming pass that also scans it for references, and
+renamed into the store.
 """
 
 from __future__ import annotations
 
+import hashlib
 import shutil
 import subprocess
 import tempfile
@@ -25,8 +31,8 @@ from .archive import fetch_source
 from .derivation import (Derivation, canonical_serialize, derivation_hash,
                          load_derivation)
 from .errors import EscapedClosure, MicrofoldError, StepFailure
-from .hashing import ContentHash
-from .store import Store, StorePath
+from .hashing import PREFIX_LEN, ContentHash
+from .store import Staged, Store, StorePath
 
 OUT_PLACEHOLDER = "@out@"
 
@@ -150,36 +156,33 @@ class Builder:
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
              source_paths, input_paths) -> StorePath:
         roots, items = self._roots(drv, source_paths, input_paths)
-        with self._exec_slots:
-            scratch = Path(tempfile.mkdtemp(prefix="microfold-build-"))
-            try:
-                out = scratch / "out"
-                out.mkdir()
-                (scratch / "homeless").mkdir()
-                # Expose the roots as symlinks so exec'd tools can reach
-                # sources and inputs through cwd-relative paths.  The other
-                # steps resolve paths through `roots` and never read them.
-                if any(step.op == "exec" for step in drv.steps):
-                    for root_name, root_dir in roots.items():
-                        link = scratch / root_name
-                        if not link.exists() and not link.is_symlink():
-                            link.symlink_to(root_dir)
-                env = self._env(drv, scratch, input_paths)
-                for index, step in enumerate(drv.steps):
-                    try:
-                        self._step(step, roots, out, scratch, env)
-                    except EscapedClosure:
-                        raise
-                    except (MicrofoldError, OSError,
-                            subprocess.SubprocessError) as e:
-                        raise StepFailure(index, str(e)) from e
-                node = carc.load_tree(out)
-            finally:
-                shutil.rmtree(scratch, ignore_errors=True)
-
-        references = self._scan_references(node, items, source_paths)
-        self.store.register_output(node, target, deriver=drv_hash,
-                                   references=references)
+        with self._exec_slots, self.store.scratch() as scratch:
+            out = scratch / "out"
+            out.mkdir()
+            (scratch / "homeless").mkdir()
+            # Expose the roots as symlinks so exec'd tools can reach
+            # sources and inputs through cwd-relative paths.  The other
+            # steps resolve paths through `roots` and never read them.
+            if any(step.op == "exec" for step in drv.steps):
+                for root_name, root_dir in roots.items():
+                    link = scratch / root_name
+                    if not link.exists() and not link.is_symlink():
+                        link.symlink_to(root_dir)
+            env = self._env(drv, scratch, input_paths)
+            for index, step in enumerate(drv.steps):
+                try:
+                    self._step(step, roots, out, scratch, env)
+                except EscapedClosure:
+                    raise
+                except (MicrofoldError, OSError,
+                        subprocess.SubprocessError) as e:
+                    raise StepFailure(index, drv.label, str(e)) from e
+            carc.set_modes(out)
+            candidates = dict(items)
+            candidates.update((sp.component, sp) for sp in source_paths)
+            output, references = _hash_and_scan(out, candidates)
+            self.store.register_output(output, target, deriver=drv_hash,
+                                       references=references)
         return target
 
     def _env(self, drv: Derivation, scratch: Path, input_paths) -> dict:
@@ -208,7 +211,7 @@ class Builder:
                 raise MicrofoldError(f"copy source missing: {args[0]}")
             dest = out / args[1]
             dest.parent.mkdir(parents=True, exist_ok=True)
-            carc.write_tree(carc.load_tree(src), dest)
+            carc.copy(src, dest)
         elif op == "concat":
             parts = []
             for src in args[1:]:
@@ -238,25 +241,30 @@ class Builder:
         else:  # pragma: no cover - Step rejects unknown ops at construction
             raise MicrofoldError(f"unknown op {op}")
 
-    def _scan_references(self, node, items: dict, source_paths) -> list:
-        """Store paths whose digest prefix appears in the output bytes."""
-        blobs = []
 
-        def collect(n):
-            if isinstance(n, carc.File):
-                blobs.append(n.data)
-            elif isinstance(n, carc.Symlink):
-                blobs.append(n.target.encode())
-            elif isinstance(n, carc.Dir):
-                for child in n.entries.values():
-                    collect(child)
+def _hash_and_scan(out: Path, candidates: dict) -> tuple[Staged, list]:
+    """Hash the output tree and find the candidate store paths (by
+    component) whose digest prefix appears in its archive, in one pass.
+    Each block is searched for every prefix not yet found, together with
+    the last PREFIX_LEN - 1 bytes of the block before it."""
+    by_prefix = {}
+    for sp in candidates.values():
+        by_prefix.setdefault(sp.digest_prefix.encode(), []).append(sp)
+    found = []
+    sha = hashlib.sha256()
+    tail = b""
 
-        collect(node)
-        haystack = b"\x00".join(blobs)
-        candidates = dict(items)
-        candidates.update((sp.component, sp) for sp in source_paths)
-        return [sp for _, sp in sorted(candidates.items())
-                if sp.digest_prefix.encode() in haystack]
+    def write(block):
+        nonlocal tail
+        sha.update(block)
+        window = tail + block
+        for prefix in [p for p in by_prefix if p in window]:
+            found.extend(by_prefix.pop(prefix))
+        tail = window[-(PREFIX_LEN - 1):]
+
+    size = carc.dump(out, write)
+    references = sorted(found, key=lambda sp: sp.component)
+    return Staged(out, ContentHash(sha.hexdigest()), size), references
 
 
 def build(drv: Derivation, store: Store, *, archive=None,
@@ -267,7 +275,7 @@ def build(drv: Derivation, store: Store, *, archive=None,
 def _clone_trust_roots(src_store: Store, dst_store: Store):
     """Copy seeds and derivation bytes so scratch builds can run."""
     for rec in src_store.seeds():
-        dst_store.add_fixed(carc.load_tree(rec.path.path), rec.path.label,
+        dst_store.add_fixed(rec.path.path, rec.path.label,
                             kind="seed", description=rec.description)
     drv_dir = src_store.root / "db" / "drvs"
     for entry in drv_dir.iterdir():

@@ -14,12 +14,23 @@ Grammar:
 
 Directory entries are sorted ascending by raw name bytes; sizes and counts
 are ASCII decimals.
+
+Trees on disk are streamed, never held in memory: `dump` writes the archive
+of a tree to any sink in blocks of at most `_BLOCK` bytes, `copy` copies a
+tree while hashing the bytes it copies, and `restore` unpacks an archive,
+checking the grammar and hashing the input as it writes.  Trees that copy
+and restore create, and build outputs (see `set_modes`), all carry the same
+mode bits: 0755 for directories and executable files, 0644 for the rest.
+The in-memory model (`File`/`Dir`, `serialize_tree`, `parse`) serves tests
+and content that is already in memory.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import stat
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,9 +38,13 @@ from .errors import InvalidName, ParseError, UnsupportedNode
 from .hashing import ContentHash
 
 MAGIC = b"carc1\n"
+# Bytes read from a file, or handed to a sink, at a time.
+_BLOCK = 1 << 20
+# Longest decimal the grammar needs (2**64 has 20 digits).
+_MAX_DIGITS = 20
 
 
-# In-memory tree model, used by tests and by archive restoration.
+# In-memory tree model, used by tests and for content already in memory.
 
 @dataclass
 class File:
@@ -51,7 +66,7 @@ Node = object  # File | Symlink | Dir
 
 
 def _check_name(name: bytes):
-    if not name or b"/" in name or b"\x00" in name:
+    if not name or b"/" in name or b"\x00" in name or name in (b".", b".."):
         raise InvalidName(f"bad entry name: {name!r}")
 
 
@@ -84,7 +99,8 @@ def serialize_bytes(data: bytes, executable: bool = False) -> bytes:
 
 
 def load_tree(path: os.PathLike) -> Node:
-    """Read a filesystem tree into the in-memory model."""
+    """Read a filesystem tree into the in-memory model (tests only: the
+    program streams trees with dump and copy)."""
     p = Path(path)
     st = p.lstat()
     mode = st.st_mode
@@ -102,99 +118,323 @@ def load_tree(path: os.PathLike) -> Node:
     raise UnsupportedNode(f"{p}: unsupported file type")
 
 
-def serialize_path(path: os.PathLike) -> bytes:
-    """Serialize a filesystem tree (file, directory, or symlink) to CARC."""
-    return serialize_tree(load_tree(path))
-
-
 def hash_tree(node) -> ContentHash:
     return ContentHash.of_bytes(serialize_tree(node))
 
 
+# Streaming from disk.
+
+def _mode(st_mode: int) -> int:
+    """The mode bits of a tree entry as copy and restore create it."""
+    return 0o755 if stat.S_ISDIR(st_mode) or st_mode & stat.S_IXUSR else 0o644
+
+
+def _create(path: bytes, executable: bool):
+    """Open a new file for writing, with its canonical mode whatever the
+    umask.  A symlink in its place is refused, not followed."""
+    mode = 0o755 if executable else 0o644
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, mode)
+    try:
+        os.fchmod(fd, mode)
+    except OSError:
+        os.close(fd)
+        raise
+    return open(fd, "wb")
+
+
+def _mkdir(path: bytes):
+    os.mkdir(path)
+    os.chmod(path, 0o755)
+
+
+class _Blocks:
+    """A sink that joins small pieces into blocks of at most _BLOCK bytes
+    (a larger piece goes alone) before passing them on, and counts the
+    bytes it passes."""
+
+    def __init__(self, write):
+        self.write = write
+        self.pending = []
+        self.held = 0
+        self.total = 0
+
+    def __call__(self, piece: bytes):
+        if self.held + len(piece) > _BLOCK:
+            self.flush()
+        self.pending.append(piece)
+        self.held += len(piece)
+
+    def flush(self):
+        if self.pending:
+            self.write(b"".join(self.pending))
+            self.total += self.held
+            self.pending.clear()
+            self.held = 0
+
+
+def _walk(src: bytes, dest: bytes | None, emit):
+    """Emit the CARC node of the tree at src; when dest is given, also
+    create a copy of it there."""
+    st = os.lstat(src)
+    mode = st.st_mode
+    if stat.S_ISREG(mode):
+        executable = bool(mode & stat.S_IXUSR)
+        left = st.st_size
+        emit((b"x\n%d\n" if executable else b"f\n%d\n") % left)
+        with open(src, "rb") as f:
+            out = _create(dest, executable) if dest is not None else None
+            try:
+                while left:
+                    block = f.read(min(left, _BLOCK))
+                    if not block:
+                        raise UnsupportedNode(f"{os.fsdecode(src)}: shrank while read")
+                    emit(block)
+                    if out is not None:
+                        out.write(block)
+                    left -= len(block)
+            finally:
+                if out is not None:
+                    out.close()
+    elif stat.S_ISLNK(mode):
+        target = os.readlink(src)
+        emit(b"l\n%d\n" % len(target) + target)
+        if dest is not None:
+            os.symlink(target, dest)
+    elif stat.S_ISDIR(mode):
+        names = sorted(os.listdir(src))
+        emit(b"d\n%d\n" % len(names))
+        if dest is not None:
+            _mkdir(dest)
+        for name in names:
+            emit(b"%d\n" % len(name) + name)
+            _walk(src + b"/" + name, None if dest is None else dest + b"/" + name,
+                  emit)
+    else:
+        raise UnsupportedNode(f"{os.fsdecode(src)}: unsupported file type")
+
+
+def _stream(src: bytes, dest: bytes | None, write) -> int:
+    sink = _Blocks(write)
+    sink(MAGIC)
+    _walk(src, dest, sink)
+    sink.flush()
+    return sink.total
+
+
+def dump(path: os.PathLike, write) -> int:
+    """Stream the archive of the tree at path into write (a hashlib
+    object's update, a file's write, a list's append, ...) in blocks of
+    at most _BLOCK bytes; returns the archive's length."""
+    return _stream(os.fsencode(path), None, write)
+
+
+def copy(src: os.PathLike, dest: os.PathLike) -> tuple[ContentHash, int]:
+    """Copy the tree at src to dest (whose parent must exist), entry by
+    entry with canonical mode bits.  Returns the hash and length of the
+    archive of the bytes copied, which are the bytes of the copy."""
+    sha = hashlib.sha256()
+    size = _stream(os.fsencode(src), os.fsencode(dest), sha.update)
+    return ContentHash(sha.hexdigest()), size
+
+
 def hash_path(path: os.PathLike) -> ContentHash:
-    return ContentHash.of_bytes(serialize_path(path))
+    sha = hashlib.sha256()
+    dump(path, sha.update)
+    return ContentHash(sha.hexdigest())
 
 
-# Deserialization, used when unpacking substitutes and archived sources.
+def serialize_path(path: os.PathLike) -> bytes:
+    """The whole archive of a filesystem tree, for tests and small trees."""
+    out = []
+    dump(path, out.append)
+    return b"".join(out)
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+
+def dump_to_tmp(path: os.PathLike, directory: os.PathLike
+                ) -> tuple[str, ContentHash, int]:
+    """Write the archive of the tree at path to a new hidden file in
+    directory, hashing it on the way.  Returns the file's path, the hash
+    and the length; the caller renames the file into place or removes it."""
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
+    sha = hashlib.sha256()
+    try:
+        os.fchmod(fd, 0o644)
+        with open(fd, "wb") as f:
+            def write(block):
+                f.write(block)
+                sha.update(block)
+            size = dump(path, write)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return tmp, ContentHash(sha.hexdigest()), size
+
+
+def set_modes(path: os.PathLike):
+    """Give every entry of the tree at path the mode bits copy and restore
+    create, so that an item looks the same on disk however it was made."""
+    _set_modes(os.fsencode(path))
+
+
+def _set_modes(path: bytes):
+    st = os.lstat(path)
+    if stat.S_ISLNK(st.st_mode):
+        return
+    if stat.S_IMODE(st.st_mode) != _mode(st.st_mode):
+        os.chmod(path, _mode(st.st_mode))
+    if stat.S_ISDIR(st.st_mode):
+        for name in os.listdir(path):
+            _set_modes(path + b"/" + name)
+
+
+# Parsing, used on archives from caches and the source archive.
+
+class _Source:
+    """Archive bytes pulled on demand from an iterable of chunks.  Every
+    chunk pulled is hashed, so once the archive has been read to its end
+    the hash is that of the bytes consumed."""
+
+    def __init__(self, chunks):
+        self.chunks = iter(chunks)
+        self.sha = hashlib.sha256()
+        self.pulled = 0
+        self.buf = b""
+        self.pos = 0
+
+    @property
+    def position(self) -> int:
+        return self.pulled - (len(self.buf) - self.pos)
+
+    def _pull(self):
+        for chunk in self.chunks:
+            if chunk:
+                break
+        else:
+            raise ParseError("truncated archive", position=self.position)
+        self.sha.update(chunk)
+        self.pulled += len(chunk)
+        self.buf = self.buf[self.pos:] + chunk if self.pos < len(self.buf) else chunk
         self.pos = 0
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise ParseError("truncated archive", position=self.pos)
-        chunk = self.data[self.pos:self.pos + n]
+        while len(self.buf) - self.pos < n:
+            self._pull()
+        chunk = self.buf[self.pos:self.pos + n]
         self.pos += n
         return chunk
 
-    def line(self) -> bytes:
-        nl = self.data.find(b"\n", self.pos)
-        if nl < 0:
-            raise ParseError("truncated archive", position=self.pos)
-        chunk = self.data[self.pos:nl]
-        self.pos = nl + 1
-        return chunk
-
     def number(self) -> int:
-        raw = self.line()
+        while True:
+            nl = self.buf.find(b"\n", self.pos, self.pos + _MAX_DIGITS + 1)
+            if nl >= 0:
+                break
+            if len(self.buf) - self.pos > _MAX_DIGITS:
+                raise ParseError("expected decimal", position=self.position)
+            self._pull()
+        raw = self.buf[self.pos:nl]
         if not raw.isdigit():
-            raise ParseError(f"expected decimal, got {raw!r}", position=self.pos)
+            raise ParseError(f"expected decimal, got {raw!r}", position=self.position)
+        self.pos = nl + 1
         return int(raw)
 
+    def copy(self, n: int, out):
+        """Write the next n bytes to the binary file out."""
+        while n:
+            if self.pos == len(self.buf):
+                self._pull()
+            k = min(n, len(self.buf) - self.pos)
+            out.write(memoryview(self.buf)[self.pos:self.pos + k])
+            self.pos += k
+            n -= k
 
-def _parse_node(r: _Reader):
-    tag = r.take(2)
-    if tag in (b"f\n", b"x\n"):
-        size = r.number()
-        return File(r.take(size), executable=tag == b"x\n")
-    if tag == b"l\n":
-        size = r.number()
-        return Symlink(r.take(size).decode())
-    if tag == b"d\n":
-        count = r.number()
-        d = Dir()
-        prev = None
-        for _ in range(count):
-            name = r.take(r.number())
+    def finish(self) -> tuple[ContentHash, int]:
+        """Check that nothing follows the archive; its hash and length."""
+        if self.pos < len(self.buf) or any(self.chunks):
+            raise ParseError("trailing garbage after archive", position=self.position)
+        return ContentHash(self.sha.hexdigest()), self.pulled
+
+
+def _open(s: _Source):
+    if s.take(len(MAGIC)) != MAGIC:
+        raise ParseError("bad archive magic")
+
+
+def _names(s: _Source):
+    """The names of a directory node's entries, yielded as they are read;
+    each is checked, and so is their order."""
+    prev = None
+    for _ in range(s.number()):
+        name = s.take(s.number())
+        try:
             _check_name(name)
-            if prev is not None and name <= prev:
-                raise ParseError(f"entries out of order: {name!r}", position=r.pos)
-            prev = name
-            d.entries[name.decode()] = _parse_node(r)
-        return d
-    raise ParseError(f"unknown node tag {tag!r}", position=r.pos)
+        except InvalidName as e:
+            raise ParseError(str(e), position=s.position) from None
+        if prev is not None and name <= prev:
+            raise ParseError(f"entries out of order: {name!r}", position=s.position)
+        prev = name
+        yield name
+
+
+def _target(s: _Source) -> bytes:
+    """A symlink node's target; no symlink on disk has an empty one or one
+    holding NUL."""
+    target = s.take(s.number())
+    if not target or b"\x00" in target:
+        raise ParseError(f"bad symlink target: {target!r}", position=s.position)
+    return target
+
+
+def _parse_node(s: _Source):
+    tag = s.take(2)
+    if tag in (b"f\n", b"x\n"):
+        return File(s.take(s.number()), executable=tag == b"x\n")
+    if tag == b"l\n":
+        return Symlink(_target(s).decode())
+    if tag == b"d\n":
+        return Dir({name.decode(): _parse_node(s) for name in _names(s)})
+    raise ParseError(f"unknown node tag {tag!r}", position=s.position)
 
 
 def parse(data: bytes) -> Node:
     """Parse CARC bytes back into the in-memory tree model."""
-    r = _Reader(data)
-    if r.take(len(MAGIC)) != MAGIC:
-        raise ParseError("bad archive magic")
-    node = _parse_node(r)
-    if r.pos != len(data):
-        raise ParseError("trailing garbage after archive", position=r.pos)
+    s = _Source([data])
+    _open(s)
+    node = _parse_node(s)
+    s.finish()
     return node
+
+
+def _restore_node(s: _Source, path: bytes):
+    tag = s.take(2)
+    if tag in (b"f\n", b"x\n"):
+        size = s.number()
+        with _create(path, tag == b"x\n") as out:
+            s.copy(size, out)
+    elif tag == b"l\n":
+        os.symlink(_target(s), path)
+    elif tag == b"d\n":
+        _mkdir(path)
+        for name in _names(s):
+            _restore_node(s, path + b"/" + name)
+    else:
+        raise ParseError(f"unknown node tag {tag!r}", position=s.position)
+
+
+def restore(chunks, dest: os.PathLike) -> tuple[ContentHash, int]:
+    """Unpack an archive, given as an iterable of byte chunks (`[data]`
+    for bytes in memory), to the filesystem at dest, which must not exist.
+
+    The grammar is checked as the tree is written, and the input is hashed
+    in the same pass: returns the archive's hash and length.  On malformed
+    input it raises ParseError and leaves a partial tree at dest for the
+    caller to remove.
+    """
+    s = _Source(chunks)
+    _open(s)
+    _restore_node(s, os.fsencode(dest))
+    return s.finish()
 
 
 def write_tree(node, dest: os.PathLike):
     """Materialize an in-memory tree at dest (which must not exist)."""
-    dest = Path(dest)
-    if isinstance(node, File):
-        dest.write_bytes(node.data)
-        if node.executable:
-            dest.chmod(dest.stat().st_mode | stat.S_IXUSR | stat.S_IXGRP | stat.S_IXOTH)
-    elif isinstance(node, Symlink):
-        os.symlink(node.target, dest)
-    elif isinstance(node, Dir):
-        dest.mkdir()
-        for name, child in node.entries.items():
-            write_tree(child, dest / name)
-    else:
-        raise UnsupportedNode(f"not a tree node: {node!r}")
-
-
-def restore(data: bytes, dest: os.PathLike):
-    """Unpack CARC bytes to the filesystem at dest."""
-    write_tree(parse(data), dest)
+    restore([serialize_tree(node)], dest)

@@ -285,6 +285,22 @@ def cmd_seed(ctx: Context, args) -> int:
     return EXIT_OK if report.trusted else EXIT_VERIFY
 
 
+def cmd_verify(ctx: Context, args) -> int:
+    """Re-hash every recorded item; one line per item that is missing or
+    does not match its record."""
+    store = ctx.store
+    bad = 0
+    for rec in store.list_records():
+        report = store.verify_item(rec.path)
+        if report.status == "missing":
+            print(f"missing {rec.path.component}")
+        elif not report.ok:
+            print(f"mismatch {rec.path.component}: recorded {report.expected}, "
+                  f"actual {report.actual}")
+        bad += not report.ok
+    return EXIT_VERIFY if bad else EXIT_OK
+
+
 def cmd_rollback(ctx: Context, args) -> int:
     profile = Profile(args.profile or ctx.default_profile)
     active = profile.rollback(args.generation)
@@ -360,6 +376,10 @@ def make_parser() -> argparse.ArgumentParser:
     sp = ssub.add_parser("audit")
     sp.add_argument("spec")
     p.set_defaults(func=cmd_seed)
+
+    p = sub.add_parser("verify", help="re-hash every store item against its record")
+    p.add_argument("--store", default=argparse.SUPPRESS, help="store root directory")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("rollback", help="switch a profile's active generation")
     p.add_argument("-p", "--profile")

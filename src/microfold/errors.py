@@ -42,9 +42,12 @@ class InvariantViolation(MicrofoldError):
 
 
 class StepFailure(MicrofoldError):
-    def __init__(self, index, detail):
-        super().__init__(f"step {index}: {detail}")
+    """Step `index` of the derivation labelled `label` failed."""
+
+    def __init__(self, index, label, detail):
+        super().__init__(f"step {index} of {label}: {detail}")
         self.index = index
+        self.label = label
         self.detail = detail
 
 

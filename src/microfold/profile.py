@@ -12,8 +12,10 @@ hashes.txt, created.txt}, <profile>/current (the active number).
 from __future__ import annotations
 
 import datetime
+import filecmp
 import os
 import shutil
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,44 +36,61 @@ class Generation:
     created_at: str = ""  # display only, excluded from all hashes
 
 
-def _merge(union: carc.Dir, node: carc.Dir, provider: str,
-           providers: dict, prefix: str = ""):
-    for name, child in node.entries.items():
-        path = f"{prefix}{name}"
-        if name not in union.entries:
-            union.entries[name] = child
-            providers[path] = provider
-            if isinstance(child, carc.Dir):
-                # Nested entries inherit the provider for diagnostics.
-                for sub in _walk_paths(child, path + "/"):
-                    providers[sub] = provider
-            continue
-        existing = union.entries[name]
-        if isinstance(existing, carc.Dir) and isinstance(child, carc.Dir):
-            _merge(existing, child, provider, providers, path + "/")
-        elif existing == child:
-            pass  # byte-identical files merge silently
-        else:
-            raise ProfileCollision(path, providers.get(path, "?"), provider)
+def _same(a: str, b: str) -> bool:
+    """Two non-directory entries merge silently when they are the same
+    file (exec bit, then size, then bytes) or the same symlink."""
+    sa, sb = os.lstat(a), os.lstat(b)
+    if stat.S_ISREG(sa.st_mode) and stat.S_ISREG(sb.st_mode):
+        return (not (sa.st_mode ^ sb.st_mode) & stat.S_IXUSR
+                and filecmp.cmp(a, b, shallow=False))
+    if stat.S_ISLNK(sa.st_mode) and stat.S_ISLNK(sb.st_mode):
+        return os.readlink(a) == os.readlink(b)
+    return False
 
 
-def _walk_paths(node: carc.Dir, prefix: str):
-    for name, child in node.entries.items():
-        yield prefix + name
-        if isinstance(child, carc.Dir):
-            yield from _walk_paths(child, prefix + name + "/")
+def _is_dir(path: str) -> bool:
+    return stat.S_ISDIR(os.lstat(path).st_mode)
 
 
-def union_tree(outputs) -> carc.Dir:
-    """Merge output trees; identical files collapse, conflicts are fatal."""
-    union = carc.Dir()
+def _owner(providers: dict, rel: str) -> str:
+    """The provider of the entry at rel: recorded for rel or, for an entry
+    that came in with a directory, for that directory."""
+    parts = rel.split("/")
+    for i in range(len(parts), 0, -1):
+        owner = providers.get("/".join(parts[:i]))
+        if owner is not None:
+            return owner
+    return "?"
+
+
+def _merge(src: str, dest: str, rel: str, provider: str, providers: dict):
+    if not os.path.lexists(dest):
+        carc.copy(src, dest)
+        providers[rel] = provider
+    elif _is_dir(dest) and _is_dir(src):
+        for name in sorted(os.listdir(src)):
+            _merge(os.path.join(src, name), os.path.join(dest, name),
+                   f"{rel}/{name}", provider, providers)
+    elif not _same(dest, src):
+        raise ProfileCollision(rel, _owner(providers, rel), provider)
+
+
+def union_tree(outputs, dest):
+    """Materialize at dest the union of output trees read from disk;
+    outputs is a list of (StorePath, tree path) pairs.  Identical files
+    and symlinks collapse; any other clash raises ProfileCollision.  A
+    non-directory output occupies an entry named after its label."""
+    os.mkdir(dest)
+    os.chmod(dest, 0o755)
     providers = {}
-    for sp, node in outputs:
-        if not isinstance(node, carc.Dir):
-            # A single-file output occupies an entry named after the package.
-            node = carc.Dir({sp.label: node})
-        _merge(union, node, sp.component, providers)
-    return union
+    for sp, tree in outputs:
+        tree = os.fspath(tree)
+        if _is_dir(tree):
+            entries = [(os.path.join(tree, n), n) for n in sorted(os.listdir(tree))]
+        else:
+            entries = [(tree, sp.label)]
+        for src, name in entries:
+            _merge(src, os.path.join(dest, name), name, sp.component, providers)
 
 
 class Profile:
@@ -109,20 +128,19 @@ class Profile:
 def build_profile(derivations, store: Store, profile: Profile, *,
                   archive=None, options: BuildOptions | None = None,
                   pin_text: str = "", manifest_text: str = "") -> Generation:
-    """Build every derivation, materialize the union, append a generation."""
+    """Build every derivation, materialize the union, append a generation.
+
+    The union is written once, into the new generation; it is copied into
+    the store only when the store does not have it yet.
+    """
     builder = Builder(store, archive=archive, options=options)
-    outputs = []
     hashes = []
     member_paths = []
     for drv in derivations:
         sp = builder.build(drv)
         member_paths.append(sp)
         rec = store.get_record(sp)
-        outputs.append((sp, carc.load_tree(sp.path)))
         hashes.append((drv.label, derivation_hash(drv).hex, rec.output_hash.hex))
-
-    union = union_tree(outputs)
-    union_path = store.add_fixed(union, "profile", references=member_paths)
 
     with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()
@@ -132,15 +150,26 @@ def build_profile(derivations, store: Store, profile: Profile, *,
         if tmp.exists():
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
-        carc.write_tree(union, tmp / "tree")
-        (tmp / "channels.scm").write_text(pin_text)
-        (tmp / "manifest.scm").write_text(manifest_text)
-        (tmp / "hashes.txt").write_text("".join(
-            f"{label} {drv_hex} {out_hex}\n"
-            for label, drv_hex, out_hex in sorted(hashes)))
-        (tmp / "store-path").write_text(union_path.component + "\n")
-        created = datetime.datetime.now().isoformat(timespec="seconds")
-        (tmp / "created.txt").write_text(created + "\n")
+        try:
+            tree = tmp / "tree"
+            union_tree([(sp, sp.path) for sp in member_paths], tree)
+            union_hash = carc.hash_path(tree)
+            union_path = StorePath(store.root, union_hash.prefix, "profile")
+            rec = store.get_record(union_path)
+            if rec is None or rec.output_hash != union_hash:
+                union_path = store.add_fixed(tree, "profile",
+                                             references=member_paths)
+            (tmp / "channels.scm").write_text(pin_text)
+            (tmp / "manifest.scm").write_text(manifest_text)
+            (tmp / "hashes.txt").write_text("".join(
+                f"{label} {drv_hex} {out_hex}\n"
+                for label, drv_hex, out_hex in sorted(hashes)))
+            (tmp / "store-path").write_text(union_path.component + "\n")
+            created = datetime.datetime.now().isoformat(timespec="seconds")
+            (tmp / "created.txt").write_text(created + "\n")
+        except BaseException:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise
         os.rename(tmp, gen_dir)
         (profile.root / "current").write_text(str(number) + "\n")
 

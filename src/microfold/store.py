@@ -6,11 +6,20 @@ Layout under the store root (a plain user-writable directory):
     db/items/<component>                one record per item, "key: value" lines
     db/drvs/<64-hex>                    canonical derivation bytes by hash
     locks/<digest_prefix>.lock          per-digest advisory write locks
+    tmp/                                scratch: build directories, staged trees
+
+Every item enters the store the same way: its tree is staged under `tmp/`
+(restored from an archive, copied, or built there) and hashed from the same
+bytes that produced it; then, under the item's lock, the tree is renamed
+into `items/` and its record written.  The record is the commit point.  An
+item directory with no record, left by an insert that crashed before its
+record landed, is re-hashed by the next insert: adopted if it matches,
+removed otherwise.
 
 Records are written once and never edited: each is written to a dot-named
 tmp file and renamed into place, so a reader sees all of a record or none
-of it.  This module also owns the two helpers other layers share: the
-`flock` lock and the "key: value" codec.
+of it.  This module also owns the helpers other layers share: the `flock`
+lock, that tmp-and-rename write, and the "key: value" codec.
 
 Because records never change, a `Store` memoizes what it reads from them for
 the life of the object: records, closures and the seed index (and
@@ -28,6 +37,7 @@ import heapq
 import os
 import re
 import shutil
+import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -58,6 +68,19 @@ def locked(lock_path):
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
+
+
+def write_atomic(path: Path, data: bytes):
+    """Write data to path through a tmp file renamed over it, so readers
+    see the old file or the new one, never a part.  The tmp name is unique
+    to the writing thread."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def render_fields(fields: dict) -> str:
@@ -124,13 +147,21 @@ class VerifyReport:
         return self.status == "ok"
 
 
-def _as_node(content):
-    """Normalize bytes / path / carc node to an in-memory tree node."""
-    if isinstance(content, bytes):
-        return carc.File(content)
-    if isinstance(content, (str, Path)):
-        return carc.load_tree(content)
-    return content
+@dataclass(frozen=True)
+class Staged:
+    """A tree staged under <store>/tmp (see Store.scratch), with the hash
+    and CARC length of the bytes that produced it."""
+
+    path: Path
+    output_hash: ContentHash
+    size: int
+
+
+def _remove(path: Path):
+    if path.is_dir() and not path.is_symlink():
+        shutil.rmtree(path)
+    else:
+        path.unlink()
 
 
 def _referrers_first(refs: dict) -> list:
@@ -166,7 +197,7 @@ def _referrers_first(refs: dict) -> list:
 class Store:
     def __init__(self, root):
         self.root = Path(root)
-        for sub in ("items", "db/items", "db/drvs", "locks"):
+        for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Memos over write-once data (see the module docstring).
         self._records = {}  # component -> StoreItemRecord
@@ -179,6 +210,17 @@ class Store:
 
     def lock(self, digest_prefix: str):
         return locked(self.root / "locks" / f"{digest_prefix}.lock")
+
+    @contextmanager
+    def scratch(self):
+        """A fresh directory under <store>/tmp, removed with everything in
+        it on exit.  It shares the store's filesystem, so a tree staged
+        here enters the store by rename."""
+        path = Path(tempfile.mkdtemp(dir=self.root / "tmp"))
+        try:
+            yield path
+        finally:
+            shutil.rmtree(path, ignore_errors=True)
 
     # -- records ----------------------------------------------------------
 
@@ -196,10 +238,8 @@ class Store:
             lines["deriver"] = rec.deriver.hex
         if rec.description:
             lines["description"] = rec.description
-        path = self._record_path(rec.path.component)
-        tmp = path.with_name(f".{path.name}.tmp")
-        tmp.write_text(render_fields(lines))
-        os.replace(tmp, path)
+        write_atomic(self._record_path(rec.path.component),
+                     render_fields(lines).encode())
         self._records[rec.path.component] = rec
 
     def _read_record(self, component: str) -> StoreItemRecord | None:
@@ -256,36 +296,56 @@ class Store:
 
     # -- item insertion ---------------------------------------------------
 
-    def _materialize(self, node, store_path: StorePath):
-        tmp = store_path.path.with_name(store_path.component + ".tmp")
-        if tmp.exists() or tmp.is_symlink():
-            shutil.rmtree(tmp, ignore_errors=True)
-            if tmp.exists() or tmp.is_symlink():
-                tmp.unlink()
-        carc.write_tree(node, tmp)
-        os.rename(tmp, store_path.path)
+    @contextmanager
+    def _staged(self, content):
+        """content as a Staged tree: a Staged tree as it is; bytes, an
+        in-memory tree or a copy of the tree at a path, staged in a scratch
+        directory that lasts as long as the context."""
+        if isinstance(content, Staged):
+            yield content
+            return
+        with self.scratch() as scratch:
+            dest = scratch / "item"
+            if isinstance(content, (str, Path)):
+                yield Staged(dest, *carc.copy(content, dest))
+            else:
+                node = carc.File(content) if isinstance(content, bytes) else content
+                yield Staged(dest, *carc.restore([carc.serialize_tree(node)], dest))
+
+    def _admit(self, tree: Path, rec: StoreItemRecord) -> StoreItemRecord:
+        """Rename the staged tree into place as rec.path and write rec,
+        whose output_hash the tree has.  If the item already has a record,
+        nothing is written and that record is returned for the caller to
+        compare."""
+        dest = rec.path.path
+        with self.lock(rec.path.digest_prefix):
+            existing = self._read_record(rec.path.component)
+            if existing is not None:
+                return existing
+            if os.path.lexists(dest):  # a crashed insert's: adopt or remove
+                if carc.hash_path(dest) != rec.output_hash:
+                    _remove(dest)
+            if not os.path.lexists(dest):
+                os.rename(tree, dest)
+            self._write_record(rec)
+        return rec
 
     def add_fixed(self, content, label: str, *, kind: str = "fixed",
                   description: str = "", references: list = ()) -> StorePath:
-        """Insert content-addressed bytes or a file tree; idempotent."""
+        """Insert content-addressed bytes, an in-memory tree, a copy of the
+        tree at a path, or a Staged tree (moved in); idempotent."""
         check_label(label)
-        node = _as_node(content)
-        archive = carc.serialize_tree(node)
-        content_hash = ContentHash.of_bytes(archive)
-        store_path = StorePath(self.root, content_hash.prefix, label)
         refs = sorted(set(references), key=lambda p: p.component)
-        with self.lock(content_hash.prefix):
-            rec = self._read_record(store_path.component)
-            if rec is None:
-                rec = StoreItemRecord(
-                    path=store_path, output_hash=content_hash, references=refs,
-                    kind=kind, size=len(archive), description=description)
-                self._materialize(node, store_path)
-                self._write_record(rec)
-            elif rec.output_hash != content_hash:
-                raise StoreCorruption(
-                    f"{store_path.component}: recorded hash "
-                    f"{rec.output_hash} != content hash {content_hash}")
+        with self._staged(content) as staged:
+            store_path = StorePath(self.root, staged.output_hash.prefix, label)
+            rec = self._admit(staged.path, StoreItemRecord(
+                path=store_path, output_hash=staged.output_hash,
+                references=refs, kind=kind, size=staged.size,
+                description=description))
+        if rec.output_hash != staged.output_hash:
+            raise StoreCorruption(
+                f"{store_path.component}: recorded hash "
+                f"{rec.output_hash} != content hash {staged.output_hash}")
         if rec.kind == "seed":
             with self._seeds_lock:
                 if self._seeds is not None:
@@ -295,37 +355,30 @@ class Store:
     def register_output(self, tree, store_path: StorePath, *,
                         deriver: ContentHash | None, references: list,
                         kind: str = "derived") -> StoreItemRecord:
-        """Register an output tree at a derivation-addressed path.
+        """Register an output tree (in-memory, or Staged and moved in) at a
+        derivation-addressed path.
 
         An existing record with the same hash is a no-op; one with a
         different hash raises OutputCollision.  Records are never rewritten.
         """
-        node = _as_node(tree)
-        archive = carc.serialize_tree(node)
-        output_hash = ContentHash.of_bytes(archive)
         refs = sorted(set(references), key=lambda p: p.component)
-        rec = StoreItemRecord(path=store_path, output_hash=output_hash,
-                              references=refs, kind=kind,
-                              deriver=deriver, size=len(archive))
-        with self.lock(store_path.digest_prefix):
-            existing = self._read_record(store_path.component)
-            if existing is not None:
-                if existing.output_hash != output_hash:
-                    raise OutputCollision(
-                        f"{store_path.component}: existing output "
-                        f"{existing.output_hash}, rebuilt output {output_hash}")
-                return existing
-            self._materialize(node, store_path)
-            self._write_record(rec)
+        with self._staged(tree) as staged:
+            rec = self._admit(staged.path, StoreItemRecord(
+                path=store_path, output_hash=staged.output_hash,
+                references=refs, kind=kind, deriver=deriver, size=staged.size))
+        if rec.output_hash != staged.output_hash:
+            raise OutputCollision(
+                f"{store_path.component}: existing output "
+                f"{rec.output_hash}, rebuilt output {staged.output_hash}")
         return rec
 
     # -- verification and closure -----------------------------------------
 
     def verify_item(self, path: StorePath) -> VerifyReport:
         rec = self.get_record(path)
-        if rec is None or not (path.path.exists() or path.path.is_symlink()):
+        if rec is None or not os.path.lexists(path.path):
             return VerifyReport("missing")
-        actual = ContentHash.of_bytes(carc.serialize_path(path.path))
+        actual = carc.hash_path(path.path)
         if actual != rec.output_hash:
             return VerifyReport("mismatch", expected=rec.output_hash, actual=actual)
         return VerifyReport("ok", expected=rec.output_hash, actual=actual)

@@ -12,6 +12,7 @@ sorted) and <cache>/carc/<digest_prefix> (raw CARC bytes).
 from __future__ import annotations
 
 import logging
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass, field
@@ -19,9 +20,10 @@ from pathlib import Path
 
 from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
-                     MicrofoldError, SubstituteNotFound)
+                     MicrofoldError, ParseError, SubstituteNotFound)
 from .hashing import ContentHash
-from .store import Store, StorePath, parse_fields, render_fields
+from .store import (Staged, Store, StorePath, parse_fields, render_fields,
+                    write_atomic)
 
 log = logging.getLogger(__name__)
 
@@ -58,25 +60,31 @@ class SubstituteInfo:
 
 
 def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
-    """Write a verified store item into a local cache directory."""
-    report = store.verify_item(path)
-    if not report.ok:
-        raise CorruptItem(f"{path.component}: {report.status}")
+    """Write a verified store item into a local cache directory.
+
+    The item's archive is streamed into a tmp file and hashed on the way;
+    it is renamed into the cache only if it matches the item's record.
+    """
     rec = store.get_record(path)
-    data = carc.serialize_path(path.path)
-    info = SubstituteInfo(
-        store_path=path.component,
-        output_hash=rec.output_hash,
-        archive_size=len(data),
-        references=[r.component for r in rec.references],
-        deriver=rec.deriver,
-    )
+    if rec is None or not os.path.lexists(path.path):
+        raise CorruptItem(f"{path.component}: missing")
     try:
         cache = Path(cache)
         (cache / "info").mkdir(parents=True, exist_ok=True)
         (cache / "carc").mkdir(parents=True, exist_ok=True)
-        (cache / "carc" / path.digest_prefix).write_bytes(data)
-        (cache / "info" / path.digest_prefix).write_text(info.render())
+        tmp, actual, size = carc.dump_to_tmp(path.path, cache / "carc")
+        if actual != rec.output_hash:
+            os.unlink(tmp)
+            raise CorruptItem(f"{path.component}: mismatch")
+        os.replace(tmp, cache / "carc" / path.digest_prefix)
+        info = SubstituteInfo(
+            store_path=path.component,
+            output_hash=rec.output_hash,
+            archive_size=size,
+            references=[r.component for r in rec.references],
+            deriver=rec.deriver,
+        )
+        write_atomic(cache / "info" / path.digest_prefix, info.render().encode())
     except OSError as e:
         raise CacheWriteError(str(e)) from e
     return info
@@ -101,7 +109,8 @@ def fetch_substitute(path: StorePath, caches, store: Store,
                      *, _seen=None) -> StorePath:
     """Install a pre-built item from the first cache that serves it honestly.
 
-    The served archive is re-hashed before registration; a mismatching
+    The served archive is restored under <store>/tmp and hashed in the same
+    pass, before registration; a mismatching or malformed
     provider is skipped with a warning and the next one is tried.  The
     item's references are fetched first so the store never dangles.
     """
@@ -118,29 +127,35 @@ def fetch_substitute(path: StorePath, caches, store: Store,
         if info is None or data is None:
             continue
         found = True
-        actual = ContentHash.of_bytes(data)
-        if actual != info.output_hash or info.store_path != path.component:
-            log.warning("cache %s serves corrupt archive for %s "
-                        "(expected %s, got %s); skipping",
-                        cache, path.component, info.output_hash, actual)
-            corrupt = True
-            continue
-        try:
-            refs = []
-            for comp in info.references:
-                if comp == path.component:
-                    continue
-                ref_path = StorePath.from_component(store.root, comp)
-                if store.get_record(ref_path) is None:
-                    fetch_substitute(ref_path, caches, store, _seen=_seen)
-                refs.append(ref_path)
-        except MicrofoldError as e:
-            log.warning("cache %s: reference of %s unavailable (%s); skipping",
-                        cache, path.component, e)
-            continue
-        store.register_output(carc.parse(data), path, deriver=info.deriver,
-                              references=refs,
-                              kind="fixed" if info.deriver is None else "derived")
+        with store.scratch() as scratch:
+            try:
+                staged = Staged(scratch / "item",
+                                *carc.restore([data], scratch / "item"))
+                actual = staged.output_hash
+            except ParseError as e:
+                actual = f"an unreadable archive ({e})"
+            if actual != info.output_hash or info.store_path != path.component:
+                log.warning("cache %s serves corrupt archive for %s "
+                            "(expected %s, got %s); skipping",
+                            cache, path.component, info.output_hash, actual)
+                corrupt = True
+                continue
+            try:
+                refs = []
+                for comp in info.references:
+                    if comp == path.component:
+                        continue
+                    ref_path = StorePath.from_component(store.root, comp)
+                    if store.get_record(ref_path) is None:
+                        fetch_substitute(ref_path, caches, store, _seen=_seen)
+                    refs.append(ref_path)
+            except MicrofoldError as e:
+                log.warning("cache %s: reference of %s unavailable (%s); skipping",
+                            cache, path.component, e)
+                continue
+            store.register_output(staged, path, deriver=info.deriver,
+                                  references=refs,
+                                  kind="fixed" if info.deriver is None else "derived")
         return path
 
     if found and corrupt:

@@ -1,11 +1,14 @@
+import os
 import socket
+import sys
+import threading
 
 import pytest
 
 from microfold import carc
 from microfold.archive import Archive, fetch_source
 from microfold.derivation import SourceRef
-from microfold.errors import HashMismatch, SourceUnavailable
+from microfold.errors import ArchiveWriteError, HashMismatch, SourceUnavailable
 from microfold.hashing import ContentHash
 
 
@@ -116,3 +119,57 @@ def test_fetch_tree_source(tmp_path, store, archive):
     ref = SourceRef(f"file://{src}", h, "tree-src")
     path = fetch_source(ref, store, archive)
     assert (path.path / "include/api.h").read_bytes() == b"#pragma once\n"
+
+
+def test_origin_update_is_atomic(archive, monkeypatch):
+    h = archive.ingest(b"x", origin="http://a/x")
+
+    def crash(src, dst):
+        raise OSError("crashed mid-update")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(ArchiveWriteError):
+        archive.ingest(b"x", origin="http://b/x")
+    monkeypatch.undo()
+    assert archive.origins(h) == ["http://a/x"]
+    archive.ingest(b"x", origin="http://b/x")
+    assert archive.origins(h) == ["http://a/x", "http://b/x"]
+
+
+def test_concurrent_origin_updates_are_not_lost(archive):
+    h = archive.ingest(b"x")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=lambda i=i: [
+            archive.ingest(b"x", origin=f"http://{i}/{j}") for j in range(10)])
+            for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(archive.origins(h)) == 60
+
+
+def test_fetch_skips_ingest_of_archived_source(tmp_path, store, archive, monkeypatch):
+    upstream, ref = _file_source(tmp_path)
+    archive.ingest(upstream)
+    monkeypatch.setattr(Archive, "ingest", lambda *a, **k: pytest.fail("ingested"))
+    path = fetch_source(ref, store, archive)
+    assert path.path.read_bytes() == b"source bytes\n"
+
+
+def test_fetch_refuses_unreadable_archive(tmp_path, store, archive):
+    upstream, ref = _file_source(tmp_path)
+    archive.ingest(upstream)
+    upstream.unlink()
+    blob = archive.root / "carc" / ref.expected_hash.hex
+    blob.write_bytes(blob.read_bytes()[:-1])  # truncated
+    with pytest.raises(SourceUnavailable) as exc:
+        fetch_source(ref, store, archive)
+    assert any("unreadable archive" in leg for leg in exc.value.legs)
+    assert os.listdir(store.root / "items") == []
+    assert os.listdir(store.root / "tmp") == []

@@ -1,4 +1,6 @@
 import hashlib
+import os
+import stat
 import sys
 import threading
 from collections import Counter
@@ -144,7 +146,8 @@ def test_failing_step_reports_index(store):
     with pytest.raises(StepFailure) as info:
         build(drv, store)
     assert info.value.index == 1
-    assert str(info.value).startswith("step 1: ")
+    assert info.value.label == "boom-2"
+    assert str(info.value).startswith("step 1 of boom-2: ")
 
 
 def test_check_rebuild_deterministic(store, toolchain):
@@ -227,8 +230,7 @@ def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
     assert len(cached) == 16  # c00..c14 and the seed, found on disk
     assert max(cached.values()) == 1
     # The only other reader is the write path's re-read under the lock.
-    assert {caller for caller, _ in reads} <= {
-        "get_record", "add_fixed", "register_output"}
+    assert {caller for caller, _ in reads} <= {"get_record", "_admit"}
 
 
 def test_parallel_chain_build_shares_memos(store, toolchain):
@@ -255,3 +257,50 @@ def test_parallel_chain_build_shares_memos(store, toolchain):
         assert store.verify_item(member).ok
     assert [p.component for p in disk.closure(result[0])] == \
         [p.component for p in members]
+
+
+def test_reference_split_across_blocks_is_found(tmp_path, monkeypatch):
+    """With tiny blocks, every prefix in the output spans several blocks;
+    the scan still finds it, and the hash does not change."""
+    def build_top(store):
+        dep = Derivation(name="dep", version="1",
+                         steps=[d.write("data.txt", b"payload")])
+        dep_hash = derivation_hash(dep)
+        store.put_derivation(dep_hash, canonical_serialize(dep))
+        top = Derivation(name="top", version="1",
+                         inputs=[InputRef(dep_hash, "dep")],
+                         steps=[d.write("deps.txt",
+                                        f"x{dep_hash.prefix}-dep-1\n".encode())])
+        path = build(top, store)
+        return store.get_record(path), dep_hash
+
+    plain, _ = build_top(Store(tmp_path / "plain"))
+    monkeypatch.setattr(carc, "_BLOCK", 5)
+    rec, dep_hash = build_top(Store(tmp_path / "tiny"))
+    assert [r.component for r in rec.references] == [f"{dep_hash.prefix}-dep-1"]
+    assert rec.output_hash == plain.output_hash and rec.size == plain.size
+
+
+def test_built_output_has_canonical_modes(store):
+    """Whatever modes the steps leave, the item carries the modes a
+    substituted or fetched copy of it would."""
+    tool = carc.Dir({"bin": carc.Dir({"odd": carc.File(
+        b"#!/bin/sh\n/bin/mkdir -m 700 \"$1\"\n"
+        b"printf x > \"$1/plain\"; /bin/chmod 600 \"$1/plain\"\n"
+        b"printf y > \"$1/tool\"; /bin/chmod 770 \"$1/tool\"\n",
+        executable=True)})})
+    seed = register_seed(store, tool, "odd-1.0")
+    drv = Derivation(name="modes", version="1", steps=[
+        d.exec_(f"{seed.path.component}/bin/odd", "@out@/d"),
+        d.write("w", b"w"), d.set_exec("w")])
+    path = build(drv, store)
+    modes = {p.name: stat.S_IMODE(p.lstat().st_mode)
+             for p in [path.path, *path.path.rglob("*")]}
+    assert modes == {path.path.name: 0o755, "d": 0o755, "plain": 0o644,
+                     "tool": 0o755, "w": 0o755}
+    restored = store.root / "restored"
+    carc.restore([carc.serialize_path(path.path)], restored)
+    assert {p.name: stat.S_IMODE(p.lstat().st_mode)
+            for p in restored.rglob("*")} == {
+        n: m for n, m in modes.items() if n != path.path.name}
+    assert os.listdir(store.root / "tmp") == []

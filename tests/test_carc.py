@@ -1,11 +1,18 @@
 import hashlib
+import itertools
 import os
 import random
+import stat
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microfold import carc
 from microfold.errors import InvalidName, ParseError, UnsupportedNode
+from microfold.hashing import ContentHash
 
 # Golden vectors: the byte strings were written out by hand against the
 # grammar and hashed with an independent script (plain hashlib over the
@@ -179,3 +186,135 @@ def test_significant_attributes_always_change_hash():
                 checked += 1
 
         checked += 1  # the tree itself counts as one sampled case
+
+
+# -- streaming: dump, copy and restore -------------------------------------
+
+def _materialize(node, path, modes):
+    """Write an in-memory tree with plain os calls (not carc), giving files
+    the next mode from modes, so only the owner exec bit may matter."""
+    if isinstance(node, carc.File):
+        path.write_bytes(node.data)
+        mode = next(modes)
+        path.chmod(mode | 0o100 if node.executable else mode & ~0o111)
+    elif isinstance(node, carc.Symlink):
+        os.symlink(node.target, path)
+    else:
+        path.mkdir()
+        for name, child in node.entries.items():
+            _materialize(child, path / name, modes)
+
+
+_names = st.text(st.characters(blacklist_characters="/\x00",
+                               blacklist_categories=("Cs",)),
+                 min_size=1, max_size=6).filter(lambda n: n not in (".", ".."))
+_files = st.builds(carc.File, st.binary(max_size=64), st.booleans())
+_links = st.builds(carc.Symlink, st.sampled_from(["a", "../x", "sub/é", "/abs"]))
+_trees = st.recursive(
+    _files | _links | st.builds(carc.Dir),
+    lambda kids: st.builds(carc.Dir, st.dictionaries(_names, kids, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trees, st.lists(st.sampled_from([0o600, 0o640, 0o664, 0o610, 0o751]),
+                        min_size=1))
+def test_dump_matches_in_memory_model_and_round_trips(tree, modes):
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        _materialize(tree, src, itertools.cycle(modes))
+        chunks = []
+        size = carc.dump(src, chunks.append)
+        archive = b"".join(chunks)
+        assert archive == carc.serialize_tree(carc.load_tree(src))
+        assert archive == carc.serialize_tree(tree)
+        assert size == len(archive)
+
+        restored = Path(tmp) / "restored"
+        digest = carc.restore(chunks, restored)
+        assert digest == (ContentHash.of_bytes(archive), len(archive))
+        assert carc.serialize_path(restored) == archive
+        copied = Path(tmp) / "copied"
+        assert carc.copy(src, copied) == digest
+        assert carc.serialize_path(copied) == archive
+        assert _modes(restored) == _modes(copied)
+
+
+def _modes(root):
+    """Relative path -> permission bits of every non-symlink entry."""
+    out = {}
+    for dirpath, dirs, files in os.walk(root):
+        for name in [""] + dirs + files:
+            p = Path(dirpath, name)
+            if not p.is_symlink():
+                out[str(p.relative_to(root))] = stat.S_IMODE(p.lstat().st_mode)
+    return out
+
+
+def test_restored_and_copied_modes_are_canonical(tmp_path):
+    src = tmp_path / "src"
+    _materialize(TREES["mixed_tree"], src, itertools.cycle([0o600]))
+    os.chmod(src / "d", 0o700)
+    carc.copy(src, tmp_path / "copied")
+    carc.restore([GOLDEN["mixed_tree"][0]], tmp_path / "restored")
+    want = {".": 0o755, "a": 0o644, "a0": 0o755, "d": 0o755}
+    assert _modes(tmp_path / "copied") == want
+    assert _modes(tmp_path / "restored") == want
+    carc.set_modes(src)
+    assert _modes(src) == want
+
+
+MALFORMED = {
+    "truncated": GOLDEN["mixed_tree"][0][:-1],
+    "truncated_header": b"carc1\nd\n2\n1\naf\n",
+    "out_of_order": b"carc1\nd\n2\n1\nbf\n0\n1\naf\n0\n",
+    "duplicate_entry": b"carc1\nd\n2\n1\naf\n0\n1\naf\n0\n",
+    "trailing_garbage": GOLDEN["mixed_tree"][0] + b"x",
+    "bad_magic": b"carc2\nf\n0\n",
+    "bad_number": b"carc1\nf\n1x\nab",
+    "endless_number": b"carc1\nf\n" + b"1" * 40,
+    "unknown_tag": b"carc1\nq\n0\n",
+    "empty_symlink_target": b"carc1\nl\n0\n",
+    "nul_in_symlink_target": b"carc1\nd\n1\n1\nal\n3\na\x00b",
+    "slash_in_name": b"carc1\nd\n1\n3\na/bf\n0\n",
+    "dot_dot_name": b"carc1\nd\n1\n2\n..d\n0\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("chunk", [None, 1, 3])
+def test_restore_rejects_malformed(tmp_path, name, chunk):
+    data = MALFORMED[name]
+    chunks = [data] if chunk is None else [data[i:i + chunk]
+                                           for i in range(0, len(data), chunk)]
+    with pytest.raises(ParseError):
+        carc.restore(chunks, tmp_path / "dest")
+    with pytest.raises(ParseError):
+        carc.parse(data)
+
+
+def test_restore_streams_from_small_chunks(tmp_path):
+    for name, (data, digest) in GOLDEN.items():
+        chunks = [data[i:i + 2] for i in range(0, len(data), 2)]
+        got = carc.restore(chunks, tmp_path / name)
+        assert got == (ContentHash(digest), len(data))
+        assert carc.serialize_path(tmp_path / name) == data
+
+
+def test_hash_path_memory_does_not_grow_with_file_size(tmp_path):
+    big = tmp_path / "big"
+    with open(big, "wb") as f:
+        f.truncate(32 << 20)  # sparse: 32 MiB of zeros
+    want = hashlib.sha256(b"carc1\nf\n%d\n" % (32 << 20))
+    zeros = bytes(1 << 20)
+    for _ in range(32):
+        want.update(zeros)
+    del zeros
+    tracemalloc.start()
+    try:
+        got = carc.hash_path(big)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.hex == want.hexdigest()
+    assert peak < 4 << 20

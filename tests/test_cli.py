@@ -1,3 +1,6 @@
+import shutil
+from pathlib import Path
+
 import pytest
 
 from microfold import carc
@@ -68,7 +71,7 @@ def test_build_check_reports_failing_step(env, tmp_path, capsys):
     drv_file.write_bytes(canonical_serialize(drv))
     assert run_command(["build", str(drv_file), "--check", "2"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("microfold: error: step 1: ")
+    assert err.startswith("microfold: error: step 1 of broken-1: ")
     assert len(err.splitlines()) == 1
 
 
@@ -264,3 +267,26 @@ def test_store_flag_overrides_env(env, tmp_path, capsys):
     assert run_command(["--store", str(alt), "build", "python"]) == 0
     out = capsys.readouterr().out.strip()
     assert str(alt) in out
+
+
+def test_verify_reports_changed_and_missing_items(env, capsys):
+    assert run_command(["build", "python"]) == 0
+    item = Path(capsys.readouterr().out.strip())
+    assert run_command(["verify"]) == 0
+    assert capsys.readouterr().out == ""
+
+    victim = next(p for p in sorted(item.rglob("*")) if p.is_file())
+    data = bytearray(victim.read_bytes())
+    data[0] ^= 1
+    victim.write_bytes(bytes(data))
+    assert run_command(["verify", "--store", str(env["store"])]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"mismatch {item.name}: recorded ")
+
+    seed = next(p for p in (env["store"] / "items").iterdir()
+                if p.name.endswith("-toolchain-1.0"))
+    shutil.rmtree(seed)
+    assert run_command(["--store", str(env["store"]), "verify"]) == 2
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(
+        [lines[0], f"missing {seed.name}"])

@@ -18,42 +18,53 @@ def _sp(component):
     return StorePath.from_component("/nowhere", component)
 
 
-def test_union_disjoint_trees():
+def _union(tmp_path, outputs):
+    """union_tree over (StorePath, node) pairs written to disk; the union,
+    read back."""
+    members = []
+    for i, (sp, node) in enumerate(outputs):
+        carc.write_tree(node, tmp_path / f"member{i}")
+        members.append((sp, tmp_path / f"member{i}"))
+    union_tree(members, tmp_path / "union")
+    return carc.load_tree(tmp_path / "union")
+
+
+def test_union_disjoint_trees(tmp_path):
     a = carc.Dir({"bin": carc.Dir({"a": carc.File(b"a")})})
     b = carc.Dir({"bin": carc.Dir({"b": carc.File(b"b")}),
                   "share": carc.Dir({"doc": carc.File(b"d")})})
-    union = union_tree([(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
+    union = _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert set(union.entries["bin"].entries) == {"a", "b"}
     assert union.entries["share"].entries["doc"].data == b"d"
 
 
-def test_union_identical_files_collapse():
+def test_union_identical_files_collapse(tmp_path):
     a = carc.Dir({"LICENSE": carc.File(b"MIT")})
     b = carc.Dir({"LICENSE": carc.File(b"MIT")})
-    union = union_tree([(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
+    union = _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert union.entries["LICENSE"].data == b"MIT"
 
 
-def test_union_conflict_reports_both_providers():
+def test_union_conflict_reports_both_providers(tmp_path):
     a = carc.Dir({"bin": carc.Dir({"tool": carc.File(b"one")})})
     b = carc.Dir({"bin": carc.Dir({"tool": carc.File(b"two")})})
     with pytest.raises(ProfileCollision) as exc:
-        union_tree([(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
+        _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert exc.value.path == "bin/tool"
     providers = (exc.value.provider1, exc.value.provider2)
     assert "00" * 16 + "-a" in providers
     assert "11" * 16 + "-b" in providers
 
 
-def test_union_exec_bit_difference_is_a_conflict():
+def test_union_exec_bit_difference_is_a_conflict(tmp_path):
     a = carc.Dir({"f": carc.File(b"x", executable=True)})
     b = carc.Dir({"f": carc.File(b"x")})
     with pytest.raises(ProfileCollision):
-        union_tree([(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
+        _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
 
 
-def test_union_single_file_output_nested_under_label():
-    union = union_tree([(_sp("00" * 16 + "-blob-1.0"), carc.File(b"raw"))])
+def test_union_single_file_output_nested_under_label(tmp_path):
+    union = _union(tmp_path, [(_sp("00" * 16 + "-blob-1.0"), carc.File(b"raw"))])
     assert union.entries["blob-1.0"].data == b"raw"
 
 

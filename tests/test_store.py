@@ -285,3 +285,32 @@ def test_closure_order_matches_oracle(graph):
             got = [p.component for p in store.closure(root_path)]
             assert got == _closure_oracle(refs, comps[i])
             assert [p.component for p in Store(root).closure(root_path)] == got
+
+
+@pytest.mark.parametrize("tamper", [False, True])
+def test_crashed_insert_is_recovered_on_retry(tmp_path, monkeypatch, tamper):
+    """A directory item left in place with no record (the process died in
+    the record write) is adopted on retry, or replaced if it was changed."""
+    root = tmp_path / "store"
+    tree = carc.Dir({"f": carc.File(b"data"), "sub": carc.Dir({"g": carc.File(b"")})})
+    real_replace, crashed = os.replace, []
+
+    def crash_once(src, dst):  # the process dies at the first replace
+        if not crashed:
+            crashed.append(dst)
+            raise OSError("crashed before the record landed")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", crash_once)
+    with pytest.raises(OSError, match="crashed"):
+        Store(root).add_fixed(tree, "item-1")
+    assert crashed[0].parent == root / "db" / "items"  # the record write
+    item = StorePath(root, carc.hash_tree(tree).prefix, "item-1")
+    assert item.path.is_dir() and Store(root).get_record(item) is None
+    if tamper:
+        (item.path / "f").write_bytes(b"tampered")
+    path = Store(root).add_fixed(tree, "item-1")
+    assert path == item
+    assert Store(root).verify_item(path).ok
+    assert carc.load_tree(path.path) == tree
+    assert os.listdir(root / "tmp") == []

@@ -12,6 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("urlopen", "transport.py"),          # the one HTTP GET
     (".get_derivation_bytes(", "derivation.py"),  # the one derivation loader
     ("_write_record(", "store.py"),       # store records are written once
+    ("load_tree(", "carc.py"),            # trees on disk are streamed
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()

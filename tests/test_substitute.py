@@ -1,5 +1,6 @@
 import functools
 import http.server
+import os
 import socket
 import threading
 
@@ -253,3 +254,27 @@ def test_challenge_with_rebuild(tmp_path, store, toolchain):
     entry = report.entries[path.component]
     assert ("rebuild", store.get_record(path).output_hash.hex) in entry.values
     assert entry.verdict == "agree"
+
+
+@pytest.mark.parametrize("damage", ["truncated", "out_of_order", "trailing_garbage"])
+def test_malformed_archive_leaves_nothing_behind(tmp_path, cache, damage):
+    """A malformed archive is refused part-way through its restore; what
+    was written stays out of items/ and is removed from tmp/."""
+    producer = Store(tmp_path / "producer")
+    drv = Derivation(name="pair", version="1",
+                     steps=[d.write("a", b"A"), d.write("b", b"B")])
+    path = build(drv, producer)
+    publish(producer, path, cache)
+    blob = cache / "carc" / path.digest_prefix
+    data = blob.read_bytes()
+    assert data == b"carc1\nd\n2\n1\naf\n1\nA1\nbf\n1\nB"
+    blob.write_bytes({"truncated": data[:-1],
+                      "out_of_order": b"carc1\nd\n2\n1\nbf\n1\nB1\naf\n1\nA",
+                      "trailing_garbage": data + b"x"}[damage])
+
+    consumer = Store(tmp_path / "consumer")
+    with pytest.raises(AllProvidersCorrupt):
+        fetch_substitute(StorePath.from_component(consumer.root, path.component),
+                         [cache], consumer)
+    assert os.listdir(consumer.root / "items") == []
+    assert os.listdir(consumer.root / "tmp") == []
