@@ -17,7 +17,7 @@ from . import carc, transport
 from .errors import (ArchiveWriteError, HashMismatch, ParseError,
                      SourceUnavailable)
 from .hashing import ContentHash
-from .store import Staged, locked, write_atomic
+from .store import Staged, StorePath, locked, write_atomic
 
 
 class Archive:
@@ -45,6 +45,19 @@ class Archive:
             raise ArchiveWriteError(str(e)) from e
         return content_hash
 
+    def copy_in(self, src, dest: Path, ref) -> Staged:
+        """Copy the tree at src to dest, as carc.copy does, and write its
+        archive to a tmp file here in the same pass.  The file joins the
+        archive, with origin ref.url, only if it hashes to
+        ref.expected_hash."""
+        tmp, content_hash, size = carc.dump_to_tmp(src, self.root / "carc", dest)
+        if content_hash == ref.expected_hash:
+            os.replace(tmp, self.root / "carc" / content_hash.hex)
+            self._add_origin(content_hash, ref.url)
+        else:
+            os.unlink(tmp)
+        return Staged(dest, content_hash, size)
+
     def _add_origin(self, content_hash: ContentHash, origin: str):
         with locked(self.root / "origins.lock"):
             origins = set(self.origins(content_hash))
@@ -65,9 +78,10 @@ class Archive:
         return (self.root / "carc" / content_hash.hex).exists()
 
 
-def _fetch_upstream(ref, dest: Path) -> Staged | None:
+def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
     """Materialize ref.url at dest; None when unreachable.  A file:// tree
-    is copied, and the copy's own bytes are hashed."""
+    is copied, and the copy's own bytes are hashed; given an archive, the
+    copy also ingests it there (Archive.copy_in)."""
     url = ref.url
     if url.startswith("archive://"):
         return None  # archive-only source, handled by the second leg
@@ -75,6 +89,8 @@ def _fetch_upstream(ref, dest: Path) -> Staged | None:
         path = url[len("file://"):]
         if not os.path.lexists(path):
             return None
+        if archive is not None:
+            return archive.copy_in(path, dest, ref)
         return Staged(dest, *carc.copy(path, dest))
     if not transport.is_url(url):
         return None
@@ -91,19 +107,29 @@ def fetch_source(ref, store, archive: Archive | None,
                  *, archive_fallback: bool = True, auto_ingest: bool = True):
     """Fetch a source, verifying its hash: upstream first, then the archive.
 
-    Returns the store path of the fixed item.  Every leg stages what it
-    fetched under <store>/tmp and hashes the staged bytes; bytes that do
-    not match ref.expected_hash never get a record.
+    Returns the store path of the fixed item; an item the store already
+    has with that hash is returned as it is, fetching nothing.  Every leg
+    stages what it fetched under <store>/tmp and hashes the staged bytes;
+    bytes that do not match ref.expected_hash never get a record.  With
+    auto_ingest, a source the archive lacks is ingested on the way.
     """
+    ingest = (auto_ingest and archive is not None
+              and not archive.has(ref.expected_hash))
+    present = store.get_record(StorePath.from_component(
+        store.root, f"{ref.expected_hash.prefix}-{ref.label}"))
+    if present is not None and present.output_hash == ref.expected_hash:
+        if ingest:
+            archive.ingest(present.path.path, origin=ref.url)
+        return present.path
     legs = []
     with store.scratch() as scratch:
-        staged = _fetch_upstream(ref, scratch / "upstream")
+        staged = _fetch_upstream(ref, scratch / "upstream",
+                                 archive if ingest else None)
         if staged is None:
             legs.append(f"upstream {ref.url}: unavailable")
         elif staged.output_hash == ref.expected_hash:
             path = store.add_fixed(staged, ref.label)
-            if (auto_ingest and archive is not None
-                    and not archive.has(staged.output_hash)):
+            if ingest and not archive.has(ref.expected_hash):
                 archive.ingest(path.path, origin=ref.url)
             return path
         else:

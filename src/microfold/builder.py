@@ -28,8 +28,7 @@ from pathlib import Path
 
 from . import carc
 from .archive import fetch_source
-from .derivation import (Derivation, canonical_serialize, derivation_hash,
-                         load_derivation)
+from .derivation import Derivation, canonical_serialize, load_derivation
 from .errors import EscapedClosure, MicrofoldError, StepFailure
 from .hashing import PREFIX_LEN, ContentHash
 from .store import Staged, Store, StorePath
@@ -272,34 +271,22 @@ def build(drv: Derivation, store: Store, *, archive=None,
     return Builder(store, archive=archive, options=options).build(drv)
 
 
-def _clone_trust_roots(src_store: Store, dst_store: Store):
-    """Copy seeds and derivation bytes so scratch builds can run."""
-    for rec in src_store.seeds():
-        dst_store.add_fixed(rec.path.path, rec.path.label,
-                            kind="seed", description=rec.description)
-    drv_dir = src_store.root / "db" / "drvs"
-    for entry in drv_dir.iterdir():
-        (dst_store.root / "db" / "drvs" / entry.name).write_bytes(
-            entry.read_bytes())
-
-
 def check_rebuild(drv: Derivation, store: Store, rounds: int = 2, *,
                   archive=None, options: BuildOptions | None = None) -> RebuildReport:
     """Build `rounds` times into isolated scratch stores and compare hashes.
 
-    The main store is never written to, so a nondeterministic derivation
-    cannot pollute it.
+    Each scratch store reads the main store's seeds, sources and
+    derivations in place but rebuilds every derived item; the main store
+    is never written to, so a nondeterministic derivation cannot pollute
+    it.
     """
     if rounds < 2:
         raise ValueError("rounds must be >= 2")
-    # Register the derivation bytes (metadata only) so clones can see it.
-    store.put_derivation(derivation_hash(drv), canonical_serialize(drv))
     results = []
     for rnd in range(1, rounds + 1):
         scratch_root = tempfile.mkdtemp(prefix="microfold-check-")
         try:
-            scratch_store = Store(scratch_root)
-            _clone_trust_roots(store, scratch_store)
+            scratch_store = Store(scratch_root, base=store)
             path = build(drv, scratch_store, archive=archive, options=options)
             rec = scratch_store.get_record(path)
             results.append(RoundResult(rnd, rec.output_hash.hex))

@@ -21,8 +21,8 @@ tree while hashing the bytes it copies, and `restore` unpacks an archive,
 checking the grammar and hashing the input as it writes.  Trees that copy
 and restore create, and build outputs (see `set_modes`), all carry the same
 mode bits: 0755 for directories and executable files, 0644 for the rest.
-The in-memory model (`File`/`Dir`, `serialize_tree`, `parse`) serves tests
-and content that is already in memory.
+The in-memory model (`File`/`Dir`, `serialize_tree`) serves content that
+is already in memory.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .errors import InvalidName, ParseError, UnsupportedNode
 from .hashing import ContentHash
@@ -60,9 +59,6 @@ class Symlink:
 @dataclass
 class Dir:
     entries: dict = field(default_factory=dict)  # name -> File|Symlink|Dir
-
-
-Node = object  # File | Symlink | Dir
 
 
 def _check_name(name: bytes):
@@ -98,48 +94,21 @@ def serialize_bytes(data: bytes, executable: bool = False) -> bytes:
     return serialize_tree(File(data, executable))
 
 
-def load_tree(path: os.PathLike) -> Node:
-    """Read a filesystem tree into the in-memory model (tests only: the
-    program streams trees with dump and copy)."""
-    p = Path(path)
-    st = p.lstat()
-    mode = st.st_mode
-    if stat.S_ISLNK(mode):
-        return Symlink(os.readlink(p))
-    if stat.S_ISREG(mode):
-        return File(p.read_bytes(), executable=bool(mode & stat.S_IXUSR))
-    if stat.S_ISDIR(mode):
-        d = Dir()
-        for child in p.iterdir():
-            raw = child.name.encode()
-            _check_name(raw)
-            d.entries[child.name] = load_tree(child)
-        return d
-    raise UnsupportedNode(f"{p}: unsupported file type")
-
-
-def hash_tree(node) -> ContentHash:
-    return ContentHash.of_bytes(serialize_tree(node))
-
-
 # Streaming from disk.
+
+# Files are written (and read) through raw descriptors, never through a
+# symlink swapped in for a file or in the place of a new one.
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW
+
 
 def _mode(st_mode: int) -> int:
     """The mode bits of a tree entry as copy and restore create it."""
     return 0o755 if stat.S_ISDIR(st_mode) or st_mode & stat.S_IXUSR else 0o644
 
 
-def _create(path: bytes, executable: bool):
-    """Open a new file for writing, with its canonical mode whatever the
-    umask.  A symlink in its place is refused, not followed."""
-    mode = 0o755 if executable else 0o644
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_NOFOLLOW, mode)
-    try:
-        os.fchmod(fd, mode)
-    except OSError:
-        os.close(fd)
-        raise
-    return open(fd, "wb")
+def _write(fd: int, data):
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def _mkdir(path: bytes):
@@ -172,101 +141,115 @@ class _Blocks:
             self.held = 0
 
 
-def _walk(src: bytes, dest: bytes | None, emit):
-    """Emit the CARC node of the tree at src; when dest is given, also
-    create a copy of it there."""
+def walk(src: bytes, dest: bytes | None, emit):
+    """Emit (to emit, a function given byte strings) the CARC node of the
+    tree at src; when dest is given, also create a copy of it there.  A
+    caller that emits a node of its own (see stream) builds it from this
+    and directory."""
     st = os.lstat(src)
     mode = st.st_mode
     if stat.S_ISREG(mode):
-        executable = bool(mode & stat.S_IXUSR)
         left = st.st_size
-        emit((b"x\n%d\n" if executable else b"f\n%d\n") % left)
-        with open(src, "rb") as f:
-            out = _create(dest, executable) if dest is not None else None
-            try:
-                while left:
-                    block = f.read(min(left, _BLOCK))
-                    if not block:
-                        raise UnsupportedNode(f"{os.fsdecode(src)}: shrank while read")
-                    emit(block)
-                    if out is not None:
-                        out.write(block)
-                    left -= len(block)
-            finally:
+        emit((b"x\n%d\n" if mode & stat.S_IXUSR else b"f\n%d\n") % left)
+        fd = os.open(src, os.O_RDONLY | os.O_NOFOLLOW)
+        out = None
+        try:
+            if dest is not None:
+                out = os.open(dest, _CREATE, _mode(mode))
+                os.fchmod(out, _mode(mode))
+            while left:
+                block = os.read(fd, min(left, _BLOCK))
+                if not block:
+                    raise UnsupportedNode(f"{os.fsdecode(src)}: shrank while read")
+                emit(block)
                 if out is not None:
-                    out.close()
+                    _write(out, block)
+                left -= len(block)
+        finally:
+            os.close(fd)
+            if out is not None:
+                os.close(out)
     elif stat.S_ISLNK(mode):
         target = os.readlink(src)
         emit(b"l\n%d\n" % len(target) + target)
         if dest is not None:
             os.symlink(target, dest)
     elif stat.S_ISDIR(mode):
-        names = sorted(os.listdir(src))
-        emit(b"d\n%d\n" % len(names))
-        if dest is not None:
-            _mkdir(dest)
-        for name in names:
-            emit(b"%d\n" % len(name) + name)
-            _walk(src + b"/" + name, None if dest is None else dest + b"/" + name,
-                  emit)
+        for name, sub in directory(sorted(os.listdir(src)), dest, emit):
+            walk(src + b"/" + name, sub, emit)
     else:
         raise UnsupportedNode(f"{os.fsdecode(src)}: unsupported file type")
 
 
-def _stream(src: bytes, dest: bytes | None, write) -> int:
+def directory(names, dest: bytes | None, emit):
+    """Emit the node of a directory with the entries names (sorted), and
+    create it at dest when given.  Yields each name with its path under
+    dest (or None) once the name is emitted; the caller then emits the
+    entry's node before asking for the next."""
+    emit(b"d\n%d\n" % len(names))
+    if dest is not None:
+        _mkdir(dest)
+    for name in names:
+        emit(b"%d\n" % len(name) + name)
+        yield name, None if dest is None else dest + b"/" + name
+
+
+def stream(node, write) -> int:
+    """Stream the archive whose root node node(emit) emits (see walk) into
+    write (a hashlib object's update, a file's write, a list's append,
+    ...) in blocks of at most _BLOCK bytes; returns the archive's length."""
     sink = _Blocks(write)
     sink(MAGIC)
-    _walk(src, dest, sink)
+    node(sink)
     sink.flush()
     return sink.total
 
 
+def hashed(node) -> tuple[ContentHash, int]:
+    """The hash and length of the archive streamed by stream(node, ...)."""
+    sha = hashlib.sha256()
+    size = stream(node, sha.update)
+    return ContentHash(sha.hexdigest()), size
+
+
 def dump(path: os.PathLike, write) -> int:
-    """Stream the archive of the tree at path into write (a hashlib
-    object's update, a file's write, a list's append, ...) in blocks of
-    at most _BLOCK bytes; returns the archive's length."""
-    return _stream(os.fsencode(path), None, write)
+    """Stream the archive of the tree at path into write (see stream)."""
+    return stream(lambda emit: walk(os.fsencode(path), None, emit), write)
 
 
 def copy(src: os.PathLike, dest: os.PathLike) -> tuple[ContentHash, int]:
     """Copy the tree at src to dest (whose parent must exist), entry by
     entry with canonical mode bits.  Returns the hash and length of the
     archive of the bytes copied, which are the bytes of the copy."""
-    sha = hashlib.sha256()
-    size = _stream(os.fsencode(src), os.fsencode(dest), sha.update)
-    return ContentHash(sha.hexdigest()), size
+    return hashed(lambda emit: walk(os.fsencode(src), os.fsencode(dest), emit))
 
 
 def hash_path(path: os.PathLike) -> ContentHash:
-    sha = hashlib.sha256()
-    dump(path, sha.update)
-    return ContentHash(sha.hexdigest())
+    return hashed(lambda emit: walk(os.fsencode(path), None, emit))[0]
 
 
-def serialize_path(path: os.PathLike) -> bytes:
-    """The whole archive of a filesystem tree, for tests and small trees."""
-    out = []
-    dump(path, out.append)
-    return b"".join(out)
-
-
-def dump_to_tmp(path: os.PathLike, directory: os.PathLike
+def dump_to_tmp(path: os.PathLike, tmp_dir: os.PathLike,
+                copy_to: os.PathLike | None = None
                 ) -> tuple[str, ContentHash, int]:
     """Write the archive of the tree at path to a new hidden file in
-    directory, hashing it on the way.  Returns the file's path, the hash
-    and the length; the caller renames the file into place or removes it."""
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".", suffix=".tmp")
+    tmp_dir, hashing it on the way, and copy the tree to copy_to when
+    given, in the same pass.  Returns the file's path, the hash and the
+    length; the caller renames the file into place or removes it."""
+    dest = None if copy_to is None else os.fsencode(copy_to)
+    fd, tmp = tempfile.mkstemp(dir=tmp_dir, prefix=".", suffix=".tmp")
     sha = hashlib.sha256()
     try:
         os.fchmod(fd, 0o644)
-        with open(fd, "wb") as f:
-            def write(block):
-                f.write(block)
-                sha.update(block)
-            size = dump(path, write)
+
+        def write(block):
+            _write(fd, block)
+            sha.update(block)
+        size = stream(lambda emit: walk(os.fsencode(path), dest, emit), write)
     except BaseException:
         os.unlink(tmp)
         raise
+    finally:
+        os.close(fd)
     return tmp, ContentHash(sha.hexdigest()), size
 
 
@@ -337,13 +320,13 @@ class _Source:
         self.pos = nl + 1
         return int(raw)
 
-    def copy(self, n: int, out):
-        """Write the next n bytes to the binary file out."""
+    def copy(self, n: int, fd: int):
+        """Write the next n bytes to the file descriptor fd."""
         while n:
             if self.pos == len(self.buf):
                 self._pull()
             k = min(n, len(self.buf) - self.pos)
-            out.write(memoryview(self.buf)[self.pos:self.pos + k])
+            _write(fd, memoryview(self.buf)[self.pos:self.pos + k])
             self.pos += k
             n -= k
 
@@ -384,32 +367,17 @@ def _target(s: _Source) -> bytes:
     return target
 
 
-def _parse_node(s: _Source):
-    tag = s.take(2)
-    if tag in (b"f\n", b"x\n"):
-        return File(s.take(s.number()), executable=tag == b"x\n")
-    if tag == b"l\n":
-        return Symlink(_target(s).decode())
-    if tag == b"d\n":
-        return Dir({name.decode(): _parse_node(s) for name in _names(s)})
-    raise ParseError(f"unknown node tag {tag!r}", position=s.position)
-
-
-def parse(data: bytes) -> Node:
-    """Parse CARC bytes back into the in-memory tree model."""
-    s = _Source([data])
-    _open(s)
-    node = _parse_node(s)
-    s.finish()
-    return node
-
-
 def _restore_node(s: _Source, path: bytes):
     tag = s.take(2)
     if tag in (b"f\n", b"x\n"):
         size = s.number()
-        with _create(path, tag == b"x\n") as out:
-            s.copy(size, out)
+        mode = 0o755 if tag == b"x\n" else 0o644
+        fd = os.open(path, _CREATE, mode)
+        try:
+            os.fchmod(fd, mode)
+            s.copy(size, fd)
+        finally:
+            os.close(fd)
     elif tag == b"l\n":
         os.symlink(_target(s), path)
     elif tag == b"d\n":
@@ -433,8 +401,3 @@ def restore(chunks, dest: os.PathLike) -> tuple[ContentHash, int]:
     _open(s)
     _restore_node(s, os.fsencode(dest))
     return s.finish()
-
-
-def write_tree(node, dest: os.PathLike):
-    """Materialize an in-memory tree at dest (which must not exist)."""
-    restore([serialize_tree(node)], dest)

@@ -286,8 +286,9 @@ def cmd_seed(ctx: Context, args) -> int:
 
 
 def cmd_verify(ctx: Context, args) -> int:
-    """Re-hash every recorded item; one line per item that is missing or
-    does not match its record."""
+    """Re-hash every recorded item and load every derivation; one line per
+    item that is missing or does not match its record, and per derivation
+    that does not hash to its name or does not parse."""
     store = ctx.store
     bad = 0
     for rec in store.list_records():
@@ -298,6 +299,12 @@ def cmd_verify(ctx: Context, args) -> int:
             print(f"mismatch {rec.path.component}: recorded {report.expected}, "
                   f"actual {report.actual}")
         bad += not report.ok
+    for drv_hash in store.list_derivations():
+        try:
+            load_derivation(store, drv_hash)
+        except MicrofoldError as e:
+            print(f"bad {e}")
+            bad += 1
     return EXIT_VERIFY if bad else EXIT_OK
 
 

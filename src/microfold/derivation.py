@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import sexpr
-from .errors import DanglingReference, InvariantViolation, ParseError
+from .errors import (DanglingReference, InvariantViolation, ParseError,
+                     StoreCorruption)
 from .hashing import ContentHash
 from .store import LABEL_RE, StorePath
 
@@ -255,7 +256,8 @@ def load_derivation(store, drv_hash: ContentHash) -> Derivation:
     """The derivation registered in the store under drv_hash.
 
     Derivation files are named by their hash and never change, so each is
-    parsed once per Store; every caller gets the same object.
+    checked against its name and parsed once per Store; every caller gets
+    the same object.
     """
     drv = store.derivations.get(drv_hash.hex)
     if drv is None:
@@ -263,6 +265,9 @@ def load_derivation(store, drv_hash: ContentHash) -> Derivation:
         if data is None:
             raise DanglingReference(
                 f"derivation {drv_hash} not registered in store")
+        actual = ContentHash.of_bytes(data)
+        if actual != drv_hash:
+            raise StoreCorruption(f"derivation {drv_hash}: bytes hash to {actual}")
         drv = parse_derivation(data.decode("utf-8", "surrogateescape"))
         store.derivations[drv_hash.hex] = drv
     return drv

@@ -23,7 +23,8 @@ from . import carc
 from .builder import BuildOptions, Builder
 from .derivation import derivation_hash
 from .errors import ProfileCollision, UnknownGeneration
-from .store import Store, StorePath, locked
+from .hashing import ContentHash
+from .store import Store, StorePath, locked, write_atomic
 
 
 @dataclass
@@ -36,7 +37,7 @@ class Generation:
     created_at: str = ""  # display only, excluded from all hashes
 
 
-def _same(a: str, b: str) -> bool:
+def _same(a: bytes, b: bytes) -> bool:
     """Two non-directory entries merge silently when they are the same
     file (exec bit, then size, then bytes) or the same symlink."""
     sa, sb = os.lstat(a), os.lstat(b)
@@ -48,49 +49,55 @@ def _same(a: str, b: str) -> bool:
     return False
 
 
-def _is_dir(path: str) -> bool:
+def _is_dir(path) -> bool:
     return stat.S_ISDIR(os.lstat(path).st_mode)
 
 
-def _owner(providers: dict, rel: str) -> str:
-    """The provider of the entry at rel: recorded for rel or, for an entry
-    that came in with a directory, for that directory."""
-    parts = rel.split("/")
-    for i in range(len(parts), 0, -1):
-        owner = providers.get("/".join(parts[:i]))
-        if owner is not None:
-            return owner
-    return "?"
+def _add_entries(children: dict, tree: bytes, provider: str):
+    for name in os.listdir(tree):
+        children.setdefault(name, []).append((tree + b"/" + name, provider))
 
 
-def _merge(src: str, dest: str, rel: str, provider: str, providers: dict):
-    if not os.path.lexists(dest):
-        carc.copy(src, dest)
-        providers[rel] = provider
-    elif _is_dir(dest) and _is_dir(src):
-        for name in sorted(os.listdir(src)):
-            _merge(os.path.join(src, name), os.path.join(dest, name),
-                   f"{rel}/{name}", provider, providers)
-    elif not _same(dest, src):
-        raise ProfileCollision(rel, _owner(providers, rel), provider)
+def _merge_dir(children: dict, dest: bytes, rel: str, emit):
+    for name, sub in carc.directory(sorted(children), dest, emit):
+        _merge(children[name], sub, rel + os.fsdecode(name), emit)
 
 
-def union_tree(outputs, dest):
-    """Materialize at dest the union of output trees read from disk;
-    outputs is a list of (StorePath, tree path) pairs.  Identical files
-    and symlinks collapse; any other clash raises ProfileCollision.  A
-    non-directory output occupies an entry named after its label."""
-    os.mkdir(dest)
-    os.chmod(dest, 0o755)
-    providers = {}
+def _merge(entries: list, dest: bytes, rel: str, emit):
+    """Emit, and create at dest, the union of entries, the (path, provider)
+    pairs at rel in member order.  The first provider owns the entry; a
+    later one may only add to its directory or repeat its file."""
+    first, owner = entries[0]
+    if len(entries) > 1 and _is_dir(first):
+        children = {}
+        for path, provider in entries:
+            if not _is_dir(path):
+                raise ProfileCollision(rel, owner, provider)
+            _add_entries(children, path, provider)
+        _merge_dir(children, dest, rel + "/", emit)
+        return
+    for path, provider in entries[1:]:
+        if not _same(first, path):
+            raise ProfileCollision(rel, owner, provider)
+    carc.walk(first, dest, emit)
+
+
+def union_tree(outputs, dest) -> ContentHash:
+    """Materialize at dest the union of output trees read from disk, and
+    return its CARC hash, streamed in the same pass; outputs is a list of
+    (StorePath, tree path) pairs.  Identical files and symlinks collapse;
+    any other clash raises ProfileCollision.  A non-directory output
+    occupies an entry named after its label."""
+    top = {}
     for sp, tree in outputs:
-        tree = os.fspath(tree)
+        tree = os.fsencode(tree)
         if _is_dir(tree):
-            entries = [(os.path.join(tree, n), n) for n in sorted(os.listdir(tree))]
+            _add_entries(top, tree, sp.component)
         else:
-            entries = [(tree, sp.label)]
-        for src, name in entries:
-            _merge(src, os.path.join(dest, name), name, sp.component, providers)
+            top.setdefault(sp.label.encode(), []).append((tree, sp.component))
+    union_hash, _ = carc.hashed(
+        lambda emit: _merge_dir(top, os.fsencode(dest), "", emit))
+    return union_hash
 
 
 class Profile:
@@ -121,7 +128,7 @@ class Profile:
         with locked(self.root / "lock"):
             if number not in self.generation_numbers():
                 raise UnknownGeneration(str(number))
-            (self.root / "current").write_text(str(number) + "\n")
+            write_atomic(self.root / "current", b"%d\n" % number)
             return number
 
 
@@ -130,8 +137,9 @@ def build_profile(derivations, store: Store, profile: Profile, *,
                   pin_text: str = "", manifest_text: str = "") -> Generation:
     """Build every derivation, materialize the union, append a generation.
 
-    The union is written once, into the new generation; it is copied into
-    the store only when the store does not have it yet.
+    The union is written once, into the new generation, and hashed in the
+    same pass; it is copied into the store only when the store does not
+    have it yet.
     """
     builder = Builder(store, archive=archive, options=options)
     hashes = []
@@ -152,8 +160,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
         tmp.mkdir(parents=True)
         try:
             tree = tmp / "tree"
-            union_tree([(sp, sp.path) for sp in member_paths], tree)
-            union_hash = carc.hash_path(tree)
+            union_hash = union_tree([(sp, sp.path) for sp in member_paths], tree)
             union_path = StorePath(store.root, union_hash.prefix, "profile")
             rec = store.get_record(union_path)
             if rec is None or rec.output_hash != union_hash:
@@ -171,7 +178,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
             shutil.rmtree(tmp, ignore_errors=True)
             raise
         os.rename(tmp, gen_dir)
-        (profile.root / "current").write_text(str(number) + "\n")
+        write_atomic(profile.root / "current", b"%d\n" % number)
 
     return Generation(number=number, profile_tree=union_path,
                       pin_text=pin_text, manifest_text=manifest_text,

@@ -51,6 +51,7 @@ from .hashing import ContentHash, PREFIX_LEN
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9._+-]+$")
 _COMPONENT_RE = re.compile(r"^[0-9a-f]{32}-[A-Za-z0-9._+-]+$")
+_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
 
 
 def check_label(label: str):
@@ -195,8 +196,12 @@ def _referrers_first(refs: dict) -> list:
 
 
 class Store:
-    def __init__(self, root):
+    def __init__(self, root, base: "Store | None" = None):
+        """A store at root.  A store with a base (a scratch store for
+        rebuilds) also sees the base's seed and fixed items and derivations
+        in place, never its derived items, and never writes to it."""
         self.root = Path(root)
+        self.base = base
         for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Memos over write-once data (see the module docstring).
@@ -266,6 +271,10 @@ class Store:
         rec = self._records.get(component)
         if rec is None:
             rec = self._read_record(component)
+            if rec is None and self.base is not None:
+                rec = self.base.get_record(component)
+                if rec is not None and rec.kind == "derived":
+                    rec = None
             if rec is not None:
                 self._records[component] = rec
         return rec
@@ -279,20 +288,34 @@ class Store:
         seeds that this Store inserts afterwards are added as they land."""
         with self._seeds_lock:
             if self._seeds is None:
-                self._seeds = {r.path.component: r for r in self.list_records()
+                records = self.list_records()
+                if self.base is not None:
+                    records = self.base.seeds() + records
+                self._seeds = {r.path.component: r for r in records
                                if r.kind == "seed"}
             return [self._seeds[c] for c in sorted(self._seeds)]
 
     # -- derivations ------------------------------------------------------
 
+    def _drv_path(self, drv_hash: ContentHash) -> Path:
+        return self.root / "db" / "drvs" / drv_hash.hex
+
     def put_derivation(self, drv_hash: ContentHash, data: bytes):
-        path = self.root / "db" / "drvs" / drv_hash.hex
+        path = self._drv_path(drv_hash)
         if not path.exists():
-            path.write_bytes(data)
+            write_atomic(path, data)
 
     def get_derivation_bytes(self, drv_hash: ContentHash) -> bytes | None:
-        path = self.root / "db" / "drvs" / drv_hash.hex
+        """The derivation's bytes, from this store or else from its base."""
+        path = self._drv_path(drv_hash)
+        if self.base is not None and not path.exists():
+            path = self.base._drv_path(drv_hash)
         return path.read_bytes() if path.exists() else None
+
+    def list_derivations(self) -> list:
+        """The hashes that name this store's derivation files."""
+        return [ContentHash(n) for n in sorted(os.listdir(self.root / "db" / "drvs"))
+                if _HEX64_RE.match(n)]
 
     # -- item insertion ---------------------------------------------------
 

@@ -202,7 +202,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
     fresh rebuild in a scratch store.  Unreachable providers simply do not
     contribute a value.
     """
-    from .builder import build, _clone_trust_roots
+    from .builder import build
 
     entries = {}
     for path in paths:
@@ -219,8 +219,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
         if rebuild and derivations and path.component in derivations:
             scratch_root = tempfile.mkdtemp(prefix="microfold-challenge-")
             try:
-                scratch = Store(scratch_root)
-                _clone_trust_roots(store, scratch)
+                scratch = Store(scratch_root, base=store)
                 built = build(derivations[path.component], scratch,
                               archive=archive)
                 values.append(("rebuild",

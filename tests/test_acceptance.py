@@ -9,6 +9,7 @@ import time
 
 import pytest
 
+import carc_model
 from microfold import carc
 from microfold import derivation as d
 from microfold.archive import Archive
@@ -185,7 +186,7 @@ def test_5_archive_survives_upstream_deletion(tmp_path, toolchain):
     upstream = tmp_path / "mirror" / "libc.h"
     upstream.parent.mkdir()
     upstream.write_bytes(b"int open(const char *path);\n")
-    source_hash = ContentHash.of_bytes(carc.serialize_path(upstream))
+    source_hash = ContentHash.of_bytes(carc_model.serialize_path(upstream))
     packages = {p.key: p for p in fixture_packages(
         libc_source_url=f"file://{upstream}", libc_source_hash=source_hash)}
     archive = Archive(tmp_path / "archive")

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+import carc_model
 from microfold import carc
 from microfold.archive import Archive, fetch_source
 from microfold.derivation import SourceRef
@@ -25,9 +26,9 @@ def test_ingest_tree_and_path(archive, tmp_path):
     (src / "sub").mkdir(parents=True)
     (src / "sub/f").write_bytes(b"data")
     h_path = archive.ingest(src)
-    h_tree = archive.ingest(carc.load_tree(src))
+    h_tree = archive.ingest(carc_model.load_tree(src))
     assert h_path == h_tree
-    assert archive.lookup(h_path) == carc.serialize_path(src)
+    assert archive.lookup(h_path) == carc_model.serialize_path(src)
 
 
 def test_origins_accumulate_sorted(archive):
@@ -44,7 +45,7 @@ def test_lookup_missing(archive):
 def _file_source(tmp_path, data=b"source bytes\n"):
     upstream = tmp_path / "upstream.txt"
     upstream.write_bytes(data)
-    h = ContentHash.of_bytes(carc.serialize_path(upstream))
+    h = ContentHash.of_bytes(carc_model.serialize_path(upstream))
     return upstream, SourceRef(f"file://{upstream}", h, "src")
 
 
@@ -115,7 +116,7 @@ def test_fetch_tree_source(tmp_path, store, archive):
     src = tmp_path / "srctree"
     (src / "include").mkdir(parents=True)
     (src / "include/api.h").write_bytes(b"#pragma once\n")
-    h = ContentHash.of_bytes(carc.serialize_path(src))
+    h = ContentHash.of_bytes(carc_model.serialize_path(src))
     ref = SourceRef(f"file://{src}", h, "tree-src")
     path = fetch_source(ref, store, archive)
     assert (path.path / "include/api.h").read_bytes() == b"#pragma once\n"
@@ -173,3 +174,39 @@ def test_fetch_refuses_unreadable_archive(tmp_path, store, archive):
     assert any("unreadable archive" in leg for leg in exc.value.legs)
     assert os.listdir(store.root / "items") == []
     assert os.listdir(store.root / "tmp") == []
+
+
+def test_fetch_returns_the_item_the_store_has(tmp_path, store, archive):
+    upstream, ref = _file_source(tmp_path)
+    path = fetch_source(ref, store, archive)
+    upstream.unlink()
+    (archive.root / "carc" / ref.expected_hash.hex).unlink()
+    assert fetch_source(ref, store, archive, archive_fallback=False) == path
+    # An archive that lacks the source gets it from the store item.
+    empty = Archive(tmp_path / "empty-archive")
+    assert fetch_source(ref, store, empty) == path
+    assert empty.lookup(ref.expected_hash) == carc_model.serialize_path(path.path)
+    assert empty.origins(ref.expected_hash) == [ref.url]
+
+
+def test_fetch_ingests_a_file_source_in_the_copy_pass(tmp_path, store, archive,
+                                                     monkeypatch):
+    src = tmp_path / "srctree"
+    (src / "include").mkdir(parents=True)
+    (src / "include/api.h").write_bytes(b"#pragma once\n")
+    h = ContentHash.of_bytes(carc_model.serialize_path(src))
+    ref = SourceRef(f"file://{src}", h, "tree-src")
+    monkeypatch.setattr(Archive, "ingest", lambda *a, **k: pytest.fail("dumped again"))
+    path = fetch_source(ref, store, archive)
+    assert archive.lookup(h) == carc_model.serialize_path(path.path)
+    assert archive.origins(h) == [ref.url]
+    assert os.listdir(archive.root / "carc") == [h.hex]
+
+
+def test_fetch_mismatch_leaves_no_archive_tmp_file(tmp_path, store, archive):
+    upstream, ref = _file_source(tmp_path)
+    upstream.write_bytes(b"tampered\n")
+    with pytest.raises(SourceUnavailable):
+        fetch_source(ref, store, archive)
+    assert os.listdir(archive.root / "carc") == []
+    assert os.listdir(archive.root / "origins") == []

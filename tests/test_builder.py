@@ -4,9 +4,11 @@ import stat
 import sys
 import threading
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import carc_model
 from microfold import carc
 from microfold import derivation as d
 from microfold.archive import Archive
@@ -14,8 +16,9 @@ from microfold.bootstrap import register_seed
 from microfold.builder import BuildOptions, Builder, build, check_rebuild
 from microfold.channel import PackageDef
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
-                                  derivation_hash)
+                                  derivation_hash, load_derivation)
 from microfold.errors import EscapedClosure, StepFailure
+from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator
 from microfold.store import Store
 
@@ -160,6 +163,88 @@ def test_check_rebuild_deterministic(store, toolchain):
         f"{derivation_hash(hello_drv()).prefix}-hello-1.0") is None
 
 
+def _snapshot(root: Path) -> dict:
+    """Every entry under root: file bytes and mode, symlink targets, dirs."""
+    out = {}
+    for path in sorted(root.rglob("*")):
+        st = path.lstat()
+        if path.is_symlink():
+            out[path] = ("link", os.readlink(path))
+        elif path.is_file():
+            out[path] = ("file", st.st_mode, path.read_bytes())
+        else:
+            out[path] = ("dir", st.st_mode)
+    return out
+
+
+@pytest.fixture
+def built_alpha(tmp_path, store, archive, toolchain):
+    """app-alpha built in the main store, with libc from a file:// source
+    that is then deleted, upstream and in the archive."""
+    upstream = tmp_path / "libc-src.c"
+    upstream.write_bytes(b"int open(const char *path);\n")
+    h = ContentHash.of_bytes(carc_model.serialize_path(upstream))
+    pkgs = {p.key: p for p in fixture_packages(libc_source_url=f"file://{upstream}",
+                                               libc_source_hash=h)}
+    drv = Instantiator(pkgs, store=store, archive=archive).instantiate(
+        pkgs["app-alpha@1.0"])
+    build(drv, store, archive=archive)
+    upstream.unlink()
+    (archive.root / "carc" / h.hex).unlink()
+    return drv
+
+
+def test_check_rebuild_reads_the_main_store_in_place(store, archive, built_alpha,
+                                                    monkeypatch):
+    before = _snapshot(store.root)
+    runs = Counter()
+    real_run = Builder._run
+
+    def counting_run(self, drv, *args):
+        assert self.store.root != store.root
+        runs[drv.label] += 1
+        return real_run(self, drv, *args)
+    monkeypatch.setattr(Builder, "_run", counting_run)
+    report = check_rebuild(built_alpha, store, rounds=2, archive=archive)
+    assert report.deterministic
+    assert report.distinct_hashes == [store.get_record(
+        f"{derivation_hash(built_alpha).prefix}-app-alpha-1.0").output_hash.hex]
+    # Every derived item is rebuilt in each round, though the main store
+    # has it; the seed and the source, gone upstream, are read in place.
+    assert runs == {label: 2 for label in
+                    ("libc-1.0", "libmath-1.0", "libio-1.0", "app-alpha-1.0")}
+    assert _snapshot(store.root) == before
+
+
+def test_scratch_store_falls_back_to_base_for_seeds_and_sources_only(
+        tmp_path, store, built_alpha, toolchain):
+    scratch = Store(tmp_path / "scratch", base=store)
+    kinds = {r.kind for r in store.list_records()}
+    assert kinds == {"seed", "fixed", "derived"}
+    for rec in store.list_records():
+        seen = scratch.get_record(rec.path)
+        if rec.kind == "derived":
+            assert seen is None
+        else:
+            assert seen.path.path == rec.path.path
+    assert [r.path for r in scratch.seeds()] == [toolchain.path]
+    assert scratch.list_records() == []
+    drv_hash = derivation_hash(built_alpha)
+    assert derivation_hash(load_derivation(scratch, drv_hash)) == drv_hash
+
+
+def test_check_rebuild_reports_nondeterminism_of_a_built_item(store):
+    tool = carc.Dir({"bin": carc.Dir({"rand": carc.File(RANDOM_TOOL,
+                                                        executable=True)})})
+    seed = register_seed(store, tool, "rng-1.0")
+    drv = Derivation(name="flaky", version="1",
+                     steps=[d.exec_(f"{seed.path.component}/bin/rand",
+                                    "@out@/value.txt")])
+    build(drv, store)
+    report = check_rebuild(drv, store, rounds=2)
+    assert not report.deterministic
+
+
 def test_check_rebuild_detects_nondeterminism(store):
     tool = carc.Dir({"bin": carc.Dir({"rand": carc.File(RANDOM_TOOL,
                                                         executable=True)})})
@@ -299,7 +384,7 @@ def test_built_output_has_canonical_modes(store):
     assert modes == {path.path.name: 0o755, "d": 0o755, "plain": 0o644,
                      "tool": 0o755, "w": 0o755}
     restored = store.root / "restored"
-    carc.restore([carc.serialize_path(path.path)], restored)
+    carc.restore([carc_model.serialize_path(path.path)], restored)
     assert {p.name: stat.S_IMODE(p.lstat().st_mode)
             for p in restored.rglob("*")} == {
         n: m for n, m in modes.items() if n != path.path.name}

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carc_model
 from microfold import carc
 from microfold.errors import InvalidName, ParseError, UnsupportedNode
 from microfold.hashing import ContentHash
@@ -55,19 +56,19 @@ def test_golden_vectors(name):
     got = carc.serialize_tree(TREES[name])
     assert got == expected_bytes
     assert hashlib.sha256(got).hexdigest() == expected_hash
-    assert carc.hash_tree(TREES[name]).hex == expected_hash
+    assert carc_model.hash_tree(TREES[name]).hex == expected_hash
 
 
 def test_golden_vectors_from_disk(tmp_path):
     for name, tree in TREES.items():
         dest = tmp_path / name
-        carc.write_tree(tree, dest)
-        assert carc.serialize_path(dest) == GOLDEN[name][0], name
+        carc_model.write_tree(tree, dest)
+        assert carc_model.serialize_path(dest) == GOLDEN[name][0], name
 
 
 def test_round_trip_parse():
     for name, (data, _) in GOLDEN.items():
-        assert carc.serialize_tree(carc.parse(data)) == data
+        assert carc.serialize_tree(carc_model.parse(data)) == data
 
 
 def test_rejects_bad_entry_names():
@@ -83,17 +84,17 @@ def test_rejects_special_files(tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     with pytest.raises(UnsupportedNode):
-        carc.serialize_path(tmp_path)
+        carc_model.serialize_path(tmp_path)
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ParseError):
-        carc.parse(b"nope")
+        carc_model.parse(b"nope")
     with pytest.raises(ParseError):
-        carc.parse(GOLDEN["empty_dir"][0] + b"extra")
+        carc_model.parse(GOLDEN["empty_dir"][0] + b"extra")
     # entries must be sorted
     with pytest.raises(ParseError):
-        carc.parse(b"carc1\nd\n2\n1\nbf\n0\n1\naf\n0\n")
+        carc_model.parse(b"carc1\nd\n2\n1\nbf\n0\n1\naf\n0\n")
 
 
 # -- property: only content, names, exec bits, targets matter -------------
@@ -124,7 +125,7 @@ def materialize_shuffled(tree, dest, rng):
             materialize_shuffled(tree.entries[name], dest / name, rng)
         os.utime(dest, (rng.randrange(10**9), rng.randrange(10**9)))
     else:
-        carc.write_tree(tree, dest)
+        carc_model.write_tree(tree, dest)
         if not isinstance(tree, carc.Symlink):
             os.utime(dest, (rng.randrange(10**9), rng.randrange(10**9)))
 
@@ -141,7 +142,7 @@ def test_ignored_attributes_never_change_hash(tmp_path):
     rng = random.Random(1234)
     for i in range(250):
         tree = random_tree(rng)
-        base = carc.hash_tree(tree)
+        base = carc_model.hash_tree(tree)
         d1 = tmp_path / f"t{i}a"
         d2 = tmp_path / f"t{i}b"
         materialize_shuffled(tree, d1, rng)
@@ -156,14 +157,14 @@ def test_significant_attributes_always_change_hash():
     while checked < 1000:
         tree = random_tree(rng)
         files = list(all_files(tree))
-        base = carc.hash_tree(tree)
+        base = carc_model.hash_tree(tree)
 
         # content mutation
         if files:
             path, f = rng.choice(files)
             old = f.data
             f.data = old + b"!"
-            assert carc.hash_tree(tree) != base
+            assert carc_model.hash_tree(tree) != base
             f.data = old
             checked += 1
 
@@ -171,7 +172,7 @@ def test_significant_attributes_always_change_hash():
         if files:
             path, f = rng.choice(files)
             f.executable = not f.executable
-            assert carc.hash_tree(tree) != base
+            assert carc_model.hash_tree(tree) != base
             f.executable = not f.executable
             checked += 1
 
@@ -181,7 +182,7 @@ def test_significant_attributes_always_change_hash():
             fresh = "zz-" + name
             if fresh not in tree.entries:
                 tree.entries[fresh] = tree.entries.pop(name)
-                assert carc.hash_tree(tree) != base
+                assert carc_model.hash_tree(tree) != base
                 tree.entries[name] = tree.entries.pop(fresh)
                 checked += 1
 
@@ -226,17 +227,17 @@ def test_dump_matches_in_memory_model_and_round_trips(tree, modes):
         chunks = []
         size = carc.dump(src, chunks.append)
         archive = b"".join(chunks)
-        assert archive == carc.serialize_tree(carc.load_tree(src))
+        assert archive == carc.serialize_tree(carc_model.load_tree(src))
         assert archive == carc.serialize_tree(tree)
         assert size == len(archive)
 
         restored = Path(tmp) / "restored"
         digest = carc.restore(chunks, restored)
         assert digest == (ContentHash.of_bytes(archive), len(archive))
-        assert carc.serialize_path(restored) == archive
+        assert carc_model.serialize_path(restored) == archive
         copied = Path(tmp) / "copied"
         assert carc.copy(src, copied) == digest
-        assert carc.serialize_path(copied) == archive
+        assert carc_model.serialize_path(copied) == archive
         assert _modes(restored) == _modes(copied)
 
 
@@ -290,7 +291,7 @@ def test_restore_rejects_malformed(tmp_path, name, chunk):
     with pytest.raises(ParseError):
         carc.restore(chunks, tmp_path / "dest")
     with pytest.raises(ParseError):
-        carc.parse(data)
+        carc_model.parse(data)
 
 
 def test_restore_streams_from_small_chunks(tmp_path):
@@ -298,7 +299,7 @@ def test_restore_streams_from_small_chunks(tmp_path):
         chunks = [data[i:i + 2] for i in range(0, len(data), 2)]
         got = carc.restore(chunks, tmp_path / name)
         assert got == (ContentHash(digest), len(data))
-        assert carc.serialize_path(tmp_path / name) == data
+        assert carc_model.serialize_path(tmp_path / name) == data
 
 
 def test_hash_path_memory_does_not_grow_with_file_size(tmp_path):

@@ -290,3 +290,18 @@ def test_verify_reports_changed_and_missing_items(env, capsys):
     assert run_command(["--store", str(env["store"]), "verify"]) == 2
     assert sorted(capsys.readouterr().out.splitlines()) == sorted(
         [lines[0], f"missing {seed.name}"])
+
+
+def test_verify_reports_a_derivation_edited_in_place(env, capsys):
+    assert run_command(["build", "python"]) == 0
+    capsys.readouterr()
+    drvs = sorted((env["store"] / "db" / "drvs").iterdir())
+    assert drvs
+    victim = drvs[0]
+    data = bytearray(victim.read_bytes())
+    at = data.index(b"(name ") + len(b'(name "')
+    data[at] ^= 2  # still parses, under a name it no longer hashes to
+    victim.write_bytes(bytes(data))
+    assert run_command(["verify"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and victim.name in lines[0]

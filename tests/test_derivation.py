@@ -1,13 +1,17 @@
 import hashlib
+import os
+from pathlib import Path
 
 import pytest
 
 from microfold import derivation as drv
 from microfold.derivation import (Derivation, InputRef, SourceRef,
                                   canonical_serialize, derivation_hash,
-                                  parse_derivation, store_path_for)
-from microfold.errors import InvariantViolation
+                                  load_derivation, parse_derivation,
+                                  store_path_for)
+from microfold.errors import InvariantViolation, StoreCorruption
 from microfold.hashing import ContentHash
+from microfold.store import Store
 
 # Frozen fixture: serialization written against the grammar by hand and
 # hashed with plain hashlib before the serializer existed.
@@ -139,3 +143,41 @@ def test_avalanche_over_five_node_graph():
         got = build_graph(edit=edited)
         changed = {n for n in base if got[n] != base[n]}
         assert changed == ancestors[edited], edited
+
+
+def _flip_one_byte(store, drv_hash):
+    """Turn the derivation's "hello" into "jello" on disk: a one-byte edit
+    that still parses, under the old name."""
+    path = store.root / "db" / "drvs" / drv_hash.hex
+    data = path.read_bytes()
+    at = data.index(b'"hello"') + 1
+    path.write_bytes(data[:at] + bytes([data[at] ^ 2]) + data[at + 1:])
+
+
+def test_load_derivation_refuses_bytes_that_do_not_hash_to_the_name(tmp_path):
+    store = Store(tmp_path / "store")
+    h = derivation_hash(hello_drv())
+    store.put_derivation(h, canonical_serialize(hello_drv()))
+    _flip_one_byte(store, h)
+    with pytest.raises(StoreCorruption):
+        load_derivation(Store(tmp_path / "store"), h)
+
+
+def test_put_derivation_leaves_no_torn_file(tmp_path, monkeypatch):
+    store = Store(tmp_path / "store")
+    data = canonical_serialize(hello_drv())
+    h = derivation_hash(hello_drv())
+    real = Path.write_bytes
+
+    def crash_part_way(self, payload):
+        with self.open("wb") as f:
+            f.write(payload[:len(payload) // 2])
+        raise OSError("crashed mid-write")
+    monkeypatch.setattr(Path, "write_bytes", crash_part_way)
+    with pytest.raises(OSError):
+        store.put_derivation(h, data)
+    monkeypatch.setattr(Path, "write_bytes", real)
+    assert os.listdir(store.root / "db" / "drvs") == []
+    assert store.get_derivation_bytes(h) is None
+    store.put_derivation(h, data)
+    assert load_derivation(Store(store.root), h) == hello_drv()

@@ -1,5 +1,11 @@
-import pytest
+import copy
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import carc_model
 from microfold import carc
 from microfold import derivation as d
 from microfold.derivation import Derivation
@@ -23,10 +29,10 @@ def _union(tmp_path, outputs):
     read back."""
     members = []
     for i, (sp, node) in enumerate(outputs):
-        carc.write_tree(node, tmp_path / f"member{i}")
+        carc_model.write_tree(node, tmp_path / f"member{i}")
         members.append((sp, tmp_path / f"member{i}"))
     union_tree(members, tmp_path / "union")
-    return carc.load_tree(tmp_path / "union")
+    return carc_model.load_tree(tmp_path / "union")
 
 
 def test_union_disjoint_trees(tmp_path):
@@ -66,6 +72,98 @@ def test_union_exec_bit_difference_is_a_conflict(tmp_path):
 def test_union_single_file_output_nested_under_label(tmp_path):
     union = _union(tmp_path, [(_sp("00" * 16 + "-blob-1.0"), carc.File(b"raw"))])
     assert union.entries["blob-1.0"].data == b"raw"
+
+
+A, B, C = (_sp(c * 32 + "-" + n) for c, n in (("0", "a"), ("1", "b"), ("2", "c")))
+
+
+@pytest.mark.parametrize("first, second", [(A, B), (B, A)])
+def test_union_file_against_directory_names_both_providers(tmp_path, first, second):
+    trees = {A: carc.Dir({"lib": carc.File(b"a file")}),
+             B: carc.Dir({"lib": carc.Dir({"x": carc.File(b"x")})})}
+    with pytest.raises(ProfileCollision) as exc:
+        _union(tmp_path, [(first, trees[first]), (second, trees[second])])
+    assert exc.value.path == "lib"
+    assert (exc.value.provider1, exc.value.provider2) == (first.component,
+                                                          second.component)
+
+
+def test_union_of_three_names_the_first_provider_of_the_entry(tmp_path):
+    a = carc.Dir({"share": carc.Dir({"doc": carc.File(b"mine")})})
+    b = carc.Dir({"share": carc.Dir({"man": carc.File(b"b")})})
+    c = carc.Dir({"share": carc.Dir({"man": carc.File(b"b"),
+                                     "doc": carc.File(b"other")})})
+    with pytest.raises(ProfileCollision) as exc:
+        _union(tmp_path, [(A, a), (B, b), (C, c)])
+    assert exc.value.path == "share/doc"
+    assert (exc.value.provider1, exc.value.provider2) == (A.component, C.component)
+    # Without the clash, all three merge and the shared file collapses.
+    del c.entries["share"].entries["doc"]
+    (tmp_path / "ok").mkdir()
+    union = _union(tmp_path / "ok", [(A, a), (B, b), (C, c)])
+    assert union == carc.Dir({"share": carc.Dir({"doc": carc.File(b"mine"),
+                                                 "man": carc.File(b"b")})})
+
+
+def test_union_dir_then_dir_then_file_names_the_file(tmp_path):
+    a = carc.Dir({"bin": carc.Dir({"a": carc.File(b"a")})})
+    b = carc.Dir({"bin": carc.Dir({"b": carc.File(b"b")})})
+    c = carc.Dir({"bin": carc.File(b"c")})
+    with pytest.raises(ProfileCollision) as exc:
+        _union(tmp_path, [(A, a), (B, b), (C, c)])
+    assert (exc.value.path, exc.value.provider1, exc.value.provider2) == (
+        "bin", A.component, C.component)
+
+
+def _model_merge(into: carc.Dir, name, node):
+    have = into.entries.get(name)
+    if have is None:
+        into.entries[name] = copy.deepcopy(node)
+    elif isinstance(have, carc.Dir) and isinstance(node, carc.Dir):
+        for child, sub in node.entries.items():
+            _model_merge(have, child, sub)
+    elif have != node:
+        raise ProfileCollision(name, "", "")
+
+
+def _model_union(members):
+    """The union computed on the in-memory model, member by member."""
+    union = carc.Dir()
+    for sp, node in members:
+        entries = node.entries if isinstance(node, carc.Dir) else {sp.label: node}
+        for name, sub in entries.items():
+            _model_merge(union, name, sub)
+    return union
+
+
+_few_names = st.sampled_from(["a", "b", "lib"])
+_leaves = (st.builds(carc.File, st.sampled_from([b"", b"x", b"yy"]), st.booleans())
+           | st.builds(carc.Symlink, st.sampled_from(["a", "../t"])))
+_member_trees = st.recursive(
+    _leaves | st.builds(carc.Dir),
+    lambda kids: st.builds(carc.Dir, st.dictionaries(_few_names, kids, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_member_trees, min_size=1, max_size=3))
+def test_union_hash_is_the_hash_of_the_written_union(trees):
+    members = [(_sp(f"{i}" * 32 + f"-m{i % 2}"), t) for i, t in enumerate(trees)]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = []
+        for i, (sp, node) in enumerate(members):
+            carc_model.write_tree(node, tmp / f"member{i}")
+            paths.append((sp, tmp / f"member{i}"))
+        try:
+            expected = _model_union(members)
+        except ProfileCollision:
+            with pytest.raises(ProfileCollision):
+                union_tree(paths, tmp / "union")
+            return
+        union_hash = union_tree(paths, tmp / "union")
+        assert union_hash == carc.hash_path(tmp / "union")
+        assert union_hash == carc_model.hash_tree(expected)
 
 
 def _drv(name, files):
@@ -119,6 +217,34 @@ def test_rollback_moves_pointer_only(store, profile):
     assert profile.generation_numbers() == [1, 2]
     # roll forward again
     assert profile.rollback(2) == 2
+
+
+def _crash_writes_to(monkeypatch, name):
+    """Make every write of a file whose name holds name truncate it and then
+    fail, as a process killed in the middle of the write would."""
+    for method in ("write_bytes", "write_text"):
+        real = getattr(Path, method)
+
+        def torn(self, data, *args, _real=real, **kwargs):
+            if name in self.name:
+                self.open("wb").close()
+                raise OSError(f"crashed writing {self.name}")
+            return _real(self, data, *args, **kwargs)
+        monkeypatch.setattr(Path, method, torn)
+
+
+def test_crash_while_writing_current_keeps_the_old_pointer(store, profile):
+    build_profile([_drv("a", {"f": b"one"})], store, profile)
+    build_profile([_drv("a", {"f": b"two"})], store, profile)
+    with pytest.MonkeyPatch.context() as mp:
+        _crash_writes_to(mp, "current")
+        with pytest.raises(OSError):
+            build_profile([_drv("a", {"f": b"three"})], store, profile)
+        with pytest.raises(OSError):
+            profile.rollback(1)
+    assert profile.current() == 2
+    assert [p.name for p in profile.root.iterdir() if "current" in p.name] == ["current"]
+    assert profile.rollback(1) == 1 and profile.current() == 1
 
 
 def test_rollback_unknown_generation(store, profile):

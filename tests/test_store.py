@@ -7,6 +7,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import carc_model
 from microfold import carc
 from microfold.errors import (DanglingReference, InvalidLabel, OutputCollision,
                               StoreCorruption)
@@ -272,7 +273,7 @@ def ref_graphs(draw):
 def test_closure_order_matches_oracle(graph):
     n, edges = graph
     contents = [b"node %d" % i for i in range(n)]
-    comps = [f"{carc.hash_tree(carc.File(c)).prefix}-n{i}"
+    comps = [f"{carc_model.hash_tree(carc.File(c)).prefix}-n{i}"
              for i, c in enumerate(contents)]
     refs = {comps[i]: {comps[b] for a, b in edges if a == i} for i in range(n)}
     with tempfile.TemporaryDirectory() as root:
@@ -305,12 +306,12 @@ def test_crashed_insert_is_recovered_on_retry(tmp_path, monkeypatch, tamper):
     with pytest.raises(OSError, match="crashed"):
         Store(root).add_fixed(tree, "item-1")
     assert crashed[0].parent == root / "db" / "items"  # the record write
-    item = StorePath(root, carc.hash_tree(tree).prefix, "item-1")
+    item = StorePath(root, carc_model.hash_tree(tree).prefix, "item-1")
     assert item.path.is_dir() and Store(root).get_record(item) is None
     if tamper:
         (item.path / "f").write_bytes(b"tampered")
     path = Store(root).add_fixed(tree, "item-1")
     assert path == item
     assert Store(root).verify_item(path).ok
-    assert carc.load_tree(path.path) == tree
+    assert carc_model.load_tree(path.path) == tree
     assert os.listdir(root / "tmp") == []

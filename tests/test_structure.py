@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     (".get_derivation_bytes(", "derivation.py"),  # the one derivation loader
     ("_write_record(", "store.py"),       # store records are written once
     ("load_tree(", "carc.py"),            # trees on disk are streamed
+    ('"drvs"', "store.py"),               # only the store knows db/drvs
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()
