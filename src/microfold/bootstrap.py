@@ -10,7 +10,7 @@ on top of it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .derivation import Derivation, derivation_hash, load_derivation
 from .errors import DanglingReference, InvalidLabel
@@ -20,8 +20,7 @@ from .store import Store, StorePath
 _COMPONENT_IN_TEXT = re.compile(r"[0-9a-f]{32}-[A-Za-z0-9._+-]+")
 
 
-@dataclass
-class SeedRecord:
+class SeedRecord(NamedTuple):
     path: StorePath
     size: int  # CARC byte length
     description: str = ""
@@ -35,13 +34,12 @@ def register_seed(store: Store, content, name: str,
     return SeedRecord(path=path, size=rec.size, description=rec.description)
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     verdict: str  # trusted | opaque
-    offending: list = field(default_factory=list)  # (component, reason)
-    seed_list: list = field(default_factory=list)  # SeedRecord
-    total_seed_bytes: int = 0
-    leaf_counts: dict = field(default_factory=dict)  # kind -> count
+    offending: list  # (component, reason)
+    seed_list: list  # SeedRecord
+    total_seed_bytes: int
+    leaf_counts: dict  # kind -> count
 
     @property
     def trusted(self):

@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import hashlib
 import shutil
-import subprocess
+import sys
 import tempfile
 import threading
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import carc
 from .archive import fetch_source
@@ -36,22 +36,28 @@ from .store import Staged, Store, StorePath
 OUT_PLACEHOLDER = "@out@"
 
 
-@dataclass
-class BuildOptions:
+def __getattr__(name):
+    """`subprocess`, imported on first use: most builds run no exec step."""
+    if name != "subprocess":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import subprocess
+    globals()["subprocess"] = subprocess
+    return subprocess
+
+
+class BuildOptions(NamedTuple):
     use_substitutes: bool = False
     archive_fallback: bool = True
-    caches: list = field(default_factory=list)
+    caches: tuple = ()  # substitute cache locations, tried in order
     workers: int = 1
 
 
-@dataclass
-class RoundResult:
+class RoundResult(NamedTuple):
     round: int
     output_hash: str
 
 
-@dataclass
-class RebuildReport:
+class RebuildReport(NamedTuple):
     rounds: list  # RoundResult per round
     deterministic: bool
 
@@ -173,8 +179,7 @@ class Builder:
                     self._step(step, roots, out, scratch, env)
                 except EscapedClosure:
                     raise
-                except (MicrofoldError, OSError,
-                        subprocess.SubprocessError) as e:
+                except (MicrofoldError, OSError) as e:
                     raise StepFailure(index, drv.label, str(e)) from e
             carc.set_modes(out)
             candidates = dict(items)
@@ -231,8 +236,14 @@ class Builder:
             argv = [str(program)]
             for a in args[1:]:
                 argv.append(a.replace(OUT_PLACEHOLDER, str(out)))
-            proc = subprocess.run(argv, cwd=scratch, env=env,
-                                  capture_output=True)
+            # Read through the module, so that a tracer which replaces
+            # `builder.subprocess` sees every exec.
+            subprocess = sys.modules[__name__].subprocess
+            try:
+                proc = subprocess.run(argv, cwd=scratch, env=env,
+                                      capture_output=True)
+            except subprocess.SubprocessError as e:
+                raise MicrofoldError(str(e)) from e
             if proc.returncode != 0:
                 raise MicrofoldError(
                     f"exec {args[0]} exited {proc.returncode}: "

@@ -31,7 +31,7 @@ import hashlib
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidName, ParseError, UnsupportedNode
 from .hashing import ContentHash
@@ -45,20 +45,24 @@ _MAX_DIGITS = 20
 
 # In-memory tree model, used by tests and for content already in memory.
 
-@dataclass
 class File:
-    data: bytes
-    executable: bool = False
+    def __init__(self, data: bytes, executable: bool = False):
+        self.data, self.executable = data, executable
+
+    def __eq__(self, other):
+        return type(other) is File and vars(self) == vars(other)
 
 
-@dataclass
-class Symlink:
+class Symlink(NamedTuple):
     target: str
 
 
-@dataclass
 class Dir:
-    entries: dict = field(default_factory=dict)  # name -> File|Symlink|Dir
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries  # name -> node
+
+    def __eq__(self, other):
+        return type(other) is Dir and self.entries == other.entries
 
 
 def _check_name(name: bytes):

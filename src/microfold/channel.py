@@ -6,13 +6,16 @@ message, and the sorted name@version -> definition-hash tree), so a single
 dependency graph.  Pin files record such ids for exact replay.
 
 Repository layout: <repo>/revisions/<id>, <repo>/objects/<hash>,
-<repo>/HEAD (64-hex), <repo>/URL (advisory origin).
+<repo>/HEAD (64-hex), <repo>/URL (advisory origin).  Every file is
+written through a tmp file and a rename, HEAD last, so a commit or pull that
+dies part way leaves HEAD at the old revision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import sexpr, transport
 from .derivation import Step, _parse_step, _qs, _step_bytes
@@ -21,17 +24,16 @@ from .errors import (BadCommit, CorruptRevision, DuplicatePackage, NoHead,
                      UnreachableRemote)
 from .hashing import ContentHash
 from .derivation import SourceRef
-from .store import locked
+from .store import locked, write_atomic
 
 
-@dataclass
 class PackageDef:
-    name: str
-    version: str
-    synopsis: str = ""
-    source: object = None  # SourceRef | bytes | None
-    deps: list = field(default_factory=list)  # "name" or "name@version"
-    steps: list = field(default_factory=list)
+    def __init__(self, name: str, version: str, synopsis: str = "",
+                 source=None, deps: list | None = None, steps: list | None = None):
+        self.name, self.version, self.synopsis = name, version, synopsis
+        self.source = source  # SourceRef | bytes | None
+        self.deps = [] if deps is None else deps  # "name" or "name@version"
+        self.steps = [] if steps is None else steps
 
     @property
     def key(self) -> str:
@@ -93,8 +95,7 @@ def parse_package(data: bytes) -> PackageDef:
     )
 
 
-@dataclass
-class ChannelRevision:
+class ChannelRevision(NamedTuple):
     id: ContentHash
     parent: ContentHash | None
     tree: dict  # name@version -> ContentHash of package bytes
@@ -127,15 +128,13 @@ def parse_revision(data: bytes) -> ChannelRevision:
                            tree=tree, message=fields["message"][0])
 
 
-@dataclass(frozen=True)
-class ChannelPin:
+class ChannelPin(NamedTuple):
     name: str
     url: str
     commit: str  # 64-hex revision id
 
 
-@dataclass
-class PinFile:
+class PinFile(NamedTuple):
     pins: list  # of ChannelPin
 
 
@@ -186,7 +185,7 @@ class ChannelRepo:
         (self.root / "revisions").mkdir(parents=True, exist_ok=True)
         (self.root / "objects").mkdir(parents=True, exist_ok=True)
         if url is not None:
-            (self.root / "URL").write_text(url + "\n")
+            write_atomic(self.root / "URL", f"{url}\n".encode())
 
     @property
     def url(self) -> str:
@@ -258,11 +257,11 @@ class ChannelRepo:
             for hex_digest, blob in blobs.items():
                 obj_path = self.root / "objects" / hex_digest
                 if not obj_path.exists():
-                    obj_path.write_bytes(blob)
+                    write_atomic(obj_path, blob)
             rev_path = self.root / "revisions" / rev_id.hex
             if not rev_path.exists():
-                rev_path.write_bytes(data)
-            (self.root / "HEAD").write_text(rev_id.hex + "\n")
+                write_atomic(rev_path, data)
+            write_atomic(self.root / "HEAD", f"{rev_id.hex}\n".encode())
             return ChannelRevision(id=rev_id, parent=parent, tree=tree,
                                    message=message)
 
@@ -309,19 +308,20 @@ class ChannelRepo:
                     if ContentHash.of_bytes(blob) != obj_hash:
                         raise CorruptRevision(
                             f"remote object {obj_hash} bytes do not match hash")
-                    obj_path.write_bytes(blob)
-                (self.root / "revisions" / cur.hex).write_bytes(data)
+                    write_atomic(obj_path, blob)
+                write_atomic(self.root / "revisions" / cur.hex, data)
                 cur = rev.parent
         return remote_head
 
     def pull(self, remote) -> ContentHash:
-        """fetch, then point HEAD at the remote head and URL at the remote."""
+        """fetch, then point URL at the remote and HEAD, written last, at
+        the remote head."""
         remote_head = self.fetch(remote)
         if not transport.is_url(str(remote)):
             remote = "file://" + str(Path(remote))
         with locked(self.root / "repo.lock"):
-            (self.root / "HEAD").write_text(remote_head.hex + "\n")
-            (self.root / "URL").write_text(str(remote) + "\n")
+            write_atomic(self.root / "URL", f"{remote}\n".encode())
+            write_atomic(self.root / "HEAD", f"{remote_head.hex}\n".encode())
         return remote_head
 
     # -- pins and replay ---------------------------------------------------
@@ -359,10 +359,9 @@ class ChannelRepo:
     def describe_human(self) -> str:
         """Transcript-style description.  The date line is display only and
         never feeds any hash."""
-        import datetime
         head = self.head()
         generation = len(self.ancestry(head))
-        now = datetime.datetime.now().strftime("%d %b %Y %H:%M:%S")
+        now = time.strftime("%d %b %Y %H:%M:%S")
         return (f"Generation {generation}  {now}  (current)\n"
                 f"  microfold {head.hex[:7]}\n"
                 f"    repository URL: {self.url}\n"

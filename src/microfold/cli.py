@@ -16,7 +16,6 @@ from pathlib import Path
 
 from . import errors
 from .archive import Archive
-from .bootstrap import audit_trust, register_seed
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, parse_pin, render_pin
 from .derivation import derivation_hash, load_derivation, parse_derivation
@@ -25,7 +24,6 @@ from .hashing import ContentHash
 from .manifest import Instantiator, Manifest, Spec, parse_manifest, parse_spec, resolve_spec
 from .profile import Profile, build_profile
 from .store import Store, StorePath
-from .substitute import challenge as run_challenge
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -105,7 +103,7 @@ class Context:
 
 
 def _build_options(args) -> BuildOptions:
-    caches = list(getattr(args, "substitute_url", None) or [])
+    caches = tuple(getattr(args, "substitute_url", None) or ())
     return BuildOptions(
         use_substitutes=bool(caches),
         caches=caches,
@@ -201,6 +199,7 @@ def cmd_time_machine(ctx: Context, args) -> int:
 
 
 def cmd_challenge(ctx: Context, args) -> int:
+    from .substitute import challenge as run_challenge
     store = ctx.store
     packages = ctx.packages()
     inst = Instantiator(packages, store=store, archive=ctx.archive)
@@ -266,6 +265,7 @@ def cmd_archive(ctx: Context, args) -> int:
 
 
 def cmd_seed(ctx: Context, args) -> int:
+    from .bootstrap import audit_trust, register_seed
     if args.seed_cmd == "add":
         name = args.name or Path(args.path).name
         rec = register_seed(ctx.store, Path(args.path), name,

@@ -9,7 +9,7 @@ downstream hash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import sexpr
 from .errors import (DanglingReference, InvariantViolation, ParseError,
@@ -34,33 +34,29 @@ _STEP_OPS = {
 _BYTES_ARGS = {"write": {1}, "substitute": {1, 2}}
 
 
-@dataclass(frozen=True)
-class SourceRef:
+class SourceRef(NamedTuple):
     url: str
     expected_hash: ContentHash
     label: str
 
 
-@dataclass(frozen=True)
-class InputRef:
+class InputRef(NamedTuple):
     derivation_hash: ContentHash
     label: str
 
 
-@dataclass(frozen=True)
-class Step:
-    op: str
-    args: tuple
+class Step(NamedTuple("Step", [("op", str), ("args", tuple)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        arity = _STEP_OPS.get(self.op)
+    def __new__(cls, op: str, args: tuple):
+        arity = _STEP_OPS.get(op)
         if arity is None:
-            raise InvariantViolation(f"unknown step op {self.op!r}")
-        if arity >= 0 and len(self.args) != arity:
-            raise InvariantViolation(
-                f"{self.op} takes {arity} args, got {len(self.args)}")
-        if arity < 0 and len(self.args) < 2:
-            raise InvariantViolation(f"{self.op} needs at least 2 args")
+            raise InvariantViolation(f"unknown step op {op!r}")
+        if arity >= 0 and len(args) != arity:
+            raise InvariantViolation(f"{op} takes {arity} args, got {len(args)}")
+        if arity < 0 and len(args) < 2:
+            raise InvariantViolation(f"{op} needs at least 2 args")
+        return super().__new__(cls, op, args)
 
 
 def write(path: str, data: bytes) -> Step:
@@ -98,15 +94,18 @@ def _check_rel_path(p: str):
         raise InvariantViolation(f"step path may not traverse upward: {p!r}")
 
 
-@dataclass
 class Derivation:
-    name: str
-    version: str
-    sources: list = field(default_factory=list)
-    inputs: list = field(default_factory=list)
-    steps: list = field(default_factory=list)
-    env: dict = field(default_factory=dict)
-    system: str = SYSTEM
+    def __init__(self, name: str, version: str, sources: list | None = None,
+                 inputs: list | None = None, steps: list | None = None,
+                 env: dict | None = None, system: str = SYSTEM):
+        self.name, self.version, self.system = name, version, system
+        self.sources = [] if sources is None else sources
+        self.inputs = [] if inputs is None else inputs
+        self.steps = [] if steps is None else steps
+        self.env = {} if env is None else env
+
+    def __eq__(self, other):
+        return type(other) is Derivation and vars(self) == vars(other)
 
     @property
     def label(self) -> str:

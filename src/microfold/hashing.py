@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 
 from .errors import InvalidHash
 
@@ -14,15 +13,24 @@ _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 PREFIX_LEN = 32
 
 
-@dataclass(frozen=True, order=True)
 class ContentHash:
     """A SHA-256 digest, the sole notion of identity in the system."""
 
-    hex: str
+    __slots__ = ("hex",)
 
-    def __post_init__(self):
-        if not _HEX64.match(self.hex):
-            raise InvalidHash(f"not a 64-char lowercase hex digest: {self.hex!r}")
+    def __init__(self, hex: str):
+        if not _HEX64.match(hex):
+            raise InvalidHash(f"not a 64-char lowercase hex digest: {hex!r}")
+        self.hex = hex
+
+    def __eq__(self, other):
+        return isinstance(other, ContentHash) and self.hex == other.hex
+
+    def __hash__(self):
+        return hash(self.hex)
+
+    def __repr__(self):
+        return f"ContentHash(hex={self.hex!r})"
 
     @classmethod
     def of_bytes(cls, data: bytes) -> "ContentHash":

@@ -11,7 +11,7 @@ their dependencies) to derivations whose hashes pin the whole graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import sexpr
 from .channel import PackageDef
@@ -24,8 +24,7 @@ from .hashing import ContentHash
 from . import carc
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(NamedTuple):
     name: str
     version: str | None = None
 
@@ -33,9 +32,8 @@ class Spec:
         return self.name if self.version is None else f"{self.name}@{self.version}"
 
 
-@dataclass
-class Manifest:
-    specs: list = field(default_factory=list)
+class Manifest(NamedTuple):
+    specs: list
 
     def render(self) -> str:
         inner = " ".join(sexpr.quote_string(s.render()) for s in self.specs)

@@ -11,13 +11,12 @@ hashes.txt, created.txt}, <profile>/current (the active number).
 
 from __future__ import annotations
 
-import datetime
-import filecmp
 import os
 import shutil
 import stat
-from dataclasses import dataclass, field
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import carc
 from .builder import BuildOptions, Builder
@@ -27,14 +26,13 @@ from .hashing import ContentHash
 from .store import Store, StorePath, locked, write_atomic
 
 
-@dataclass
-class Generation:
+class Generation(NamedTuple):
     number: int
     profile_tree: StorePath
-    pin_text: str = ""
-    manifest_text: str = ""
-    drv_hashes: list = field(default_factory=list)  # (label, drvhash, outhash)
-    created_at: str = ""  # display only, excluded from all hashes
+    pin_text: str
+    manifest_text: str
+    drv_hashes: list  # (label, drvhash, outhash)
+    created_at: str  # display only, excluded from all hashes
 
 
 def _same(a: bytes, b: bytes) -> bool:
@@ -42,6 +40,7 @@ def _same(a: bytes, b: bytes) -> bool:
     file (exec bit, then size, then bytes) or the same symlink."""
     sa, sb = os.lstat(a), os.lstat(b)
     if stat.S_ISREG(sa.st_mode) and stat.S_ISREG(sb.st_mode):
+        import filecmp  # only a clash between two files needs it
         return (not (sa.st_mode ^ sb.st_mode) & stat.S_IXUSR
                 and filecmp.cmp(a, b, shallow=False))
     if stat.S_ISLNK(sa.st_mode) and stat.S_ISLNK(sb.st_mode):
@@ -172,7 +171,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
                 f"{label} {drv_hex} {out_hex}\n"
                 for label, drv_hex, out_hex in sorted(hashes)))
             (tmp / "store-path").write_text(union_path.component + "\n")
-            created = datetime.datetime.now().isoformat(timespec="seconds")
+            created = time.strftime("%Y-%m-%dT%H:%M:%S")
             (tmp / "created.txt").write_text(created + "\n")
         except BaseException:
             shutil.rmtree(tmp, ignore_errors=True)

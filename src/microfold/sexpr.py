@@ -8,22 +8,31 @@ of derivations, packages, and revisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
 
     def __repr__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class Quoted:
-    value: object
+    """'value.  Not a tuple, so that '"nil" never equals Sym("nil")."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __eq__(self, other):
+        return type(other) is Quoted and self.value == other.value
+
+    def __repr__(self):
+        return f"Quoted(value={self.value!r})"
 
 
 _DELIMS = "()'\";"

@@ -40,9 +40,9 @@ import shutil
 import tempfile
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 from . import carc
 from .errors import (DanglingReference, InvalidLabel, OutputCollision,
@@ -93,13 +93,12 @@ def parse_fields(text: str) -> dict:
     return dict(line.partition(": ")[::2] for line in text.splitlines())
 
 
-@dataclass(frozen=True)
 class StorePath:
     """A store item's location.  Identity is the final path component."""
 
-    store_root: Path
-    digest_prefix: str
-    label: str
+    def __init__(self, store_root: Path, digest_prefix: str, label: str):
+        self.store_root, self.digest_prefix, self.label = (
+            store_root, digest_prefix, label)
 
     @cached_property
     def component(self) -> str:
@@ -126,19 +125,22 @@ class StorePath:
         return str(self.path)
 
 
-@dataclass
 class StoreItemRecord:
-    path: StorePath
-    output_hash: ContentHash
-    references: list = field(default_factory=list)  # sorted StorePath list
-    kind: str = "fixed"  # fixed | derived | seed
-    deriver: ContentHash | None = None
-    size: int = 0  # CARC byte length
-    description: str = ""  # seeds only
+    def __init__(self, path: StorePath, output_hash: ContentHash,
+                 references: list, kind: str, deriver: ContentHash | None = None,
+                 size: int = 0, description: str = ""):
+        self.path, self.output_hash = path, output_hash
+        self.references = references  # sorted StorePath list
+        self.kind = kind  # fixed | derived | seed
+        self.deriver = deriver
+        self.size = size  # CARC byte length
+        self.description = description  # seeds only
+
+    def __eq__(self, other):
+        return type(other) is StoreItemRecord and vars(self) == vars(other)
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     status: str  # ok | mismatch | missing
     expected: ContentHash | None = None
     actual: ContentHash | None = None
@@ -148,8 +150,7 @@ class VerifyReport:
         return self.status == "ok"
 
 
-@dataclass(frozen=True)
-class Staged:
+class Staged(NamedTuple):
     """A tree staged under <store>/tmp (see Store.scratch), with the hash
     and CARC length of the bytes that produced it."""
 
@@ -209,7 +210,9 @@ class Store:
         self._closures = {}  # component -> closure list
         self._seeds = None  # component -> seed record, once the db is listed
         self._seeds_lock = threading.Lock()
-        self.derivations = {}  # drv hash hex -> Derivation, for load_derivation
+        # drv hash hex -> Derivation, for load_derivation; shared with the
+        # base, as derivation files are write-once and checked on first load.
+        self.derivations = {} if base is None else base.derivations
 
     # -- locking ----------------------------------------------------------
 

@@ -11,12 +11,12 @@ sorted) and <cache>/carc/<digest_prefix> (raw CARC bytes).
 
 from __future__ import annotations
 
-import logging
 import os
 import shutil
+import sys
 import tempfile
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
@@ -25,15 +25,12 @@ from .hashing import ContentHash
 from .store import (Staged, Store, StorePath, parse_fields, render_fields,
                     write_atomic)
 
-log = logging.getLogger(__name__)
 
-
-@dataclass
-class SubstituteInfo:
+class SubstituteInfo(NamedTuple):
     store_path: str  # final path component
     output_hash: ContentHash
     archive_size: int
-    references: list = field(default_factory=list)  # sorted components
+    references: list  # sorted components
     deriver: ContentHash | None = None
 
     def render(self) -> str:
@@ -135,9 +132,9 @@ def fetch_substitute(path: StorePath, caches, store: Store,
             except ParseError as e:
                 actual = f"an unreadable archive ({e})"
             if actual != info.output_hash or info.store_path != path.component:
-                log.warning("cache %s serves corrupt archive for %s "
-                            "(expected %s, got %s); skipping",
-                            cache, path.component, info.output_hash, actual)
+                print(f"cache {cache} serves corrupt archive for {path.component} "
+                      f"(expected {info.output_hash}, got {actual}); skipping",
+                      file=sys.stderr)
                 corrupt = True
                 continue
             try:
@@ -150,8 +147,8 @@ def fetch_substitute(path: StorePath, caches, store: Store,
                         fetch_substitute(ref_path, caches, store, _seen=_seen)
                     refs.append(ref_path)
             except MicrofoldError as e:
-                log.warning("cache %s: reference of %s unavailable (%s); skipping",
-                            cache, path.component, e)
+                print(f"cache {cache}: reference of {path.component} "
+                      f"unavailable ({e}); skipping", file=sys.stderr)
                 continue
             store.register_output(staged, path, deriver=info.deriver,
                                   references=refs,
@@ -163,8 +160,7 @@ def fetch_substitute(path: StorePath, caches, store: Store,
     raise SubstituteNotFound(path.component)
 
 
-@dataclass
-class ChallengeEntry:
+class ChallengeEntry(NamedTuple):
     verdict: str  # agree | disagree | unknown
     values: list  # (provider, hash-hex) pairs, provider order preserved
 
@@ -173,8 +169,7 @@ class ChallengeEntry:
         return sorted({h for _, h in self.values})
 
 
-@dataclass
-class ChallengeReport:
+class ChallengeReport(NamedTuple):
     entries: dict  # component -> ChallengeEntry
 
     @property

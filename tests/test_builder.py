@@ -5,6 +5,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -111,6 +112,28 @@ def test_exec_runs_seed_tool(store, toolchain):
     path = build(drv, store)
     data = (path.path / "lib/thing.a").read_bytes()
     assert data == b"compiled-with-cc-1.0\nsource material\n"
+
+
+def test_exec_runs_through_the_module_subprocess(store, toolchain, monkeypatch):
+    """An exec step calls `builder.subprocess.run`, so a stand-in set on the
+    module (as a tracer sets one) sees it; a SubprocessError it raises is a
+    StepFailure naming the step."""
+    import subprocess
+    from microfold import builder as builder_module
+    calls = []
+
+    def refuse(argv, **kwargs):
+        calls.append(argv)
+        raise subprocess.SubprocessError("refused")
+    monkeypatch.setattr(builder_module, "subprocess", SimpleNamespace(
+        run=refuse, SubprocessError=subprocess.SubprocessError))
+    drv = Derivation(name="execs", version="1", steps=[
+        d.mkdir("lib"),
+        d.exec_(f"{toolchain.path.component}/bin/cc", "@out@/lib/a"),
+    ])
+    with pytest.raises(StepFailure, match="^step 1 of execs-1: refused$"):
+        build(drv, store)
+    assert len(calls) == 1
 
 
 def test_exec_env_is_scrubbed(store):
@@ -316,6 +339,24 @@ def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
     assert max(cached.values()) == 1
     # The only other reader is the write path's re-read under the lock.
     assert {caller for caller, _ in reads} <= {"get_record", "_admit"}
+
+
+def test_check_rounds_parse_each_derivation_once(store, toolchain, monkeypatch):
+    """Derivation files are write-once and checked on first load, so the
+    scratch store of every round shares the main store's parsed ones."""
+    n = 20
+    pkgs = chain_packages(n + 1)
+    top = Instantiator(pkgs, store=store).instantiate(pkgs[f"c{n:02d}@1"])
+    parsed = Counter()
+    real_parse = d.parse_derivation
+
+    def counting_parse(text):
+        drv = real_parse(text)
+        parsed[drv.label] += 1
+        return drv
+    monkeypatch.setattr(d, "parse_derivation", counting_parse)
+    assert check_rebuild(top, store, rounds=2).deterministic
+    assert parsed == {f"c{i:02d}-1": 1 for i in range(n)}
 
 
 def test_parallel_chain_build_shares_memos(store, toolchain):

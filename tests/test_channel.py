@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,56 @@ def test_pull_detects_tampering(repo, tmp_path):
     clone = ChannelRepo(tmp_path / "clone")
     with pytest.raises(CorruptRevision):
         clone.pull(repo.root)
+
+
+def _crash_at_write(monkeypatch, k):
+    """Make the k-th file write from now on stop halfway and fail, as a
+    process killed in the middle of it would."""
+    writes = []
+    for method in ("write_bytes", "write_text"):
+        real = getattr(Path, method)
+
+        def crash(self, data, *args, _real=real, **kwargs):
+            writes.append(self.name)
+            if len(writes) == k:
+                with self.open("wb" if isinstance(data, bytes) else "w") as f:
+                    f.write(data[:len(data) // 2])
+                raise OSError(f"crashed writing {self.name}")
+            return _real(self, data, *args, **kwargs)
+        monkeypatch.setattr(Path, method, crash)
+
+
+@pytest.mark.parametrize("action", ["commit", "pull"])
+def test_crash_at_any_write_keeps_head_and_files_whole(tmp_path, action):
+    """HEAD is written last and every file through a tmp file and a rename:
+    a commit or pull that dies at any write leaves HEAD at the old revision
+    and no object or revision file that does not hash to its name."""
+    old_remote, new_remote = ChannelRepo(tmp_path / "old"), ChannelRepo(tmp_path / "new")
+    r1 = old_remote.commit_revision(golden_tree()[:1], message="one")
+    new_remote.commit_revision(golden_tree()[:1], message="one")
+    r2 = new_remote.commit_revision(golden_tree(), parent=r1.id, message="two")
+    k = 0
+    while True:
+        k += 1
+        repo = ChannelRepo(tmp_path / f"repo-{k}")
+        repo.pull(old_remote.root)
+        with pytest.MonkeyPatch.context() as mp:
+            _crash_at_write(mp, k)
+            try:
+                if action == "commit":
+                    repo.commit_revision(golden_tree(), parent=r1.id, message="two")
+                else:
+                    repo.pull(new_remote.root)
+            except OSError:
+                pass
+            else:
+                break
+        assert ChannelRepo(repo.root).head() == r1.id
+        for sub in ("objects", "revisions"):
+            for path in (repo.root / sub).iterdir():
+                assert hashlib.sha256(path.read_bytes()).hexdigest() == path.name
+    assert repo.head() == r2.id
+    assert k > 4  # the crash hit two objects, the revision and HEAD
 
 
 def test_pull_unreachable(tmp_path):

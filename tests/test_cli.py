@@ -1,4 +1,7 @@
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,6 +115,43 @@ def test_package_creates_generation_and_rollback(env, tmp_path, capsys):
     assert (env["profile"] / "current").read_text().strip() == "1"
 
     assert run_command(["rollback", "9"]) == 1
+
+
+# Modules that neither start-up nor a warm `package -m` of pure steps needs:
+# dataclass generation and its inspect chain, exec, logging, dates, file
+# comparison, HTTP, substitutes and seeds.
+NOT_AT_START = {"dataclasses", "inspect", "subprocess", "logging", "datetime",
+                "filecmp", "urllib.request", "http.client",
+                "microfold.substitute", "microfold.bootstrap"}
+
+# Prints the exit code and the modules, beyond those of a bare interpreter,
+# loaded by `import microfold.cli` and then by running argv.
+LOADED = """
+import sys
+bare = set(sys.modules)
+import microfold.cli
+imported = set(sys.modules) - bare
+code = microfold.cli.run_command(sys.argv[1:])
+print(code, ",".join(sorted(imported)), ",".join(sorted(set(sys.modules) - bare)))
+"""
+
+
+def test_start_and_warm_package_load_only_what_they_run(env, tmp_path):
+    manifest = tmp_path / "manifest.scm"
+    manifest.write_text(MANIFEST)
+    assert run_command(["package", "-m", str(manifest)]) == 0
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED, "package", "-m", str(manifest)],
+        env=child_env, capture_output=True, text=True, timeout=60)
+    assert "generation 2" in proc.stdout, proc.stderr
+    code, imported, loaded = proc.stdout.splitlines()[-1].split(" ")
+    assert code == "0"
+    assert "microfold.cli" in imported.split(",")
+    assert NOT_AT_START & set(imported.split(",")) == set()
+    assert NOT_AT_START & set(loaded.split(",")) == set()
 
 
 def test_describe_formats(env, capsys):

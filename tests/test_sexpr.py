@@ -16,6 +16,12 @@ def test_basic_forms():
     assert parse_one("(a (b (c)))") == [Sym("a"), [Sym("b"), [Sym("c")]]]
 
 
+def test_quoted_string_is_not_a_symbol():
+    """'"nil" is data, never the symbol nil that the readers test for."""
+    assert parse_one("'\"nil\"") != Sym("nil")
+    assert parse_one("(\"nil\")") != [Sym("nil")]
+
+
 def test_comments_and_whitespace():
     assert parse_one("; header\n(a ; inline\n b)\n") == [Sym("a"), Sym("b")]
     assert parse_one("(\n  a\tb\n)") == [Sym("a"), Sym("b")]

@@ -20,3 +20,9 @@ def test_single_home(needle, home):
     offenders = sorted(p.name for p in SRC.glob("*.py")
                        if p.name != home and needle in p.read_text())
     assert offenders == []
+
+
+def test_no_dataclasses():
+    """Value types are NamedTuples or plain classes: generating dataclass
+    methods at import would cost every command tens of milliseconds."""
+    assert sorted(p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()) == []

@@ -101,12 +101,12 @@ def test_tampered_archive_rejected(tmp_path, cache):
     assert consumer.get_record(target) is None  # nothing entered the store
 
 
-def test_corrupt_provider_skipped_for_honest_one(tmp_path):
+def test_corrupt_provider_skipped_for_honest_one(tmp_path, capsys):
     producer = Store(tmp_path / "producer")
     path = build(hello_drv(), producer)
     bad, good = tmp_path / "bad-cache", tmp_path / "good-cache"
     publish(producer, path, bad)
-    publish(producer, path, good)
+    info = publish(producer, path, good)
     blob = bad / "carc" / path.digest_prefix
     blob.write_bytes(blob.read_bytes() + b"garbage")
 
@@ -114,6 +114,10 @@ def test_corrupt_provider_skipped_for_honest_one(tmp_path):
     got = fetch_substitute(StorePath.from_component(consumer.root, path.component),
                            [bad, good], consumer)
     assert consumer.verify_item(got).ok
+    err = capsys.readouterr().err
+    assert err.startswith(f"cache {bad} serves corrupt archive for {path.component} "
+                          f"(expected {info.output_hash.hex}, got an unreadable archive (")
+    assert err.endswith("); skipping\n") and err.count("\n") == 1
 
 
 def test_fetch_not_found(tmp_path, cache):
