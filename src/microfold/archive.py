@@ -11,6 +11,7 @@ sorted, deduplicated), updated under <root>/origins.lock.
 from __future__ import annotations
 
 import os
+from contextlib import closing
 from pathlib import Path
 
 from . import carc, transport
@@ -70,9 +71,10 @@ class Archive:
         path = self.root / "origins" / content_hash.hex
         return sorted(set(path.read_text().splitlines())) if path.exists() else []
 
-    def lookup(self, content_hash: ContentHash) -> bytes | None:
-        """CARC bytes for a hash, or None.  Pure function of the hash."""
-        return transport.read_bytes(self.root, f"carc/{content_hash.hex}")
+    def lookup(self, content_hash: ContentHash):
+        """The CARC bytes for a hash as a stream of blocks (see
+        transport.stream), or None.  Pure function of the hash."""
+        return transport.stream(self.root, f"carc/{content_hash.hex}")
 
     def has(self, content_hash: ContentHash) -> bool:
         return (self.root / "carc" / content_hash.hex).exists()
@@ -95,7 +97,7 @@ def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
     if not transport.is_url(url):
         return None
     try:
-        data = transport.get(url)
+        data = transport.read_bytes(url)
     except OSError:
         return None  # refused, reset or timed out: the archive leg still runs
     if data is None:
@@ -138,13 +140,14 @@ def fetch_source(ref, store, archive: Archive | None,
             legs.append(f"upstream {ref.url}: {mismatch}")
 
         if archive_fallback and archive is not None:
-            data = archive.lookup(ref.expected_hash)
-            if data is None:
+            blocks = archive.lookup(ref.expected_hash)
+            if blocks is None:
                 legs.append("archive: not present")
             else:
                 dest = scratch / "archived"
                 try:
-                    staged = Staged(dest, *carc.restore([data], dest))
+                    with closing(blocks):
+                        staged = Staged(dest, *carc.restore(blocks, dest))
                     actual = staged.output_hash
                 except ParseError as e:
                     actual = f"an unreadable archive ({e})"

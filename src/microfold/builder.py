@@ -83,10 +83,13 @@ class Builder:
 
     # -- public entry ------------------------------------------------------
 
-    def build(self, drv: Derivation) -> StorePath:
-        data = canonical_serialize(drv)
-        drv_hash = ContentHash.of_bytes(data)
-        self.store.put_derivation(drv_hash, data)
+    def build(self, drv: Derivation, drv_hash=None) -> StorePath:
+        """Build drv; drv_hash, if given, names the bytes the store holds
+        for it, else they are serialized and registered here."""
+        if drv_hash is None:
+            data = canonical_serialize(drv)
+            drv_hash = ContentHash.of_bytes(data)
+            self.store.put_derivation(drv_hash, data)
         return self._build(drv, drv_hash)
 
     def _build(self, drv: Derivation, drv_hash) -> StorePath:

@@ -61,7 +61,8 @@ def classify(exc) -> int:
 
 
 class Context:
-    def __init__(self, args):
+    def __init__(self, args, parser):
+        self.parser = parser  # time-machine parses its command with it
         base = Path(os.environ.get("MICROFOLD_HOME", Path.home() / ".microfold"))
         self.store_root = Path(args.store or os.environ.get(
             "MICROFOLD_STORE", base / "store"))
@@ -145,8 +146,8 @@ def cmd_package(ctx: Context, args) -> int:
     manifest = parse_manifest(manifest_text)
     packages = ctx.packages()
     inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
-    derivs = [inst.instantiate(resolve_spec(s, packages))
-              for s in manifest.specs]
+    pkgs = [resolve_spec(s, packages) for s in manifest.specs]
+    derivs = [(inst.instantiate(pkg), inst.hashes[pkg.key]) for pkg in pkgs]
     gen = build_profile(derivs, ctx.store, Profile(args.profile or ctx.default_profile),
                         archive=ctx.archive, options=_build_options(args),
                         pin_text=ctx.pin_text(), manifest_text=manifest_text)
@@ -191,7 +192,7 @@ def cmd_time_machine(ctx: Context, args) -> int:
     def action(packages):
         ctx._packages, ctx._pin_text = packages, render_pin(pin_file.pins)
         try:
-            return _dispatch(ctx, rest)
+            return _dispatch(ctx.parser, rest, ctx)
         finally:
             ctx._packages = ctx._pin_text = None
 
@@ -205,8 +206,9 @@ def cmd_challenge(ctx: Context, args) -> int:
     inst = Instantiator(packages, store=store, archive=ctx.archive)
     paths, derivations = [], {}
     for spec_text in args.specs:
-        drv = inst.instantiate(resolve_spec(parse_spec(spec_text), packages))
-        sp = StorePath(store.root, derivation_hash(drv).prefix, drv.label)
+        pkg = resolve_spec(parse_spec(spec_text), packages)
+        drv = inst.instantiate(pkg)
+        sp = StorePath(store.root, inst.hashes[pkg.key].prefix, drv.label)
         paths.append(sp)
         derivations[sp.component] = drv
     report = run_challenge(paths, args.substitute_url or [], store,
@@ -396,8 +398,8 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(ctx: Context, argv) -> int:
-    parser = make_parser()
+def _dispatch(parser, argv, ctx: Context | None = None) -> int:
+    """Parse argv and run its command in ctx, by default one made from it."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -405,21 +407,12 @@ def _dispatch(ctx: Context, argv) -> int:
     if not getattr(args, "func", None):
         parser.print_usage(sys.stderr)
         return EXIT_USER
-    return args.func(ctx, args)
+    return args.func(ctx or Context(args, parser), args)
 
 
 def run_command(argv) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USER if e.code not in (0, None) else EXIT_OK
-    if not getattr(args, "func", None):
-        parser.print_usage(sys.stderr)
-        return EXIT_USER
-    ctx = Context(args)
-    try:
-        return args.func(ctx, args)
+        return _dispatch(make_parser(), argv)
     except MicrofoldError as e:
         print(f"microfold: error: {e}", file=sys.stderr)
         return classify(e)

@@ -20,7 +20,6 @@ from typing import NamedTuple
 
 from . import carc
 from .builder import BuildOptions, Builder
-from .derivation import derivation_hash
 from .errors import ProfileCollision, UnknownGeneration
 from .hashing import ContentHash
 from .store import Store, StorePath, locked, write_atomic
@@ -134,7 +133,8 @@ class Profile:
 def build_profile(derivations, store: Store, profile: Profile, *,
                   archive=None, options: BuildOptions | None = None,
                   pin_text: str = "", manifest_text: str = "") -> Generation:
-    """Build every derivation, materialize the union, append a generation.
+    """Build every derivation, given as (drv, drv_hash) pairs whose bytes
+    the store holds, materialize the union, append a generation.
 
     The union is written once, into the new generation, and hashed in the
     same pass; it is copied into the store only when the store does not
@@ -143,11 +143,11 @@ def build_profile(derivations, store: Store, profile: Profile, *,
     builder = Builder(store, archive=archive, options=options)
     hashes = []
     member_paths = []
-    for drv in derivations:
-        sp = builder.build(drv)
+    for drv, drv_hash in derivations:
+        sp = builder.build(drv, drv_hash)
         member_paths.append(sp)
         rec = store.get_record(sp)
-        hashes.append((drv.label, derivation_hash(drv).hex, rec.output_hash.hex))
+        hashes.append((drv.label, drv_hash.hex, rec.output_hash.hex))
 
     with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()

@@ -11,10 +11,12 @@ sorted) and <cache>/carc/<digest_prefix> (raw CARC bytes).
 
 from __future__ import annotations
 
+import hashlib
 import os
 import shutil
 import sys
 import tempfile
+from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
 
@@ -88,18 +90,19 @@ def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
 
 
 def _provider_lookup(cache, digest_prefix: str):
-    """(info, carc_bytes) from one provider; either may be None.
+    """(info, archive) from one provider, the archive as an open stream of
+    blocks; either may be None.
 
-    A provider that cannot be reached (refused, reset, timed out) has
-    nothing to offer.
+    A provider that cannot be reached (refused, reset, timed out, not
+    speaking HTTP) or serves an unreadable info file has nothing to offer.
     """
     try:
         info_text = transport.read_bytes(cache, f"info/{digest_prefix}")
-        data = transport.read_bytes(cache, f"carc/{digest_prefix}")
-    except OSError:
+        info = SubstituteInfo.parse(info_text.decode()) if info_text else None
+        blocks = transport.stream(cache, f"carc/{digest_prefix}")
+    except (OSError, ValueError, KeyError, MicrofoldError):
         return None, None
-    info = SubstituteInfo.parse(info_text.decode()) if info_text else None
-    return info, data
+    return info, blocks
 
 
 def fetch_substitute(path: StorePath, caches, store: Store,
@@ -120,16 +123,17 @@ def fetch_substitute(path: StorePath, caches, store: Store,
 
     found = corrupt = False
     for cache in caches:
-        info, data = _provider_lookup(cache, path.digest_prefix)
-        if info is None or data is None:
-            continue
+        info, blocks = _provider_lookup(cache, path.digest_prefix)
+        if info is None or blocks is None:
+            continue  # a stream left unread closes when dropped
         found = True
         with store.scratch() as scratch:
             try:
-                staged = Staged(scratch / "item",
-                                *carc.restore([data], scratch / "item"))
+                with closing(blocks):
+                    staged = Staged(scratch / "item",
+                                    *carc.restore(blocks, scratch / "item"))
                 actual = staged.output_hash
-            except ParseError as e:
+            except (ParseError, transport.BrokenFetch) as e:
                 actual = f"an unreadable archive ({e})"
             if actual != info.output_hash or info.store_path != path.component:
                 print(f"cache {cache} serves corrupt archive for {path.component} "
@@ -206,9 +210,15 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
         if rec is not None:
             values.append(("local", rec.output_hash.hex))
         for cache in caches:
-            info, data = _provider_lookup(cache, path.digest_prefix)
-            if data is not None:
-                values.append((str(cache), ContentHash.of_bytes(data).hex))
+            info, blocks = _provider_lookup(cache, path.digest_prefix)
+            if blocks is not None:
+                sha = hashlib.sha256()
+                try:
+                    for block in blocks:
+                        sha.update(block)
+                except transport.BrokenFetch:
+                    continue  # no value
+                values.append((str(cache), sha.hexdigest()))
             elif info is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:

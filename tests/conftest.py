@@ -22,6 +22,11 @@ printf '%s-%s\\n' "$$" "$(/bin/date +%N)" > "$1"
 """
 
 
+def instantiated(inst, pkgs):
+    """(derivation, hash) pairs of pkgs, as build_profile takes them."""
+    return [(inst.instantiate(p), inst.hashes[p.key]) for p in pkgs]
+
+
 def seed_tree():
     return carc.Dir({"bin": carc.Dir({"cc": carc.File(CC_SCRIPT, executable=True)})})
 

@@ -25,7 +25,7 @@ from microfold.profile import Profile, build_profile
 from microfold.store import Store, StorePath
 from microfold.substitute import fetch_substitute, publish
 
-from conftest import fixture_packages, fixture_packages_v2, seed_tree
+from conftest import fixture_packages, instantiated, fixture_packages_v2, seed_tree
 from test_carc import (GOLDEN, TREES,
                        test_ignored_attributes_never_change_hash as _check_ignored,
                        test_significant_attributes_always_change_hash as _check_significant)
@@ -195,7 +195,7 @@ def test_5_archive_survives_upstream_deletion(tmp_path, toolchain):
         store = Store(store_root)
         register_seed(store, seed_tree(), "toolchain-1.0")
         inst = Instantiator(packages, store=store, archive=archive)
-        drvs = [inst.instantiate(packages["app-alpha@1.0"])]
+        drvs = instantiated(inst, [packages["app-alpha@1.0"]])
         gen = build_profile(drvs, store, Profile(profile_root),
                             archive=archive)
         return store.get_record(gen.profile_tree).output_hash.hex

@@ -9,7 +9,7 @@ from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile
 from microfold.store import StorePath
 
-from conftest import seed_tree
+from conftest import instantiated, seed_tree
 
 
 def test_register_seed_records_kind_and_size(store):
@@ -103,8 +103,7 @@ def test_derived_without_deriver_is_opaque(store):
 def test_profile_audit_recurses_into_members(store, archive, toolchain,
                                              packages, tmp_path):
     inst = Instantiator(packages, store=store, archive=archive)
-    drvs = [inst.instantiate(packages[k])
-            for k in ("app-alpha@1.0", "libio@1.0")]
+    drvs = instantiated(inst, [packages[k] for k in ("app-alpha@1.0", "libio@1.0")])
     gen = build_profile(drvs, store, Profile(tmp_path / "prof"),
                         archive=archive)
     report = audit_trust(gen.profile_tree, store)

@@ -1,15 +1,18 @@
+import functools
+import http.server
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
-from microfold import carc
+from microfold import builder, carc, cli, manifest as manifest_mod
 from microfold.bootstrap import register_seed
 from microfold.builder import build
-from microfold.channel import ChannelRepo
+from microfold.channel import ChannelRepo, PackageDef
 from microfold.cli import run_command
 from microfold.derivation import (Derivation, Step, canonical_serialize,
                                   derivation_hash)
@@ -119,10 +122,10 @@ def test_package_creates_generation_and_rollback(env, tmp_path, capsys):
 
 # Modules that neither start-up nor a warm `package -m` of pure steps needs:
 # dataclass generation and its inspect chain, exec, logging, dates, file
-# comparison, HTTP, substitutes and seeds.
+# comparison, HTTP libraries, TLS, substitutes and seeds.
 NOT_AT_START = {"dataclasses", "inspect", "subprocess", "logging", "datetime",
-                "filecmp", "urllib.request", "http.client",
-                "microfold.substitute", "microfold.bootstrap"}
+                "filecmp", "urllib.request", "http.client", "email.parser",
+                "ssl", "microfold.substitute", "microfold.bootstrap"}
 
 # Prints the exit code and the modules, beyond those of a bare interpreter,
 # loaded by `import microfold.cli` and then by running argv.
@@ -136,22 +139,92 @@ print(code, ",".join(sorted(imported)), ",".join(sorted(set(sys.modules) - bare)
 """
 
 
+def _child_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_start_and_warm_package_load_only_what_they_run(env, tmp_path):
     manifest = tmp_path / "manifest.scm"
     manifest.write_text(MANIFEST)
     assert run_command(["package", "-m", str(manifest)]) == 0
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    child_env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", LOADED, "package", "-m", str(manifest)],
-        env=child_env, capture_output=True, text=True, timeout=60)
+        env=_child_env(), capture_output=True, text=True, timeout=60)
     assert "generation 2" in proc.stdout, proc.stderr
     code, imported, loaded = proc.stdout.splitlines()[-1].split(" ")
     assert code == "0"
     assert "microfold.cli" in imported.split(",")
     assert NOT_AT_START & set(imported.split(",")) == set()
     assert NOT_AT_START & set(loaded.split(",")) == set()
+
+
+def test_substitute_over_http_loads_no_http_library(env, tmp_path, monkeypatch):
+    manifest = tmp_path / "manifest.scm"
+    manifest.write_text(MANIFEST)
+    assert run_command(["package", "-m", str(manifest)]) == 0
+    store = Store(env["store"])
+    cache = tmp_path / "cache"
+    for rec in store.list_records():
+        publish(store, rec.path, cache)
+    served = []
+    handler = functools.partial(
+        type("H", (http.server.SimpleHTTPRequestHandler,),
+             {"log_message": lambda self, *a: served.append(self.path)}),
+        directory=str(cache))
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    monkeypatch.setenv("MICROFOLD_STORE", str(tmp_path / "store2"))
+    monkeypatch.setenv("MICROFOLD_PROFILE", str(tmp_path / "profile2"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED, "package", "-m", str(manifest),
+             "--substitute-url", f"http://127.0.0.1:{server.server_address[1]}"],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert "generation 1" in proc.stdout, proc.stderr
+    code, _, loaded = proc.stdout.splitlines()[-1].split(" ")
+    assert code == "0"
+    assert any(p.startswith("/carc/") for p in served)
+    assert (NOT_AT_START - {"microfold.substitute"}) & set(loaded.split(",")) == set()
+
+
+def test_time_machine_builds_the_parser_once(env, tmp_path, monkeypatch, capsys):
+    assert run_command(["describe", "-f", "channels"]) == 0
+    pin_file = tmp_path / "channels.scm"
+    pin_file.write_text(capsys.readouterr().out)
+    made = []
+    monkeypatch.setattr(cli, "make_parser",
+                        lambda real=cli.make_parser: made.append(1) or real())
+    assert run_command(["time-machine", "-C", str(pin_file), "--", "describe"]) == 0
+    assert "Generation 1" in capsys.readouterr().out
+    assert len(made) == 1
+
+
+def test_warm_package_serializes_each_derivation_once(env, tmp_path, monkeypatch):
+    """A warm `package -m` of an N-package chain serializes N derivations,
+    each once: to hash it when it is instantiated."""
+    n = 12
+    pkgs = [PackageDef(name=f"p{i}", version="1", deps=[f"p{i - 1}"] if i else [],
+                       steps=[d.write(f"share/p{i}", b"{p%d}\n" % (i - 1) if i else b"")])
+            for i in range(n)]
+    env["repo_obj"].commit_revision(pkgs, parent=env["repo_obj"].head(),
+                                    message="chain")
+    manifest = tmp_path / "manifest.scm"
+    manifest.write_text("(specifications->manifest '(%s))\n"
+                        % " ".join(f'"p{i}"' for i in range(n)))
+    assert run_command(["package", "-m", str(manifest)]) == 0
+    calls = []
+    real = d.canonical_serialize
+    counted = lambda drv: calls.append(drv.label) or real(drv)  # noqa: E731
+    for module in (d, manifest_mod, builder):
+        monkeypatch.setattr(module, "canonical_serialize", counted)
+    assert run_command(["package", "-m", str(manifest)]) == 0
+    assert sorted(calls) == sorted(f"p{i}-1" for i in range(n))
 
 
 def test_describe_formats(env, capsys):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 import carc_model
 from microfold import carc
 from microfold import derivation as d
-from microfold.derivation import Derivation
+from microfold.derivation import Derivation, derivation_hash
 from microfold.errors import ProfileCollision, UnknownGeneration
 from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile, union_tree
 from microfold.store import StorePath
+
+from conftest import instantiated
 
 
 @pytest.fixture
@@ -167,8 +169,10 @@ def test_union_hash_is_the_hash_of_the_written_union(trees):
 
 
 def _drv(name, files):
-    return Derivation(name=name, version="1",
-                      steps=[d.write(p, c) for p, c in files.items()])
+    """A (derivation, hash) pair, as build_profile takes them."""
+    drv = Derivation(name=name, version="1",
+                     steps=[d.write(p, c) for p, c in files.items()])
+    return drv, derivation_hash(drv)
 
 
 def test_build_profile_creates_generation(store, profile):
@@ -262,8 +266,8 @@ def test_identical_inputs_reuse_store_item(store, profile, tmp_path):
 
 def test_fixture_manifest_profile(store, archive, toolchain, packages, profile):
     inst = Instantiator(packages, store=store, archive=archive)
-    drvs = [inst.instantiate(packages[k])
-            for k in ("python@3.9", "python-numpy@1.20", "python-scipy@1.6")]
+    drvs = instantiated(inst, [packages[k] for k in
+                               ("python@3.9", "python-numpy@1.20", "python-scipy@1.6")])
     gen = build_profile(drvs, store, profile, archive=archive)
     tree = profile.generation_dir(gen.number) / "tree"
     assert (tree / "bin/python").exists()

@@ -9,7 +9,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
 
 @pytest.mark.parametrize("needle, home", [
     ("fcntl.flock", "store.py"),          # the one lock helper
-    ("urlopen", "transport.py"),          # the one HTTP GET
+    ("create_connection", "transport.py"),  # the one HTTP GET
     (".get_derivation_bytes(", "derivation.py"),  # the one derivation loader
     ("_write_record(", "store.py"),       # store records are written once
     ("load_tree(", "carc.py"),            # trees on disk are streamed

@@ -1,8 +1,14 @@
 import functools
 import http.server
 import os
+import shutil
 import socket
+import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -163,6 +169,197 @@ def test_fetch_over_http(tmp_path, cache):
         assert consumer.verify_item(got).ok
     finally:
         server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def raw_http():
+    """start(answer) serves HTTP on a fresh port, one connection at a time:
+    each request's path goes to answer(path, conn), which writes the
+    response to the socket conn (closed after it).  Returns the base URL."""
+    stop = threading.Event()
+    threads = []
+
+    def start(answer):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+
+        def serve():
+            with listener:
+                while not stop.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                    except TimeoutError:
+                        continue
+                    with conn:
+                        request = b""
+                        while b"\r\n\r\n" not in request:
+                            chunk = conn.recv(4096)
+                            if not chunk:
+                                break
+                            request += chunk
+                        if request:
+                            answer(request.split(b" ")[1].decode(), conn)
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+        return f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join()
+
+
+def _ok(body: bytes, length: int | None = None) -> bytes:
+    """A 200 response carrying body under a Content-Length of length."""
+    length = len(body) if length is None else length
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % length + body
+
+
+def _from(cache):
+    """An answer that serves the files of the directory cache, and 404s."""
+    def answer(path, conn):
+        try:
+            conn.sendall(_ok((cache / path.lstrip("/")).read_bytes()))
+        except FileNotFoundError:
+            conn.sendall(b"HTTP/1.0 404 Not Found\r\n\r\n")
+    return answer
+
+
+def _published(tmp_path, cache):
+    producer = Store(tmp_path / "producer")
+    path = build(hello_drv(), producer)
+    publish(producer, path, cache)
+    consumer = Store(tmp_path / "consumer")
+    return StorePath.from_component(consumer.root, path.component), consumer
+
+
+def test_truncated_body_skips_cache(tmp_path, cache, raw_http, capsys):
+    """A cache whose archive ends short of its Content-Length is skipped
+    with the corrupt-archive warning; the next cache serves the item and
+    challenge takes no value from the broken one."""
+    target, consumer = _published(tmp_path, cache)
+
+    def answer(path, conn):
+        if path.startswith("/carc/"):
+            body = (cache / path[1:]).read_bytes()
+            conn.sendall(_ok(body[:-3], length=len(body)))
+        else:
+            _from(cache)(path, conn)
+    short = raw_http(answer)
+
+    with pytest.raises(AllProvidersCorrupt):
+        fetch_substitute(target, [short], consumer)
+    assert consumer.get_record(target) is None
+    assert os.listdir(consumer.root / "items") == []
+    assert os.listdir(consumer.root / "tmp") == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"cache {short} serves corrupt archive for {target.component} ")
+    assert "bytes short" in err
+
+    report = challenge([target], [short, cache], consumer)
+    assert [p for p, _ in report.entries[target.component].values] == [str(cache)]
+    assert fetch_substitute(target, [short, cache], consumer) == target
+    assert consumer.verify_item(target).ok
+
+
+def test_non_http_status_line_skips_cache(tmp_path, cache, raw_http):
+    target, consumer = _published(tmp_path, cache)
+    garbled = raw_http(lambda path, conn: conn.sendall(b"SSH-2.0-OpenSSH\r\n\r\n"))
+    report = challenge([target], [garbled, cache], consumer)
+    assert [p for p, _ in report.entries[target.component].values] == [str(cache)]
+    fetch_substitute(target, [garbled, cache], consumer)
+    assert consumer.verify_item(target).ok
+
+
+def test_reset_mid_archive_skips_cache(tmp_path, cache, raw_http, capsys):
+    target, consumer = _published(tmp_path, cache)
+
+    def answer(path, conn):
+        if not path.startswith("/carc/"):
+            return _from(cache)(path, conn)
+        body = (cache / path[1:]).read_bytes()
+        conn.sendall(_ok(body[:len(body) // 2], length=len(body)))
+        time.sleep(0.3)  # the client is waiting for the rest by now
+        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    reset = raw_http(answer)  # closing with a zero linger sends a reset
+
+    fetch_substitute(target, [reset, cache], consumer)
+    assert consumer.verify_item(target).ok
+    assert capsys.readouterr().err.startswith(
+        f"cache {reset} serves corrupt archive for {target.component} ")
+
+
+def test_unreadable_info_skips_cache(tmp_path, cache):
+    target, consumer = _published(tmp_path, cache)
+    garbled = tmp_path / "garbled"
+    shutil.copytree(cache, garbled)
+    (garbled / "info" / target.digest_prefix).write_text("<html>oops</html>\n")
+    fetch_substitute(target, [garbled, cache], consumer)
+    assert consumer.verify_item(target).ok
+
+
+def test_redirect_is_followed(tmp_path, cache, raw_http):
+    target, consumer = _published(tmp_path, cache)
+    served = _from(cache)
+
+    def answer(path, conn):
+        if path.startswith("/moved/"):
+            return served(path[len("/moved"):], conn)
+        conn.sendall(b"HTTP/1.0 301 Moved Permanently\r\n"
+                     b"Location: /moved%s\r\n\r\n" % path.encode())
+    moved = raw_http(answer)
+    fetch_substitute(target, [moved], consumer)
+    assert consumer.verify_item(target).ok
+
+
+# Fetches one item in a child process and prints how far its peak RSS grew.
+# The child's own high-water mark (VmHWM) is read, not ru_maxrss, which on
+# Linux starts from the RSS of the process that forked the child.
+PEAK_GROWTH = """
+import sys
+from microfold.store import Store, StorePath
+from microfold.substitute import fetch_substitute
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return int(next(l for l in f if l.startswith("VmHWM:")).split()[1])
+
+store = Store(sys.argv[1])
+target = StorePath.from_component(store.root, sys.argv[3])
+before = peak_kib()
+fetch_substitute(target, [sys.argv[2]], store)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+@pytest.mark.parametrize("over", ["http", "directory"])
+def test_substitute_streams_a_large_item(tmp_path, cache, raw_http, over):
+    """A 32 MiB item is fetched in memory that does not grow with it."""
+    blob = tmp_path / "blob"
+    with open(blob, "wb") as f:
+        for i in range(32):
+            f.write(bytes([i]) * (1 << 20))
+    producer = Store(tmp_path / "producer")
+    path = producer.add_fixed(blob, "blob")
+    publish(producer, path, cache)
+
+    def answer(path, conn):
+        with open(cache / path.lstrip("/"), "rb") as f:
+            conn.sendall(_ok(b"", length=os.fstat(f.fileno()).st_size))
+            conn.sendfile(f)
+    location = raw_http(answer) if over == "http" else str(cache)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", PEAK_GROWTH, str(tmp_path / "consumer"),
+         location, path.component],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 16 * 1024  # KiB
+    assert Store(tmp_path / "consumer").verify_item(path).ok
 
 
 def test_deriverless_item_substituted_as_fixed(tmp_path, cache):
