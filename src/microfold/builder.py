@@ -19,6 +19,7 @@ renamed into the store.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import shutil
 import sys
 import tempfile
@@ -71,64 +72,97 @@ class Builder:
         self.store = store
         self.archive = archive
         self.options = options or BuildOptions()
-        self._memo_lock = threading.Lock()
-        self._drv_locks = {}
-        self._exec_slots = threading.BoundedSemaphore(max(1, self.options.workers))
-
-    # -- input resolution --------------------------------------------------
-
-    def _drv_lock(self, hex_digest: str) -> threading.Lock:
-        with self._memo_lock:
-            return self._drv_locks.setdefault(hex_digest, threading.Lock())
 
     # -- public entry ------------------------------------------------------
 
     def build(self, drv: Derivation, drv_hash=None) -> StorePath:
-        """Build drv; drv_hash, if given, names the bytes the store holds
-        for it, else they are serialized and registered here."""
+        """Build drv and the inputs the store lacks.  drv_hash, if given,
+        names the bytes the store holds for drv, else they are serialized
+        and registered here."""
         if drv_hash is None:
             data = canonical_serialize(drv)
             drv_hash = ContentHash.of_bytes(data)
             self.store.put_derivation(drv_hash, data)
-        return self._build(drv, drv_hash)
+        return self.build_all([(drv, drv_hash)])[0]
 
-    def _build(self, drv: Derivation, drv_hash) -> StorePath:
-        """Build drv, whose bytes are registered under drv_hash."""
+    def build_all(self, roots) -> list:
+        """Build each (drv, drv_hash) of roots, whose bytes the store holds,
+        and the inputs the store lacks, in one schedule: planned on this
+        thread, then run (_schedule).  Their store paths, in order."""
+        todo = {}
+        paths = [self._plan(drv, drv_hash, todo) for drv, drv_hash in roots]
+        if todo:
+            self._schedule(todo)
+        return paths
+
+    # -- scheduling --------------------------------------------------------
+
+    def _plan(self, drv: Derivation, drv_hash, todo: dict) -> StorePath:
+        """drv's store path.  Unless the store has it or a cache installs
+        it, drv goes into todo after the inputs it needs built, as
+        drv_hash -> the arguments of _run."""
         target = StorePath(self.store.root, drv_hash.prefix, drv.label)
+        if drv_hash in todo or self.store.get_record(target) is not None:
+            return target
+        if self.options.use_substitutes and self.options.caches:
+            from .substitute import fetch_substitute
+            try:
+                return fetch_substitute(target, self.options.caches, self.store)
+            except MicrofoldError:
+                pass  # fall back to building from source
+        input_paths = [self._plan(load_derivation(self.store, i.derivation_hash),
+                                  i.derivation_hash, todo) for i in drv.inputs]
+        todo[drv_hash] = (drv, drv_hash, target, input_paths)
+        return target
 
-        with self._drv_lock(drv_hash.hex):
-            if self.store.get_record(target) is not None:
-                return target
+    def _schedule(self, todo: dict):
+        """Run each node of todo once its inputs in todo are built, the
+        earliest planned first, on min(workers, len(todo)) threads.  After
+        the first failure no node starts; it is raised once the running
+        ones end."""
+        order = {h: n for n, h in enumerate(todo)}
+        nodes = list(todo.values())
+        waiting = [0] * len(nodes)
+        dependents = [[] for _ in nodes]
+        for n, (drv, *_) in enumerate(nodes):
+            for i in {order.get(r.derivation_hash) for r in drv.inputs} - {None}:
+                waiting[n] += 1
+                dependents[i].append(n)
+        ready = [n for n, count in enumerate(waiting) if not count]  # a heap
+        changed = threading.Condition()
+        failure, running = None, 0
 
-            if self.options.use_substitutes and self.options.caches:
-                from .substitute import fetch_substitute
+        def work():
+            nonlocal failure, running
+            while True:
+                with changed:
+                    changed.wait_for(lambda: failure or ready or not running)
+                    if failure or not ready:
+                        return
+                    n = heapq.heappop(ready)
+                    running += 1
+                error = None
                 try:
-                    return fetch_substitute(target, self.options.caches,
-                                            self.store)
-                except MicrofoldError:
-                    pass  # fall back to building from source
+                    self._run(*nodes[n])
+                except BaseException as e:  # raised by the calling thread
+                    error = e
+                with changed:
+                    running -= 1
+                    failure = failure or error
+                    for m in dependents[n]:
+                        waiting[m] -= 1
+                        if not waiting[m]:
+                            heapq.heappush(ready, m)
+                    changed.notify_all()
 
-            input_paths = self._ensure_inputs(drv)
-            source_paths = [
-                fetch_source(src, self.store, self.archive,
-                             archive_fallback=self.options.archive_fallback)
-                for src in drv.sources
-            ]
-            return self._run(drv, drv_hash, target, source_paths, input_paths)
-
-    def _ensure_inputs(self, drv: Derivation) -> list:
-        """Build every input; their store paths, in input order."""
-        inputs = [(load_derivation(self.store, i.derivation_hash),
-                   i.derivation_hash) for i in drv.inputs]
-        if self.options.workers > 1 and len(inputs) > 1:
-            threads = [threading.Thread(target=self._build, args=i)
-                       for i in inputs]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            # Re-run serially to surface any error from the threads.
-        return [self._build(d, h) for d, h in inputs]
+        threads = [threading.Thread(target=work, daemon=True)  # so ^C exits
+                   for _ in range(min(self.options.workers, len(nodes)))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        if failure:
+            raise failure
 
     # -- step execution ----------------------------------------------------
 
@@ -162,9 +196,12 @@ class Builder:
         raise EscapedClosure(f"{path!r} does not resolve inside the build closure")
 
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
-             source_paths, input_paths) -> StorePath:
+             input_paths) -> StorePath:
+        source_paths = [fetch_source(src, self.store, self.archive,
+                                     archive_fallback=self.options.archive_fallback)
+                        for src in drv.sources]
         roots, items = self._roots(drv, source_paths, input_paths)
-        with self._exec_slots, self.store.scratch() as scratch:
+        with self.store.scratch() as scratch:
             out = scratch / "out"
             out.mkdir()
             (scratch / "homeless").mkdir()
@@ -285,26 +322,29 @@ def build(drv: Derivation, store: Store, *, archive=None,
     return Builder(store, archive=archive, options=options).build(drv)
 
 
+def rebuild_output_hash(drv: Derivation, store: Store, *, archive=None,
+                        options: BuildOptions | None = None) -> str:
+    """drv's output hash (hex) from a build into a scratch store, removed
+    afterwards.  It reads the main store's seeds, sources and derivations
+    in place but rebuilds every derived item; the main store is never
+    written to, so a nondeterministic derivation cannot pollute it."""
+    scratch_root = tempfile.mkdtemp(prefix="microfold-rebuild-")
+    try:
+        scratch_store = Store(scratch_root, base=store)
+        path = build(drv, scratch_store, archive=archive, options=options)
+        return scratch_store.get_record(path).output_hash.hex
+    finally:
+        shutil.rmtree(scratch_root, ignore_errors=True)
+
+
 def check_rebuild(drv: Derivation, store: Store, rounds: int = 2, *,
                   archive=None, options: BuildOptions | None = None) -> RebuildReport:
-    """Build `rounds` times into isolated scratch stores and compare hashes.
-
-    Each scratch store reads the main store's seeds, sources and
-    derivations in place but rebuilds every derived item; the main store
-    is never written to, so a nondeterministic derivation cannot pollute
-    it.
-    """
+    """Rebuild drv `rounds` times, each in a fresh scratch store, and
+    compare the output hashes."""
     if rounds < 2:
         raise ValueError("rounds must be >= 2")
-    results = []
-    for rnd in range(1, rounds + 1):
-        scratch_root = tempfile.mkdtemp(prefix="microfold-check-")
-        try:
-            scratch_store = Store(scratch_root, base=store)
-            path = build(drv, scratch_store, archive=archive, options=options)
-            rec = scratch_store.get_record(path)
-            results.append(RoundResult(rnd, rec.output_hash.hex))
-        finally:
-            shutil.rmtree(scratch_root, ignore_errors=True)
+    results = [RoundResult(rnd, rebuild_output_hash(drv, store, archive=archive,
+                                                    options=options))
+               for rnd in range(1, rounds + 1)]
     deterministic = len({r.output_hash for r in results}) == 1
     return RebuildReport(rounds=results, deterministic=deterministic)

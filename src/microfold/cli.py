@@ -109,7 +109,7 @@ def _build_options(args) -> BuildOptions:
         use_substitutes=bool(caches),
         caches=caches,
         archive_fallback=not getattr(args, "no_archive_fallback", False),
-        workers=getattr(args, "workers", 1) or 1,
+        workers=getattr(args, "workers", 1),
     )
 
 
@@ -317,6 +317,13 @@ def cmd_rollback(ctx: Context, args) -> int:
     return EXIT_OK
 
 
+def _workers(text: str) -> int:
+    """--workers: the number of build threads, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a number of at least 1, got {text!r}")
+    return int(text)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microfold",
@@ -330,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("--substitute-url", action="append")
     p.add_argument("--no-archive-fallback", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.add_argument("--check", type=int, metavar="ROUNDS",
                    help="rebuild ROUNDS times and compare output hashes")
     p.set_defaults(func=cmd_build)
@@ -339,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--manifest", required=True)
     p.add_argument("-p", "--profile")
     p.add_argument("--substitute-url", action="append")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1)
     p.set_defaults(func=cmd_package)
 
     p = sub.add_parser("pull", help="fetch channel revisions from a remote")

@@ -15,7 +15,7 @@ from . import sexpr
 from .errors import (DanglingReference, InvariantViolation, ParseError,
                      StoreCorruption)
 from .hashing import ContentHash
-from .store import LABEL_RE, StorePath
+from .store import LABEL_RE
 
 SYSTEM = "generic"
 
@@ -178,10 +178,6 @@ def canonical_serialize(drv: Derivation) -> bytes:
 
 def derivation_hash(drv: Derivation) -> ContentHash:
     return ContentHash.of_bytes(canonical_serialize(drv))
-
-
-def store_path_for(drv: Derivation, store_root) -> StorePath:
-    return StorePath(store_root, derivation_hash(drv).prefix, drv.label)
 
 
 # -- parsing (for drv files fed to the CLI and for trust audits) ----------

@@ -133,21 +133,18 @@ class Profile:
 def build_profile(derivations, store: Store, profile: Profile, *,
                   archive=None, options: BuildOptions | None = None,
                   pin_text: str = "", manifest_text: str = "") -> Generation:
-    """Build every derivation, given as (drv, drv_hash) pairs whose bytes
-    the store holds, materialize the union, append a generation.
+    """Build every derivation, given as a list of (drv, drv_hash) pairs
+    whose bytes the store holds, in one schedule; materialize the union,
+    append a generation.
 
     The union is written once, into the new generation, and hashed in the
     same pass; it is copied into the store only when the store does not
     have it yet.
     """
     builder = Builder(store, archive=archive, options=options)
-    hashes = []
-    member_paths = []
-    for drv, drv_hash in derivations:
-        sp = builder.build(drv, drv_hash)
-        member_paths.append(sp)
-        rec = store.get_record(sp)
-        hashes.append((drv.label, drv_hash.hex, rec.output_hash.hex))
+    member_paths = builder.build_all(derivations)
+    hashes = [(drv.label, drv_hash.hex, store.get_record(sp).output_hash.hex)
+              for (drv, drv_hash), sp in zip(derivations, member_paths)]
 
     with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()

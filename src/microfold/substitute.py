@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-import shutil
 import sys
-import tempfile
 from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
@@ -89,20 +87,24 @@ def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
     return info
 
 
-def _provider_lookup(cache, digest_prefix: str):
-    """(info, archive) from one provider, the archive as an open stream of
-    blocks; either may be None.
-
-    A provider that cannot be reached (refused, reset, timed out, not
-    speaking HTTP) or serves an unreadable info file has nothing to offer.
-    """
+def _provider_info(cache, digest_prefix: str):
+    """One provider's info for an item, or None: the provider has none,
+    cannot be reached (refused, reset, timed out, not speaking HTTP) or
+    serves an unreadable one."""
     try:
         info_text = transport.read_bytes(cache, f"info/{digest_prefix}")
-        info = SubstituteInfo.parse(info_text.decode()) if info_text else None
-        blocks = transport.stream(cache, f"carc/{digest_prefix}")
+        return SubstituteInfo.parse(info_text.decode()) if info_text else None
     except (OSError, ValueError, KeyError, MicrofoldError):
-        return None, None
-    return info, blocks
+        return None
+
+
+def _provider_archive(cache, digest_prefix: str):
+    """One provider's archive of an item as an open stream of blocks, or
+    None: the provider has none or cannot be reached."""
+    try:
+        return transport.stream(cache, f"carc/{digest_prefix}")
+    except (OSError, ValueError):
+        return None
 
 
 def fetch_substitute(path: StorePath, caches, store: Store,
@@ -123,9 +125,11 @@ def fetch_substitute(path: StorePath, caches, store: Store,
 
     found = corrupt = False
     for cache in caches:
-        info, blocks = _provider_lookup(cache, path.digest_prefix)
-        if info is None or blocks is None:
-            continue  # a stream left unread closes when dropped
+        info = _provider_info(cache, path.digest_prefix)
+        blocks = (None if info is None
+                  else _provider_archive(cache, path.digest_prefix))
+        if blocks is None:
+            continue
         found = True
         with store.scratch() as scratch:
             try:
@@ -201,7 +205,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
     fresh rebuild in a scratch store.  Unreachable providers simply do not
     contribute a value.
     """
-    from .builder import build
+    from .builder import rebuild_output_hash
 
     entries = {}
     for path in paths:
@@ -210,7 +214,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
         if rec is not None:
             values.append(("local", rec.output_hash.hex))
         for cache in caches:
-            info, blocks = _provider_lookup(cache, path.digest_prefix)
+            blocks = _provider_archive(cache, path.digest_prefix)
             if blocks is not None:
                 sha = hashlib.sha256()
                 try:
@@ -219,18 +223,11 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
                 except transport.BrokenFetch:
                     continue  # no value
                 values.append((str(cache), sha.hexdigest()))
-            elif info is not None:
+            elif (info := _provider_info(cache, path.digest_prefix)) is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:
-            scratch_root = tempfile.mkdtemp(prefix="microfold-challenge-")
-            try:
-                scratch = Store(scratch_root, base=store)
-                built = build(derivations[path.component], scratch,
-                              archive=archive)
-                values.append(("rebuild",
-                               scratch.get_record(built).output_hash.hex))
-            finally:
-                shutil.rmtree(scratch_root, ignore_errors=True)
+            values.append(("rebuild", rebuild_output_hash(
+                derivations[path.component], store, archive=archive)))
         distinct = {h for _, h in values}
         if len(values) >= 2 and len(distinct) == 1:
             verdict = "agree"

@@ -3,6 +3,7 @@ import os
 import stat
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -299,6 +300,84 @@ def test_parallel_build(store, archive, toolchain, packages):
     opts = BuildOptions(workers=4)
     path = Builder(store, archive=archive, options=opts).build(alpha)
     assert store.verify_item(path).ok
+
+
+def _top_over(store, leaves, name="top"):
+    """A top derivation whose inputs are leaves, registered in store."""
+    inputs = []
+    for leaf in leaves:
+        leaf_hash = derivation_hash(leaf)
+        store.put_derivation(leaf_hash, canonical_serialize(leaf))
+        inputs.append(InputRef(leaf_hash, leaf.label))
+    return Derivation(name=name, version="1", inputs=inputs,
+                      steps=[d.write("top.txt", name.encode())])
+
+
+def _leaf(name, fails=False):
+    steps = [d.write("f", name.encode())]
+    return Derivation(name=name, version="1",
+                      steps=steps + [d.copy("out/missing", "g")] if fails else steps)
+
+
+@pytest.fixture
+def runs(monkeypatch):
+    """Builder._run calls by label, and the live threads at each."""
+    runs = SimpleNamespace(labels=Counter(), threads=[])
+    real_run = Builder._run
+
+    def counting_run(self, drv, *args):
+        runs.labels[drv.label] += 1
+        runs.threads.append(threading.active_count())
+        time.sleep(0.002)  # so that builds which may overlap do
+        return real_run(self, drv, *args)
+    monkeypatch.setattr(Builder, "_run", counting_run)
+    return runs
+
+
+def test_failing_input_runs_once_and_fails_once(store, runs):
+    top = _top_over(store, [_leaf("bad", fails=True), _leaf("good")])
+    with pytest.raises(StepFailure, match="^step 1 of bad-1: "):
+        Builder(store, options=BuildOptions(workers=4)).build(top)
+    assert runs.labels["bad-1"] == 1 and "top-1" not in runs.labels
+
+
+def test_parallel_failure_prints_nothing_from_a_thread(store, runs, capfd):
+    top = _top_over(store, [_leaf("bad", fails=True), _leaf("good")])
+    with pytest.raises(StepFailure):
+        Builder(store, options=BuildOptions(workers=4)).build(top)
+    assert capfd.readouterr().err == ""
+
+
+def test_live_threads_stay_within_workers(store, runs):
+    before = threading.active_count()
+    top = _top_over(store, [_leaf(f"leaf{i:02d}") for i in range(64)])
+    path = Builder(store, options=BuildOptions(workers=2)).build(top)
+    assert store.verify_item(path).ok
+    assert len(runs.threads) == 65 and max(runs.threads) <= before + 2
+    assert threading.active_count() == before
+
+
+def test_no_build_starts_after_the_first_failure(store, runs):
+    top = _top_over(store, [_leaf("first"), _leaf("bad", fails=True),
+                            _leaf("last")])
+    with pytest.raises(StepFailure, match="bad-1"):
+        Builder(store, options=BuildOptions(workers=1)).build(top)
+    assert runs.labels == {"first-1": 1, "bad-1": 1}
+
+
+def test_build_all_plans_the_roots_together(store, runs):
+    shared = _leaf("shared")
+    roots = []
+    for name in ("one", "two"):
+        top = _top_over(store, [shared, _leaf(f"{name}-leaf")], name=name)
+        top_hash = derivation_hash(top)
+        store.put_derivation(top_hash, canonical_serialize(top))
+        roots.append((top, top_hash))
+    paths = Builder(store, options=BuildOptions(workers=2)).build_all(roots)
+    assert [p.label for p in paths] == ["one-1", "two-1"]
+    assert all(store.verify_item(p).ok for p in paths)
+    assert runs.labels == {label: 1 for label in (
+        "shared-1", "one-leaf-1", "two-leaf-1", "one-1", "two-1")}
 
 
 def chain_packages(n: int) -> dict:

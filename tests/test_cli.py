@@ -120,12 +120,12 @@ def test_package_creates_generation_and_rollback(env, tmp_path, capsys):
     assert run_command(["rollback", "9"]) == 1
 
 
-# Modules that neither start-up nor a warm `package -m` of pure steps needs:
-# dataclass generation and its inspect chain, exec, logging, dates, file
-# comparison, HTTP libraries, TLS, substitutes and seeds.
+# Modules that neither start-up nor a cold or warm `package -m` of pure steps
+# needs: dataclass generation and its inspect chain, exec, logging, dates,
+# file comparison, an executor, HTTP libraries, TLS, substitutes and seeds.
 NOT_AT_START = {"dataclasses", "inspect", "subprocess", "logging", "datetime",
-                "filecmp", "urllib.request", "http.client", "email.parser",
-                "ssl", "microfold.substitute", "microfold.bootstrap"}
+                "filecmp", "concurrent.futures", "urllib.request", "http.client",
+                "email.parser", "ssl", "microfold.substitute", "microfold.bootstrap"}
 
 # Prints the exit code and the modules, beyond those of a bare interpreter,
 # loaded by `import microfold.cli` and then by running argv.
@@ -146,18 +146,28 @@ def _child_env():
 
 
 def test_start_and_warm_package_load_only_what_they_run(env, tmp_path):
+    """A cold `package -m` into an empty store, which builds, then a warm
+    one, which builds nothing, each in a fresh interpreter."""
     manifest = tmp_path / "manifest.scm"
     manifest.write_text(MANIFEST)
-    assert run_command(["package", "-m", str(manifest)]) == 0
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED, "package", "-m", str(manifest)],
-        env=_child_env(), capture_output=True, text=True, timeout=60)
-    assert "generation 2" in proc.stdout, proc.stderr
-    code, imported, loaded = proc.stdout.splitlines()[-1].split(" ")
-    assert code == "0"
-    assert "microfold.cli" in imported.split(",")
-    assert NOT_AT_START & set(imported.split(",")) == set()
-    assert NOT_AT_START & set(loaded.split(",")) == set()
+    for generation in (1, 2):
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED, "package", "-m", str(manifest)],
+            env=_child_env(), capture_output=True, text=True, timeout=60)
+        assert f"generation {generation}" in proc.stdout, proc.stderr
+        code, imported, loaded = proc.stdout.splitlines()[-1].split(" ")
+        assert code == "0"
+        assert "microfold.cli" in imported.split(",")
+        assert NOT_AT_START & set(imported.split(",")) == set()
+        assert NOT_AT_START & set(loaded.split(",")) == set()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_build_needs_at_least_one_worker(env, workers, capsys):
+    assert run_command(["build", "python", "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: microfold build")
+    assert "argument --workers: expected a number of at least 1" in err
 
 
 def test_substitute_over_http_loads_no_http_library(env, tmp_path, monkeypatch):

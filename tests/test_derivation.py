@@ -7,11 +7,10 @@ import pytest
 from microfold import derivation as drv
 from microfold.derivation import (Derivation, InputRef, SourceRef,
                                   canonical_serialize, derivation_hash,
-                                  load_derivation, parse_derivation,
-                                  store_path_for)
+                                  load_derivation, parse_derivation)
 from microfold.errors import InvariantViolation, StoreCorruption
 from microfold.hashing import ContentHash
-from microfold.store import Store
+from microfold.store import Store, StorePath
 
 # Frozen fixture: serialization written against the grammar by hand and
 # hashed with plain hashlib before the serializer existed.
@@ -33,7 +32,7 @@ def test_golden_serialization():
 
 
 def test_store_path_uses_prefix_and_label(tmp_path):
-    sp = store_path_for(hello_drv(), tmp_path)
+    sp = StorePath(tmp_path, derivation_hash(hello_drv()).prefix, hello_drv().label)
     assert sp.component == GOLDEN_DRV_HASH[:32] + "-hello-1.0"
 
 

@@ -14,6 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("_write_record(", "store.py"),       # store records are written once
     ("load_tree(", "carc.py"),            # trees on disk are streamed
     ('"drvs"', "store.py"),               # only the store knows db/drvs
+    ("Thread(", "builder.py"),            # the one build scheduler
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()

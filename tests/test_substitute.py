@@ -134,6 +134,30 @@ def test_fetch_not_found(tmp_path, cache):
                          [cache], consumer)
 
 
+def test_cache_without_the_item_gets_one_request(tmp_path, cache):
+    """A cache whose info request finds nothing is not asked for the
+    archive."""
+    cache.mkdir()
+    asked = []
+    handler_cls = type("H", (http.server.SimpleHTTPRequestHandler,),
+                       {"log_request": lambda self, *a: asked.append(self.path),
+                        "log_message": lambda *a: None})
+    handler = functools.partial(handler_cls, directory=str(cache))
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        consumer = Store(tmp_path / "consumer")
+        target = StorePath.from_component(consumer.root, "ab" * 16 + "-x")
+        with pytest.raises(SubstituteNotFound):
+            fetch_substitute(target, [f"http://127.0.0.1:{server.server_address[1]}"],
+                             consumer)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert asked == [f"/info/{target.digest_prefix}"]
+
+
 def test_builder_uses_substitutes(tmp_path, cache):
     producer = Store(tmp_path / "producer")
     path = build(hello_drv(), producer)
@@ -422,6 +446,16 @@ def test_challenge_agreement(tmp_path, store):
     assert entry.verdict == "agree"
     assert len(entry.values) == 3  # local + two caches
     assert report.ok
+
+
+def test_challenge_hashes_an_archive_served_without_info(tmp_path, store):
+    path = build(hello_drv(), store)
+    cache = tmp_path / "c1"
+    publish(store, path, cache)
+    (cache / "info" / path.digest_prefix).unlink()
+    entry = challenge([path], [cache], store).entries[path.component]
+    assert entry.values == [("local", store.get_record(path).output_hash.hex),
+                            (str(cache), store.get_record(path).output_hash.hex)]
 
 
 def test_challenge_detects_divergence(tmp_path, store):
