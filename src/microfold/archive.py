@@ -81,28 +81,32 @@ class Archive:
 
 
 def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
-    """Materialize ref.url at dest; None when unreachable.  A file:// tree
-    is copied, and the copy's own bytes are hashed; given an archive, the
-    copy also ingests it there (Archive.copy_in)."""
+    """Materialize ref.url at dest; None when unreachable.  A file:// tree,
+    or an HTTP body streamed to a file beside dest, is copied and the copy's
+    bytes hashed; with an archive, the copy also ingests it (copy_in)."""
     url = ref.url
-    if url.startswith("archive://"):
-        return None  # archive-only source, handled by the second leg
     if url.startswith("file://"):
         path = url[len("file://"):]
         if not os.path.lexists(path):
             return None
-        if archive is not None:
-            return archive.copy_in(path, dest, ref)
-        return Staged(dest, *carc.copy(path, dest))
-    if not transport.is_url(url):
-        return None
-    try:
-        data = transport.read_bytes(url)
-    except OSError:
-        return None  # refused, reset or timed out: the archive leg still runs
-    if data is None:
-        return None
-    return Staged(dest, *carc.restore([carc.serialize_bytes(data)], dest))
+    elif transport.is_url(url):
+        path = dest.with_name(dest.name + ".raw")
+        try:
+            blocks = transport.stream(url)
+        except OSError:
+            return None  # refused or timed out: the archive leg still runs
+        if blocks is None:
+            return None
+        with closing(blocks), open(path, "wb") as f:
+            try:
+                f.writelines(blocks)
+            except transport.BrokenFetch:
+                return None  # reset, cut short or stalled
+    else:
+        return None  # archive-only (archive://) or unknown: the second leg
+    if archive is not None:
+        return archive.copy_in(path, dest, ref)
+    return Staged(dest, *carc.copy(path, dest))
 
 
 def fetch_source(ref, store, archive: Archive | None,

@@ -62,10 +62,6 @@ class RebuildReport(NamedTuple):
     rounds: list  # RoundResult per round
     deterministic: bool
 
-    @property
-    def distinct_hashes(self):
-        return sorted({r.output_hash for r in self.rounds})
-
 
 class Builder:
     def __init__(self, store: Store, archive=None, options: BuildOptions | None = None):

@@ -89,11 +89,6 @@ def version_key(version: str) -> list:
             for c in version.split(".")]
 
 
-def compare_versions(a: str, b: str) -> int:
-    ka, kb = version_key(a), version_key(b)
-    return (ka > kb) - (ka < kb)
-
-
 # -- resolution ------------------------------------------------------------
 
 def resolve_spec(spec: Spec, packages: dict) -> PackageDef:

@@ -1,9 +1,11 @@
 """Profiles: materialized unions of built packages, with generations.
 
-A generation is an append-only snapshot: the union tree (registered as a
-store item whose references are the member outputs) plus enough provenance
-(pin text, manifest text, resolved hashes) to replay it bit-for-bit.  The
-active generation is a mutable pointer; rollback just moves the pointer.
+A generation is an append-only snapshot: the union tree (a store item whose
+references are the member outputs) plus enough provenance (pin text,
+manifest text, resolved hashes) to replay it bit-for-bit.  Its `tree` is
+hard links to the item's files (a copy across filesystems), so an edit made
+there edits the item, and `verify` reports it.  The active generation is a
+mutable pointer; rollback just moves the pointer.
 
 On disk: <profile>/generations/<n>/{tree, channels.scm, manifest.scm,
 hashes.txt, created.txt}, <profile>/current (the active number).
@@ -22,7 +24,7 @@ from . import carc
 from .builder import BuildOptions, Builder
 from .errors import ProfileCollision, UnknownGeneration
 from .hashing import ContentHash
-from .store import Store, StorePath, locked, write_atomic
+from .store import Staged, Store, StorePath, locked, write_atomic
 
 
 class Generation(NamedTuple):
@@ -80,12 +82,12 @@ def _merge(entries: list, dest: bytes, rel: str, emit):
     carc.walk(first, dest, emit)
 
 
-def union_tree(outputs, dest) -> ContentHash:
+def union_tree(outputs, dest) -> tuple[ContentHash, int]:
     """Materialize at dest the union of output trees read from disk, and
-    return its CARC hash, streamed in the same pass; outputs is a list of
-    (StorePath, tree path) pairs.  Identical files and symlinks collapse;
-    any other clash raises ProfileCollision.  A non-directory output
-    occupies an entry named after its label."""
+    return the hash and length of its CARC, streamed in the same pass;
+    outputs is a list of (StorePath, tree path) pairs.  Identical files and
+    symlinks collapse; any other clash raises ProfileCollision.  A
+    non-directory output occupies an entry named after its label."""
     top = {}
     for sp, tree in outputs:
         tree = os.fsencode(tree)
@@ -93,9 +95,27 @@ def union_tree(outputs, dest) -> ContentHash:
             _add_entries(top, tree, sp.component)
         else:
             top.setdefault(sp.label.encode(), []).append((tree, sp.component))
-    union_hash, _ = carc.hashed(
-        lambda emit: _merge_dir(top, os.fsencode(dest), "", emit))
-    return union_hash
+    return carc.hashed(lambda emit: _merge_dir(top, os.fsencode(dest), "", emit))
+
+
+def _link_tree(src: Path, dest: Path):
+    """Fill dest with hard links to the entries of the directory src, or
+    with a copy where linking fails (another filesystem, too many links)."""
+    try:
+        stack = [(os.fsencode(src), os.fsencode(dest))]
+        os.mkdir(stack[0][1])
+        while stack:
+            s, d = stack.pop()
+            with os.scandir(s) as entries:
+                for e in entries:
+                    if e.is_dir(follow_symlinks=False):
+                        os.mkdir(d + b"/" + e.name)
+                        stack.append((e.path, d + b"/" + e.name))
+                    else:
+                        os.link(e.path, d + b"/" + e.name, follow_symlinks=False)
+    except OSError:
+        shutil.rmtree(dest, ignore_errors=True)
+        carc.copy(src, dest)
 
 
 class Profile:
@@ -137,9 +157,9 @@ def build_profile(derivations, store: Store, profile: Profile, *,
     whose bytes the store holds, in one schedule; materialize the union,
     append a generation.
 
-    The union is written once, into the new generation, and hashed in the
-    same pass; it is copied into the store only when the store does not
-    have it yet.
+    A union is written once, into the store, and reused by a later build
+    of the same members (in any order or repeat; members are write-once):
+    generations are scanned newest first for a profile item that fits.
     """
     builder = Builder(store, archive=archive, options=options)
     member_paths = builder.build_all(derivations)
@@ -148,6 +168,17 @@ def build_profile(derivations, store: Store, profile: Profile, *,
 
     with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()
+        for n in reversed(numbers):
+            rec = store.get_record(profile.generation_store_component(n))
+            if rec and rec.path.label == "profile" and rec.kind == "fixed" \
+                    and set(rec.references) == set(member_paths):
+                union_path = rec.path
+                break
+        else:
+            with store.scratch() as scratch:
+                staged = Staged(scratch / "union", *union_tree(
+                    [(sp, sp.path) for sp in member_paths], scratch / "union"))
+                union_path = store.add_fixed(staged, "profile", references=member_paths)
         number = (numbers[-1] + 1) if numbers else 1
         gen_dir = profile.generation_dir(number)
         tmp = gen_dir.with_suffix(".tmp")
@@ -155,13 +186,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
         try:
-            tree = tmp / "tree"
-            union_hash = union_tree([(sp, sp.path) for sp in member_paths], tree)
-            union_path = StorePath(store.root, union_hash.prefix, "profile")
-            rec = store.get_record(union_path)
-            if rec is None or rec.output_hash != union_hash:
-                union_path = store.add_fixed(tree, "profile",
-                                             references=member_paths)
+            _link_tree(union_path.path, tmp / "tree")
             (tmp / "channels.scm").write_text(pin_text)
             (tmp / "manifest.scm").write_text(manifest_text)
             (tmp / "hashes.txt").write_text("".join(

@@ -1,3 +1,10 @@
+import os
+import socket
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from microfold import carc
@@ -177,3 +184,72 @@ def channel_r1(repo):
 @pytest.fixture
 def packages(channel_r1, repo):
     return repo.checkout(channel_r1.id)
+
+
+# Prepended to a script that peak_growth_kib runs.  The child's own
+# high-water mark (VmHWM) is read, not ru_maxrss, which on Linux starts from
+# the RSS of the process that forked the child.
+_PEAK_KIB = """
+import sys
+
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return int(next(l for l in f if l.startswith("VmHWM:")).split()[1])
+"""
+
+
+def peak_growth_kib(script: str, *args) -> int:
+    """Run script, which may call peak_kib(), in a child Python with
+    microfold importable and args as its argv; the int that it prints."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_KIB + script, *map(str, args)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
+def http_200(body: bytes, length: int | None = None) -> bytes:
+    """A 200 response carrying body under a Content-Length of length."""
+    length = len(body) if length is None else length
+    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % length + body
+
+
+@pytest.fixture
+def raw_http():
+    """start(answer) serves HTTP on a fresh port, one connection at a time:
+    each request's path goes to answer(path, conn), which writes the
+    response to the socket conn (closed after it).  Returns the base URL."""
+    stop = threading.Event()
+    threads = []
+
+    def start(answer):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.05)
+
+        def serve():
+            with listener:
+                while not stop.is_set():
+                    try:
+                        conn, _ = listener.accept()
+                    except TimeoutError:
+                        continue
+                    with conn:
+                        request = b""
+                        while b"\r\n\r\n" not in request:
+                            chunk = conn.recv(4096)
+                            if not chunk:
+                                break
+                            request += chunk
+                        if request:
+                            answer(request.split(b" ")[1].decode(), conn)
+        threads.append(threading.Thread(target=serve, daemon=True))
+        threads[-1].start()
+        return f"http://127.0.0.1:{listener.getsockname()[1]}"
+
+    yield start
+    stop.set()
+    for thread in threads:
+        thread.join()

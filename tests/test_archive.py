@@ -11,6 +11,9 @@ from microfold.archive import Archive, fetch_source
 from microfold.derivation import SourceRef
 from microfold.errors import ArchiveWriteError, HashMismatch, SourceUnavailable
 from microfold.hashing import ContentHash
+from microfold.store import Store
+
+from conftest import http_200, peak_growth_kib
 
 
 def _archived(archive, content_hash):
@@ -215,3 +218,68 @@ def test_fetch_mismatch_leaves_no_archive_tmp_file(tmp_path, store, archive):
         fetch_source(ref, store, archive)
     assert os.listdir(archive.root / "carc") == []
     assert os.listdir(archive.root / "origins") == []
+
+
+@pytest.mark.parametrize("with_archive", [True, False])
+def test_fetch_http_upstream(store, archive, raw_http, with_archive):
+    body = b"served over http\n"
+    url = raw_http(lambda path, conn: conn.sendall(http_200(body)))
+    h = ContentHash.of_bytes(carc.serialize_bytes(body))
+    ref = SourceRef(f"{url}/src.txt", h, "src")
+    path = fetch_source(ref, store, archive if with_archive else None)
+    assert path.path.read_bytes() == body and store.verify_item(path).ok
+    assert os.listdir(store.root / "tmp") == []
+    if with_archive:
+        assert _archived(archive, h) == carc.serialize_bytes(body)
+        assert archive.origins(h) == [ref.url]
+
+
+@pytest.mark.parametrize("reply", [b"HTTP/1.0 404 Not Found\r\n\r\n",
+                                   http_200(b"cut short", length=100)],
+                         ids=["404", "cut short"])
+def test_fetch_http_upstream_missing_or_cut_short_uses_archive(store, archive,
+                                                               raw_http, reply):
+    h = archive.ingest(b"archived body")
+    url = raw_http(lambda path, conn: conn.sendall(reply))
+    path = fetch_source(SourceRef(f"{url}/src.tar", h, "src"), store, archive)
+    assert path.path.read_bytes() == b"archived body"
+    assert os.listdir(store.root / "tmp") == []
+
+
+# Fetches one source in a child process and prints how far its peak RSS grew
+# (see conftest.peak_growth_kib).
+UPSTREAM_PEAK_GROWTH = """
+from microfold.archive import Archive, fetch_source
+from microfold.derivation import SourceRef
+from microfold.hashing import ContentHash
+from microfold.store import Store
+
+store, archive = Store(sys.argv[1]), Archive(sys.argv[2])
+ref = SourceRef(sys.argv[3], ContentHash(sys.argv[4]), "big-src")
+before = peak_kib()
+fetch_source(ref, store, archive)
+print(peak_kib() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_http_upstream_source_streams(tmp_path, raw_http):
+    """A 32 MiB HTTP upstream source is fetched, and ingested, in memory
+    that does not grow with it."""
+    blob = tmp_path / "blob"
+    with open(blob, "wb") as f:
+        for i in range(32):
+            f.write(bytes([i]) * (1 << 20))
+    h = carc.hash_path(blob)
+
+    def answer(path, conn):
+        with open(blob, "rb") as f:
+            conn.sendall(http_200(b"", length=os.fstat(f.fileno()).st_size))
+            conn.sendfile(f)
+    url = f"{raw_http(answer)}/big.bin"
+    growth = peak_growth_kib(UPSTREAM_PEAK_GROWTH, tmp_path / "store",
+                             tmp_path / "archive", url, h.hex)
+    assert growth < 16 * 1024
+    store = Store(tmp_path / "store")
+    assert [r.output_hash for r in store.list_records()] == [h]
+    assert Archive(tmp_path / "archive").origins(h) == [url]

@@ -10,10 +10,9 @@ from microfold.derivation import derivation_hash
 from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
                               EmptyVersion, ReplacementCycle, UnknownPackage,
                               UnknownVersion, UnsupportedForm)
-from microfold.manifest import (Manifest, Spec, compare_versions,
-                                instantiate, parse_manifest, parse_spec,
-                                resolve, resolve_spec, rewrite_inputs,
-                                version_key)
+from microfold.manifest import (Manifest, Spec, instantiate, parse_manifest,
+                                parse_spec, resolve, resolve_spec,
+                                rewrite_inputs, version_key)
 
 REFERENCE_MANIFEST = """(specifications->manifest
  '("python"
@@ -70,12 +69,12 @@ def test_spec_parsing():
 # -- version ordering ------------------------------------------------------
 
 def test_version_comparisons():
-    assert compare_versions("1.9", "1.10") < 0  # numeric, not lexicographic
-    assert compare_versions("1.10", "1.9") > 0
-    assert compare_versions("2.0", "2.0") == 0
-    assert compare_versions("1.0", "1.0.1") < 0  # shorter prefix loses
-    assert compare_versions("1.0a", "1.0b") < 0  # bytewise when non-numeric
-    assert compare_versions("1.a", "1.10") != 0
+    assert version_key("1.9") < version_key("1.10")  # numeric, not lexicographic
+    assert version_key("1.10") > version_key("1.9")
+    assert version_key("2.0") == version_key("2.0")
+    assert version_key("1.0") < version_key("1.0.1")  # shorter prefix loses
+    assert version_key("1.0a") < version_key("1.0b")  # bytewise when non-numeric
+    assert version_key("1.a") != version_key("1.10")
 
 
 version_part = st.text(alphabet=string.ascii_lowercase + string.digits,
@@ -87,12 +86,13 @@ versions = st.lists(version_part, min_size=1, max_size=4).map(".".join)
 @example("2", "10", "1a")
 @example("01", "1", "1")
 def test_version_order_is_total_and_transitive(a, b, c):
-    assert compare_versions(a, b) == -compare_versions(b, a)
-    assert compare_versions(a, a) == 0
+    ka, kb = version_key(a), version_key(b)
+    assert (ka < kb) == (kb > ka) and (ka == kb) == (kb == ka)
+    assert version_key(a) == version_key(a)
     trio = sorted([a, b, c], key=version_key)
-    assert compare_versions(trio[0], trio[1]) <= 0
-    assert compare_versions(trio[1], trio[2]) <= 0
-    assert compare_versions(trio[0], trio[2]) <= 0
+    assert version_key(trio[0]) <= version_key(trio[1])
+    assert version_key(trio[1]) <= version_key(trio[2])
+    assert version_key(trio[0]) <= version_key(trio[2])
 
 
 # -- resolution ------------------------------------------------------------

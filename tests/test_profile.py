@@ -1,4 +1,7 @@
 import copy
+import errno
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -6,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carc_model
-from microfold import carc
+from microfold import carc, profile as profile_mod
 from microfold import derivation as d
 from microfold.derivation import Derivation, derivation_hash
 from microfold.errors import ProfileCollision, UnknownGeneration
+from microfold.cli import run_command
 from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile, union_tree
 from microfold.store import StorePath
@@ -163,9 +167,10 @@ def test_union_hash_is_the_hash_of_the_written_union(trees):
             with pytest.raises(ProfileCollision):
                 union_tree(paths, tmp / "union")
             return
-        union_hash = union_tree(paths, tmp / "union")
+        union_hash, size = union_tree(paths, tmp / "union")
         assert union_hash == carc.hash_path(tmp / "union")
         assert union_hash == carc_model.hash_tree(expected)
+        assert size == len(carc.serialize_tree(expected))
 
 
 def _drv(name, files):
@@ -273,3 +278,150 @@ def test_fixture_manifest_profile(store, archive, toolchain, packages, profile):
     assert (tree / "bin/python").exists()
     assert (tree / "lib/scipy.py").read_bytes() == b"# solvers\n"
     assert store.verify_item(gen.profile_tree).ok
+
+
+def _entries(root: Path) -> dict:
+    """Relative path -> lstat result of every entry under root."""
+    out, stack = {}, [root]
+    while stack:
+        for entry in os.scandir(stack.pop()):
+            out[Path(entry.path).relative_to(root)] = entry.stat(follow_symlinks=False)
+            if entry.is_dir(follow_symlinks=False):
+                stack.append(entry.path)
+    return out
+
+
+def _shared_inodes(tree: Path, item: Path) -> dict:
+    """Relative path -> whether the non-directory entry at it under tree
+    is the same inode as its twin under item."""
+    mine, theirs = _entries(tree), _entries(item)
+    assert mine.keys() == theirs.keys()
+    return {rel: (st.st_dev, st.st_ino) == (theirs[rel].st_dev, theirs[rel].st_ino)
+            for rel, st in mine.items() if not stat.S_ISDIR(st.st_mode)}
+
+
+def test_generation_tree_is_hard_links_to_the_store_item(store, profile, capsys):
+    gen = build_profile([_drv("a", {"bin/a": b"a", "share/doc/a": b"doc"}),
+                         _drv("b", {"bin/b": b"b"})], store, profile)
+    tree = profile.generation_dir(gen.number) / "tree"
+    shared = _shared_inodes(tree, gen.profile_tree.path)
+    assert len(shared) == 3 and all(shared.values())
+    assert carc.hash_path(tree) == store.get_record(gen.profile_tree).output_hash
+    assert run_command(["--store", str(store.root), "verify"]) == 0
+    # The link is shared: an edit made through the profile edits the item,
+    # and verify reports it.
+    (tree / "bin/a").write_bytes(b"edited")
+    capsys.readouterr()
+    assert run_command(["--store", str(store.root), "verify"]) == 2
+    assert capsys.readouterr().out.startswith(
+        f"mismatch {gen.profile_tree.component}: ")
+
+
+def test_link_tree_links_symlinks_and_files(tmp_path):
+    carc_model.write_tree(carc.Dir({
+        "bin": carc.Dir({"tool": carc.File(b"#!", executable=True),
+                         "alias": carc.Symlink("tool")}),
+        "lib": carc.Symlink("bin"), "empty": carc.Dir()}), tmp_path / "item")
+    profile_mod._link_tree(tmp_path / "item", tmp_path / "tree")
+    shared = _shared_inodes(tmp_path / "tree", tmp_path / "item")
+    assert sorted(map(str, shared)) == ["bin/alias", "bin/tool", "lib"]
+    assert all(shared.values())
+    assert carc.hash_path(tmp_path / "tree") == carc.hash_path(tmp_path / "item")
+
+
+@pytest.fixture
+def unions(monkeypatch):
+    """The calls build_profile makes to union_tree, counted."""
+    calls = []
+    real = profile_mod.union_tree
+
+    def counting(outputs, dest):
+        calls.append([sp.component for sp, _ in outputs])
+        return real(outputs, dest)
+    monkeypatch.setattr(profile_mod, "union_tree", counting)
+    return calls
+
+
+A1, B1 = _drv("a", {"bin/a": b"a"}), _drv("b", {"bin/b": b"b"})
+
+
+@pytest.mark.parametrize("again", [[A1, B1], [B1, A1], [A1, B1, A1, B1]],
+                         ids=["same", "reordered", "duplicated"])
+def test_same_members_reuse_the_union_without_a_walk(store, profile, unions, again):
+    g1 = build_profile([A1, B1], store, profile)
+    assert len(unions) == 1
+    g2 = build_profile(again, store, profile)
+    assert len(unions) == 1
+    assert g2.profile_tree == g1.profile_tree
+    shared = _shared_inodes(profile.generation_dir(2) / "tree", g1.profile_tree.path)
+    assert shared and all(shared.values())
+
+
+def test_different_members_write_a_new_union(store, profile, unions):
+    g1 = build_profile([A1], store, profile)
+    g2 = build_profile([A1, B1], store, profile)
+    assert len(unions) == 2 and g2.profile_tree != g1.profile_tree
+    assert {r.label for r in store.get_record(g2.profile_tree).references} == {
+        "a-1", "b-1"}
+
+
+def test_an_older_generation_union_is_found(store, profile, unions):
+    r1, r2 = [_drv("a", {"f": b"one"})], [_drv("a", {"f": b"two"})]
+    g1 = build_profile(r1, store, profile)
+    g2 = build_profile(r2, store, profile)
+    assert len(unions) == 2
+    g3 = build_profile(r1, store, profile)
+    assert len(unions) == 2
+    assert g3.profile_tree == g1.profile_tree != g2.profile_tree
+    assert (profile.generation_dir(3) / "tree/f").read_bytes() == b"one"
+
+
+def test_tree_is_a_copy_where_links_fail(store, profile, monkeypatch):
+    def cross_device(*args, **kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+    monkeypatch.setattr(os, "link", cross_device)
+    gen = build_profile([_drv("a", {"bin/a": b"a", "lib/x": b"x"})], store, profile)
+    tree = profile.generation_dir(gen.number) / "tree"
+    assert carc.hash_path(tree) == store.get_record(gen.profile_tree).output_hash
+    shared = _shared_inodes(tree, gen.profile_tree.path)
+    assert len(shared) == 2 and not any(shared.values())
+    assert store.verify_item(gen.profile_tree).ok
+
+
+class _Crash(BaseException):
+    """The process dying at this point."""
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("failure", ["crash", "disk full"])
+def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
+    g1 = build_profile([_drv("a", {"f": b"one"})], store, profile)
+    members = [_drv("a", {"f": b"two", "g/h": b"h", "i": b"i", "j": b"j"})]
+    real_link, made = os.link, []
+
+    def link(*args, **kwargs):
+        if len(made) == k:
+            if failure == "crash":
+                raise _Crash
+            raise OSError(errno.ENOSPC, "No space left on device")
+        made.append(args)
+        return real_link(*args, **kwargs)
+
+    def no_room(*args):
+        raise OSError(errno.ENOSPC, "No space left on device")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "link", link)
+        mp.setattr(carc, "copy", no_room)
+        with pytest.raises((_Crash, OSError)):
+            build_profile(members, store, profile)
+    assert len(made) == k
+    assert os.listdir(profile.root / "generations") == ["1"]
+    assert profile.current() == 1
+    new = [r.path for r in store.list_records()
+           if r.path.label == "profile" and r.path != g1.profile_tree]
+    assert len(new) == 1 and store.verify_item(new[0]).ok
+    # A retry ends with the generation that the failed run would have made.
+    g2 = build_profile(members, store, profile)
+    assert (g2.number, g2.profile_tree) == (2, new[0])
+    assert carc.hash_path(profile.generation_dir(2) / "tree") == \
+        store.get_record(g2.profile_tree).output_hash

@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("load_tree(", "carc.py"),            # trees on disk are streamed
     ('"drvs"', "store.py"),               # only the store knows db/drvs
     ("Thread(", "builder.py"),            # the one build scheduler
+    ("os.link(", "profile.py"),           # only profiles share store inodes
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()

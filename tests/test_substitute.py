@@ -4,11 +4,8 @@ import os
 import shutil
 import socket
 import struct
-import subprocess
-import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +18,8 @@ from microfold.errors import (AllProvidersCorrupt, CorruptItem,
 from microfold.store import Store, StorePath
 from microfold.substitute import (SubstituteInfo, challenge, fetch_substitute,
                                   publish)
+
+from conftest import http_200, peak_growth_kib
 
 
 def hello_drv():
@@ -196,55 +195,11 @@ def test_fetch_over_http(tmp_path, cache):
         server.server_close()
 
 
-@pytest.fixture
-def raw_http():
-    """start(answer) serves HTTP on a fresh port, one connection at a time:
-    each request's path goes to answer(path, conn), which writes the
-    response to the socket conn (closed after it).  Returns the base URL."""
-    stop = threading.Event()
-    threads = []
-
-    def start(answer):
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(0.05)
-
-        def serve():
-            with listener:
-                while not stop.is_set():
-                    try:
-                        conn, _ = listener.accept()
-                    except TimeoutError:
-                        continue
-                    with conn:
-                        request = b""
-                        while b"\r\n\r\n" not in request:
-                            chunk = conn.recv(4096)
-                            if not chunk:
-                                break
-                            request += chunk
-                        if request:
-                            answer(request.split(b" ")[1].decode(), conn)
-        threads.append(threading.Thread(target=serve, daemon=True))
-        threads[-1].start()
-        return f"http://127.0.0.1:{listener.getsockname()[1]}"
-
-    yield start
-    stop.set()
-    for thread in threads:
-        thread.join()
-
-
-def _ok(body: bytes, length: int | None = None) -> bytes:
-    """A 200 response carrying body under a Content-Length of length."""
-    length = len(body) if length is None else length
-    return b"HTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n" % length + body
-
-
 def _from(cache):
     """An answer that serves the files of the directory cache, and 404s."""
     def answer(path, conn):
         try:
-            conn.sendall(_ok((cache / path.lstrip("/")).read_bytes()))
+            conn.sendall(http_200((cache / path.lstrip("/")).read_bytes()))
         except FileNotFoundError:
             conn.sendall(b"HTTP/1.0 404 Not Found\r\n\r\n")
     return answer
@@ -267,7 +222,7 @@ def test_truncated_body_skips_cache(tmp_path, cache, raw_http, capsys):
     def answer(path, conn):
         if path.startswith("/carc/"):
             body = (cache / path[1:]).read_bytes()
-            conn.sendall(_ok(body[:-3], length=len(body)))
+            conn.sendall(http_200(body[:-3], length=len(body)))
         else:
             _from(cache)(path, conn)
     short = raw_http(answer)
@@ -303,7 +258,7 @@ def test_reset_mid_archive_skips_cache(tmp_path, cache, raw_http, capsys):
         if not path.startswith("/carc/"):
             return _from(cache)(path, conn)
         body = (cache / path[1:]).read_bytes()
-        conn.sendall(_ok(body[:len(body) // 2], length=len(body)))
+        conn.sendall(http_200(body[:len(body) // 2], length=len(body)))
         time.sleep(0.3)  # the client is waiting for the rest by now
         conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
     reset = raw_http(answer)  # closing with a zero linger sends a reset
@@ -337,17 +292,11 @@ def test_redirect_is_followed(tmp_path, cache, raw_http):
     assert consumer.verify_item(target).ok
 
 
-# Fetches one item in a child process and prints how far its peak RSS grew.
-# The child's own high-water mark (VmHWM) is read, not ru_maxrss, which on
-# Linux starts from the RSS of the process that forked the child.
+# Fetches one item in a child process and prints how far its peak RSS grew
+# (see conftest.peak_growth_kib).
 PEAK_GROWTH = """
-import sys
 from microfold.store import Store, StorePath
 from microfold.substitute import fetch_substitute
-
-def peak_kib():
-    with open("/proc/self/status") as f:
-        return int(next(l for l in f if l.startswith("VmHWM:")).split()[1])
 
 store = Store(sys.argv[1])
 target = StorePath.from_component(store.root, sys.argv[3])
@@ -371,18 +320,12 @@ def test_substitute_streams_a_large_item(tmp_path, cache, raw_http, over):
 
     def answer(path, conn):
         with open(cache / path.lstrip("/"), "rb") as f:
-            conn.sendall(_ok(b"", length=os.fstat(f.fileno()).st_size))
+            conn.sendall(http_200(b"", length=os.fstat(f.fileno()).st_size))
             conn.sendfile(f)
     location = raw_http(answer) if over == "http" else str(cache)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-c", PEAK_GROWTH, str(tmp_path / "consumer"),
-         location, path.component],
-        env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 16 * 1024  # KiB
+    growth = peak_growth_kib(PEAK_GROWTH, tmp_path / "consumer", location,
+                             path.component)
+    assert growth < 16 * 1024
     assert Store(tmp_path / "consumer").verify_item(path).ok
 
 
