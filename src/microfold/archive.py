@@ -46,19 +46,6 @@ class Archive:
             raise ArchiveWriteError(str(e)) from e
         return content_hash
 
-    def copy_in(self, src, dest: Path, ref) -> Staged:
-        """Copy the tree at src to dest, as carc.copy does, and write its
-        archive to a tmp file here in the same pass.  The file joins the
-        archive, with origin ref.url, only if it hashes to
-        ref.expected_hash."""
-        tmp, content_hash, size = carc.dump_to_tmp(src, self.root / "carc", dest)
-        if content_hash == ref.expected_hash:
-            os.replace(tmp, self.root / "carc" / content_hash.hex)
-            self._add_origin(content_hash, ref.url)
-        else:
-            os.unlink(tmp)
-        return Staged(dest, content_hash, size)
-
     def _add_origin(self, content_hash: ContentHash, origin: str):
         with locked(self.root / "origins.lock"):
             origins = set(self.origins(content_hash))
@@ -81,16 +68,17 @@ class Archive:
 
 
 def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
-    """Materialize ref.url at dest; None when unreachable.  A file:// tree,
-    or an HTTP body streamed to a file beside dest, is copied and the copy's
-    bytes hashed; with an archive, the copy also ingests it (copy_in)."""
+    """Materialize ref.url at dest; None when unreachable.  A file:// tree
+    is copied and the copy's bytes hashed; an HTTP body is streamed to dest
+    and hashed in one read.  With an archive, that pass also writes the
+    archive file, which joins the archive only if it has ref's hash."""
     url = ref.url
     if url.startswith("file://"):
-        path = url[len("file://"):]
+        path, copy_to = url[len("file://"):], dest
         if not os.path.lexists(path):
             return None
     elif transport.is_url(url):
-        path = dest.with_name(dest.name + ".raw")
+        path, copy_to = dest, None
         try:
             blocks = transport.stream(url)
         except OSError:
@@ -102,11 +90,18 @@ def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
                 f.writelines(blocks)
             except transport.BrokenFetch:
                 return None  # reset, cut short or stalled
+        os.chmod(dest, 0o644)
     else:
         return None  # archive-only (archive://) or unknown: the second leg
-    if archive is not None:
-        return archive.copy_in(path, dest, ref)
-    return Staged(dest, *carc.copy(path, dest))
+    if archive is None:
+        return Staged(dest, *carc.copy(path, copy_to))
+    tmp, content_hash, size = carc.dump_to_tmp(path, archive.root / "carc", copy_to)
+    if content_hash == ref.expected_hash:
+        os.replace(tmp, archive.root / "carc" / content_hash.hex)
+        archive._add_origin(content_hash, ref.url)
+    else:
+        os.unlink(tmp)
+    return Staged(dest, content_hash, size)
 
 
 def fetch_source(ref, store, archive: Archive | None,

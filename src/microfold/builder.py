@@ -8,19 +8,23 @@ declared env.  Steps only see the output tree under construction, the
 fetched sources, and store items addressed by digest-prefixed component.
 
 Isolation is contractual, not kernel-enforced: the step language cannot
-escape the scratch directory, and exec is restricted to programs resolved
-through the store.
+escape the scratch directory (nor write through a symlink out of the
+output), and exec is restricted to programs resolved through the store.
+Without exec steps, whose tools may write into a file in place, `copy`
+links trees (carc.link): no other step writes through a file it replaces.
 
-When the steps are done, the output directory is given canonical mode bits,
-then hashed in one streaming pass that also scans it for references, and
-renamed into the store.
+When the steps are done, one streaming walk of the output gives it canonical
+mode bits, hashes it and scans it for references; then it is renamed into
+the store.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+import os
 import shutil
+import stat
 import sys
 import tempfile
 import threading
@@ -204,7 +208,8 @@ class Builder:
             # Expose the roots as symlinks so exec'd tools can reach
             # sources and inputs through cwd-relative paths.  The other
             # steps resolve paths through `roots` and never read them.
-            if any(step.op == "exec" for step in drv.steps):
+            execs = any(step.op == "exec" for step in drv.steps)
+            if execs:
                 for root_name, root_dir in roots.items():
                     link = scratch / root_name
                     if not link.exists() and not link.is_symlink():
@@ -212,12 +217,11 @@ class Builder:
             env = self._env(drv, scratch, input_paths)
             for index, step in enumerate(drv.steps):
                 try:
-                    self._step(step, roots, out, scratch, env)
+                    self._step(step, roots, out, scratch, env, not execs)
                 except EscapedClosure:
                     raise
                 except (MicrofoldError, OSError) as e:
                     raise StepFailure(index, drv.label, str(e)) from e
-            carc.set_modes(out)
             candidates = dict(items)
             candidates.update((sp.component, sp) for sp in source_paths)
             output, references = _hash_and_scan(out, candidates)
@@ -236,35 +240,39 @@ class Builder:
         env.update(drv.env)
         return env
 
-    def _step(self, step, roots, out: Path, scratch: Path, env: dict):
-        """Run one step; _run turns its errors into StepFailure(index)."""
+    def _step(self, step, roots, out: Path, scratch: Path, env: dict, link: bool):
+        """Run one step (copy links with link); _run turns its errors into
+        StepFailure(index)."""
         op, args = step.op, step.args
         if op == "write":
-            dest = out / args[0]
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_bytes(args[1])
+            _replace(_dest(out, args[0]), args[1])
         elif op == "mkdir":
-            (out / args[0]).mkdir(parents=True, exist_ok=True)
+            _dest(out, args[0]).mkdir(exist_ok=True)
         elif op == "copy":
             src = self._resolve(roots, out, args[0])
-            if not src.exists() and not src.is_symlink():
+            if not os.path.lexists(src):
                 raise MicrofoldError(f"copy source missing: {args[0]}")
-            dest = out / args[1]
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            carc.copy(src, dest)
+            dest = _dest(out, args[1])
+            dest.unlink(missing_ok=True)  # a directory stays, and fails
+            # Link only what no symlink leads to: it may lie outside.
+            inside = os.path.realpath(src.parent) == os.path.abspath(src.parent)
+            (carc.link if link and inside else carc.copy)(src, dest)
         elif op == "concat":
-            parts = []
-            for src in args[1:]:
-                parts.append(self._resolve(roots, out, src).read_bytes())
-            dest = out / args[0]
-            dest.parent.mkdir(parents=True, exist_ok=True)
-            dest.write_bytes(b"".join(parts))
+            data = b"".join(self._resolve(roots, out, src).read_bytes()
+                            for src in args[1:])
+            _replace(_dest(out, args[0]), data)
         elif op == "substitute":
-            path = out / args[0]
-            path.write_bytes(path.read_bytes().replace(args[1], args[2]))
+            path = _dest(out, args[0])
+            _replace(path, path.read_bytes().replace(args[1], args[2]))
         elif op == "set-exec":
-            path = out / args[0]
-            path.chmod(path.stat().st_mode | 0o111)
+            path = _dest(out, args[0])
+            st = os.lstat(path)
+            if stat.S_ISLNK(st.st_mode):
+                raise MicrofoldError(f"set-exec on a symlink: {args[0]}")
+            if stat.S_ISREG(st.st_mode) and st.st_nlink > 1:  # shared
+                carc.copy(path, scratch / "~fresh")
+                os.replace(scratch / "~fresh", path)
+            path.chmod(st.st_mode | 0o111)
         elif op == "exec":
             program = self._resolve(roots, out, args[0])
             if not program.exists():
@@ -288,11 +296,34 @@ class Builder:
             raise MicrofoldError(f"unknown op {op}")
 
 
+def _dest(out: Path, rel: str) -> Path:
+    """out/rel, for a step to create or replace, with its parent made.  A
+    symlink on the way, copied into out, must not resolve outside it."""
+    dest, parts = out / rel, rel.split("/")[:-1]
+    if any(os.path.islink(out.joinpath(*parts[:i])) for i in range(1, len(parts) + 1)):
+        real_out = os.path.realpath(out)
+        if os.path.commonpath([real_out, os.path.realpath(dest.parent)]) != real_out:
+            raise EscapedClosure(f"{rel!r} leads out of the output through a symlink")
+    dest.parent.mkdir(parents=True, exist_ok=True)
+    return dest
+
+
+def _replace(path: Path, data: bytes):
+    """Write data to path as a new file, not through the file there (which
+    may share its inode with a store item; its mode is kept) or symlink."""
+    mode = os.lstat(path).st_mode if os.path.lexists(path) else 0
+    if mode:
+        os.unlink(path)
+    path.write_bytes(data)
+    if stat.S_ISREG(mode):
+        path.chmod(stat.S_IMODE(mode))
+
+
 def _hash_and_scan(out: Path, candidates: dict) -> tuple[Staged, list]:
-    """Hash the output tree and find the candidate store paths (by
-    component) whose digest prefix appears in its archive, in one pass.
-    Each block is searched for every prefix not yet found, together with
-    the last PREFIX_LEN - 1 bytes of the block before it."""
+    """Give the output tree canonical modes, hash it and find the candidate
+    store paths (by component) whose digest prefix is in its archive, in one
+    walk.  Each block is searched for every prefix not yet found, together
+    with the last PREFIX_LEN - 1 bytes of the block before it."""
     by_prefix = {}
     for sp in candidates.values():
         by_prefix.setdefault(sp.digest_prefix.encode(), []).append(sp)
@@ -308,7 +339,7 @@ def _hash_and_scan(out: Path, candidates: dict) -> tuple[Staged, list]:
             found.extend(by_prefix.pop(prefix))
         tail = window[-(PREFIX_LEN - 1):]
 
-    size = carc.dump(out, write)
+    size = carc.dump(out, write, settle=True)
     references = sorted(found, key=lambda sp: sp.component)
     return Staged(out, ContentHash(sha.hexdigest()), size), references
 

@@ -18,15 +18,16 @@ are ASCII decimals.
 Trees on disk are streamed, never held in memory: `dump` writes the archive
 of a tree to any sink in blocks of at most `_BLOCK` bytes, `copy` copies a
 tree while hashing the bytes it copies, and `restore` unpacks an archive,
-checking the grammar and hashing the input as it writes.  Trees that copy
-and restore create, and build outputs (see `set_modes`), all carry the same
-mode bits: 0755 for directories and executable files, 0644 for the rest.
-The in-memory model (`File`/`Dir`, `serialize_tree`) serves content that
-is already in memory.
+checking the grammar and hashing the input as it writes; `link` makes a tree
+of hard links to another's files.  Trees that these create, and build outputs
+(see `dump`'s settle), all carry the same mode bits: 0755 for directories
+and executable files, 0644 for the rest.  The in-memory model (`File`/`Dir`,
+`serialize_tree`) serves content that is already in memory.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import os
 import stat
@@ -145,20 +146,23 @@ class _Blocks:
             self.held = 0
 
 
-def walk(src: bytes, dest: bytes | None, emit):
+def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False):
     """Emit (to emit, a function given byte strings) the CARC node of the
-    tree at src; when dest is given, also create a copy of it there.  A
-    caller that emits a node of its own (see stream) builds it from this
-    and directory."""
+    tree at src; when dest is given, also create a copy of it there (with
+    links, of hard links to src's files where it can).  With settle, give
+    each entry of src the mode bits of a copy.  A caller that emits a node
+    of its own (see stream) builds it from this and directory."""
     st = os.lstat(src)
     mode = st.st_mode
+    if settle and not stat.S_ISLNK(mode) and stat.S_IMODE(mode) != _mode(mode):
+        os.chmod(src, _mode(mode))
     if stat.S_ISREG(mode):
         left = st.st_size
         emit((b"x\n%d\n" if mode & stat.S_IXUSR else b"f\n%d\n") % left)
         fd = os.open(src, os.O_RDONLY | os.O_NOFOLLOW)
         out = None
         try:
-            if dest is not None:
+            if dest is not None and not (links and _linked(src, dest)):
                 out = os.open(dest, _CREATE, _mode(mode))
                 os.fchmod(out, _mode(mode))
             while left:
@@ -180,7 +184,7 @@ def walk(src: bytes, dest: bytes | None, emit):
             os.symlink(target, dest)
     elif stat.S_ISDIR(mode):
         for name, sub in directory(sorted(os.listdir(src)), dest, emit):
-            walk(src + b"/" + name, sub, emit)
+            walk(src + b"/" + name, sub, emit, links, settle)
     else:
         raise UnsupportedNode(f"{os.fsdecode(src)}: unsupported file type")
 
@@ -216,20 +220,50 @@ def hashed(node) -> tuple[ContentHash, int]:
     return ContentHash(sha.hexdigest()), size
 
 
-def dump(path: os.PathLike, write) -> int:
-    """Stream the archive of the tree at path into write (see stream)."""
-    return stream(lambda emit: walk(os.fsencode(path), None, emit), write)
+def dump(path: os.PathLike, write, settle: bool = False) -> int:
+    """Stream the archive of the tree at path into write (see stream);
+    with settle, give each entry the mode bits of a copy (see walk)."""
+    return stream(lambda emit: walk(os.fsencode(path), None, emit, False, settle), write)
 
 
-def copy(src: os.PathLike, dest: os.PathLike) -> tuple[ContentHash, int]:
+def copy(src: os.PathLike, dest=None) -> tuple[ContentHash, int]:
     """Copy the tree at src to dest (whose parent must exist), entry by
-    entry with canonical mode bits.  Returns the hash and length of the
-    archive of the bytes copied, which are the bytes of the copy."""
-    return hashed(lambda emit: walk(os.fsencode(src), os.fsencode(dest), emit))
+    entry with canonical mode bits, or only read it.  Returns the hash and
+    length of the archive of the bytes read, which are the bytes of the copy."""
+    return hashed(lambda emit: walk(os.fsencode(src), dest and os.fsencode(dest), emit))
 
 
 def hash_path(path: os.PathLike) -> ContentHash:
-    return hashed(lambda emit: walk(os.fsencode(path), None, emit))[0]
+    return copy(path)[0]
+
+
+def _linked(src: bytes, dest: bytes) -> bool:
+    """Hard-link dest to the file or symlink src; False on EXDEV, EMLINK, EPERM."""
+    try:
+        os.link(src, dest, follow_symlinks=False)
+    except OSError as e:
+        if e.errno not in (errno.EXDEV, errno.EMLINK, errno.EPERM):
+            raise
+        return False
+    return True
+
+
+def link(src: os.PathLike, dest: os.PathLike):
+    """Make dest (its parent must exist) a tree like src's: new directories,
+    hard links to its files and symlinks (copies where linking fails)."""
+    src, dest = os.fsencode(src), os.fsencode(dest)
+    if stat.S_ISDIR(os.lstat(src).st_mode):
+        with os.scandir(src) as entries:
+            entries = list(entries)  # before dest, which may lie in src, is made
+        _mkdir(dest)
+        for e in entries:
+            sub = dest + b"/" + e.name
+            if e.is_dir(follow_symlinks=False):
+                link(e.path, sub)
+            elif not _linked(e.path, sub):
+                copy(e.path, sub)
+    elif not _linked(src, dest):
+        copy(src, dest)
 
 
 def dump_to_tmp(path: os.PathLike, tmp_dir: os.PathLike,
@@ -255,23 +289,6 @@ def dump_to_tmp(path: os.PathLike, tmp_dir: os.PathLike,
     finally:
         os.close(fd)
     return tmp, ContentHash(sha.hexdigest()), size
-
-
-def set_modes(path: os.PathLike):
-    """Give every entry of the tree at path the mode bits copy and restore
-    create, so that an item looks the same on disk however it was made."""
-    _set_modes(os.fsencode(path))
-
-
-def _set_modes(path: bytes):
-    st = os.lstat(path)
-    if stat.S_ISLNK(st.st_mode):
-        return
-    if stat.S_IMODE(st.st_mode) != _mode(st.st_mode):
-        os.chmod(path, _mode(st.st_mode))
-    if stat.S_ISDIR(st.st_mode):
-        for name in os.listdir(path):
-            _set_modes(path + b"/" + name)
 
 
 # Parsing, used on archives from caches and the source archive.

@@ -2,10 +2,11 @@
 
 A generation is an append-only snapshot: the union tree (a store item whose
 references are the member outputs) plus enough provenance (pin text,
-manifest text, resolved hashes) to replay it bit-for-bit.  Its `tree` is
-hard links to the item's files (a copy across filesystems), so an edit made
-there edits the item, and `verify` reports it.  The active generation is a
-mutable pointer; rollback just moves the pointer.
+manifest text, resolved hashes) to replay it bit-for-bit.  The union's
+files are hard links to its members' files, and a generation's `tree` is
+hard links to the union's (copies where linking fails, see carc.link), so
+an edit made there edits the items, and `verify` reports them.  The active
+generation is a mutable pointer; rollback just moves the pointer.
 
 On disk: <profile>/generations/<n>/{tree, channels.scm, manifest.scm,
 hashes.txt, created.txt}, <profile>/current (the active number).
@@ -79,12 +80,13 @@ def _merge(entries: list, dest: bytes, rel: str, emit):
     for path, provider in entries[1:]:
         if not _same(first, path):
             raise ProfileCollision(rel, owner, provider)
-    carc.walk(first, dest, emit)
+    carc.walk(first, dest, emit, links=True)
 
 
 def union_tree(outputs, dest) -> tuple[ContentHash, int]:
-    """Materialize at dest the union of output trees read from disk, and
-    return the hash and length of its CARC, streamed in the same pass;
+    """Materialize at dest the union of output trees read from disk, as
+    hard links to their files, and return the hash and length of its CARC,
+    streamed in the same pass (one read of each file);
     outputs is a list of (StorePath, tree path) pairs.  Identical files and
     symlinks collapse; any other clash raises ProfileCollision.  A
     non-directory output occupies an entry named after its label."""
@@ -96,26 +98,6 @@ def union_tree(outputs, dest) -> tuple[ContentHash, int]:
         else:
             top.setdefault(sp.label.encode(), []).append((tree, sp.component))
     return carc.hashed(lambda emit: _merge_dir(top, os.fsencode(dest), "", emit))
-
-
-def _link_tree(src: Path, dest: Path):
-    """Fill dest with hard links to the entries of the directory src, or
-    with a copy where linking fails (another filesystem, too many links)."""
-    try:
-        stack = [(os.fsencode(src), os.fsencode(dest))]
-        os.mkdir(stack[0][1])
-        while stack:
-            s, d = stack.pop()
-            with os.scandir(s) as entries:
-                for e in entries:
-                    if e.is_dir(follow_symlinks=False):
-                        os.mkdir(d + b"/" + e.name)
-                        stack.append((e.path, d + b"/" + e.name))
-                    else:
-                        os.link(e.path, d + b"/" + e.name, follow_symlinks=False)
-    except OSError:
-        shutil.rmtree(dest, ignore_errors=True)
-        carc.copy(src, dest)
 
 
 class Profile:
@@ -186,7 +168,7 @@ def build_profile(derivations, store: Store, profile: Profile, *,
             shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
         try:
-            _link_tree(union_path.path, tmp / "tree")
+            carc.link(union_path.path, tmp / "tree")
             (tmp / "channels.scm").write_text(pin_text)
             (tmp / "manifest.scm").write_text(manifest_text)
             (tmp / "hashes.txt").write_text("".join(

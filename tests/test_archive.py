@@ -1,5 +1,6 @@
 import os
 import socket
+import stat
 import sys
 import threading
 
@@ -232,6 +233,29 @@ def test_fetch_http_upstream(store, archive, raw_http, with_archive):
     if with_archive:
         assert _archived(archive, h) == carc.serialize_bytes(body)
         assert archive.origins(h) == [ref.url]
+
+
+@pytest.mark.parametrize("with_archive", [True, False])
+def test_fetch_http_upstream_writes_the_body_once(store, archive, raw_http,
+                                                  monkeypatch, with_archive):
+    """The body is streamed to its staged file (by the file object, not
+    os.write) and hashed from there; only the archive file, if any, is
+    written through os.write."""
+    body = bytes(range(256)) * 256
+    url = raw_http(lambda path, conn: conn.sendall(http_200(body)))
+    h = ContentHash.of_bytes(carc.serialize_bytes(body))
+    written, real_write = [], os.write
+
+    def counting(fd, data):
+        written.append(real_write(fd, data))
+        return written[-1]
+    monkeypatch.setattr(os, "write", counting)
+    path = fetch_source(SourceRef(f"{url}/src.bin", h, "src"), store,
+                        archive if with_archive else None)
+    monkeypatch.undo()
+    assert sum(written) == (len(carc.serialize_bytes(body)) if with_archive else 0)
+    assert store.verify_item(path).ok
+    assert stat.S_IMODE(os.lstat(path.path).st_mode) == 0o644
 
 
 @pytest.mark.parametrize("reply", [b"HTTP/1.0 404 Not Found\r\n\r\n",

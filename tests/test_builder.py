@@ -1,7 +1,9 @@
+import errno
 import hashlib
 import os
 import stat
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -9,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import carc_model
 from microfold import carc
@@ -509,3 +512,191 @@ def test_built_output_has_canonical_modes(store):
             for p in restored.rglob("*")} == {
         n: m for n, m in modes.items() if n != path.path.name}
     assert os.listdir(store.root / "tmp") == []
+
+
+# -- store trees linked into outputs ---------------------------------------
+
+def _pure_modes(store, umask):
+    """The modes of a pure-step build's output, built under umask."""
+    drv = Derivation(name="umask", version="1", steps=[
+        d.write("share/doc/a", b"a"), d.write("bin/t", b"t"), d.set_exec("bin/t")])
+    old = os.umask(umask)
+    try:
+        path = build(drv, store)
+    finally:
+        os.umask(old)
+    return {str(p.relative_to(path.path)): stat.S_IMODE(p.lstat().st_mode)
+            for p in path.path.rglob("*")}
+
+
+def test_pure_output_has_canonical_modes_under_a_tight_umask(store):
+    """The one walk that hashes the output also gives it canonical modes:
+    under umask 077 a written file is 0600 and its directories 0700."""
+    assert _pure_modes(store, 0o077) == {"bin": 0o755, "bin/t": 0o755,
+                                         "share": 0o755, "share/doc": 0o755,
+                                         "share/doc/a": 0o644}
+
+
+def _tree_item(store):
+    """A store tree with nested files, an exec file and an internal symlink;
+    its component."""
+    return store.add_fixed(carc.Dir({
+        "a": carc.File(b"alpha\n"), "x": carc.File(b"#!/bin/sh\n", executable=True),
+        "b": carc.Dir({"c": carc.File(b"gamma alpha\n"), "d": carc.Dir()}),
+        "e": carc.Symlink("a")}), "tree").component
+
+
+def _inodes(root: Path) -> set:
+    return {(st.st_dev, st.st_ino) for st in
+            (p.lstat() for p in root.rglob("*")) if not stat.S_ISDIR(st.st_mode)}
+
+
+def test_copy_links_a_store_tree_in_a_pure_build(store):
+    comp = _tree_item(store)
+    path = build(Derivation(name="linked", version="1",
+                            steps=[d.copy(comp, "t")]), store)
+    item = store.root / "items" / comp
+    assert _inodes(path.path / "t") == _inodes(item)
+    assert store.verify_item(path).ok
+
+
+def test_steps_on_linked_files_leave_the_store_item_whole(store):
+    comp = _tree_item(store)
+    item = store.root / "items" / comp
+    path = build(Derivation(name="edits", version="1", steps=[
+        d.copy(comp, "t"), d.copy(f"{comp}/a", "one"), d.copy(f"{comp}/b/c", "one"),
+        d.write("t/a", b"new\n"), d.substitute("t/b/c", b"alpha", b"beta"),
+        d.set_exec("t/b/c"), d.concat("t/x", "out/t/a"), d.write("t/e", b"was a link"),
+        d.copy(f"{comp}/b/c", "two"), d.set_exec("two")]), store)
+    assert (path.path / "t/a").read_bytes() == b"new\n"
+    assert (path.path / "t/b/c").read_bytes() == b"gamma beta\n"
+    assert (path.path / "t/x").read_bytes() == b"new\n"
+    assert os.access(path.path / "t/x", os.X_OK)  # the replaced file keeps its mode
+    assert not (path.path / "t/e").is_symlink()
+    assert (path.path / "one").read_bytes() == b"gamma alpha\n"
+    assert os.access(path.path / "two", os.X_OK)
+    assert (item / "a").read_bytes() == b"alpha\n" and (item / "e").is_symlink()
+    assert not os.access(item / "b/c", os.X_OK)
+    assert all(store.verify_item(r.path).ok for r in store.list_records())
+
+
+def test_an_exec_build_copies_and_its_tool_leaves_the_item_whole(store):
+    comp = _tree_item(store)
+    seed = register_seed(store, carc.Dir({"bin": carc.Dir({"append": carc.File(
+        b"#!/bin/sh\nprintf 'more\\n' >> \"$1\"\n", executable=True)})}), "append-1.0")
+    path = build(Derivation(name="appends", version="1", steps=[
+        d.copy(comp, "t"), d.exec_(f"{seed.path.component}/bin/append", "@out@/t/a")]),
+        store)
+    assert (path.path / "t/a").read_bytes() == b"alpha\nmore\n"
+    assert not _inodes(path.path / "t") & _inodes(store.root / "items" / comp)
+    assert all(store.verify_item(r.path).ok for r in store.list_records())
+
+
+# Pure steps over copied paths, for the oracle below: a store tree copied
+# whole or in part, then steps onto what was copied.
+_TARGETS = ["t/a", "t/x", "t/b/c", "t/e", "p/c", "f"]
+_STEP = st.one_of(
+    st.builds(lambda p, data: d.write(p, data), st.sampled_from(_TARGETS),
+              st.binary(max_size=8)),
+    st.builds(lambda p, srcs: d.concat(p, *srcs), st.sampled_from(_TARGETS),
+              st.lists(st.sampled_from(["out/t/a", "out/t/b/c", "{tree}/x"]),
+                       min_size=1, max_size=3)),
+    st.builds(lambda p, a, b: d.substitute(p, a, b), st.sampled_from(_TARGETS),
+              st.sampled_from([b"a", b"l", b"#"]), st.binary(max_size=3)),
+    st.builds(d.set_exec, st.sampled_from(_TARGETS)),
+    st.builds(d.copy, st.sampled_from(["{tree}/a", "{tree}/b", "out/t/a", "out/t/b"]),
+              st.sampled_from(_TARGETS + ["q", "t/b/n"])),
+)
+
+
+def _oracle_build(root: Path, steps: list, no_links: bool):
+    """Build steps (after copying the tree item to t, part of it to p and a
+    file to f) in a fresh store at root, with os.link failing as across
+    filesystems when no_links.  The record's bytes, or the error's type;
+    and the store."""
+    store = Store(root)
+    comp = _tree_item(store)
+    steps = [d.copy(comp, "t"), d.copy(f"{comp}/b", "p"), d.copy(f"{comp}/a", "f")] + [
+        d.Step(s.op, tuple(a.replace("{tree}", comp) if isinstance(a, str) else a
+                           for a in s.args)) for s in steps]
+    drv = Derivation(name="oracle", version="1", steps=steps)
+
+    def cross_device(*args, **kwargs):
+        raise OSError(errno.EXDEV, "Invalid cross-device link")
+    with pytest.MonkeyPatch.context() as mp:
+        if no_links:
+            mp.setattr(os, "link", cross_device)
+        try:
+            path = build(drv, store)
+        except (StepFailure, EscapedClosure) as e:
+            return type(e), store
+    return (store.root / "db/items" / path.component).read_bytes(), store
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_STEP, max_size=6))
+def test_linked_builds_match_copied_builds(steps):
+    """A pure build that links gives the record of one that copies, and
+    every store item still verifies."""
+    with tempfile.TemporaryDirectory() as tmp:
+        linked, store = _oracle_build(Path(tmp) / "linked", steps, no_links=False)
+        copied, _ = _oracle_build(Path(tmp) / "copied", steps, no_links=True)
+        assert linked == copied
+        assert all(store.verify_item(r.path).ok for r in store.list_records())
+
+
+# -- symlinks in out may not lead a step's writes outside -------------------
+
+@pytest.fixture
+def outside(tmp_path, store):
+    """A file and a directory outside the store, and the component of a
+    store item holding symlinks to them (l, dl)."""
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside/file").write_bytes(b"outside\n")
+    (tmp_path / "outside/dir").mkdir()
+    comp = store.add_fixed(carc.Dir({
+        "l": carc.Symlink(str(tmp_path / "outside/file")),
+        "dl": carc.Symlink(str(tmp_path / "outside/dir"))}), "links").component
+    return tmp_path / "outside", comp
+
+
+def _outside_state(root: Path) -> dict:
+    return {str(p.relative_to(root)): (p.read_bytes() if p.is_file() else None,
+                                       stat.S_IMODE(p.lstat().st_mode))
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("step", [d.write("l", b"in"), d.concat("l", "out/l"),
+                                  d.substitute("l", b"outside", b"inside")],
+                         ids=["write", "concat", "substitute"])
+def test_a_step_replaces_a_copied_symlink(store, outside, step):
+    root, comp = outside
+    before = _outside_state(root)
+    path = build(Derivation(name="repl", version="1",
+                            steps=[d.copy(f"{comp}/l", "l"), step]), store)
+    assert _outside_state(root) == before
+    assert not (path.path / "l").is_symlink()
+
+
+def test_set_exec_on_a_symlink_fails(store, outside):
+    root, comp = outside
+    before = _outside_state(root)
+    with pytest.raises(StepFailure):
+        build(Derivation(name="sx", version="1",
+                         steps=[d.copy(f"{comp}/l", "l"), d.set_exec("l")]), store)
+    assert _outside_state(root) == before
+
+
+@pytest.mark.parametrize("step", [d.write("dl/f", b"f"), d.mkdir("dl/x"),
+                                  d.copy("{comp}", "dl/y"), d.concat("dl/z/c", "out/w"),
+                                  d.write("dl/new/g", b"g")],
+                         ids=["write", "mkdir", "copy", "concat", "write-deep"])
+def test_a_step_may_not_write_through_a_copied_directory_symlink(store, outside, step):
+    root, comp = outside
+    step = d.Step(step.op, tuple(a.replace("{comp}", comp) if isinstance(a, str) else a
+                                 for a in step.args))
+    before = _outside_state(root)
+    with pytest.raises(EscapedClosure):
+        build(Derivation(name="esc", version="1", steps=[
+            d.copy(f"{comp}/dl", "dl"), d.write("w", b"w"), step]), store)
+    assert _outside_state(root) == before

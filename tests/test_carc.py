@@ -261,8 +261,12 @@ def test_restored_and_copied_modes_are_canonical(tmp_path):
     want = {".": 0o755, "a": 0o644, "a0": 0o755, "d": 0o755}
     assert _modes(tmp_path / "copied") == want
     assert _modes(tmp_path / "restored") == want
-    carc.set_modes(src)
+    # A settling walk (the builder's, over an output) fixes modes in place
+    # as it reads, and the archive it streams is that of the copy.
+    chunks = []
+    carc.dump(src, chunks.append, settle=True)
     assert _modes(src) == want
+    assert b"".join(chunks) == carc_model.serialize_path(tmp_path / "copied")
 
 
 MALFORMED = {

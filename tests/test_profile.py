@@ -322,11 +322,23 @@ def test_link_tree_links_symlinks_and_files(tmp_path):
         "bin": carc.Dir({"tool": carc.File(b"#!", executable=True),
                          "alias": carc.Symlink("tool")}),
         "lib": carc.Symlink("bin"), "empty": carc.Dir()}), tmp_path / "item")
-    profile_mod._link_tree(tmp_path / "item", tmp_path / "tree")
+    old = os.umask(0o077)
+    try:
+        carc.link(tmp_path / "item", tmp_path / "tree")
+    finally:
+        os.umask(old)
     shared = _shared_inodes(tmp_path / "tree", tmp_path / "item")
     assert sorted(map(str, shared)) == ["bin/alias", "bin/tool", "lib"]
     assert all(shared.values())
     assert carc.hash_path(tmp_path / "tree") == carc.hash_path(tmp_path / "item")
+    # Directories are made anew, with mode 0755 whatever the umask.
+    assert {str(rel): stat.S_IMODE(st.st_mode)
+            for rel, st in _entries(tmp_path / "tree").items()
+            if stat.S_ISDIR(st.st_mode)} == {"bin": 0o755, "empty": 0o755}
+    assert stat.S_IMODE(os.lstat(tmp_path / "tree").st_mode) == 0o755
+    # A single file is linked too.
+    carc.link(tmp_path / "item/bin/tool", tmp_path / "tool")
+    assert os.path.samefile(tmp_path / "tool", tmp_path / "item/bin/tool")
 
 
 @pytest.fixture
@@ -400,6 +412,8 @@ def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
     real_link, made = os.link, []
 
     def link(*args, **kwargs):
+        if b"/generations/" not in os.fsencode(args[1]):
+            return real_link(*args, **kwargs)  # the union's links
         if len(made) == k:
             if failure == "crash":
                 raise _Crash
@@ -423,5 +437,33 @@ def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
     # A retry ends with the generation that the failed run would have made.
     g2 = build_profile(members, store, profile)
     assert (g2.number, g2.profile_tree) == (2, new[0])
+    assert carc.hash_path(profile.generation_dir(2) / "tree") == \
+        store.get_record(g2.profile_tree).output_hash
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_crash_while_the_union_is_linked_adds_nothing(store, profile, k):
+    g1 = build_profile([_drv("a", {"f": b"one"})], store, profile)
+    members = [_drv("a", {"f": b"two", "g/h": b"h", "i": b"i"})]
+    real_link, made = os.link, []
+
+    def link(*args, **kwargs):
+        if len(made) == k:
+            raise _Crash
+        made.append(args)
+        return real_link(*args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(os, "link", link)
+        with pytest.raises(_Crash):
+            build_profile(members, store, profile)
+    assert len(made) == k
+    assert os.listdir(profile.root / "generations") == ["1"]
+    assert profile.current() == 1
+    assert [r.path for r in store.list_records()
+            if r.path.label == "profile"] == [g1.profile_tree]
+    assert os.listdir(store.root / "tmp") == []
+    g2 = build_profile(members, store, profile)
+    assert g2.number == 2 and g2.profile_tree != g1.profile_tree
+    assert store.verify_item(g2.profile_tree).ok
     assert carc.hash_path(profile.generation_dir(2) / "tree") == \
         store.get_record(g2.profile_tree).output_hash

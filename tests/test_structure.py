@@ -15,13 +15,19 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("load_tree(", "carc.py"),            # trees on disk are streamed
     ('"drvs"', "store.py"),               # only the store knows db/drvs
     ("Thread(", "builder.py"),            # the one build scheduler
-    ("os.link(", "profile.py"),           # only profiles share store inodes
+    ("os.link(", "carc.py"),              # one link helper shares inodes
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()
     offenders = sorted(p.name for p in SRC.glob("*.py")
                        if p.name != home and needle in p.read_text())
     assert offenders == []
+
+
+def test_builder_has_one_file_writer():
+    """Steps write files through one writer, which replaces what is there
+    instead of writing through a file that a store item may share."""
+    assert (SRC / "builder.py").read_text().count("write_bytes(") == 1
 
 
 def test_no_dataclasses():
