@@ -1,15 +1,17 @@
 """Hermetic execution of derivations.
 
-Each build runs in a fresh scratch directory under <store>/tmp with a
-scrubbed environment:
-exactly PATH (input bin dirs, input order), SOURCE_DATE_EPOCH=1, TZ=UTC,
+Each build runs in a fresh scratch directory under <store>/tmp.  Its exec
+steps get a scrubbed environment: exactly PATH (the inputs' bin dirs in
+canonical order, by derivation hash as canonical_serialize lists them; the
+hash leads each input's store path component), SOURCE_DATE_EPOCH=1, TZ=UTC,
 LC_ALL=C and HOME pointing into the scratch, plus the derivation's own
 declared env.  Steps only see the output tree under construction, the
 fetched sources, and store items addressed by digest-prefixed component.
 
 Isolation is contractual, not kernel-enforced: the step language cannot
-escape the scratch directory (nor write through a symlink out of the
-output), and exec is restricted to programs resolved through the store.
+escape the scratch directory (nor read through a symlink out of the output
+and the store, nor write through one out of the output), and exec is
+restricted to programs resolved through the store.
 Without exec steps, whose tools may write into a file in place, `copy`
 links trees (carc.link): no other step writes through a file it replaces.
 
@@ -166,55 +168,61 @@ class Builder:
 
     # -- step execution ----------------------------------------------------
 
-    def _roots(self, drv: Derivation, source_paths, input_paths):
+    def _roots(self, sources, source_paths, input_paths):
         """Map first-path-component names to store directories.  Also
-        returns the store items among the roots (the inputs' closures and
-        the seeds), by component."""
-        items = {}
-        for isp in input_paths:
-            for member in self.store.closure(isp):
-                items[member.component] = member
+        returns the store items among the roots (the inputs' closures,
+        collected in one walk, and the seeds), by component."""
+        items = {c: rec.path for c, rec in self.store.members(input_paths).items()}
         for seed in self.store.seeds():
             items[seed.path.component] = seed.path
-        roots = {src.label: sp.path
-                 for src, sp in zip(drv.sources, source_paths)}
+        roots = {src.label: sp.path for src, sp in zip(sources, source_paths)}
         roots.update((c, p.path) for c, p in items.items())
         return roots, items
 
-    def _resolve(self, roots: dict, out: Path, path: str) -> Path:
+    def _resolve(self, roots: dict, out: Path, path: str, last=True) -> Path:
+        """The file a step's path names.  A symlink on the way to it (or
+        it, with last) must not lead out of out and the store's items."""
         comp, _, rest = path.partition("/")
-        if comp == "out":
-            return out / rest if rest else out
-        if comp in roots:
-            return roots[comp] / rest if rest else roots[comp]
-        # Last resort: a digest-prefixed component of any registered store
-        # item.  Content is still pinned by the digest; the trust audit is
-        # responsible for flagging items of unknown provenance.
-        rec = self.store.get_record(comp) if "-" in comp else None
-        if rec is not None:
-            return rec.path.path / rest if rest else rec.path.path
-        raise EscapedClosure(f"{path!r} does not resolve inside the build closure")
+        top = out if comp == "out" else roots.get(comp)
+        if top is None:
+            # Last resort: a digest-prefixed component of any registered
+            # store item.  Content is still pinned by the digest; the trust
+            # audit is responsible for flagging items of unknown provenance.
+            rec = self.store.get_record(comp) if "-" in comp else None
+            if rec is None:
+                raise EscapedClosure(f"{path!r} does not resolve inside the build closure")
+            top = rec.path.path
+        parts = rest.split("/") if rest else []
+        if parts or last:  # else it is a whole item, copied as it is
+            _within(path, top, parts if last else parts[:-1], out,
+                    *(f"{s.root}/items" for s in (self.store, self.store.base) if s))
+        return top.joinpath(*parts)
 
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
              input_paths) -> StorePath:
+        sources = sorted(drv.sources, key=lambda s: s.expected_hash.hex)
         source_paths = [fetch_source(src, self.store, self.archive,
                                      archive_fallback=self.options.archive_fallback)
-                        for src in drv.sources]
-        roots, items = self._roots(drv, source_paths, input_paths)
+                        for src in sources]
+        roots, items = self._roots(sources, source_paths, input_paths)
         with self.store.scratch() as scratch:
             out = scratch / "out"
             out.mkdir()
-            (scratch / "homeless").mkdir()
-            # Expose the roots as symlinks so exec'd tools can reach
-            # sources and inputs through cwd-relative paths.  The other
-            # steps resolve paths through `roots` and never read them.
             execs = any(step.op == "exec" for step in drv.steps)
+            env = None
             if execs:
+                (scratch / "homeless").mkdir()
+                # Expose the roots as symlinks so exec'd tools can reach
+                # sources and inputs through cwd-relative paths.  The other
+                # steps resolve paths through `roots` and never read them.
                 for root_name, root_dir in roots.items():
                     link = scratch / root_name
                     if not link.exists() and not link.is_symlink():
                         link.symlink_to(root_dir)
-            env = self._env(drv, scratch, input_paths)
+                env = {"PATH": ":".join(str(isp.path / "bin") for isp in
+                                        sorted(input_paths, key=lambda p: p.component)),
+                       "SOURCE_DATE_EPOCH": "1", "TZ": "UTC", "LC_ALL": "C",
+                       "HOME": str(scratch / "homeless")} | drv.env
             for index, step in enumerate(drv.steps):
                 try:
                     self._step(step, roots, out, scratch, env, not execs)
@@ -222,25 +230,13 @@ class Builder:
                     raise
                 except (MicrofoldError, OSError) as e:
                     raise StepFailure(index, drv.label, str(e)) from e
-            candidates = dict(items)
-            candidates.update((sp.component, sp) for sp in source_paths)
-            output, references = _hash_and_scan(out, candidates)
+            output, references = _hash_and_scan(
+                out, items | {sp.component: sp for sp in source_paths})
             self.store.register_output(output, target, deriver=drv_hash,
                                        references=references)
         return target
 
-    def _env(self, drv: Derivation, scratch: Path, input_paths) -> dict:
-        env = {
-            "PATH": ":".join(str(isp.path / "bin") for isp in input_paths),
-            "SOURCE_DATE_EPOCH": "1",
-            "TZ": "UTC",
-            "LC_ALL": "C",
-            "HOME": str(scratch / "homeless"),
-        }
-        env.update(drv.env)
-        return env
-
-    def _step(self, step, roots, out: Path, scratch: Path, env: dict, link: bool):
+    def _step(self, step, roots, out: Path, scratch: Path, env, link: bool):
         """Run one step (copy links with link); _run turns its errors into
         StepFailure(index)."""
         op, args = step.op, step.args
@@ -249,21 +245,19 @@ class Builder:
         elif op == "mkdir":
             _dest(out, args[0]).mkdir(exist_ok=True)
         elif op == "copy":
-            src = self._resolve(roots, out, args[0])
+            src = self._resolve(roots, out, args[0], last=False)
             if not os.path.lexists(src):
                 raise MicrofoldError(f"copy source missing: {args[0]}")
             dest = _dest(out, args[1])
             dest.unlink(missing_ok=True)  # a directory stays, and fails
-            # Link only what no symlink leads to: it may lie outside.
-            inside = os.path.realpath(src.parent) == os.path.abspath(src.parent)
-            (carc.link if link and inside else carc.copy)(src, dest)
+            (carc.link if link else carc.copy)(src, dest)
         elif op == "concat":
             data = b"".join(self._resolve(roots, out, src).read_bytes()
                             for src in args[1:])
             _replace(_dest(out, args[0]), data)
         elif op == "substitute":
-            path = _dest(out, args[0])
-            _replace(path, path.read_bytes().replace(args[1], args[2]))
+            data = self._resolve(roots, out, "out/" + args[0]).read_bytes()
+            _replace(_dest(out, args[0]), data.replace(args[1], args[2]))
         elif op == "set-exec":
             path = _dest(out, args[0])
             st = os.lstat(path)
@@ -299,13 +293,19 @@ class Builder:
 def _dest(out: Path, rel: str) -> Path:
     """out/rel, for a step to create or replace, with its parent made.  A
     symlink on the way, copied into out, must not resolve outside it."""
-    dest, parts = out / rel, rel.split("/")[:-1]
-    if any(os.path.islink(out.joinpath(*parts[:i])) for i in range(1, len(parts) + 1)):
-        real_out = os.path.realpath(out)
-        if os.path.commonpath([real_out, os.path.realpath(dest.parent)]) != real_out:
-            raise EscapedClosure(f"{rel!r} leads out of the output through a symlink")
+    _within(rel, out, rel.split("/")[:-1], out)
+    dest = out / rel
     dest.parent.mkdir(parents=True, exist_ok=True)
     return dest
+
+
+def _within(name: str, top: Path, parts: list, *tops):
+    """Raise EscapedClosure unless top/parts, symlinks resolved, lies in one
+    of tops (resolved too).  Only a symlink on the way costs a realpath."""
+    if any(os.path.islink(os.path.join(top, *parts[:i])) for i in range(len(parts) + 1)):
+        real = os.path.realpath(os.path.join(top, *parts))
+        if not any(os.path.commonpath([real, t]) == t for t in map(os.path.realpath, tops)):
+            raise EscapedClosure(f"{name!r} leads out of the build through a symlink")
 
 
 def _replace(path: Path, data: bytes):

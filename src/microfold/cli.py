@@ -324,7 +324,14 @@ def _workers(text: str) -> int:
     return int(text)
 
 
-def make_parser() -> argparse.ArgumentParser:
+COMMANDS = ("build", "package", "pull", "describe", "time-machine", "challenge",
+            "graph", "archive", "seed", "verify", "rollback")
+
+
+def make_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser, with the subcommands named in argv (a time-machine argv
+    also names its inner command), or with all of them if argv names none."""
+    named = set(argv).intersection(COMMANDS) or COMMANDS
     parser = argparse.ArgumentParser(
         prog="microfold",
         description="Desk-scale purely functional package manager.")
@@ -333,74 +340,75 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--archive", help="source archive directory")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("build", help="build a derivation file or a package spec")
-    p.add_argument("target")
-    p.add_argument("--substitute-url", action="append")
-    p.add_argument("--no-archive-fallback", action="store_true")
-    p.add_argument("--workers", type=_workers, default=1)
-    p.add_argument("--check", type=int, metavar="ROUNDS",
-                   help="rebuild ROUNDS times and compare output hashes")
-    p.set_defaults(func=cmd_build)
+    def add(name, help):
+        return sub.add_parser(name, help=help) if name in named else None
 
-    p = sub.add_parser("package", help="deploy a manifest into a profile")
-    p.add_argument("-m", "--manifest", required=True)
-    p.add_argument("-p", "--profile")
-    p.add_argument("--substitute-url", action="append")
-    p.add_argument("--workers", type=_workers, default=1)
-    p.set_defaults(func=cmd_package)
+    if p := add("build", "build a derivation file or a package spec"):
+        p.add_argument("target")
+        p.add_argument("--substitute-url", action="append")
+        p.add_argument("--no-archive-fallback", action="store_true")
+        p.add_argument("--workers", type=_workers, default=1)
+        p.add_argument("--check", type=int, metavar="ROUNDS",
+                       help="rebuild ROUNDS times and compare output hashes")
+        p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("pull", help="fetch channel revisions from a remote")
-    p.add_argument("--url")
-    p.set_defaults(func=cmd_pull)
+    if p := add("package", "deploy a manifest into a profile"):
+        p.add_argument("-m", "--manifest", required=True)
+        p.add_argument("-p", "--profile")
+        p.add_argument("--substitute-url", action="append")
+        p.add_argument("--workers", type=_workers, default=1)
+        p.set_defaults(func=cmd_package)
 
-    p = sub.add_parser("describe", help="show the pinned channel revision")
-    p.add_argument("-f", "--format", choices=["channels"], default=None)
-    p.set_defaults(func=cmd_describe)
+    if p := add("pull", "fetch channel revisions from a remote"):
+        p.add_argument("--url")
+        p.set_defaults(func=cmd_pull)
 
-    p = sub.add_parser("time-machine",
-                       help="run a command against pinned channel revisions")
-    p.add_argument("-C", "--channels", required=True)
-    p.add_argument("rest", nargs=argparse.REMAINDER)
-    p.set_defaults(func=cmd_time_machine)
+    if p := add("describe", "show the pinned channel revision"):
+        p.add_argument("-f", "--format", choices=["channels"], default=None)
+        p.set_defaults(func=cmd_describe)
 
-    p = sub.add_parser("challenge",
-                       help="cross-check output hashes between providers")
-    p.add_argument("specs", nargs="+")
-    p.add_argument("--substitute-url", action="append")
-    p.add_argument("--rebuild", action="store_true")
-    p.set_defaults(func=cmd_challenge)
+    if p := add("time-machine", "run a command against pinned channel revisions"):
+        p.add_argument("-C", "--channels", required=True)
+        p.add_argument("rest", nargs=argparse.REMAINDER)
+        p.set_defaults(func=cmd_time_machine)
 
-    p = sub.add_parser("graph", help="show a package's derivation graph")
-    p.add_argument("spec")
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_graph)
+    if p := add("challenge", "cross-check output hashes between providers"):
+        p.add_argument("specs", nargs="+")
+        p.add_argument("--substitute-url", action="append")
+        p.add_argument("--rebuild", action="store_true")
+        p.set_defaults(func=cmd_challenge)
 
-    p = sub.add_parser("archive", help="source archive operations")
-    asub = p.add_subparsers(dest="archive_cmd", required=True)
-    ap = asub.add_parser("ingest")
-    ap.add_argument("path")
-    ap = asub.add_parser("lookup")
-    ap.add_argument("hash")
-    p.set_defaults(func=cmd_archive)
+    if p := add("graph", "show a package's derivation graph"):
+        p.add_argument("spec")
+        p.add_argument("--dot", action="store_true")
+        p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("seed", help="trust roots and provenance audit")
-    ssub = p.add_subparsers(dest="seed_cmd", required=True)
-    sp = ssub.add_parser("add")
-    sp.add_argument("path")
-    sp.add_argument("--name")
-    sp.add_argument("--description")
-    sp = ssub.add_parser("audit")
-    sp.add_argument("spec")
-    p.set_defaults(func=cmd_seed)
+    if p := add("archive", "source archive operations"):
+        asub = p.add_subparsers(dest="archive_cmd", required=True)
+        ap = asub.add_parser("ingest")
+        ap.add_argument("path")
+        ap = asub.add_parser("lookup")
+        ap.add_argument("hash")
+        p.set_defaults(func=cmd_archive)
 
-    p = sub.add_parser("verify", help="re-hash every store item against its record")
-    p.add_argument("--store", default=argparse.SUPPRESS, help="store root directory")
-    p.set_defaults(func=cmd_verify)
+    if p := add("seed", "trust roots and provenance audit"):
+        ssub = p.add_subparsers(dest="seed_cmd", required=True)
+        sp = ssub.add_parser("add")
+        sp.add_argument("path")
+        sp.add_argument("--name")
+        sp.add_argument("--description")
+        sp = ssub.add_parser("audit")
+        sp.add_argument("spec")
+        p.set_defaults(func=cmd_seed)
 
-    p = sub.add_parser("rollback", help="switch a profile's active generation")
-    p.add_argument("-p", "--profile")
-    p.add_argument("generation", type=int)
-    p.set_defaults(func=cmd_rollback)
+    if p := add("verify", "re-hash every store item against its record"):
+        p.add_argument("--store", default=argparse.SUPPRESS, help="store root directory")
+        p.set_defaults(func=cmd_verify)
+
+    if p := add("rollback", "switch a profile's active generation"):
+        p.add_argument("-p", "--profile")
+        p.add_argument("generation", type=int)
+        p.set_defaults(func=cmd_rollback)
 
     return parser
 
@@ -419,7 +427,7 @@ def _dispatch(parser, argv, ctx: Context | None = None) -> int:
 
 def run_command(argv) -> int:
     try:
-        return _dispatch(make_parser(), argv)
+        return _dispatch(make_parser(argv), argv)
     except MicrofoldError as e:
         print(f"microfold: error: {e}", file=sys.stderr)
         return classify(e)

@@ -186,12 +186,16 @@ class Instantiator:
                     args.append(self._subst(a, mapping))
             steps.append(Step(step.op, tuple(args)))
 
-        drv = Derivation(name=pkg.name, version=pkg.version,
-                         sources=sources, inputs=inputs, steps=steps)
+        # Inputs in canonical order, as parse_derivation gives them, so the
+        # store keeps this object as the parsed derivation (load_derivation).
+        drv = Derivation(name=pkg.name, version=pkg.version, sources=sources,
+                         inputs=sorted(inputs, key=lambda i: i.derivation_hash.hex),
+                         steps=steps)
         data = canonical_serialize(drv)
         self.hashes[pkg.key] = ContentHash.of_bytes(data)
         if self.store is not None:
             self.store.put_derivation(self.hashes[pkg.key], data)
+            self.store.derivations[self.hashes[pkg.key].hex] = drv
         self.by_key[pkg.key] = drv
         return drv
 

@@ -4,6 +4,7 @@ Layout under the store root (a plain user-writable directory):
 
     items/<digest_prefix>-<label>/...   the item's file tree (or single file)
     db/items/<component>                one record per item, "key: value" lines
+    db/seeds/<component>                one empty entry per seed item
     db/drvs/<64-hex>                    canonical derivation bytes by hash
     locks/<digest_prefix>.lock          per-digest advisory write locks
     tmp/                                scratch: build directories, staged trees
@@ -16,18 +17,24 @@ item directory with no record, left by an insert that crashed before its
 record landed, is re-hashed by the next insert: adopted if it matches,
 removed otherwise.
 
+`seeds()` reads only the records that `db/seeds` names.  A seed's entry is
+written, under `locks/seeds.lock`, before its record, so every committed
+seed record is listed; an entry with no seed record behind it is skipped.
+A store that predates the index is indexed once, from all its records,
+under that lock, so a seed registered meanwhile is not lost.
+
 Records are written once and never edited: each is written to a dot-named
 tmp file and renamed into place, so a reader sees all of a record or none
 of it.  This module also owns the helpers other layers share: the `flock`
 lock, that tmp-and-rename write, and the "key: value" codec.
 
-Because records never change, a `Store` memoizes what it reads from them for
-the life of the object: records, closures and the seed index (and
-`derivation.load_derivation` keeps parsed derivations here too).  Only hits
-are kept, so an item registered later by anyone is still found.  The write
-path (`add_fixed`, `register_output`) does not trust the memo: under the
-item's lock it re-reads the record from disk, through the same reader, so a
-record changed behind the store's back is still caught as corruption.
+Because records never change, a `Store` memoizes the records it reads for
+its life (`derivation.load_derivation` and the instantiator keep parsed
+derivations here too).  Only hits are kept, so an item registered later by
+anyone is still found.  The write path (`add_fixed`, `register_output`)
+does not trust the memo: under the item's lock it re-reads the record from
+disk, through the same reader, so a record changed behind the store's back
+is still caught as corruption.
 """
 
 from __future__ import annotations
@@ -71,11 +78,12 @@ def locked(lock_path):
         os.close(fd)
 
 
-def write_atomic(path: Path, data: bytes):
+def write_atomic(path, data: bytes):
     """Write data to path through a tmp file renamed over it, so readers
     see the old file or the new one, never a part.  The tmp name is unique
     to the writing thread."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    head, name = os.path.split(path)
+    tmp = Path(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)
@@ -99,21 +107,17 @@ class StorePath:
     def __init__(self, store_root: Path, digest_prefix: str, label: str):
         self.store_root, self.digest_prefix, self.label = (
             store_root, digest_prefix, label)
-
-    @cached_property
-    def component(self) -> str:
-        return f"{self.digest_prefix}-{self.label}"
+        self.component = f"{digest_prefix}-{label}"
 
     @cached_property
     def path(self) -> Path:
-        return Path(self.store_root) / "items" / self.component
+        return Path(f"{self.store_root}/items/{self.component}")
 
     @classmethod
     def from_component(cls, store_root, component: str) -> "StorePath":
         if not _COMPONENT_RE.match(component):
             raise InvalidLabel(f"invalid store path component: {component!r}")
-        return cls(Path(store_root), component[:PREFIX_LEN],
-                   component[PREFIX_LEN + 1:])
+        return cls(store_root, component[:PREFIX_LEN], component[PREFIX_LEN + 1:])
 
     def __eq__(self, other):
         return isinstance(other, StorePath) and self.component == other.component
@@ -203,13 +207,13 @@ class Store:
         in place, never its derived items, and never writes to it."""
         self.root = Path(root)
         self.base = base
+        self._seed_dir = self.root / "db" / "seeds"
+        if not (self.root / "db").is_dir():  # a new store: an empty index is whole
+            self._seed_dir.mkdir(parents=True, exist_ok=True)
         for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
             (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Memos over write-once data (see the module docstring).
         self._records = {}  # component -> StoreItemRecord
-        self._closures = {}  # component -> closure list
-        self._seeds = None  # component -> seed record, once the db is listed
-        self._seeds_lock = threading.Lock()
         # drv hash hex -> Derivation, for load_derivation; shared with the
         # base, as derivation files are write-once and checked on first load.
         self.derivations = {} if base is None else base.derivations
@@ -217,14 +221,14 @@ class Store:
     # -- locking ----------------------------------------------------------
 
     def lock(self, digest_prefix: str):
-        return locked(self.root / "locks" / f"{digest_prefix}.lock")
+        return locked(f"{self.root}/locks/{digest_prefix}.lock")
 
     @contextmanager
     def scratch(self):
         """A fresh directory under <store>/tmp, removed with everything in
         it on exit.  It shares the store's filesystem, so a tree staged
         here enters the store by rename."""
-        path = Path(tempfile.mkdtemp(dir=self.root / "tmp"))
+        path = Path(tempfile.mkdtemp(dir=f"{self.root}/tmp"))
         try:
             yield path
         finally:
@@ -232,8 +236,8 @@ class Store:
 
     # -- records ----------------------------------------------------------
 
-    def _record_path(self, component: str) -> Path:
-        return self.root / "db" / "items" / component
+    def _record_path(self, component: str) -> str:
+        return f"{self.root}/db/items/{component}"
 
     def _write_record(self, rec: StoreItemRecord):
         lines = {
@@ -246,6 +250,8 @@ class Store:
             lines["deriver"] = rec.deriver.hex
         if rec.description:
             lines["description"] = rec.description
+        if rec.kind == "seed":  # its index entry first (module docstring)
+            self._seed_index(rec.path.component)
         write_atomic(self._record_path(rec.path.component),
                      render_fields(lines).encode())
         self._records[rec.path.component] = rec
@@ -253,7 +259,8 @@ class Store:
     def _read_record(self, component: str) -> StoreItemRecord | None:
         """Parse the record file of component; None when there is none."""
         try:
-            text = self._record_path(component).read_text()
+            with open(self._record_path(component)) as f:
+                text = f.read()
         except FileNotFoundError:
             return None
         fields = parse_fields(text)
@@ -286,17 +293,29 @@ class Store:
         names = sorted(os.listdir(self.root / "db" / "items"))
         return [self.get_record(n) for n in names if _COMPONENT_RE.match(n)]
 
+    def _seed_index(self, entry: str = "") -> list:
+        """The names in db/seeds, after adding entry under the seeds lock.
+        A store that predates the index is indexed first, under that lock."""
+        if not entry and self._seed_dir.is_dir():
+            return os.listdir(self._seed_dir)
+        with self.lock("seeds"):
+            if not self._seed_dir.is_dir():
+                with self.scratch() as scratch:
+                    for rec in self.list_records():
+                        if rec.kind == "seed":
+                            (scratch / rec.path.component).touch()
+                    os.rename(scratch, self._seed_dir)
+            if entry:
+                (self._seed_dir / entry).touch()
+            return os.listdir(self._seed_dir)
+
     def seeds(self) -> list:
-        """Seed records by component.  The db is listed once per Store;
-        seeds that this Store inserts afterwards are added as they land."""
-        with self._seeds_lock:
-            if self._seeds is None:
-                records = self.list_records()
-                if self.base is not None:
-                    records = self.base.seeds() + records
-                self._seeds = {r.path.component: r for r in records
-                               if r.kind == "seed"}
-            return [self._seeds[c] for c in sorted(self._seeds)]
+        """Seed records (a base's too) by component, read through db/seeds."""
+        found = {c: r for c in self._seed_index()
+                 if (r := self.get_record(c)) is not None and r.kind == "seed"}
+        if self.base is not None:
+            found.update((r.path.component, r) for r in self.base.seeds())
+        return [found[c] for c in sorted(found)]
 
     # -- derivations ------------------------------------------------------
 
@@ -372,10 +391,6 @@ class Store:
             raise StoreCorruption(
                 f"{store_path.component}: recorded hash "
                 f"{rec.output_hash} != content hash {staged.output_hash}")
-        if rec.kind == "seed":
-            with self._seeds_lock:
-                if self._seeds is not None:
-                    self._seeds[store_path.component] = rec
         return store_path
 
     def register_output(self, tree, store_path: StorePath, *,
@@ -409,24 +424,24 @@ class Store:
             return VerifyReport("mismatch", expected=rec.output_hash, actual=actual)
         return VerifyReport("ok", expected=rec.output_hash, actual=actual)
 
+    def members(self, paths) -> dict:
+        """The record of every item that paths reach through references,
+        themselves included, by component, in one walk."""
+        found, todo = {}, list(paths)
+        while todo:
+            path = todo.pop()
+            if path.component not in found:
+                rec = self.get_record(path)
+                if rec is None:
+                    raise DanglingReference(path.component)
+                found[path.component] = rec
+                todo.extend(rec.references)
+        return found
+
     def closure(self, path: StorePath) -> list:
         """Transitive references closure, root first, deterministic order:
         referrers before referees, ties by component bytes."""
-        order = self._closures.get(path.component)
-        if order is None:
-            graph = {}
-            stack = [path]
-            while stack:
-                p = stack.pop()
-                if p.component in graph:
-                    continue
-                rec = self.get_record(p)
-                if rec is None:
-                    raise DanglingReference(p.component)
-                graph[p.component] = rec
-                stack.extend(rec.references)
-            refs = {c: {r.component for r in rec.references} - {c}
-                    for c, rec in graph.items()}
-            order = [graph[c].path for c in _referrers_first(refs)]
-            self._closures[path.component] = order
-        return list(order)
+        graph = self.members([path])
+        refs = {c: {r.component for r in rec.references} - {c}
+                for c, rec in graph.items()}
+        return [graph[c].path for c in _referrers_first(refs)]

@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import os
+import shutil
 import stat
 import sys
 import tempfile
@@ -22,7 +23,7 @@ from microfold.builder import BuildOptions, Builder, build, check_rebuild
 from microfold.channel import PackageDef
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
                                   derivation_hash, load_derivation)
-from microfold.errors import EscapedClosure, StepFailure
+from microfold.errors import DanglingReference, EscapedClosure, StepFailure
 from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator
 from microfold.store import Store
@@ -424,8 +425,9 @@ def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
 
 
 def test_check_rounds_parse_each_derivation_once(store, toolchain, monkeypatch):
-    """Derivation files are write-once and checked on first load, so the
-    scratch store of every round shares the main store's parsed ones."""
+    """The instantiator keeps each derivation it builds in the store as the
+    parsed one, and the scratch store of every round shares them: after
+    instantiation no derivation is parsed at all."""
     n = 20
     pkgs = chain_packages(n + 1)
     top = Instantiator(pkgs, store=store).instantiate(pkgs[f"c{n:02d}@1"])
@@ -438,7 +440,49 @@ def test_check_rounds_parse_each_derivation_once(store, toolchain, monkeypatch):
         return drv
     monkeypatch.setattr(d, "parse_derivation", counting_parse)
     assert check_rebuild(top, store, rounds=2).deterministic
-    assert parsed == {f"c{i:02d}-1": 1 for i in range(n)}
+    assert parsed == {}
+
+
+def test_a_dependency_is_built_as_it_is_built_as_a_root(tmp_path):
+    """PATH lists the inputs in canonical order, whatever order a package
+    declares them in, so a derivation's output does not depend on whether
+    it is built as a root or as another's input."""
+    tool = carc.Dir({"bin": carc.Dir({"path": carc.File(
+        b"#!/bin/sh\nprintf '%s\\n' \"$PATH\" > \"$1\"\n", executable=True)})})
+    leaves = [PackageDef(name=n, version="1", steps=[d.write(f"bin/{n}", b"")])
+              for n in ("aaa", "bbb")]
+    by_hash = sorted(leaves, key=lambda p: derivation_hash(
+        Instantiator({p.key: p}).instantiate(p)).hex)
+    # Declared against hash order, so a build that keeps it differs.
+    ddd = PackageDef(name="ddd", version="1", deps=[p.name for p in reversed(by_hash)],
+                     steps=[d.mkdir("share"),
+                            d.exec_("{seed:path-1}/bin/path", "@out@/share/path")])
+    eee = PackageDef(name="eee", version="1", deps=["ddd"],
+                     steps=[d.write("share/eee", b"{ddd}")])
+    pkgs = {p.key: p for p in leaves + [ddd, eee]}
+    outputs = []
+    for top in (ddd, eee):  # each in a new store at the same root
+        shutil.rmtree(tmp_path / "store", ignore_errors=True)
+        store = Store(tmp_path / "store")
+        register_seed(store, tool, "path-1")
+        inst = Instantiator(pkgs, store=store)
+        build(inst.instantiate(top), store)
+        target = inst.hashes[ddd.key].prefix + "-ddd-1"
+        outputs.append(store.get_record(target).output_hash)
+    assert outputs[0] == outputs[1]
+
+
+def test_a_missing_record_in_an_inputs_closure_fails_the_build(store, toolchain):
+    """c04's inputs are c01..c03, whose records are there; c01 refers to
+    c00, whose record is gone."""
+    pkgs = chain_packages(5)
+    inst = Instantiator(pkgs, store=store)
+    build(inst.instantiate(pkgs["c03@1"]), store)
+    leaf = inst.hashes["c00@1"].prefix + "-c00-1"
+    os.unlink(store.root / "db" / "items" / leaf)
+    fresh = Store(store.root)
+    with pytest.raises(DanglingReference, match=leaf):
+        build(Instantiator(pkgs, store=fresh).instantiate(pkgs["c04@1"]), fresh)
 
 
 def test_parallel_chain_build_shares_memos(store, toolchain):
@@ -654,6 +698,7 @@ def outside(tmp_path, store):
     (tmp_path / "outside").mkdir()
     (tmp_path / "outside/file").write_bytes(b"outside\n")
     (tmp_path / "outside/dir").mkdir()
+    (tmp_path / "outside/dir/f").write_bytes(b"outside f\n")
     comp = store.add_fixed(carc.Dir({
         "l": carc.Symlink(str(tmp_path / "outside/file")),
         "dl": carc.Symlink(str(tmp_path / "outside/dir"))}), "links").component
@@ -666,9 +711,13 @@ def _outside_state(root: Path) -> dict:
             for p in root.rglob("*")}
 
 
-@pytest.mark.parametrize("step", [d.write("l", b"in"), d.concat("l", "out/l"),
-                                  d.substitute("l", b"outside", b"inside")],
-                         ids=["write", "concat", "substitute"])
+def _at(step, comp):
+    """step with {comp} in its path arguments replaced by comp."""
+    return d.Step(step.op, tuple(a.replace("{comp}", comp) if isinstance(a, str) else a
+                                 for a in step.args))
+
+
+@pytest.mark.parametrize("step", [d.write("l", b"in")], ids=["write"])
 def test_a_step_replaces_a_copied_symlink(store, outside, step):
     root, comp = outside
     before = _outside_state(root)
@@ -693,10 +742,31 @@ def test_set_exec_on_a_symlink_fails(store, outside):
                          ids=["write", "mkdir", "copy", "concat", "write-deep"])
 def test_a_step_may_not_write_through_a_copied_directory_symlink(store, outside, step):
     root, comp = outside
-    step = d.Step(step.op, tuple(a.replace("{comp}", comp) if isinstance(a, str) else a
-                                 for a in step.args))
     before = _outside_state(root)
     with pytest.raises(EscapedClosure):
         build(Derivation(name="esc", version="1", steps=[
-            d.copy(f"{comp}/dl", "dl"), d.write("w", b"w"), step]), store)
+            d.copy(f"{comp}/dl", "dl"), d.write("w", b"w"), _at(step, comp)]), store)
     assert _outside_state(root) == before
+
+
+@pytest.mark.parametrize("steps", [
+    [d.concat("x", "{comp}/l")],
+    [d.copy("{comp}/dl/f", "x")],
+    [d.copy("{comp}/l", "l"), d.substitute("l", b"outside", b"inside")],
+    [d.copy("{comp}/dl", "dl"), d.concat("x", "out/dl/f")],
+    [d.copy("{comp}/l", "l"), d.concat("l", "out/l")],
+], ids=["concat", "copy", "substitute", "concat-copied-dir", "concat-copied"])
+def test_a_step_may_not_read_through_a_symlink_out_of_the_closure(store, outside, steps):
+    root, comp = outside
+    with pytest.raises(EscapedClosure):
+        build(Derivation(name="read", version="1",
+                         steps=[_at(step, comp) for step in steps]), store)
+
+
+def test_a_step_reads_through_a_symlink_inside_the_closure(store):
+    comp = _tree_item(store)  # e -> a
+    path = build(Derivation(name="inside", version="1", steps=[
+        d.concat("x", f"{comp}/e"), d.copy(comp, "t"), d.concat("y", "out/t/e"),
+        d.substitute("t/e", b"alpha", b"beta")]), store)
+    assert (path.path / "x").read_bytes() == (path.path / "y").read_bytes() == b"alpha\n"
+    assert (path.path / "t/e").read_bytes() == b"beta\n"

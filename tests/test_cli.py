@@ -1,3 +1,4 @@
+import argparse
 import functools
 import http.server
 import os
@@ -209,10 +210,26 @@ def test_time_machine_builds_the_parser_once(env, tmp_path, monkeypatch, capsys)
     pin_file.write_text(capsys.readouterr().out)
     made = []
     monkeypatch.setattr(cli, "make_parser",
-                        lambda real=cli.make_parser: made.append(1) or real())
+                        lambda *args, real=cli.make_parser: made.append(1) or real(*args))
     assert run_command(["time-machine", "-C", str(pin_file), "--", "describe"]) == 0
     assert "Generation 1" in capsys.readouterr().out
     assert len(made) == 1
+
+
+def test_a_command_builds_only_its_own_subparser(env, tmp_path, monkeypatch, capsys):
+    added = []
+    real = argparse._SubParsersAction.add_parser
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser",
+                        lambda self, name, **kw: added.append(name) or real(self, name, **kw))
+    manifest = tmp_path / "manifest.scm"
+    manifest.write_text(MANIFEST)
+    assert run_command(["package", "-m", str(manifest)]) == 0
+    assert added == ["package"]
+    added.clear()
+    assert run_command(["frobnicate"]) == 1  # names no command: all of them
+    assert set(cli.COMMANDS) <= set(added)
+    assert "invalid choice: 'frobnicate' (choose from 'build', 'package'" in \
+        capsys.readouterr().err
 
 
 def test_warm_package_serializes_each_derivation_once(env, tmp_path, monkeypatch):

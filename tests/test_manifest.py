@@ -1,4 +1,5 @@
 import string
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -6,13 +7,15 @@ from hypothesis import example, given, strategies as st
 from microfold import derivation as d
 from microfold.builder import build
 from microfold.channel import PackageDef
-from microfold.derivation import derivation_hash
+from microfold.derivation import canonical_serialize, derivation_hash, parse_derivation
 from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
                               EmptyVersion, ReplacementCycle, UnknownPackage,
                               UnknownVersion, UnsupportedForm)
-from microfold.manifest import (Manifest, Spec, instantiate, parse_manifest,
-                                parse_spec, resolve, resolve_spec,
+from microfold.manifest import (Instantiator, Manifest, Spec, instantiate,
+                                parse_manifest, parse_spec, resolve, resolve_spec,
                                 rewrite_inputs, version_key)
+
+from conftest import fixture_packages, fixture_packages_v2
 
 REFERENCE_MANIFEST = """(specifications->manifest
  '("python"
@@ -224,3 +227,37 @@ def test_rewritten_graph_builds(store, archive, toolchain, packages):
                       store=store, archive=archive)
     path = build(drv, store, archive=archive)
     assert store.verify_item(path).ok
+
+
+# -- the instantiator's derivations are the parsed ones --------------------
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _package_sets(name, tmp_path, monkeypatch) -> list:
+    """The package sets (one per channel revision) of the fixture channel
+    or of a perfbench workload."""
+    if name == "fixture":
+        sets = [fixture_packages(), fixture_packages_v2()]
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        workload = workloads.WORKLOADS[name](1)
+        (tmp_path / "inputs").mkdir()
+        workload.make_inputs(tmp_path / "inputs")
+        sets = [workload.packages(rev) for rev in (1, 2)]
+    return [{p.key: p for p in pkgs} for pkgs in sets]
+
+
+@pytest.mark.parametrize("name", ["fixture", "chain", "blobs", "fanout"])
+def test_instantiated_derivations_are_kept_as_parsed(name, store, toolchain, tmp_path,
+                                                      monkeypatch):
+    for packages in _package_sets(name, tmp_path, monkeypatch):
+        inst = Instantiator(packages, store=store)
+        for pkg in packages.values():
+            inst.instantiate(pkg)
+        for key, drv_hash in inst.hashes.items():
+            drv = store.derivations[drv_hash.hex]
+            assert drv is inst.by_key[key]
+            assert drv == parse_derivation(canonical_serialize(drv).decode())
+            assert canonical_serialize(drv) == store.get_derivation_bytes(drv_hash)

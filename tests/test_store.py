@@ -1,8 +1,11 @@
 import hashlib
 import os
 import random
+import shutil
 import tempfile
 import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,7 +105,7 @@ def test_verify_after_insert_random_trees(store):
 
 def test_corruption_detected_on_reinsert(store):
     p = store.add_fixed(b"abc", "thing-1")
-    rec_file = store._record_path(p.component)
+    rec_file = Path(store._record_path(p.component))
     rec_file.write_text(rec_file.read_text().replace(
         p.digest_prefix, "f" * 32).replace(
         store.get_record(p).output_hash.hex, "f" * 64))
@@ -225,10 +228,117 @@ def test_record_write_is_atomic(store, monkeypatch):
 
 
 def test_seed_index_grows_with_own_inserts(store):
-    assert store.seeds() == []  # the db is listed here, once
+    assert store.seeds() == []
     p = store.add_fixed(b"tool", "tool-1", kind="seed")
     store.add_fixed(b"plain", "plain-1")
     assert [r.path for r in store.seeds()] == [p]
+
+
+def _count_calls(monkeypatch, name) -> list:
+    """The components (or nothing) that Store.<name> is called with."""
+    calls, real = [], getattr(Store, name)
+
+    def counting(self, *args):
+        calls.append(args[0] if args else None)
+        return real(self, *args)
+    monkeypatch.setattr(Store, name, counting)
+    return calls
+
+
+def test_seeds_read_only_the_seed_records(store, monkeypatch):
+    seeds = [store.add_fixed(b"tool %d" % i, f"tool-{i}", kind="seed") for i in range(2)]
+    for i in range(500):
+        store.add_fixed(b"item %d" % i, f"item-{i}")
+    reads = _count_calls(monkeypatch, "_read_record")
+    assert [r.path for r in Store(store.root).seeds()] == sorted(
+        seeds, key=lambda p: p.component)
+    assert sorted(reads) == sorted(p.component for p in seeds)
+
+
+def _pre_index_store(root) -> list:
+    """A store at root as the program left it before db/seeds existed:
+    two seeds among plain items.  The seeds' paths."""
+    store = Store(root)
+    seeds = [store.add_fixed(b"old tool %d" % i, f"old-{i}", kind="seed") for i in range(2)]
+    for i in range(3):
+        store.add_fixed(b"item %d" % i, f"item-{i}")
+    shutil.rmtree(root / "db" / "seeds")
+    return seeds
+
+
+def test_a_store_that_predates_the_seed_index_is_indexed_once(tmp_path, monkeypatch):
+    seeds = _pre_index_store(tmp_path / "store")
+    listed = _count_calls(monkeypatch, "list_records")
+    for _ in range(2):
+        assert {r.path for r in Store(tmp_path / "store").seeds()} == set(seeds)
+    assert len(listed) == 1
+
+
+def test_a_seed_registered_while_the_store_is_indexed_is_kept(tmp_path, monkeypatch):
+    root = tmp_path / "store"
+    seeds = _pre_index_store(root)
+    listing, go = threading.Event(), threading.Event()
+    real = Store.list_records
+
+    def slow_list(self):
+        listing.set()
+        go.wait(5)
+        return real(self)
+    monkeypatch.setattr(Store, "list_records", slow_list)
+    indexer = threading.Thread(target=lambda: Store(root).seeds())
+    indexer.start()
+    assert listing.wait(5)
+    new = []
+    adder = threading.Thread(target=lambda: new.append(
+        Store(root).add_fixed(b"new tool", "new-1", kind="seed")))
+    adder.start()
+    time.sleep(0.05)  # the adder waits for the index
+    go.set()
+    indexer.join(5)
+    adder.join(5)
+    assert not indexer.is_alive() and not adder.is_alive()
+    assert {r.path for r in Store(root).seeds()} == set(seeds + new)
+
+
+@pytest.mark.parametrize("pre_index", [False, True], ids=["indexed", "pre-index"])
+def test_a_crash_at_any_write_of_a_seed_registration_loses_no_seed(
+        tmp_path, monkeypatch, pre_index):
+    """The process dies at the n-th write of a seed registration, for every
+    n (each later write fails too): a fresh Store lists the new seed if and
+    only if its record landed, and the old seeds always."""
+    template = tmp_path / "template"
+    old = _pre_index_store(template) if pre_index else [
+        Store(template).add_fixed(b"old tool", "old-1", kind="seed")]
+    writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+    real = {(os, name): getattr(os, name)
+            for name in ("open", "mkdir", "rename", "replace", "symlink")}
+    real[Path, "write_bytes"] = Path.write_bytes
+    for n in range(1, 100):
+        root = tmp_path / f"store{n}"
+        shutil.copytree(template, root, symlinks=True)
+        count = [0]
+
+        def dying(fn):
+            def write(*args, **kwargs):
+                if fn is not os.open or args[1] & writes:
+                    count[0] += 1
+                    if count[0] >= n:
+                        raise OSError("crashed")
+                return fn(*args, **kwargs)
+            return write
+        with monkeypatch.context() as m:
+            for (owner, name), fn in real.items():
+                m.setattr(owner, name, dying(fn))
+            try:
+                Store(root).add_fixed(b"new tool", "new-1", kind="seed")
+            except OSError:
+                pass
+        listed = {r.path.label for r in Store(root).seeds()}
+        committed = any(c.endswith("-new-1") for c in os.listdir(root / "db" / "items"))
+        assert listed == {p.label for p in old} | ({"new-1"} if committed else set())
+        if count[0] < n:
+            break
+    assert committed and n > 5
 
 
 def _closure_oracle(graph: dict, root: str) -> list:
@@ -305,7 +415,7 @@ def test_crashed_insert_is_recovered_on_retry(tmp_path, monkeypatch, tamper):
     monkeypatch.setattr(os, "replace", crash_once)
     with pytest.raises(OSError, match="crashed"):
         Store(root).add_fixed(tree, "item-1")
-    assert crashed[0].parent == root / "db" / "items"  # the record write
+    assert Path(crashed[0]).parent == root / "db" / "items"  # the record write
     item = StorePath(root, carc_model.hash_tree(tree).prefix, "item-1")
     assert item.path.is_dir() and Store(root).get_record(item) is None
     if tamper:

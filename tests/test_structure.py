@@ -14,6 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("_write_record(", "store.py"),       # store records are written once
     ("load_tree(", "carc.py"),            # trees on disk are streamed
     ('"drvs"', "store.py"),               # only the store knows db/drvs
+    ('"seeds"', "store.py"),              # only the store knows db/seeds
     ("Thread(", "builder.py"),            # the one build scheduler
     ("os.link(", "carc.py"),              # one link helper shares inodes
 ])
