@@ -28,18 +28,18 @@ class Archive:
         (self.root / "origins").mkdir(parents=True, exist_ok=True)
 
     def ingest(self, content, origin: str | None = None) -> ContentHash:
-        """Store content (bytes, path, or carc node) by its CARC hash.  A
-        path is streamed into a tmp file, hashed on the way, and renamed."""
+        """Store content (the tree at a path, or bytes as a single file) by
+        its CARC hash.  A path is streamed into a tmp file, hashed on the
+        way, and renamed."""
         try:
-            if isinstance(content, (str, Path)):
-                tmp, content_hash, _ = carc.dump_to_tmp(content, self.root / "carc")
-                os.replace(tmp, self.root / "carc" / content_hash.hex)
-            else:
-                node = carc.File(content) if isinstance(content, bytes) else content
-                data = carc.serialize_tree(node)
+            if isinstance(content, bytes):
+                data = carc.MAGIC + carc.file_header(len(content)) + content
                 content_hash = ContentHash.of_bytes(data)
                 if not self.has(content_hash):
                     write_atomic(self.root / "carc" / content_hash.hex, data)
+            else:
+                tmp, content_hash, _ = carc.dump_to_tmp(content, self.root / "carc")
+                os.replace(tmp, self.root / "carc" / content_hash.hex)
             if origin:
                 self._add_origin(content_hash, origin)
         except OSError as e:
@@ -105,17 +105,16 @@ def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
 
 
 def fetch_source(ref, store, archive: Archive | None,
-                 *, archive_fallback: bool = True, auto_ingest: bool = True):
+                 *, archive_fallback: bool = True):
     """Fetch a source, verifying its hash: upstream first, then the archive.
 
     Returns the store path of the fixed item; an item the store already
     has with that hash is returned as it is, fetching nothing.  Every leg
     stages what it fetched under <store>/tmp and hashes the staged bytes;
-    bytes that do not match ref.expected_hash never get a record.  With
-    auto_ingest, a source the archive lacks is ingested on the way.
+    bytes that do not match ref.expected_hash never get a record.  A source
+    the archive lacks is ingested on the way.
     """
-    ingest = (auto_ingest and archive is not None
-              and not archive.has(ref.expected_hash))
+    ingest = archive is not None and not archive.has(ref.expected_hash)
     present = store.get_record(StorePath.from_component(
         store.root, f"{ref.expected_hash.prefix}-{ref.label}"))
     if present is not None and present.output_hash == ref.expected_hash:

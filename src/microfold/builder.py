@@ -53,7 +53,6 @@ def __getattr__(name):
 
 
 class BuildOptions(NamedTuple):
-    use_substitutes: bool = False
     archive_fallback: bool = True
     caches: tuple = ()  # substitute cache locations, tried in order
     workers: int = 1
@@ -106,7 +105,7 @@ class Builder:
         target = StorePath(self.store.root, drv_hash.prefix, drv.label)
         if drv_hash in todo or self.store.get_record(target) is not None:
             return target
-        if self.options.use_substitutes and self.options.caches:
+        if self.options.caches:
             from .substitute import fetch_substitute
             try:
                 return fetch_substitute(target, self.options.caches, self.store)
@@ -349,29 +348,31 @@ def build(drv: Derivation, store: Store, *, archive=None,
     return Builder(store, archive=archive, options=options).build(drv)
 
 
-def rebuild_output_hash(drv: Derivation, store: Store, *, archive=None,
-                        options: BuildOptions | None = None) -> str:
+def rebuild_output_hash(drv: Derivation, store: Store, drv_hash=None, *,
+                        archive=None, options: BuildOptions | None = None) -> str:
     """drv's output hash (hex) from a build into a scratch store, removed
     afterwards.  It reads the main store's seeds, sources and derivations
-    in place but rebuilds every derived item; the main store is never
+    in place (drv_hash, if given, names drv's bytes there; see
+    Builder.build) but rebuilds every derived item; the main store is never
     written to, so a nondeterministic derivation cannot pollute it."""
     scratch_root = tempfile.mkdtemp(prefix="microfold-rebuild-")
     try:
         scratch_store = Store(scratch_root, base=store)
-        path = build(drv, scratch_store, archive=archive, options=options)
+        path = Builder(scratch_store, archive=archive, options=options).build(drv, drv_hash)
         return scratch_store.get_record(path).output_hash.hex
     finally:
         shutil.rmtree(scratch_root, ignore_errors=True)
 
 
 def check_rebuild(drv: Derivation, store: Store, rounds: int = 2, *,
-                  archive=None, options: BuildOptions | None = None) -> RebuildReport:
+                  drv_hash=None, archive=None,
+                  options: BuildOptions | None = None) -> RebuildReport:
     """Rebuild drv `rounds` times, each in a fresh scratch store, and
-    compare the output hashes."""
+    compare the output hashes (drv_hash: see rebuild_output_hash)."""
     if rounds < 2:
         raise ValueError("rounds must be >= 2")
-    results = [RoundResult(rnd, rebuild_output_hash(drv, store, archive=archive,
-                                                    options=options))
+    results = [RoundResult(rnd, rebuild_output_hash(drv, store, drv_hash,
+                                                    archive=archive, options=options))
                for rnd in range(1, rounds + 1)]
     deterministic = len({r.output_hash for r in results}) == 1
     return RebuildReport(rounds=results, deterministic=deterministic)

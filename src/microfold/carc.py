@@ -15,14 +15,15 @@ Grammar:
 Directory entries are sorted ascending by raw name bytes; sizes and counts
 are ASCII decimals.
 
-Trees on disk are streamed, never held in memory: `dump` writes the archive
-of a tree to any sink in blocks of at most `_BLOCK` bytes, `copy` copies a
-tree while hashing the bytes it copies, and `restore` unpacks an archive,
+Trees are streamed, never held in memory: `dump` writes the archive of a
+tree on disk to any sink in blocks of at most `_BLOCK` bytes, `copy` copies
+a tree while hashing the bytes it copies, and `restore` unpacks an archive,
 checking the grammar and hashing the input as it writes; `link` makes a tree
 of hard links to another's files.  Trees that these create, and build outputs
 (see `dump`'s settle), all carry the same mode bits: 0755 for directories
-and executable files, 0644 for the rest.  The in-memory model (`File`/`Dir`,
-`serialize_tree`) serves content that is already in memory.
+and executable files, 0644 for the rest.  None of them goes more than
+`MAX_DEPTH` levels below the root.  This is the only encoder in the program;
+the tests keep an in-memory reference model (tests/carc_model.py).
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ import hashlib
 import os
 import stat
 import tempfile
-from typing import NamedTuple
 
-from .errors import InvalidName, ParseError, UnsupportedNode
+from .errors import ParseError, UnsupportedNode
 from .hashing import ContentHash
 
 MAGIC = b"carc1\n"
@@ -42,61 +42,14 @@ MAGIC = b"carc1\n"
 _BLOCK = 1 << 20
 # Longest decimal the grammar needs (2**64 has 20 digits).
 _MAX_DIGITS = 20
+# Most levels an entry may lie below the root: deeper, walk raises
+# UnsupportedNode and restore ParseError.  walk recurses a frame a level.
+MAX_DEPTH = 600
 
 
-# In-memory tree model, used by tests and for content already in memory.
-
-class File:
-    def __init__(self, data: bytes, executable: bool = False):
-        self.data, self.executable = data, executable
-
-    def __eq__(self, other):
-        return type(other) is File and vars(self) == vars(other)
-
-
-class Symlink(NamedTuple):
-    target: str
-
-
-class Dir:
-    def __init__(self, entries: dict | None = None):
-        self.entries = {} if entries is None else entries  # name -> node
-
-    def __eq__(self, other):
-        return type(other) is Dir and self.entries == other.entries
-
-
-def _check_name(name: bytes):
-    if not name or b"/" in name or b"\x00" in name or name in (b".", b".."):
-        raise InvalidName(f"bad entry name: {name!r}")
-
-
-def _serialize_node(node) -> bytes:
-    if isinstance(node, File):
-        tag = b"x\n" if node.executable else b"f\n"
-        return tag + str(len(node.data)).encode() + b"\n" + node.data
-    if isinstance(node, Symlink):
-        target = node.target.encode()
-        return b"l\n" + str(len(target)).encode() + b"\n" + target
-    if isinstance(node, Dir):
-        out = [b"d\n", str(len(node.entries)).encode(), b"\n"]
-        for name in sorted(node.entries, key=lambda n: n.encode()):
-            raw = name.encode()
-            _check_name(raw)
-            out.append(str(len(raw)).encode() + b"\n" + raw)
-            out.append(_serialize_node(node.entries[name]))
-        return b"".join(out)
-    raise UnsupportedNode(f"not a tree node: {node!r}")
-
-
-def serialize_tree(node) -> bytes:
-    """Serialize an in-memory tree to CARC bytes."""
-    return MAGIC + _serialize_node(node)
-
-
-def serialize_bytes(data: bytes, executable: bool = False) -> bytes:
-    """Serialize raw bytes as a single-file archive."""
-    return serialize_tree(File(data, executable))
+def file_header(size: int, executable=False) -> bytes:
+    """The node header of a regular file of size bytes."""
+    return (b"x\n%d\n" if executable else b"f\n%d\n") % size
 
 
 # Streaming from disk.
@@ -146,19 +99,20 @@ class _Blocks:
             self.held = 0
 
 
-def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False):
+def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False, depth=0):
     """Emit (to emit, a function given byte strings) the CARC node of the
-    tree at src; when dest is given, also create a copy of it there (with
-    links, of hard links to src's files where it can).  With settle, give
-    each entry of src the mode bits of a copy.  A caller that emits a node
-    of its own (see stream) builds it from this and directory."""
+    tree at src, which lies depth levels below the archive's root; when
+    dest is given, also create a copy of it there (with links, of hard
+    links to src's files where it can).  With settle, give each entry of
+    src the mode bits of a copy.  A caller that emits a node of its own
+    (see stream) builds it from this and directory."""
     st = os.lstat(src)
     mode = st.st_mode
     if settle and not stat.S_ISLNK(mode) and stat.S_IMODE(mode) != _mode(mode):
         os.chmod(src, _mode(mode))
     if stat.S_ISREG(mode):
         left = st.st_size
-        emit((b"x\n%d\n" if mode & stat.S_IXUSR else b"f\n%d\n") % left)
+        emit(file_header(left, mode & stat.S_IXUSR))
         fd = os.open(src, os.O_RDONLY | os.O_NOFOLLOW)
         out = None
         try:
@@ -183,8 +137,11 @@ def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False):
         if dest is not None:
             os.symlink(target, dest)
     elif stat.S_ISDIR(mode):
-        for name, sub in directory(sorted(os.listdir(src)), dest, emit):
-            walk(src + b"/" + name, sub, emit, links, settle)
+        names = sorted(os.listdir(src))
+        if names and depth == MAX_DEPTH:
+            raise UnsupportedNode(f"{os.fsdecode(src)}: more than {MAX_DEPTH} levels deep")
+        for name, sub in directory(names, dest, emit):
+            walk(src + b"/" + name, sub, emit, links, settle, depth + 1)
     else:
         raise UnsupportedNode(f"{os.fsdecode(src)}: unsupported file type")
 
@@ -369,10 +326,8 @@ def _names(s: _Source):
     prev = None
     for _ in range(s.number()):
         name = s.take(s.number())
-        try:
-            _check_name(name)
-        except InvalidName as e:
-            raise ParseError(str(e), position=s.position) from None
+        if not name or b"/" in name or b"\x00" in name or name in (b".", b".."):
+            raise ParseError(f"bad entry name: {name!r}", position=s.position)
         if prev is not None and name <= prev:
             raise ParseError(f"entries out of order: {name!r}", position=s.position)
         prev = name
@@ -389,33 +344,43 @@ def _target(s: _Source) -> bytes:
 
 
 def _restore_node(s: _Source, path: bytes):
-    tag = s.take(2)
-    if tag in (b"f\n", b"x\n"):
-        size = s.number()
-        mode = 0o755 if tag == b"x\n" else 0o644
-        fd = os.open(path, _CREATE, mode)
-        try:
-            os.fchmod(fd, mode)
-            s.copy(size, fd)
-        finally:
-            os.close(fd)
-    elif tag == b"l\n":
-        os.symlink(_target(s), path)
-    elif tag == b"d\n":
-        _mkdir(path)
-        for name in _names(s):
-            _restore_node(s, path + b"/" + name)
-    else:
-        raise ParseError(f"unknown node tag {tag!r}", position=s.position)
+    """Write the archive's root node at path, and the nodes below it."""
+    stack = []  # (entry names left to read, path) of each open directory
+    while True:
+        tag = s.take(2)
+        if tag in (b"f\n", b"x\n"):
+            size = s.number()
+            mode = 0o755 if tag == b"x\n" else 0o644
+            fd = os.open(path, _CREATE, mode)
+            try:
+                os.fchmod(fd, mode)
+                s.copy(size, fd)
+            finally:
+                os.close(fd)
+        elif tag == b"l\n":
+            os.symlink(_target(s), path)
+        elif tag == b"d\n":
+            _mkdir(path)
+            stack.append((_names(s), path))
+        else:
+            raise ParseError(f"unknown node tag {tag!r}", position=s.position)
+        # On to the next entry of the innermost directory that has one.
+        while stack and (name := next(stack[-1][0], None)) is None:
+            stack.pop()
+        if not stack:
+            return
+        if len(stack) > MAX_DEPTH:
+            raise ParseError(f"more than {MAX_DEPTH} levels deep", position=s.position)
+        path = stack[-1][1] + b"/" + name
 
 
 def restore(chunks, dest: os.PathLike) -> tuple[ContentHash, int]:
     """Unpack an archive, given as an iterable of byte chunks (`[data]`
     for bytes in memory), to the filesystem at dest, which must not exist.
 
-    The grammar is checked as the tree is written, and the input is hashed
-    in the same pass: returns the archive's hash and length.  On malformed
-    input it raises ParseError and leaves a partial tree at dest for the
+    The grammar and MAX_DEPTH are checked as the tree is written, and the
+    input is hashed in the same pass: returns the archive's hash and
+    length.  On malformed input it raises ParseError and leaves a partial tree at dest for the
     caller to remove.
     """
     s = _Source(chunks)

@@ -32,7 +32,7 @@ EXIT_ENV = 3
 
 _USER_ERRORS = (
     errors.ParseError, errors.InvalidLabel, errors.InvalidHash,
-    errors.InvalidName, errors.UnknownPackage, errors.UnknownVersion,
+    errors.UnknownPackage, errors.UnknownVersion,
     errors.UnknownGeneration, errors.UnknownRevision, errors.UnknownParent,
     errors.DuplicatePackage, errors.DependencyCycle, errors.ReplacementCycle,
     errors.NoHead, errors.InvariantViolation, errors.ProfileCollision,
@@ -106,7 +106,6 @@ class Context:
 def _build_options(args) -> BuildOptions:
     caches = tuple(getattr(args, "substitute_url", None) or ())
     return BuildOptions(
-        use_substitutes=bool(caches),
         caches=caches,
         archive_fallback=not getattr(args, "no_archive_fallback", False),
         workers=getattr(args, "workers", 1),
@@ -114,29 +113,31 @@ def _build_options(args) -> BuildOptions:
 
 
 def _instantiate_spec(ctx: Context, spec_text: str):
+    """The derivation of a spec and its hash, which names its bytes in the store."""
     packages = ctx.packages()
     pkg = resolve_spec(parse_spec(spec_text), packages)
     inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
-    return inst.instantiate(pkg), inst
+    return inst.instantiate(pkg), inst.hashes[pkg.key]
 
 
 def cmd_build(ctx: Context, args) -> int:
     target = args.target
-    if Path(target).is_file():
+    if Path(target).is_file():  # its bytes are not in the store: build() puts them
         drv = parse_derivation(Path(target).read_text(encoding="utf-8",
                                                       errors="surrogateescape"))
+        drv_hash = None
         ctx.store  # ensure store exists
     else:
-        drv, _ = _instantiate_spec(ctx, target)
+        drv, drv_hash = _instantiate_spec(ctx, target)
     if args.check:
-        report = check_rebuild(drv, ctx.store, rounds=args.check,
+        report = check_rebuild(drv, ctx.store, rounds=args.check, drv_hash=drv_hash,
                                archive=ctx.archive, options=_build_options(args))
         for rnd in report.rounds:
             print(f"round {rnd.round}: {rnd.output_hash}")
         print("deterministic" if report.deterministic else "nondeterministic")
         return EXIT_OK if report.deterministic else EXIT_VERIFY
     builder = Builder(ctx.store, archive=ctx.archive, options=_build_options(args))
-    path = builder.build(drv)
+    path = builder.build(drv, drv_hash)
     print(path.path)
     return EXIT_OK
 
@@ -207,10 +208,10 @@ def cmd_challenge(ctx: Context, args) -> int:
     paths, derivations = [], {}
     for spec_text in args.specs:
         pkg = resolve_spec(parse_spec(spec_text), packages)
-        drv = inst.instantiate(pkg)
-        sp = StorePath(store.root, inst.hashes[pkg.key].prefix, drv.label)
+        drv, drv_hash = inst.instantiate(pkg), inst.hashes[pkg.key]
+        sp = StorePath(store.root, drv_hash.prefix, drv.label)
         paths.append(sp)
-        derivations[sp.component] = drv
+        derivations[sp.component] = (drv, drv_hash)
     report = run_challenge(paths, args.substitute_url or [], store,
                            rebuild=args.rebuild, derivations=derivations,
                            archive=ctx.archive)

@@ -11,10 +11,6 @@ class MicrofoldError(Exception):
 
 # --- store ---------------------------------------------------------------
 
-class InvalidName(MicrofoldError):
-    """A tree entry name is empty or contains '/' or NUL."""
-
-
 class InvalidLabel(MicrofoldError):
     """A store label violates the [A-Za-z0-9._+-]+ rule."""
 

@@ -166,7 +166,8 @@ class Instantiator:
             sources.append(pkg.source)
             mapping.setdefault("src", pkg.source.label)
         elif isinstance(pkg.source, bytes):
-            content_hash = ContentHash.of_bytes(carc.serialize_bytes(pkg.source))
+            content_hash = ContentHash.of_bytes(
+                carc.MAGIC + carc.file_header(len(pkg.source)) + pkg.source)
             label = f"{pkg.name}-{pkg.version}-source"
             if self.archive is not None:
                 self.archive.ingest(pkg.source)

@@ -12,7 +12,9 @@ Layout under the store root (a plain user-writable directory):
 Every item enters the store the same way: its tree is staged under `tmp/`
 (restored from an archive, copied, or built there) and hashed from the same
 bytes that produced it; then, under the item's lock, the tree is renamed
-into `items/` and its record written.  The record is the commit point.  An
+into `items/` and its record written.  So `add_fixed` takes the path of a
+tree to copy in or a `Staged` tree, and `register_output` a `Staged` tree;
+neither takes content held in memory.  The record is the commit point.  An
 item directory with no record, left by an insert that crashed before its
 record landed, is re-hashed by the next insert: adopted if it matches,
 removed otherwise.
@@ -343,19 +345,15 @@ class Store:
 
     @contextmanager
     def _staged(self, content):
-        """content as a Staged tree: a Staged tree as it is; bytes, an
-        in-memory tree or a copy of the tree at a path, staged in a scratch
-        directory that lasts as long as the context."""
+        """content as a Staged tree: a Staged tree as it is, the tree at a path
+        copied into a scratch directory that lasts as long as the context."""
         if isinstance(content, Staged):
             yield content
             return
+        if not isinstance(content, (str, os.PathLike)):
+            raise TypeError(f"not a path or a Staged tree: {content!r}")
         with self.scratch() as scratch:
-            dest = scratch / "item"
-            if isinstance(content, (str, Path)):
-                yield Staged(dest, *carc.copy(content, dest))
-            else:
-                node = carc.File(content) if isinstance(content, bytes) else content
-                yield Staged(dest, *carc.restore([carc.serialize_tree(node)], dest))
+            yield Staged(scratch / "item", *carc.copy(content, scratch / "item"))
 
     def _admit(self, tree: Path, rec: StoreItemRecord) -> StoreItemRecord:
         """Rename the staged tree into place as rec.path and write rec,
@@ -377,8 +375,8 @@ class Store:
 
     def add_fixed(self, content, label: str, *, kind: str = "fixed",
                   description: str = "", references: list = ()) -> StorePath:
-        """Insert content-addressed bytes, an in-memory tree, a copy of the
-        tree at a path, or a Staged tree (moved in); idempotent."""
+        """Insert a copy of the tree at a path, or a Staged tree (moved
+        in), content-addressed; idempotent."""
         check_label(label)
         refs = sorted(set(references), key=lambda p: p.component)
         with self._staged(content) as staged:
@@ -393,20 +391,19 @@ class Store:
                 f"{rec.output_hash} != content hash {staged.output_hash}")
         return store_path
 
-    def register_output(self, tree, store_path: StorePath, *,
+    def register_output(self, staged: Staged, store_path: StorePath, *,
                         deriver: ContentHash | None, references: list,
                         kind: str = "derived") -> StoreItemRecord:
-        """Register an output tree (in-memory, or Staged and moved in) at a
-        derivation-addressed path.
+        """Register a Staged output tree, moved in, at a derivation-addressed
+        path.
 
         An existing record with the same hash is a no-op; one with a
         different hash raises OutputCollision.  Records are never rewritten.
         """
         refs = sorted(set(references), key=lambda p: p.component)
-        with self._staged(tree) as staged:
-            rec = self._admit(staged.path, StoreItemRecord(
-                path=store_path, output_hash=staged.output_hash,
-                references=refs, kind=kind, deriver=deriver, size=staged.size))
+        rec = self._admit(staged.path, StoreItemRecord(
+            path=store_path, output_hash=staged.output_hash,
+            references=refs, kind=kind, deriver=deriver, size=staged.size))
         if rec.output_hash != staged.output_hash:
             raise OutputCollision(
                 f"{store_path.component}: existing output "

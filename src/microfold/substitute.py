@@ -202,8 +202,9 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
 
     Providers are the local store record, every cache (archives re-hashed,
     so a tampered archive shows up as a divergent value), and optionally a
-    fresh rebuild in a scratch store.  Unreachable providers simply do not
-    contribute a value.
+    fresh rebuild in a scratch store of the (drv, drv_hash) that
+    derivations maps a path's component to.  Unreachable providers simply
+    do not contribute a value.
     """
     from .builder import rebuild_output_hash
 
@@ -226,8 +227,9 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
             elif (info := _provider_info(cache, path.digest_prefix)) is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:
+            drv, drv_hash = derivations[path.component]
             values.append(("rebuild", rebuild_output_hash(
-                derivations[path.component], store, archive=archive)))
+                drv, store, drv_hash, archive=archive)))
         distinct = {h for _, h in values}
         if len(values) >= 2 and len(distinct) == 1:
             verdict = "agree"

@@ -2,12 +2,13 @@ import os
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import pytest
 
-from microfold import carc
+import carc_model
 from microfold import derivation as drv
 from microfold.archive import Archive
 from microfold.bootstrap import register_seed
@@ -35,7 +36,14 @@ def instantiated(inst, pkgs):
 
 
 def seed_tree():
-    return carc.Dir({"bin": carc.Dir({"cc": carc.File(CC_SCRIPT, executable=True)})})
+    return carc_model.Dir({"bin": carc_model.Dir({
+        "cc": carc_model.File(CC_SCRIPT, executable=True)})})
+
+
+def on_disk(node, parent) -> Path:
+    """The in-memory tree node written at a fresh path under parent: a
+    tree as add_fixed, register_seed and Archive.ingest take it."""
+    return carc_model.write_tree(node, Path(tempfile.mkdtemp(dir=parent), "tree"))
 
 
 @pytest.fixture
@@ -54,8 +62,8 @@ def repo(tmp_path):
 
 
 @pytest.fixture
-def toolchain(store):
-    return register_seed(store, seed_tree(), "toolchain-1.0",
+def toolchain(store, tmp_path):
+    return register_seed(store, on_disk(seed_tree(), tmp_path), "toolchain-1.0",
                          description="fixture compiler seed")
 
 

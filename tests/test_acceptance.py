@@ -10,7 +10,6 @@ import time
 import pytest
 
 import carc_model
-from microfold import carc
 from microfold import derivation as d
 from microfold.archive import Archive
 from microfold.bootstrap import audit_trust, register_seed
@@ -25,7 +24,7 @@ from microfold.profile import Profile, build_profile
 from microfold.store import Store, StorePath
 from microfold.substitute import fetch_substitute, publish
 
-from conftest import fixture_packages, instantiated, fixture_packages_v2, seed_tree
+from conftest import fixture_packages, instantiated, fixture_packages_v2, on_disk, seed_tree
 from test_carc import (GOLDEN, TREES,
                        test_ignored_attributes_never_change_hash as _check_ignored,
                        test_significant_attributes_always_change_hash as _check_significant)
@@ -54,7 +53,7 @@ def _setup_env(tmp_path, monkeypatch, packages=None, message="initial packages")
     monkeypatch.setenv("MICROFOLD_PROFILE", str(paths["profile"]))
     repo = ChannelRepo(paths["repo"])
     repo.commit_revision(packages or fixture_packages(), message=message)
-    register_seed(Store(paths["store"]), seed_tree(), "toolchain-1.0")
+    register_seed(Store(paths["store"]), on_disk(seed_tree(), tmp_path), "toolchain-1.0")
     paths["repo_obj"] = repo
     return paths
 
@@ -140,7 +139,7 @@ def test_3_substitutes_verified_and_tamper_rejected(tmp_path, monkeypatch,
                 [bad_cache], victim)
         assert victim.get_record(source_path.component) is None
 
-        opts = BuildOptions(use_substitutes=True, caches=[bad_cache])
+        opts = BuildOptions(caches=[bad_cache])
         rebuilt = Builder(victim, options=opts).build(drv)
         assert victim.get_record(rebuilt).output_hash == source_hash
 
@@ -193,7 +192,7 @@ def test_5_archive_survives_upstream_deletion(tmp_path, toolchain):
 
     def build_gen(store_root, profile_root):
         store = Store(store_root)
-        register_seed(store, seed_tree(), "toolchain-1.0")
+        register_seed(store, on_disk(seed_tree(), tmp_path), "toolchain-1.0")
         inst = Instantiator(packages, store=store, archive=archive)
         drvs = instantiated(inst, [packages["app-alpha@1.0"]])
         gen = build_profile(drvs, store, Profile(profile_root),
@@ -209,11 +208,11 @@ def test_5_archive_survives_upstream_deletion(tmp_path, toolchain):
     assert second == first
 
 
-def test_6_trust_audit_and_opaque_injection(store, toolchain):
-    opaque = store.add_fixed(
-        carc.Dir({"bin": carc.Dir({"mystery": carc.File(
+def test_6_trust_audit_and_opaque_injection(tmp_path, store, toolchain):
+    opaque = store.add_fixed(on_disk(
+        carc_model.Dir({"bin": carc_model.Dir({"mystery": carc_model.File(
             b"#!/bin/sh\nprintf 'artifact\\n' > \"$1\"\n", executable=True)})}),
-        "mystery-tool", kind="fixed")
+        tmp_path), "mystery-tool", kind="fixed")
 
     def compile_with(tool_component, name, *inputs):
         return Derivation(
@@ -240,7 +239,7 @@ def test_6_trust_audit_and_opaque_injection(store, toolchain):
     clean_report = audit_trust(paths["app-clean"], store)
     assert clean_report.trusted
     assert [s.path.component for s in clean_report.seed_list] == [cc]
-    assert clean_report.total_seed_bytes == len(carc.serialize_tree(seed_tree()))
+    assert clean_report.total_seed_bytes == len(carc_model.serialize_tree(seed_tree()))
 
     # The opaque tool taints exactly its dependents, nothing else.
     verdicts = {name: audit_trust(path, store).trusted
@@ -284,9 +283,11 @@ def test_8_canonical_archive_golden_and_mutation_properties(tmp_path):
     import hashlib
     assert len(GOLDEN) == 10
     for name, (expected_bytes, expected_hash) in GOLDEN.items():
-        got = carc.serialize_tree(TREES[name])
+        got = carc_model.serialize_tree(TREES[name])
         assert got == expected_bytes, name
         assert hashlib.sha256(got).hexdigest() == expected_hash, name
+        on_disk_tree = on_disk(TREES[name], tmp_path)
+        assert carc_model.serialize_path(on_disk_tree) == expected_bytes, name
     # mtime/ordering invariance and content/name/exec-bit sensitivity over
     # >= 1000 randomized tree cases
     _check_ignored(tmp_path)

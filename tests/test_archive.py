@@ -27,7 +27,7 @@ def test_ingest_is_content_addressed(archive):
     h2 = archive.ingest(b"payload")
     assert h1 == h2
     assert archive.has(h1)
-    assert _archived(archive, h1) == carc.serialize_bytes(b"payload")
+    assert _archived(archive, h1) == carc_model.serialize_bytes(b"payload")
 
 
 def test_ingest_tree_and_path(archive, tmp_path):
@@ -35,8 +35,11 @@ def test_ingest_tree_and_path(archive, tmp_path):
     (src / "sub").mkdir(parents=True)
     (src / "sub/f").write_bytes(b"data")
     h_path = archive.ingest(src)
-    h_tree = archive.ingest(carc_model.load_tree(src))
+    h_tree = carc_model.hash_tree(carc_model.load_tree(src))
     assert h_path == h_tree
+    with pytest.raises(TypeError):  # a path or bytes, not a tree in memory
+        archive.ingest(carc_model.load_tree(src))
+    assert os.listdir(archive.root / "carc") == [h_path.hex]
     assert _archived(archive, h_path) == carc_model.serialize_path(src)
 
 
@@ -225,13 +228,13 @@ def test_fetch_mismatch_leaves_no_archive_tmp_file(tmp_path, store, archive):
 def test_fetch_http_upstream(store, archive, raw_http, with_archive):
     body = b"served over http\n"
     url = raw_http(lambda path, conn: conn.sendall(http_200(body)))
-    h = ContentHash.of_bytes(carc.serialize_bytes(body))
+    h = ContentHash.of_bytes(carc_model.serialize_bytes(body))
     ref = SourceRef(f"{url}/src.txt", h, "src")
     path = fetch_source(ref, store, archive if with_archive else None)
     assert path.path.read_bytes() == body and store.verify_item(path).ok
     assert os.listdir(store.root / "tmp") == []
     if with_archive:
-        assert _archived(archive, h) == carc.serialize_bytes(body)
+        assert _archived(archive, h) == carc_model.serialize_bytes(body)
         assert archive.origins(h) == [ref.url]
 
 
@@ -243,7 +246,7 @@ def test_fetch_http_upstream_writes_the_body_once(store, archive, raw_http,
     written through os.write."""
     body = bytes(range(256)) * 256
     url = raw_http(lambda path, conn: conn.sendall(http_200(body)))
-    h = ContentHash.of_bytes(carc.serialize_bytes(body))
+    h = ContentHash.of_bytes(carc_model.serialize_bytes(body))
     written, real_write = [], os.write
 
     def counting(fd, data):
@@ -253,7 +256,7 @@ def test_fetch_http_upstream_writes_the_body_once(store, archive, raw_http,
     path = fetch_source(SourceRef(f"{url}/src.bin", h, "src"), store,
                         archive if with_archive else None)
     monkeypatch.undo()
-    assert sum(written) == (len(carc.serialize_bytes(body)) if with_archive else 0)
+    assert sum(written) == (len(carc_model.serialize_bytes(body)) if with_archive else 0)
     assert store.verify_item(path).ok
     assert stat.S_IMODE(os.lstat(path.path).st_mode) == 0o644
 

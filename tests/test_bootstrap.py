@@ -1,6 +1,6 @@
 import pytest
 
-from microfold import carc
+import carc_model
 from microfold import derivation as d
 from microfold.bootstrap import audit_trust, register_seed
 from microfold.builder import build
@@ -9,14 +9,15 @@ from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile
 from microfold.store import StorePath
 
-from conftest import instantiated, seed_tree
+from conftest import instantiated, on_disk, seed_tree
 
 
-def test_register_seed_records_kind_and_size(store):
-    rec = register_seed(store, seed_tree(), "toolchain-1.0", description="cc")
+def test_register_seed_records_kind_and_size(tmp_path, store):
+    rec = register_seed(store, on_disk(seed_tree(), tmp_path), "toolchain-1.0",
+                        description="cc")
     item = store.get_record(rec.path)
     assert item.kind == "seed"
-    assert rec.size == len(carc.serialize_tree(seed_tree()))
+    assert rec.size == len(carc_model.serialize_tree(seed_tree()))
     assert rec.description == "cc"
 
 
@@ -54,12 +55,12 @@ def test_seed_counted_once_across_diamond(store, archive, toolchain, packages):
     assert report.total_seed_bytes == toolchain.size
 
 
-def test_opaque_binary_flags_exactly_the_dependents(store, toolchain):
+def test_opaque_binary_flags_exactly_the_dependents(tmp_path, store, toolchain):
     # A binary dropped into the store with no provenance at all.
-    opaque = store.add_fixed(
-        carc.Dir({"bin": carc.Dir({"mystery": carc.File(
+    opaque = store.add_fixed(on_disk(
+        carc_model.Dir({"bin": carc_model.Dir({"mystery": carc_model.File(
             b"#!/bin/sh\n/bin/cat > \"$1\" <<EOF\nartifact\nEOF\n",
-            executable=True)})}),
+            executable=True)})}), tmp_path),
         "mystery-tool", kind="fixed")
 
     user = Derivation(name="user", version="1", steps=[
@@ -111,14 +112,15 @@ def test_profile_audit_recurses_into_members(store, archive, toolchain,
     assert report.total_seed_bytes == toolchain.size
 
 
-def test_audit_monotone_under_injection(store, archive, toolchain, packages):
+def test_audit_monotone_under_injection(tmp_path, store, archive, toolchain, packages):
     """Opacity is monotone: adding an opaque input never cleans a closure."""
     inst = Instantiator(packages, store=store, archive=archive)
     beta = inst.instantiate(packages["app-beta@1.0"])
     beta_path = build(beta, store, archive=archive)
     assert audit_trust(beta_path, store).trusted
 
-    opaque = store.add_fixed(carc.File(b"blob"), "wild-blob", kind="fixed")
+    opaque = store.add_fixed(on_disk(carc_model.File(b"blob"), tmp_path), "wild-blob",
+                             kind="fixed")
     wrapper = Derivation(name="wrapper", version="1", steps=[
         d.copy(f"{derivation_hash(beta).prefix}-{beta.label}/share/deps.txt",
                "deps.txt"),
@@ -132,8 +134,9 @@ def test_audit_monotone_under_injection(store, archive, toolchain, packages):
     assert audit_trust(beta_path, store).trusted
 
 
-def test_render_lists_offenders(store):
-    opaque = store.add_fixed(carc.File(b"blob"), "rogue", kind="fixed")
+def test_render_lists_offenders(tmp_path, store):
+    opaque = store.add_fixed(on_disk(carc_model.File(b"blob"), tmp_path), "rogue",
+                             kind="fixed")
     report = audit_trust(opaque, store)
     text = report.render()
     assert "verdict: opaque" in text

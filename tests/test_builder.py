@@ -28,7 +28,7 @@ from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator
 from microfold.store import Store
 
-from conftest import RANDOM_TOOL, fixture_packages
+from conftest import RANDOM_TOOL, fixture_packages, on_disk
 
 # Oracle hash for the tree {hello.txt: "hello"}: literal CARC bytes hashed
 # independently of the carc module.
@@ -142,9 +142,9 @@ def test_exec_runs_through_the_module_subprocess(store, toolchain, monkeypatch):
 
 
 def test_exec_env_is_scrubbed(store):
-    tool = carc.Dir({"bin": carc.Dir({"dumpenv": carc.File(
+    tool = carc_model.Dir({"bin": carc_model.Dir({"dumpenv": carc_model.File(
         b"#!/bin/sh\n/usr/bin/env | /usr/bin/sort > \"$1\"\n", executable=True)})})
-    seed = register_seed(store, tool, "dumpenv-1.0")
+    seed = register_seed(store, on_disk(tool, store.root.parent), "dumpenv-1.0")
     drv = Derivation(name="envdump", version="1",
                      env={"EXTRA": "declared"},
                      steps=[d.exec_(f"{seed.path.component}/bin/dumpenv",
@@ -262,9 +262,9 @@ def test_scratch_store_falls_back_to_base_for_seeds_and_sources_only(
 
 
 def test_check_rebuild_reports_nondeterminism_of_a_built_item(store):
-    tool = carc.Dir({"bin": carc.Dir({"rand": carc.File(RANDOM_TOOL,
-                                                        executable=True)})})
-    seed = register_seed(store, tool, "rng-1.0")
+    tool = carc_model.Dir({"bin": carc_model.Dir({"rand": carc_model.File(
+        RANDOM_TOOL, executable=True)})})
+    seed = register_seed(store, on_disk(tool, store.root.parent), "rng-1.0")
     drv = Derivation(name="flaky", version="1",
                      steps=[d.exec_(f"{seed.path.component}/bin/rand",
                                     "@out@/value.txt")])
@@ -274,9 +274,9 @@ def test_check_rebuild_reports_nondeterminism_of_a_built_item(store):
 
 
 def test_check_rebuild_detects_nondeterminism(store):
-    tool = carc.Dir({"bin": carc.Dir({"rand": carc.File(RANDOM_TOOL,
-                                                        executable=True)})})
-    seed = register_seed(store, tool, "rng-1.0")
+    tool = carc_model.Dir({"bin": carc_model.Dir({"rand": carc_model.File(
+        RANDOM_TOOL, executable=True)})})
+    seed = register_seed(store, on_disk(tool, store.root.parent), "rng-1.0")
     drv = Derivation(name="flaky", version="1",
                      steps=[d.exec_(f"{seed.path.component}/bin/rand",
                                     "@out@/value.txt")])
@@ -447,7 +447,7 @@ def test_a_dependency_is_built_as_it_is_built_as_a_root(tmp_path):
     """PATH lists the inputs in canonical order, whatever order a package
     declares them in, so a derivation's output does not depend on whether
     it is built as a root or as another's input."""
-    tool = carc.Dir({"bin": carc.Dir({"path": carc.File(
+    tool = carc_model.Dir({"bin": carc_model.Dir({"path": carc_model.File(
         b"#!/bin/sh\nprintf '%s\\n' \"$PATH\" > \"$1\"\n", executable=True)})})
     leaves = [PackageDef(name=n, version="1", steps=[d.write(f"bin/{n}", b"")])
               for n in ("aaa", "bbb")]
@@ -464,7 +464,7 @@ def test_a_dependency_is_built_as_it_is_built_as_a_root(tmp_path):
     for top in (ddd, eee):  # each in a new store at the same root
         shutil.rmtree(tmp_path / "store", ignore_errors=True)
         store = Store(tmp_path / "store")
-        register_seed(store, tool, "path-1")
+        register_seed(store, on_disk(tool, store.root.parent), "path-1")
         inst = Instantiator(pkgs, store=store)
         build(inst.instantiate(top), store)
         target = inst.hashes[ddd.key].prefix + "-ddd-1"
@@ -536,12 +536,12 @@ def test_reference_split_across_blocks_is_found(tmp_path, monkeypatch):
 def test_built_output_has_canonical_modes(store):
     """Whatever modes the steps leave, the item carries the modes a
     substituted or fetched copy of it would."""
-    tool = carc.Dir({"bin": carc.Dir({"odd": carc.File(
+    tool = carc_model.Dir({"bin": carc_model.Dir({"odd": carc_model.File(
         b"#!/bin/sh\n/bin/mkdir -m 700 \"$1\"\n"
         b"printf x > \"$1/plain\"; /bin/chmod 600 \"$1/plain\"\n"
         b"printf y > \"$1/tool\"; /bin/chmod 770 \"$1/tool\"\n",
         executable=True)})})
-    seed = register_seed(store, tool, "odd-1.0")
+    seed = register_seed(store, on_disk(tool, store.root.parent), "odd-1.0")
     drv = Derivation(name="modes", version="1", steps=[
         d.exec_(f"{seed.path.component}/bin/odd", "@out@/d"),
         d.write("w", b"w"), d.set_exec("w")])
@@ -584,10 +584,11 @@ def test_pure_output_has_canonical_modes_under_a_tight_umask(store):
 def _tree_item(store):
     """A store tree with nested files, an exec file and an internal symlink;
     its component."""
-    return store.add_fixed(carc.Dir({
-        "a": carc.File(b"alpha\n"), "x": carc.File(b"#!/bin/sh\n", executable=True),
-        "b": carc.Dir({"c": carc.File(b"gamma alpha\n"), "d": carc.Dir()}),
-        "e": carc.Symlink("a")}), "tree").component
+    tree = carc_model.Dir({
+        "a": carc_model.File(b"alpha\n"), "x": carc_model.File(b"#!/bin/sh\n", executable=True),
+        "b": carc_model.Dir({"c": carc_model.File(b"gamma alpha\n"), "d": carc_model.Dir()}),
+        "e": carc_model.Symlink("a")})
+    return store.add_fixed(on_disk(tree, store.root.parent), "tree").component
 
 
 def _inodes(root: Path) -> set:
@@ -626,8 +627,9 @@ def test_steps_on_linked_files_leave_the_store_item_whole(store):
 
 def test_an_exec_build_copies_and_its_tool_leaves_the_item_whole(store):
     comp = _tree_item(store)
-    seed = register_seed(store, carc.Dir({"bin": carc.Dir({"append": carc.File(
-        b"#!/bin/sh\nprintf 'more\\n' >> \"$1\"\n", executable=True)})}), "append-1.0")
+    tool = carc_model.Dir({"bin": carc_model.Dir({"append": carc_model.File(
+        b"#!/bin/sh\nprintf 'more\\n' >> \"$1\"\n", executable=True)})})
+    seed = register_seed(store, on_disk(tool, store.root.parent), "append-1.0")
     path = build(Derivation(name="appends", version="1", steps=[
         d.copy(comp, "t"), d.exec_(f"{seed.path.component}/bin/append", "@out@/t/a")]),
         store)
@@ -699,9 +701,10 @@ def outside(tmp_path, store):
     (tmp_path / "outside/file").write_bytes(b"outside\n")
     (tmp_path / "outside/dir").mkdir()
     (tmp_path / "outside/dir/f").write_bytes(b"outside f\n")
-    comp = store.add_fixed(carc.Dir({
-        "l": carc.Symlink(str(tmp_path / "outside/file")),
-        "dl": carc.Symlink(str(tmp_path / "outside/dir"))}), "links").component
+    links = carc_model.Dir({
+        "l": carc_model.Symlink(str(tmp_path / "outside/file")),
+        "dl": carc_model.Symlink(str(tmp_path / "outside/dir"))})
+    comp = store.add_fixed(on_disk(links, tmp_path), "links").component
     return tmp_path / "outside", comp
 
 

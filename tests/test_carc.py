@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import carc_model
 from microfold import carc
-from microfold.errors import InvalidName, ParseError, UnsupportedNode
+from microfold.errors import ParseError, UnsupportedNode
 from microfold.hashing import ContentHash
 
 # Golden vectors: the byte strings were written out by hand against the
@@ -32,20 +32,21 @@ GOLDEN = {
 }
 
 TREES = {
-    "empty_dir": carc.Dir(),
-    "dir_one_file": carc.Dir({"a": carc.File(b"hi")}),
-    "single_file_hello": carc.File(b"hello"),
-    "single_exec_script": carc.File(b"#!/bin/sh\n", executable=True),
-    "dir_symlink": carc.Dir({"ln": carc.Symlink("target/file")}),
-    "nested_dir": carc.Dir({"sub": carc.Dir({"f": carc.File(b"x")})}),
-    "sort_upper_before_lower": carc.Dir({"a": carc.File(b"2"), "B": carc.File(b"1")}),
-    "empty_file": carc.Dir({"e": carc.File(b"")}),
-    "tricky_content": carc.File(b"f\n2\nhi\nd\n0\n"),
-    "mixed_tree": carc.Dir({
-        "a": carc.File(b"abc"),
-        "a0": carc.File(b"ok", executable=True),
-        "d": carc.Dir(),
-        "l": carc.Symlink("a"),
+    "empty_dir": carc_model.Dir(),
+    "dir_one_file": carc_model.Dir({"a": carc_model.File(b"hi")}),
+    "single_file_hello": carc_model.File(b"hello"),
+    "single_exec_script": carc_model.File(b"#!/bin/sh\n", executable=True),
+    "dir_symlink": carc_model.Dir({"ln": carc_model.Symlink("target/file")}),
+    "nested_dir": carc_model.Dir({"sub": carc_model.Dir({"f": carc_model.File(b"x")})}),
+    "sort_upper_before_lower": carc_model.Dir({"a": carc_model.File(b"2"),
+                                               "B": carc_model.File(b"1")}),
+    "empty_file": carc_model.Dir({"e": carc_model.File(b"")}),
+    "tricky_content": carc_model.File(b"f\n2\nhi\nd\n0\n"),
+    "mixed_tree": carc_model.Dir({
+        "a": carc_model.File(b"abc"),
+        "a0": carc_model.File(b"ok", executable=True),
+        "d": carc_model.Dir(),
+        "l": carc_model.Symlink("a"),
     }),
 }
 
@@ -53,7 +54,7 @@ TREES = {
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_vectors(name):
     expected_bytes, expected_hash = GOLDEN[name]
-    got = carc.serialize_tree(TREES[name])
+    got = carc_model.serialize_tree(TREES[name])
     assert got == expected_bytes
     assert hashlib.sha256(got).hexdigest() == expected_hash
     assert carc_model.hash_tree(TREES[name]).hex == expected_hash
@@ -68,16 +69,16 @@ def test_golden_vectors_from_disk(tmp_path):
 
 def test_round_trip_parse():
     for name, (data, _) in GOLDEN.items():
-        assert carc.serialize_tree(carc_model.parse(data)) == data
+        assert carc_model.serialize_tree(carc_model.parse(data)) == data
 
 
 def test_rejects_bad_entry_names():
-    with pytest.raises(InvalidName):
-        carc.serialize_tree(carc.Dir({"": carc.File(b"")}))
-    with pytest.raises(InvalidName):
-        carc.serialize_tree(carc.Dir({"a/b": carc.File(b"")}))
-    with pytest.raises(InvalidName):
-        carc.serialize_tree(carc.Dir({"a\x00b": carc.File(b"")}))
+    with pytest.raises(carc_model.InvalidName):
+        carc_model.serialize_tree(carc_model.Dir({"": carc_model.File(b"")}))
+    with pytest.raises(carc_model.InvalidName):
+        carc_model.serialize_tree(carc_model.Dir({"a/b": carc_model.File(b"")}))
+    with pytest.raises(carc_model.InvalidName):
+        carc_model.serialize_tree(carc_model.Dir({"a\x00b": carc_model.File(b"")}))
 
 
 def test_rejects_special_files(tmp_path):
@@ -105,11 +106,11 @@ NAMES = ["a", "b", "c0", "B", "x.y", "long-name_1"]
 def random_tree(rng, depth=0):
     kind = rng.random()
     if depth >= 3 or kind < 0.45:
-        return carc.File(bytes(rng.randrange(256) for _ in range(rng.randrange(6))),
+        return carc_model.File(bytes(rng.randrange(256) for _ in range(rng.randrange(6))),
                          executable=rng.random() < 0.3)
     if kind < 0.55:
-        return carc.Symlink(rng.choice(NAMES))
-    d = carc.Dir()
+        return carc_model.Symlink(rng.choice(NAMES))
+    d = carc_model.Dir()
     for name in rng.sample(NAMES, rng.randrange(len(NAMES) + 1)):
         d.entries[name] = random_tree(rng, depth + 1)
     return d
@@ -117,7 +118,7 @@ def random_tree(rng, depth=0):
 
 def materialize_shuffled(tree, dest, rng):
     """Write the tree with randomized entry order and mtimes."""
-    if isinstance(tree, carc.Dir):
+    if isinstance(tree, carc_model.Dir):
         dest.mkdir()
         names = list(tree.entries)
         rng.shuffle(names)
@@ -126,14 +127,14 @@ def materialize_shuffled(tree, dest, rng):
         os.utime(dest, (rng.randrange(10**9), rng.randrange(10**9)))
     else:
         carc_model.write_tree(tree, dest)
-        if not isinstance(tree, carc.Symlink):
+        if not isinstance(tree, carc_model.Symlink):
             os.utime(dest, (rng.randrange(10**9), rng.randrange(10**9)))
 
 
 def all_files(tree, prefix=()):
-    if isinstance(tree, carc.File):
+    if isinstance(tree, carc_model.File):
         yield prefix, tree
-    elif isinstance(tree, carc.Dir):
+    elif isinstance(tree, carc_model.Dir):
         for name, child in tree.entries.items():
             yield from all_files(child, prefix + (name,))
 
@@ -177,7 +178,7 @@ def test_significant_attributes_always_change_hash():
             checked += 1
 
         # name mutation
-        if isinstance(tree, carc.Dir) and tree.entries:
+        if isinstance(tree, carc_model.Dir) and tree.entries:
             name = rng.choice(list(tree.entries))
             fresh = "zz-" + name
             if fresh not in tree.entries:
@@ -194,11 +195,11 @@ def test_significant_attributes_always_change_hash():
 def _materialize(node, path, modes):
     """Write an in-memory tree with plain os calls (not carc), giving files
     the next mode from modes, so only the owner exec bit may matter."""
-    if isinstance(node, carc.File):
+    if isinstance(node, carc_model.File):
         path.write_bytes(node.data)
         mode = next(modes)
         path.chmod(mode | 0o100 if node.executable else mode & ~0o111)
-    elif isinstance(node, carc.Symlink):
+    elif isinstance(node, carc_model.Symlink):
         os.symlink(node.target, path)
     else:
         path.mkdir()
@@ -209,11 +210,11 @@ def _materialize(node, path, modes):
 _names = st.text(st.characters(blacklist_characters="/\x00",
                                blacklist_categories=("Cs",)),
                  min_size=1, max_size=6).filter(lambda n: n not in (".", ".."))
-_files = st.builds(carc.File, st.binary(max_size=64), st.booleans())
-_links = st.builds(carc.Symlink, st.sampled_from(["a", "../x", "sub/é", "/abs"]))
+_files = st.builds(carc_model.File, st.binary(max_size=64), st.booleans())
+_links = st.builds(carc_model.Symlink, st.sampled_from(["a", "../x", "sub/é", "/abs"]))
 _trees = st.recursive(
-    _files | _links | st.builds(carc.Dir),
-    lambda kids: st.builds(carc.Dir, st.dictionaries(_names, kids, max_size=4)),
+    _files | _links | st.builds(carc_model.Dir),
+    lambda kids: st.builds(carc_model.Dir, st.dictionaries(_names, kids, max_size=4)),
     max_leaves=12)
 
 
@@ -227,8 +228,8 @@ def test_dump_matches_in_memory_model_and_round_trips(tree, modes):
         chunks = []
         size = carc.dump(src, chunks.append)
         archive = b"".join(chunks)
-        assert archive == carc.serialize_tree(carc_model.load_tree(src))
-        assert archive == carc.serialize_tree(tree)
+        assert archive == carc_model.serialize_tree(carc_model.load_tree(src))
+        assert archive == carc_model.serialize_tree(tree)
         assert size == len(archive)
 
         restored = Path(tmp) / "restored"
@@ -304,6 +305,43 @@ def test_restore_streams_from_small_chunks(tmp_path):
         got = carc.restore(chunks, tmp_path / name)
         assert got == (ContentHash(digest), len(data))
         assert carc_model.serialize_path(tmp_path / name) == data
+
+
+def _deep_tree(dest: Path, depth: int) -> Path:
+    """A chain of directories at dest whose innermost entry, a file, lies
+    depth levels below dest."""
+    path = dest
+    for _ in range(depth):
+        path.mkdir()
+        path = path / "d"
+    path.write_bytes(b"x")
+    return dest
+
+
+def _deep_archive(depth: int) -> bytes:
+    """The archive of _deep_tree(..., depth), written from the grammar."""
+    return b"carc1\n" + b"d\n1\n1\nd" * depth + b"f\n1\nx"
+
+
+def test_dump_copy_and_restore_share_one_depth_bound(tmp_path):
+    """A tree MAX_DEPTH levels deep round-trips; one level deeper, dump and
+    copy refuse it as unsupported and restore as malformed, without
+    running out of stack."""
+    assert carc.MAX_DEPTH >= 600
+    data = _deep_archive(carc.MAX_DEPTH)
+    assert carc_model.serialize_path(_deep_tree(tmp_path / "at", carc.MAX_DEPTH)) == data
+    digest = (ContentHash.of_bytes(data), len(data))
+    assert carc.restore([data], tmp_path / "restored") == digest
+    assert carc.copy(tmp_path / "restored", tmp_path / "copied") == digest
+
+    deeper = _deep_tree(tmp_path / "deeper", carc.MAX_DEPTH + 1)
+    with pytest.raises(UnsupportedNode, match="levels deep"):
+        carc.dump(deeper, lambda block: None)
+    with pytest.raises(UnsupportedNode, match="levels deep"):
+        carc.copy(deeper, tmp_path / "deeper-copied")
+    for depth in (carc.MAX_DEPTH + 1, 5000):
+        with pytest.raises(ParseError, match="levels deep"):
+            carc.restore([_deep_archive(depth)], tmp_path / f"restored-{depth}")
 
 
 def test_hash_path_memory_does_not_grow_with_file_size(tmp_path):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from microfold import builder, carc, cli, manifest as manifest_mod
+import carc_model
+from microfold import builder, cli, manifest as manifest_mod
 from microfold.bootstrap import register_seed
 from microfold.builder import build
 from microfold.channel import ChannelRepo, PackageDef
@@ -21,7 +22,7 @@ from microfold import derivation as d
 from microfold.store import Store
 from microfold.substitute import publish
 
-from conftest import RANDOM_TOOL, fixture_packages, fixture_packages_v2, seed_tree
+from conftest import RANDOM_TOOL, fixture_packages, fixture_packages_v2, on_disk, seed_tree
 
 MANIFEST = '(specifications->manifest \'("python" "python-scipy" "python-numpy"))\n'
 
@@ -40,7 +41,7 @@ def env(tmp_path, monkeypatch):
     monkeypatch.setenv("MICROFOLD_PROFILE", str(paths["profile"]))
     repo = ChannelRepo(paths["repo"])
     repo.commit_revision(fixture_packages(), message="initial packages")
-    register_seed(Store(paths["store"]), seed_tree(), "toolchain-1.0")
+    register_seed(Store(paths["store"]), on_disk(seed_tree(), tmp_path), "toolchain-1.0")
     paths["repo_obj"] = repo
     return paths
 
@@ -88,10 +89,30 @@ def test_build_check_deterministic(env, capsys):
     assert "deterministic" in out and "round 1:" in out
 
 
+def test_build_check_serializes_no_derivation_after_instantiation(env, monkeypatch,
+                                                                 capsys):
+    """`build <spec> --check 2` rebuilds from the bytes that instantiation
+    put in the store: no round serializes or writes a derivation again."""
+    calls = []
+    real_check, real_put, real = cli.check_rebuild, Store.put_derivation, d.canonical_serialize
+
+    def counting_check(*args, **kwargs):  # instantiation is over by now
+        for module in (d, manifest_mod, builder):
+            monkeypatch.setattr(module, "canonical_serialize",
+                                lambda drv: calls.append("serialize") or real(drv))
+        monkeypatch.setattr(Store, "put_derivation",
+                            lambda self, *a: calls.append("put") or real_put(self, *a))
+        return real_check(*args, **kwargs)
+    monkeypatch.setattr(cli, "check_rebuild", counting_check)
+    assert run_command(["build", "python-scipy", "--check", "2"]) == 0
+    assert capsys.readouterr().out.endswith("\ndeterministic\n")
+    assert calls == []
+
+
 def test_build_check_flags_nondeterminism(env, tmp_path, capsys):
     store = Store(env["store"])
-    seed = register_seed(store, carc.Dir({"bin": carc.Dir({
-        "rand": carc.File(RANDOM_TOOL, executable=True)})}), "rng-1.0")
+    seed = register_seed(store, on_disk(carc_model.Dir({"bin": carc_model.Dir({
+        "rand": carc_model.File(RANDOM_TOOL, executable=True)})}), tmp_path), "rng-1.0")
     drv = Derivation(name="flaky", version="1",
                      steps=[d.exec_(f"{seed.path.component}/bin/rand",
                                     "@out@/v")])
@@ -392,9 +413,10 @@ def test_seed_add_and_audit(env, tmp_path, capsys):
     assert "total_seed_bytes:" in out
 
 
-def test_seed_audit_flags_opaque_component(env, capsys):
+def test_seed_audit_flags_opaque_component(env, tmp_path, capsys):
     store = Store(env["store"])
-    opaque = store.add_fixed(carc.File(b"mystery"), "rogue", kind="fixed")
+    opaque = store.add_fixed(on_disk(carc_model.File(b"mystery"), tmp_path), "rogue",
+                             kind="fixed")
     assert run_command(["seed", "audit", opaque.component]) == 2
     out = capsys.readouterr().out
     assert "verdict: opaque" in out
@@ -403,7 +425,7 @@ def test_seed_audit_flags_opaque_component(env, capsys):
 
 def test_store_flag_overrides_env(env, tmp_path, capsys):
     alt = tmp_path / "alt-store"
-    register_seed(Store(alt), seed_tree(), "toolchain-1.0")
+    register_seed(Store(alt), on_disk(seed_tree(), tmp_path), "toolchain-1.0")
     assert run_command(["--store", str(alt), "build", "python"]) == 0
     out = capsys.readouterr().out.strip()
     assert str(alt) in out

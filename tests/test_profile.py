@@ -42,24 +42,24 @@ def _union(tmp_path, outputs):
 
 
 def test_union_disjoint_trees(tmp_path):
-    a = carc.Dir({"bin": carc.Dir({"a": carc.File(b"a")})})
-    b = carc.Dir({"bin": carc.Dir({"b": carc.File(b"b")}),
-                  "share": carc.Dir({"doc": carc.File(b"d")})})
+    a = carc_model.Dir({"bin": carc_model.Dir({"a": carc_model.File(b"a")})})
+    b = carc_model.Dir({"bin": carc_model.Dir({"b": carc_model.File(b"b")}),
+                  "share": carc_model.Dir({"doc": carc_model.File(b"d")})})
     union = _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert set(union.entries["bin"].entries) == {"a", "b"}
     assert union.entries["share"].entries["doc"].data == b"d"
 
 
 def test_union_identical_files_collapse(tmp_path):
-    a = carc.Dir({"LICENSE": carc.File(b"MIT")})
-    b = carc.Dir({"LICENSE": carc.File(b"MIT")})
+    a = carc_model.Dir({"LICENSE": carc_model.File(b"MIT")})
+    b = carc_model.Dir({"LICENSE": carc_model.File(b"MIT")})
     union = _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert union.entries["LICENSE"].data == b"MIT"
 
 
 def test_union_conflict_reports_both_providers(tmp_path):
-    a = carc.Dir({"bin": carc.Dir({"tool": carc.File(b"one")})})
-    b = carc.Dir({"bin": carc.Dir({"tool": carc.File(b"two")})})
+    a = carc_model.Dir({"bin": carc_model.Dir({"tool": carc_model.File(b"one")})})
+    b = carc_model.Dir({"bin": carc_model.Dir({"tool": carc_model.File(b"two")})})
     with pytest.raises(ProfileCollision) as exc:
         _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert exc.value.path == "bin/tool"
@@ -69,14 +69,14 @@ def test_union_conflict_reports_both_providers(tmp_path):
 
 
 def test_union_exec_bit_difference_is_a_conflict(tmp_path):
-    a = carc.Dir({"f": carc.File(b"x", executable=True)})
-    b = carc.Dir({"f": carc.File(b"x")})
+    a = carc_model.Dir({"f": carc_model.File(b"x", executable=True)})
+    b = carc_model.Dir({"f": carc_model.File(b"x")})
     with pytest.raises(ProfileCollision):
         _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
 
 
 def test_union_single_file_output_nested_under_label(tmp_path):
-    union = _union(tmp_path, [(_sp("00" * 16 + "-blob-1.0"), carc.File(b"raw"))])
+    union = _union(tmp_path, [(_sp("00" * 16 + "-blob-1.0"), carc_model.File(b"raw"))])
     assert union.entries["blob-1.0"].data == b"raw"
 
 
@@ -85,8 +85,8 @@ A, B, C = (_sp(c * 32 + "-" + n) for c, n in (("0", "a"), ("1", "b"), ("2", "c")
 
 @pytest.mark.parametrize("first, second", [(A, B), (B, A)])
 def test_union_file_against_directory_names_both_providers(tmp_path, first, second):
-    trees = {A: carc.Dir({"lib": carc.File(b"a file")}),
-             B: carc.Dir({"lib": carc.Dir({"x": carc.File(b"x")})})}
+    trees = {A: carc_model.Dir({"lib": carc_model.File(b"a file")}),
+             B: carc_model.Dir({"lib": carc_model.Dir({"x": carc_model.File(b"x")})})}
     with pytest.raises(ProfileCollision) as exc:
         _union(tmp_path, [(first, trees[first]), (second, trees[second])])
     assert exc.value.path == "lib"
@@ -95,10 +95,10 @@ def test_union_file_against_directory_names_both_providers(tmp_path, first, seco
 
 
 def test_union_of_three_names_the_first_provider_of_the_entry(tmp_path):
-    a = carc.Dir({"share": carc.Dir({"doc": carc.File(b"mine")})})
-    b = carc.Dir({"share": carc.Dir({"man": carc.File(b"b")})})
-    c = carc.Dir({"share": carc.Dir({"man": carc.File(b"b"),
-                                     "doc": carc.File(b"other")})})
+    a = carc_model.Dir({"share": carc_model.Dir({"doc": carc_model.File(b"mine")})})
+    b = carc_model.Dir({"share": carc_model.Dir({"man": carc_model.File(b"b")})})
+    c = carc_model.Dir({"share": carc_model.Dir({"man": carc_model.File(b"b"),
+                                     "doc": carc_model.File(b"other")})})
     with pytest.raises(ProfileCollision) as exc:
         _union(tmp_path, [(A, a), (B, b), (C, c)])
     assert exc.value.path == "share/doc"
@@ -107,25 +107,25 @@ def test_union_of_three_names_the_first_provider_of_the_entry(tmp_path):
     del c.entries["share"].entries["doc"]
     (tmp_path / "ok").mkdir()
     union = _union(tmp_path / "ok", [(A, a), (B, b), (C, c)])
-    assert union == carc.Dir({"share": carc.Dir({"doc": carc.File(b"mine"),
-                                                 "man": carc.File(b"b")})})
+    assert union == carc_model.Dir({"share": carc_model.Dir({"doc": carc_model.File(b"mine"),
+                                                 "man": carc_model.File(b"b")})})
 
 
 def test_union_dir_then_dir_then_file_names_the_file(tmp_path):
-    a = carc.Dir({"bin": carc.Dir({"a": carc.File(b"a")})})
-    b = carc.Dir({"bin": carc.Dir({"b": carc.File(b"b")})})
-    c = carc.Dir({"bin": carc.File(b"c")})
+    a = carc_model.Dir({"bin": carc_model.Dir({"a": carc_model.File(b"a")})})
+    b = carc_model.Dir({"bin": carc_model.Dir({"b": carc_model.File(b"b")})})
+    c = carc_model.Dir({"bin": carc_model.File(b"c")})
     with pytest.raises(ProfileCollision) as exc:
         _union(tmp_path, [(A, a), (B, b), (C, c)])
     assert (exc.value.path, exc.value.provider1, exc.value.provider2) == (
         "bin", A.component, C.component)
 
 
-def _model_merge(into: carc.Dir, name, node):
+def _model_merge(into: carc_model.Dir, name, node):
     have = into.entries.get(name)
     if have is None:
         into.entries[name] = copy.deepcopy(node)
-    elif isinstance(have, carc.Dir) and isinstance(node, carc.Dir):
+    elif isinstance(have, carc_model.Dir) and isinstance(node, carc_model.Dir):
         for child, sub in node.entries.items():
             _model_merge(have, child, sub)
     elif have != node:
@@ -134,20 +134,20 @@ def _model_merge(into: carc.Dir, name, node):
 
 def _model_union(members):
     """The union computed on the in-memory model, member by member."""
-    union = carc.Dir()
+    union = carc_model.Dir()
     for sp, node in members:
-        entries = node.entries if isinstance(node, carc.Dir) else {sp.label: node}
+        entries = node.entries if isinstance(node, carc_model.Dir) else {sp.label: node}
         for name, sub in entries.items():
             _model_merge(union, name, sub)
     return union
 
 
 _few_names = st.sampled_from(["a", "b", "lib"])
-_leaves = (st.builds(carc.File, st.sampled_from([b"", b"x", b"yy"]), st.booleans())
-           | st.builds(carc.Symlink, st.sampled_from(["a", "../t"])))
+_leaves = (st.builds(carc_model.File, st.sampled_from([b"", b"x", b"yy"]), st.booleans())
+           | st.builds(carc_model.Symlink, st.sampled_from(["a", "../t"])))
 _member_trees = st.recursive(
-    _leaves | st.builds(carc.Dir),
-    lambda kids: st.builds(carc.Dir, st.dictionaries(_few_names, kids, max_size=3)),
+    _leaves | st.builds(carc_model.Dir),
+    lambda kids: st.builds(carc_model.Dir, st.dictionaries(_few_names, kids, max_size=3)),
     max_leaves=8)
 
 
@@ -170,7 +170,7 @@ def test_union_hash_is_the_hash_of_the_written_union(trees):
         union_hash, size = union_tree(paths, tmp / "union")
         assert union_hash == carc.hash_path(tmp / "union")
         assert union_hash == carc_model.hash_tree(expected)
-        assert size == len(carc.serialize_tree(expected))
+        assert size == len(carc_model.serialize_tree(expected))
 
 
 def _drv(name, files):
@@ -318,10 +318,10 @@ def test_generation_tree_is_hard_links_to_the_store_item(store, profile, capsys)
 
 
 def test_link_tree_links_symlinks_and_files(tmp_path):
-    carc_model.write_tree(carc.Dir({
-        "bin": carc.Dir({"tool": carc.File(b"#!", executable=True),
-                         "alias": carc.Symlink("tool")}),
-        "lib": carc.Symlink("bin"), "empty": carc.Dir()}), tmp_path / "item")
+    carc_model.write_tree(carc_model.Dir({
+        "bin": carc_model.Dir({"tool": carc_model.File(b"#!", executable=True),
+                               "alias": carc_model.Symlink("tool")}),
+        "lib": carc_model.Symlink("bin"), "empty": carc_model.Dir()}), tmp_path / "item")
     old = os.umask(0o077)
     try:
         carc.link(tmp_path / "item", tmp_path / "tree")

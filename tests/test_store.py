@@ -11,39 +11,52 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carc_model
-from microfold import carc
 from microfold.errors import (DanglingReference, InvalidLabel, OutputCollision,
                               StoreCorruption)
 from microfold.hashing import ContentHash
-from microfold.store import Store, StorePath
+from microfold.store import Staged, Store, StorePath
 
+from conftest import on_disk
 from test_carc import random_tree
 
 # Oracle: sha256 of the hand-written CARC literal for the file "hello".
 HELLO_CARC_HASH = hashlib.sha256(b"carc1\nf\n5\nhello").hexdigest()
 
 
+def staged(store, node) -> Staged:
+    """The in-memory tree node written under the store's tmp/ as a Staged
+    tree (as register_output takes it), hashed by the reference model."""
+    dest = on_disk(node, store.root / "tmp")
+    return Staged(dest, carc_model.hash_tree(node), len(carc_model.serialize_tree(node)))
+
+
+def add(store, data: bytes, label, **kwargs):
+    """add_fixed of a single file holding data, written to disk first."""
+    return store.add_fixed(on_disk(carc_model.File(data), store.root.parent),
+                           label, **kwargs)
+
+
 def test_add_fixed_idempotent(store):
-    p1 = store.add_fixed(b"hello", "greeting-1.0")
-    p2 = store.add_fixed(b"hello", "greeting-1.0")
+    p1 = add(store, b"hello", "greeting-1.0")
+    p2 = add(store, b"hello", "greeting-1.0")
     assert p1 == p2
     assert p1.path.read_bytes() == b"hello"
 
 
 def test_add_fixed_content_addressed(store):
-    p1 = store.add_fixed(b"hello", "greeting-1.0")
-    p2 = store.add_fixed(b"hellO", "greeting-1.0")
+    p1 = add(store, b"hello", "greeting-1.0")
+    p2 = add(store, b"hellO", "greeting-1.0")
     assert p1.digest_prefix != p2.digest_prefix
 
 
 def test_add_fixed_digest_matches_oracle(store):
-    p = store.add_fixed(b"hello", "greeting-1.0")
+    p = add(store, b"hello", "greeting-1.0")
     assert p.digest_prefix == HELLO_CARC_HASH[:32]
     assert p.component == HELLO_CARC_HASH[:32] + "-greeting-1.0"
 
 
 def test_record_bytes_match_oracle(store):
-    p = store.add_fixed(b"hello", "greeting-1.0")
+    p = add(store, b"hello", "greeting-1.0")
     record = store.root / "db" / "items" / p.component
     assert record.read_text() == (f"kind: fixed\noutputhash: {HELLO_CARC_HASH}\n"
                                   "references: \nsize: 15\n")
@@ -52,25 +65,33 @@ def test_record_bytes_match_oracle(store):
 def test_register_output_is_write_once(store):
     target = StorePath(store.root, "0" * 32, "out-1")
     deriver = ContentHash("ab" * 32)
-    rec = store.register_output(carc.Dir({"f": carc.File(b"one")}), target,
+    one, two = (carc_model.Dir({"f": carc_model.File(data)}) for data in (b"one", b"two"))
+    rec = store.register_output(staged(store, one), target,
                                 deriver=deriver, references=[])
     assert rec.kind == "derived"
     record = store.root / "db" / "items" / target.component
     before = record.read_bytes()
-    again = store.register_output(carc.Dir({"f": carc.File(b"one")}), target,
+    again = store.register_output(staged(store, one), target,
                                   deriver=deriver, references=[])
     assert again.output_hash == rec.output_hash
     with pytest.raises(OutputCollision):
-        store.register_output(carc.Dir({"f": carc.File(b"two")}), target,
+        store.register_output(staged(store, two), target,
                               deriver=deriver, references=[])
     assert record.read_bytes() == before
     assert store.verify_item(target).ok
 
 
+def test_items_enter_only_as_paths_or_staged_trees(store):
+    for content in (b"hello", carc_model.File(b"hello")):
+        with pytest.raises(TypeError):
+            store.add_fixed(content, "greeting-1.0")
+    assert store.list_records() == [] and os.listdir(store.root / "tmp") == []
+
+
 def test_invalid_labels_rejected(store):
     for label in ("", "a/b", "a b", "a\x00b", "café"):
         with pytest.raises(InvalidLabel):
-            store.add_fixed(b"x", label)
+            add(store, b"x", label)
 
 
 def test_store_path_equality_is_by_component(tmp_path):
@@ -80,7 +101,8 @@ def test_store_path_equality_is_by_component(tmp_path):
 
 
 def test_verify_ok_mismatch_missing(store):
-    p = store.add_fixed(carc.Dir({"f": carc.File(b"data")}), "item-1")
+    tree = carc_model.Dir({"f": carc_model.File(b"data")})
+    p = store.add_fixed(on_disk(tree, store.root.parent), "item-1")
     assert store.verify_item(p).ok
 
     # flip one byte on disk
@@ -99,39 +121,39 @@ def test_verify_after_insert_random_trees(store):
     rng = random.Random(7)
     for i in range(30):
         tree = random_tree(rng)
-        p = store.add_fixed(tree, f"rand-{i}")
+        p = store.add_fixed(on_disk(tree, store.root.parent), f"rand-{i}")
         assert store.verify_item(p).ok
 
 
 def test_corruption_detected_on_reinsert(store):
-    p = store.add_fixed(b"abc", "thing-1")
+    p = add(store, b"abc", "thing-1")
     rec_file = Path(store._record_path(p.component))
     rec_file.write_text(rec_file.read_text().replace(
         p.digest_prefix, "f" * 32).replace(
         store.get_record(p).output_hash.hex, "f" * 64))
     with pytest.raises(StoreCorruption):
-        store.add_fixed(b"abc", "thing-1")
+        add(store, b"abc", "thing-1")
 
 
 def _with_refs(store, content, label, refs):
-    p = store.add_fixed(content, label, references=refs)
+    p = add(store, content, label, references=refs)
     return p
 
 
 def test_closure_trivial(store):
-    p = store.add_fixed(b"leaf", "leaf-1")
+    p = add(store, b"leaf", "leaf-1")
     assert store.closure(p) == [p]
 
 
 def test_closure_chain(store):
-    c = store.add_fixed(b"c", "c-1")
+    c = add(store, b"c", "c-1")
     b = _with_refs(store, b"b", "b-1", [c])
     a = _with_refs(store, b"a", "a-1", [b])
     assert store.closure(a) == [a, b, c]
 
 
 def test_closure_diamond_matches_bruteforce(store):
-    d = store.add_fixed(b"d", "d-1")
+    d = add(store, b"d", "d-1")
     b = _with_refs(store, b"b", "b-1", [d])
     c = _with_refs(store, b"c", "c-1", [d])
     a = _with_refs(store, b"a", "a-1", [b, c])
@@ -157,7 +179,7 @@ def test_closure_diamond_matches_bruteforce(store):
 
 
 def test_closure_monotone(store):
-    c = store.add_fixed(b"c", "c-1")
+    c = add(store, b"c", "c-1")
     b = _with_refs(store, b"b", "b-1", [c])
     a = _with_refs(store, b"a", "a-1", [b])
     for q in store.closure(a):
@@ -169,7 +191,7 @@ def test_closure_order_stable_across_roots(tmp_path):
     orders = []
     for name in ("s1", "s2"):
         store = Store(tmp_path / name)
-        d = store.add_fixed(b"d", "d-1")
+        d = add(store, b"d", "d-1")
         b = _with_refs(store, b"b", "b-1", [d])
         c = _with_refs(store, b"c", "c-1", [d])
         a = _with_refs(store, b"a", "a-1", [c, b])
@@ -179,7 +201,7 @@ def test_closure_order_stable_across_roots(tmp_path):
 
 def test_closure_dangling_reference(store):
     ghost = StorePath(store.root, "ab" * 16, "ghost-1")
-    a = store.add_fixed(b"a", "a-1", references=[ghost])
+    a = add(store, b"a", "a-1", references=[ghost])
     with pytest.raises(DanglingReference):
         store.closure(a)
 
@@ -190,7 +212,7 @@ def test_concurrent_registration_single_item(store):
 
     def worker():
         try:
-            paths.append(store.add_fixed(b"shared", "shared-1"))
+            paths.append(add(store, b"shared", "shared-1"))
         except Exception as e:  # pragma: no cover
             errs.append(e)
 
@@ -208,7 +230,7 @@ def test_missing_record_is_not_cached(tmp_path):
     store = Store(tmp_path / "store")
     target = StorePath(store.root, HELLO_CARC_HASH[:32], "greeting-1.0")
     assert store.get_record(target) is None
-    Store(store.root).add_fixed(b"hello", "greeting-1.0")  # another writer
+    add(Store(store.root), b"hello", "greeting-1.0")  # another writer
     assert store.get_record(target).output_hash.hex == HELLO_CARC_HASH
 
 
@@ -218,7 +240,7 @@ def test_record_write_is_atomic(store, monkeypatch):
 
     monkeypatch.setattr(os, "replace", crash)
     with pytest.raises(OSError):
-        store.add_fixed(b"hello", "greeting-1.0")
+        add(store, b"hello", "greeting-1.0")
     monkeypatch.undo()
     target = StorePath(store.root, HELLO_CARC_HASH[:32], "greeting-1.0")
     assert store.get_record(target) is None
@@ -229,8 +251,8 @@ def test_record_write_is_atomic(store, monkeypatch):
 
 def test_seed_index_grows_with_own_inserts(store):
     assert store.seeds() == []
-    p = store.add_fixed(b"tool", "tool-1", kind="seed")
-    store.add_fixed(b"plain", "plain-1")
+    p = add(store, b"tool", "tool-1", kind="seed")
+    add(store, b"plain", "plain-1")
     assert [r.path for r in store.seeds()] == [p]
 
 
@@ -246,9 +268,9 @@ def _count_calls(monkeypatch, name) -> list:
 
 
 def test_seeds_read_only_the_seed_records(store, monkeypatch):
-    seeds = [store.add_fixed(b"tool %d" % i, f"tool-{i}", kind="seed") for i in range(2)]
+    seeds = [add(store, b"tool %d" % i, f"tool-{i}", kind="seed") for i in range(2)]
     for i in range(500):
-        store.add_fixed(b"item %d" % i, f"item-{i}")
+        add(store, b"item %d" % i, f"item-{i}")
     reads = _count_calls(monkeypatch, "_read_record")
     assert [r.path for r in Store(store.root).seeds()] == sorted(
         seeds, key=lambda p: p.component)
@@ -259,9 +281,9 @@ def _pre_index_store(root) -> list:
     """A store at root as the program left it before db/seeds existed:
     two seeds among plain items.  The seeds' paths."""
     store = Store(root)
-    seeds = [store.add_fixed(b"old tool %d" % i, f"old-{i}", kind="seed") for i in range(2)]
+    seeds = [add(store, b"old tool %d" % i, f"old-{i}", kind="seed") for i in range(2)]
     for i in range(3):
-        store.add_fixed(b"item %d" % i, f"item-{i}")
+        add(store, b"item %d" % i, f"item-{i}")
     shutil.rmtree(root / "db" / "seeds")
     return seeds
 
@@ -290,7 +312,7 @@ def test_a_seed_registered_while_the_store_is_indexed_is_kept(tmp_path, monkeypa
     assert listing.wait(5)
     new = []
     adder = threading.Thread(target=lambda: new.append(
-        Store(root).add_fixed(b"new tool", "new-1", kind="seed")))
+        add(Store(root), b"new tool", "new-1", kind="seed")))
     adder.start()
     time.sleep(0.05)  # the adder waits for the index
     go.set()
@@ -308,11 +330,12 @@ def test_a_crash_at_any_write_of_a_seed_registration_loses_no_seed(
     only if its record landed, and the old seeds always."""
     template = tmp_path / "template"
     old = _pre_index_store(template) if pre_index else [
-        Store(template).add_fixed(b"old tool", "old-1", kind="seed")]
+        add(Store(template), b"old tool", "old-1", kind="seed")]
     writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
     real = {(os, name): getattr(os, name)
             for name in ("open", "mkdir", "rename", "replace", "symlink")}
     real[Path, "write_bytes"] = Path.write_bytes
+    new_tool = on_disk(carc_model.File(b"new tool"), tmp_path)
     for n in range(1, 100):
         root = tmp_path / f"store{n}"
         shutil.copytree(template, root, symlinks=True)
@@ -330,7 +353,7 @@ def test_a_crash_at_any_write_of_a_seed_registration_loses_no_seed(
             for (owner, name), fn in real.items():
                 m.setattr(owner, name, dying(fn))
             try:
-                Store(root).add_fixed(b"new tool", "new-1", kind="seed")
+                Store(root).add_fixed(new_tool, "new-1", kind="seed")
             except OSError:
                 pass
         listed = {r.path.label for r in Store(root).seeds()}
@@ -383,13 +406,14 @@ def ref_graphs(draw):
 def test_closure_order_matches_oracle(graph):
     n, edges = graph
     contents = [b"node %d" % i for i in range(n)]
-    comps = [f"{carc_model.hash_tree(carc.File(c)).prefix}-n{i}"
+    comps = [f"{carc_model.hash_tree(carc_model.File(c)).prefix}-n{i}"
              for i, c in enumerate(contents)]
     refs = {comps[i]: {comps[b] for a, b in edges if a == i} for i in range(n)}
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "store")
         store = Store(root)
         for i, c in enumerate(contents):
-            store.add_fixed(c, f"n{i}", references=[
+            add(store, c, f"n{i}", references=[
                 StorePath.from_component(store.root, r) for r in refs[comps[i]]])
         for i in range(n):
             root_path = StorePath.from_component(store.root, comps[i])
@@ -403,7 +427,9 @@ def test_crashed_insert_is_recovered_on_retry(tmp_path, monkeypatch, tamper):
     """A directory item left in place with no record (the process died in
     the record write) is adopted on retry, or replaced if it was changed."""
     root = tmp_path / "store"
-    tree = carc.Dir({"f": carc.File(b"data"), "sub": carc.Dir({"g": carc.File(b"")})})
+    tree = carc_model.Dir({"f": carc_model.File(b"data"),
+                           "sub": carc_model.Dir({"g": carc_model.File(b"")})})
+    src = on_disk(tree, tmp_path)
     real_replace, crashed = os.replace, []
 
     def crash_once(src, dst):  # the process dies at the first replace
@@ -414,13 +440,13 @@ def test_crashed_insert_is_recovered_on_retry(tmp_path, monkeypatch, tamper):
 
     monkeypatch.setattr(os, "replace", crash_once)
     with pytest.raises(OSError, match="crashed"):
-        Store(root).add_fixed(tree, "item-1")
+        Store(root).add_fixed(src, "item-1")
     assert Path(crashed[0]).parent == root / "db" / "items"  # the record write
     item = StorePath(root, carc_model.hash_tree(tree).prefix, "item-1")
     assert item.path.is_dir() and Store(root).get_record(item) is None
     if tamper:
         (item.path / "f").write_bytes(b"tampered")
-    path = Store(root).add_fixed(tree, "item-1")
+    path = Store(root).add_fixed(src, "item-1")
     assert path == item
     assert Store(root).verify_item(path).ok
     assert carc_model.load_tree(path.path) == tree

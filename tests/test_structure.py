@@ -25,6 +25,15 @@ def test_single_home(needle, home):
     assert offenders == []
 
 
+def test_one_carc_encoder():
+    """Trees are encoded only by streaming them from disk; the in-memory
+    model is the tests' reference (tests/carc_model.py), not the program's."""
+    needles = ("serialize_tree", "serialize_bytes", "class File", "class Dir",
+               "class Symlink")
+    assert sorted((p.name, n) for p in SRC.glob("*.py") for n in needles
+                  if n in p.read_text()) == []
+
+
 def test_builder_has_one_file_writer():
     """Steps write files through one writer, which replaces what is there
     instead of writing through a file that a store item may share."""

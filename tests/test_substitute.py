@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from microfold import carc, transport
+import carc_model
+from microfold import transport
 from microfold import derivation as d
 from microfold.builder import BuildOptions, build
 from microfold.derivation import Derivation, InputRef, canonical_serialize, derivation_hash
@@ -19,7 +20,7 @@ from microfold.store import Store, StorePath
 from microfold.substitute import (SubstituteInfo, challenge, fetch_substitute,
                                   publish)
 
-from conftest import http_200, peak_growth_kib
+from conftest import http_200, on_disk, peak_growth_kib
 
 
 def hello_drv():
@@ -165,7 +166,7 @@ def test_builder_uses_substitutes(tmp_path, cache):
     # a consumer-side build would succeed anyway here, so instead check
     # the fetched record carries the published deriver.
     consumer = Store(tmp_path / "consumer")
-    opts = BuildOptions(use_substitutes=True, caches=[cache])
+    opts = BuildOptions(caches=[cache])
     got = build(hello_drv(), consumer, options=opts)
     rec = consumer.get_record(got)
     assert rec.deriver == derivation_hash(hello_drv())
@@ -331,7 +332,8 @@ def test_substitute_streams_a_large_item(tmp_path, cache, raw_http, over):
 
 def test_deriverless_item_substituted_as_fixed(tmp_path, cache):
     producer = Store(tmp_path / "producer")
-    path = producer.add_fixed(carc.Dir({"f": carc.File(b"data")}), "blob-1")
+    path = producer.add_fixed(on_disk(carc_model.Dir({"f": carc_model.File(b"data")}), tmp_path),
+                              "blob-1")
     publish(producer, path, cache)
     consumer = Store(tmp_path / "consumer")
     fetch_substitute(StorePath.from_component(consumer.root, path.component),
@@ -340,6 +342,24 @@ def test_deriverless_item_substituted_as_fixed(tmp_path, cache):
     record = ("db", "items", path.component)
     assert consumer.root.joinpath(*record).read_bytes() == \
         producer.root.joinpath(*record).read_bytes()
+
+
+def test_cache_serving_too_deep_an_archive_is_skipped(tmp_path, cache, capsys):
+    """An archive nested 5,000 levels deep is refused like any corrupt one,
+    and the next cache serves the item."""
+    producer = Store(tmp_path / "producer")
+    path = build(hello_drv(), producer)
+    publish(producer, path, cache)
+    deep = tmp_path / "deep"
+    shutil.copytree(cache, deep)
+    (deep / "carc" / path.digest_prefix).write_bytes(
+        b"carc1\n" + b"d\n1\n1\nd" * 5000 + b"d\n0\n")
+    consumer = Store(tmp_path / "consumer")
+    target = StorePath.from_component(consumer.root, path.component)
+    assert fetch_substitute(target, [deep, cache], consumer) == target
+    assert f"cache {deep} serves corrupt archive" in capsys.readouterr().err
+    assert consumer.verify_item(target).ok
+    assert os.listdir(consumer.root / "tmp") == []
 
 
 def test_refused_cache_skipped(tmp_path, cache):
@@ -427,8 +447,9 @@ def test_challenge_with_rebuild(tmp_path, store, toolchain):
     path = build(hello_drv(), store)
     cache = tmp_path / "c1"
     publish(store, path, cache)
+    drv = hello_drv()
     report = challenge([path], [cache], store, rebuild=True,
-                       derivations={path.component: hello_drv()})
+                       derivations={path.component: (drv, derivation_hash(drv))})
     entry = report.entries[path.component]
     assert ("rebuild", store.get_record(path).output_hash.hex) in entry.values
     assert entry.verdict == "agree"
