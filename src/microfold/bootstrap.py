@@ -76,8 +76,7 @@ class _Audit:
     def _leaf(self, kind):
         self.leaf_counts[kind] = self.leaf_counts.get(kind, 0) + 1
 
-    def walk_derivation(self, drv: Derivation):
-        drv_hash = derivation_hash(drv)
+    def walk_derivation(self, drv: Derivation, drv_hash: ContentHash):
         if drv_hash.hex in self.seen_drvs:
             return
         self.seen_drvs.add(drv_hash.hex)
@@ -89,7 +88,7 @@ class _Audit:
                 self._leaf("fixed")
         for inp in drv.inputs:
             input_drv = load_derivation(self.store, inp.derivation_hash)
-            self.walk_derivation(input_drv)
+            self.walk_derivation(input_drv, inp.derivation_hash)
             input_path = StorePath(self.store.root,
                                    inp.derivation_hash.prefix, input_drv.label)
             if self.store.get_record(input_path) is not None:
@@ -142,7 +141,7 @@ class _Audit:
             except DanglingReference:
                 self._flag(path.component, "deriver-derivation-missing")
                 return
-            self.walk_derivation(deriver)
+            self.walk_derivation(deriver, rec.deriver)
             return
         # kind == fixed
         if rec.references:
@@ -158,16 +157,18 @@ class _Audit:
 
 
 def audit_trust(root, store: Store) -> AuditReport:
-    """Audit a store path or derivation against the opacity criterion."""
+    """Audit a store path, a derivation, or the hash of a derivation in the
+    store against the opacity criterion."""
     audit = _Audit(store)
-    if isinstance(root, Derivation):
-        audit.walk_derivation(root)
-        root_path = StorePath(store.root, derivation_hash(root).prefix,
-                              root.label)
+    if isinstance(root, StorePath):
+        audit.walk_item(root)
+    else:
+        drv, drv_hash = ((root, derivation_hash(root)) if isinstance(root, Derivation)
+                         else (load_derivation(store, root), root))
+        audit.walk_derivation(drv, drv_hash)
+        root_path = StorePath(store.root, drv_hash.prefix, drv.label)
         if store.get_record(root_path) is not None:
             audit.walk_item(root_path)
-    else:
-        audit.walk_item(root)
     seeds = [SeedRecord(path=StorePath.from_component(store.root, c),
                         size=r.size, description=getattr(r, "description", ""))
              for c, r in sorted(audit.seeds.items())]

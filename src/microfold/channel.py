@@ -5,6 +5,11 @@ message, and the sorted name@version -> definition-hash tree), so a single
 64-hex id pins every package definition and, through it, the entire
 dependency graph.  Pin files record such ids for exact replay.
 
+Package objects, revisions and pin files are forms written by
+`sexpr.unparse` and read by `sexpr.parse_one` and `sexpr.read_fields`
+(each field once, none missing or unknown, each of its type).  A package
+object or revision that does not parse raises CorruptRevision.
+
 Repository layout: <repo>/revisions/<id>, <repo>/objects/<hash>,
 <repo>/HEAD (64-hex), <repo>/URL (advisory origin).  Every file is
 written through a tmp file and a rename, HEAD last, so a commit or pull that
@@ -14,16 +19,17 @@ dies part way leaves HEAD at the old revision.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
 from . import sexpr, transport
-from .derivation import Step, _parse_step, _qs, _step_bytes
-from .errors import (BadCommit, CorruptRevision, DuplicatePackage, NoHead,
-                     ParseError, UnknownParent, UnknownRevision,
-                     UnreachableRemote)
+from .derivation import SourceRef, _parse_step
+from .errors import (BadCommit, CorruptRevision, DuplicatePackage,
+                     InvalidHash, InvariantViolation, NoHead, ParseError,
+                     UnknownParent, UnknownRevision, UnreachableRemote)
 from .hashing import ContentHash
-from .derivation import SourceRef
+from .sexpr import Sym
 from .store import locked, write_atomic
 
 
@@ -42,57 +48,54 @@ class PackageDef:
 
 def serialize_package(pkg: PackageDef) -> bytes:
     if isinstance(pkg.source, SourceRef):
-        src = (b"(fetch " + _qs(pkg.source.url) + b" "
-               + pkg.source.expected_hash.hex.encode() + b" "
-               + _qs(pkg.source.label) + b")")
+        src = [Sym("fetch"), pkg.source.url, Sym(pkg.source.expected_hash.hex),
+               pkg.source.label]
     elif isinstance(pkg.source, bytes):
-        src = b"(inline " + _qs(pkg.source.decode("utf-8", "surrogateescape")) + b")"
+        src = [Sym("inline"), pkg.source]
     elif pkg.source is None:
-        src = b"nil"
+        src = Sym("nil")
     else:
         raise ParseError(f"bad package source: {pkg.source!r}")
-    deps = [_qs(d) for d in pkg.deps]
-    steps = [_step_bytes(s) for s in pkg.steps]
-    parts = [
-        b"(package",
-        b"(name " + _qs(pkg.name) + b")",
-        b"(version " + _qs(pkg.version) + b")",
-        b"(synopsis " + _qs(pkg.synopsis) + b")",
-        b"(source " + src + b")",
-        b"(deps" + (b" " if deps else b"") + b" ".join(deps) + b")",
-        b"(steps" + (b" " if steps else b"") + b" ".join(steps) + b")",
-    ]
-    return b" ".join(parts) + b")"
+    return sexpr.encode([
+        Sym("package"),
+        [Sym("name"), pkg.name],
+        [Sym("version"), pkg.version],
+        [Sym("synopsis"), pkg.synopsis],
+        [Sym("source"), src],
+        [Sym("deps"), *pkg.deps],
+        [Sym("steps"), *([Sym(s.op), *s.args] for s in pkg.steps)],
+    ])
+
+
+@contextmanager
+def _channel_object(what: str):
+    """Raise CorruptRevision for channel data that does not parse: its bytes
+    hash to their name, so they were served malformed."""
+    try:
+        yield
+    except (ParseError, InvalidHash, InvariantViolation) as e:
+        raise CorruptRevision(f"malformed {what}: {e}") from None
+
+
+_PACKAGE_FIELDS = {"name": str, "version": str, "synopsis": str,
+                   "source": (Sym, list), "deps": [str], "steps": [list]}
 
 
 def parse_package(data: bytes) -> PackageDef:
-    form = sexpr.parse_one(data.decode("utf-8", "surrogateescape"))
-    if not isinstance(form, list) or not form or form[0] != sexpr.Sym("package"):
-        raise ParseError("not a package form")
-    fields = {}
-    for entry in form[1:]:
-        if not isinstance(entry, list) or not isinstance(entry[0], sexpr.Sym):
-            raise ParseError(f"bad package field: {entry!r}")
-        fields[entry[0].name] = entry[1:]
-    src_form = fields["source"][0]
-    if src_form == sexpr.Sym("nil"):
-        source = None
-    elif isinstance(src_form, list) and src_form[0] == sexpr.Sym("inline"):
-        source = src_form[1].encode("utf-8", "surrogateescape")
-    elif isinstance(src_form, list) and src_form[0] == sexpr.Sym("fetch"):
-        source = SourceRef(url=src_form[1],
-                           expected_hash=ContentHash(str(src_form[2])),
-                           label=src_form[3])
-    else:
-        raise ParseError(f"bad source form: {src_form!r}")
-    return PackageDef(
-        name=fields["name"][0],
-        version=fields["version"][0],
-        synopsis=fields["synopsis"][0],
-        source=source,
-        deps=list(fields["deps"]),
-        steps=[_parse_step(s) for s in fields["steps"]],
-    )
+    with _channel_object("package object"):
+        fields = sexpr.read_fields(sexpr.parse_one(data), "package", _PACKAGE_FIELDS)
+        src = fields["source"]
+        if src == Sym("nil"):
+            source = None
+        elif src[:1] == [Sym("inline")]:
+            source = sexpr.read_items(src, Sym("inline"), str)[1].encode(
+                "utf-8", "surrogateescape")
+        else:
+            _, url, digest, label = sexpr.read_items(src, Sym("fetch"), str, Sym, str)
+            source = SourceRef(url, ContentHash(digest.name), label)
+        return PackageDef(name=fields["name"], version=fields["version"],
+                          synopsis=fields["synopsis"], source=source, deps=fields["deps"],
+                          steps=[_parse_step(s) for s in fields["steps"]])
 
 
 class ChannelRevision(NamedTuple):
@@ -103,29 +106,29 @@ class ChannelRevision(NamedTuple):
 
 
 def serialize_revision(parent, tree: dict, message: str) -> bytes:
-    parts = [
-        b"(revision",
-        b"(parent " + (parent.hex.encode() if parent else b"nil") + b")",
-        b"(message " + _qs(message) + b")",
-    ]
-    entries = [b"(" + _qs(k) + b" " + tree[k].hex.encode() + b")"
-               for k in sorted(tree)]
-    parts.append(b"(tree" + (b" " if entries else b"") + b" ".join(entries) + b")")
-    return b" ".join(parts) + b")"
+    return sexpr.encode([
+        Sym("revision"),
+        [Sym("parent"), Sym(parent.hex if parent else "nil")],
+        [Sym("message"), message],
+        [Sym("tree"), *([key, Sym(tree[key].hex)] for key in sorted(tree))],
+    ])
+
+
+_REVISION_FIELDS = {"parent": Sym, "message": str, "tree": [list]}
 
 
 def parse_revision(data: bytes) -> ChannelRevision:
-    form = sexpr.parse_one(data.decode())
-    if not isinstance(form, list) or not form or form[0] != sexpr.Sym("revision"):
-        raise CorruptRevision("not a revision form")
-    fields = {e[0].name: e[1:] for e in form[1:]}
-    parent_form = fields["parent"][0]
-    parent = None if parent_form == sexpr.Sym("nil") else ContentHash(str(parent_form))
-    tree = {}
-    for entry in fields["tree"]:
-        tree[entry[0]] = ContentHash(str(entry[1]))
-    return ChannelRevision(id=ContentHash.of_bytes(data), parent=parent,
-                           tree=tree, message=fields["message"][0])
+    with _channel_object("revision"):
+        fields = sexpr.read_fields(sexpr.parse_one(data), "revision", _REVISION_FIELDS)
+        parent = fields["parent"]
+        tree = {}
+        for entry in fields["tree"]:
+            key, digest = sexpr.read_items(entry, str, Sym)
+            tree[key] = ContentHash(digest.name)
+        return ChannelRevision(
+            id=ContentHash.of_bytes(data),
+            parent=None if parent == Sym("nil") else ContentHash(parent.name),
+            tree=tree, message=fields["message"])
 
 
 class ChannelPin(NamedTuple):
@@ -139,37 +142,21 @@ class PinFile(NamedTuple):
 
 
 def render_pin(pins) -> str:
-    inner = " ".join(
-        f'(channel (name {sexpr.quote_string(p.name)}) '
-        f'(url {sexpr.quote_string(p.url)}) '
-        f'(commit {sexpr.quote_string(p.commit)}))'
-        for p in pins)
-    return f"(channels {inner})\n"
+    return sexpr.unparse([Sym("channels"), *(
+        [Sym("channel"), [Sym("name"), p.name], [Sym("url"), p.url],
+         [Sym("commit"), p.commit]] for p in pins)]) + "\n"
+
+
+_PIN_FIELDS = {"name": str, "url": str, "commit": str}
 
 
 def parse_pin(text: str) -> PinFile:
     form = sexpr.parse_one(text)
-    if not isinstance(form, list) or not form or form[0] != sexpr.Sym("channels"):
+    if not isinstance(form, list) or form[:1] != [Sym("channels")]:
         raise ParseError("expected a (channels ...) form")
     pins = []
-    for ch in form[1:]:
-        if not isinstance(ch, list) or not ch or ch[0] != sexpr.Sym("channel"):
-            raise ParseError(f"expected a (channel ...) form, got {ch!r}")
-        fields = {}
-        for entry in ch[1:]:
-            if (not isinstance(entry, list) or len(entry) != 2
-                    or not isinstance(entry[0], sexpr.Sym)
-                    or not isinstance(entry[1], str)):
-                raise ParseError(f"bad channel field: {entry!r}")
-            key = entry[0].name
-            if key not in ("name", "url", "commit"):
-                raise ParseError(f"unknown channel key {key!r}")
-            if key in fields:
-                raise ParseError(f"duplicate channel key {key!r}")
-            fields[key] = entry[1]
-        for req in ("name", "url", "commit"):
-            if req not in fields:
-                raise ParseError(f"channel missing key {req!r}")
+    for channel in form[1:]:
+        fields = sexpr.read_fields(channel, "channel", _PIN_FIELDS)
         commit = fields["commit"]
         if len(commit) != 64 or not all(c in "0123456789abcdef" for c in commit):
             raise BadCommit(f"commit must be 64 hex chars, got {commit!r}")

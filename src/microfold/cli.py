@@ -18,7 +18,7 @@ from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, parse_pin, render_pin
-from .derivation import derivation_hash, load_derivation, parse_derivation
+from .derivation import load_derivation, parse_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
 from .manifest import Instantiator, Manifest, Spec, parse_manifest, parse_spec, resolve_spec
@@ -123,8 +123,7 @@ def _instantiate_spec(ctx: Context, spec_text: str):
 def cmd_build(ctx: Context, args) -> int:
     target = args.target
     if Path(target).is_file():  # its bytes are not in the store: build() puts them
-        drv = parse_derivation(Path(target).read_text(encoding="utf-8",
-                                                      errors="surrogateescape"))
+        drv = parse_derivation(Path(target).read_bytes())
         drv_hash = None
         ctx.store  # ensure store exists
     else:
@@ -219,23 +218,19 @@ def cmd_challenge(ctx: Context, args) -> int:
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
-def _graph_edges(drv, store, nodes, edges):
-    h = derivation_hash(drv)
-    label = f"{drv.label}\\n{h.hex[:12]}"
-    if label in nodes:
-        return label
-    nodes.add(label)
-    for inp in drv.inputs:
-        sub = load_derivation(store, inp.derivation_hash)
-        sub_label = _graph_edges(sub, store, nodes, edges)
-        edges.add((label, sub_label))
-    return label
-
-
 def cmd_graph(ctx: Context, args) -> int:
-    drv, _ = _instantiate_spec(ctx, args.spec)
-    nodes, edges = set(), set()
-    _graph_edges(drv, ctx.store, nodes, edges)
+    _, root = _instantiate_spec(ctx, args.spec)
+    labels, links, todo = {}, set(), [root]  # derivation hash -> node label
+    while todo:
+        drv_hash = todo.pop()
+        if drv_hash not in labels:
+            drv = load_derivation(ctx.store, drv_hash)  # the instantiator's object
+            labels[drv_hash] = f"{drv.label}\\n{drv_hash.hex[:12]}"
+            for inp in drv.inputs:
+                links.add((drv_hash, inp.derivation_hash))
+                todo.append(inp.derivation_hash)
+    nodes = set(labels.values())
+    edges = {(labels[a], labels[b]) for a, b in links}
     if args.dot:
         print("digraph microfold {")
         for node in sorted(nodes):
@@ -282,8 +277,7 @@ def cmd_seed(ctx: Context, args) -> int:
         root = StorePath.from_component(store.root, target)
         report = audit_trust(root, store)
     else:
-        drv, _ = _instantiate_spec(ctx, target)
-        report = audit_trust(drv, store)
+        report = audit_trust(_instantiate_spec(ctx, target)[1], store)
     sys.stdout.write(report.render())
     return EXIT_OK if report.trusted else EXIT_VERIFY
 

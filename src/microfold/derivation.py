@@ -1,8 +1,14 @@
 """Derivations: build recipes treated as pure functions.
 
-A derivation's identity is the SHA-256 of its canonical serialization, an
-s-expression with exactly one space between tokens and string escaping
-limited to \\" and \\\\.  Input references embed the inputs' derivation
+A derivation's identity is the SHA-256 of its canonical serialization:
+
+    (derivation (name "n") (version "v") (system "generic")
+      (sources (source "url" <hex> "label") ...) (inputs (input <hex> "label") ...)
+      (steps (op "arg" ...) ...) (env ("key" "value") ...))
+
+on one line, built as a form and written by `sexpr.encode` (byte arguments
+of `write` and `substitute` as they are), and read back by `sexpr.parse_one`
+and `sexpr.read_fields`.  Input references embed the inputs' derivation
 hashes, so any change anywhere in the dependency graph changes every
 downstream hash.
 """
@@ -15,6 +21,7 @@ from . import sexpr
 from .errors import (DanglingReference, InvariantViolation, ParseError,
                      StoreCorruption)
 from .hashing import ContentHash
+from .sexpr import Sym
 from .store import LABEL_RE
 
 SYSTEM = "generic"
@@ -131,23 +138,6 @@ class Derivation:
                 _check_rel_path(arg)
 
 
-def _qb(data: bytes) -> bytes:
-    return b'"' + data.replace(b"\\", b"\\\\").replace(b'"', b'\\"') + b'"'
-
-
-def _qs(text: str) -> bytes:
-    return _qb(text.encode("utf-8", "surrogateescape"))
-
-
-def _step_bytes(step: Step) -> bytes:
-    parts = [step.op.encode()]
-    bytes_args = _BYTES_ARGS.get(step.op, set())
-    for i, arg in enumerate(step.args):
-        parts.append(_qb(arg) if i in bytes_args and isinstance(arg, bytes)
-                     else _qs(arg))
-    return b"(" + b" ".join(parts) + b")"
-
-
 def canonical_serialize(drv: Derivation) -> bytes:
     """Render the derivation's identity bytes.
 
@@ -155,25 +145,18 @@ def canonical_serialize(drv: Derivation) -> bytes:
     derivations built in any insertion order serialize identically.
     """
     drv.validate()
-    parts = [
-        b"(derivation",
-        b"(name " + _qs(drv.name) + b")",
-        b"(version " + _qs(drv.version) + b")",
-        b"(system " + _qs(drv.system) + b")",
-    ]
-    src = [b"(source " + _qs(s.url) + b" " + s.expected_hash.hex.encode()
-           + b" " + _qs(s.label) + b")"
-           for s in sorted(drv.sources, key=lambda s: s.expected_hash.hex)]
-    parts.append(b"(sources" + (b" " if src else b"") + b" ".join(src) + b")")
-    inp = [b"(input " + i.derivation_hash.hex.encode() + b" " + _qs(i.label) + b")"
-           for i in sorted(drv.inputs, key=lambda i: i.derivation_hash.hex)]
-    parts.append(b"(inputs" + (b" " if inp else b"") + b" ".join(inp) + b")")
-    steps = [_step_bytes(s) for s in drv.steps]
-    parts.append(b"(steps" + (b" " if steps else b"") + b" ".join(steps) + b")")
-    env = [b"(" + _qs(k) + b" " + _qs(v) + b")"
-           for k, v in sorted(drv.env.items())]
-    parts.append(b"(env" + (b" " if env else b"") + b" ".join(env) + b")")
-    return b" ".join(parts) + b")"
+    return sexpr.encode([
+        Sym("derivation"),
+        [Sym("name"), drv.name],
+        [Sym("version"), drv.version],
+        [Sym("system"), drv.system],
+        [Sym("sources"), *([Sym("source"), s.url, Sym(s.expected_hash.hex), s.label]
+                           for s in sorted(drv.sources, key=lambda s: s.expected_hash.hex))],
+        [Sym("inputs"), *([Sym("input"), Sym(i.derivation_hash.hex), i.label]
+                          for i in sorted(drv.inputs, key=lambda i: i.derivation_hash.hex))],
+        [Sym("steps"), *([Sym(s.op), *s.args] for s in drv.steps)],
+        [Sym("env"), *sorted(drv.env.items())],
+    ])
 
 
 def derivation_hash(drv: Derivation) -> ContentHash:
@@ -182,67 +165,37 @@ def derivation_hash(drv: Derivation) -> ContentHash:
 
 # -- parsing (for drv files fed to the CLI and for trust audits) ----------
 
-def _expect_str(form, what):
-    if not isinstance(form, str):
-        raise ParseError(f"expected string for {what}, got {form!r}")
-    return form
+_FIELDS = {"name": str, "version": str, "system": str, "sources": [list],
+           "inputs": [list], "steps": [list], "env": [list]}
 
 
 def _parse_step(form) -> Step:
-    if not isinstance(form, list) or not form or not isinstance(form[0], sexpr.Sym):
-        raise ParseError(f"bad step form: {form!r}")
+    if (not isinstance(form, list) or not form or not isinstance(form[0], Sym)
+            or not all(isinstance(arg, str) for arg in form[1:])):
+        raise ParseError("a step must be an (op string ...) form")
     op = form[0].name
     if op not in _STEP_OPS:
         raise ParseError(f"unknown step op {op!r}")
-    args = []
-    bytes_args = _BYTES_ARGS.get(op, set())
-    for i, arg in enumerate(form[1:]):
-        text = _expect_str(arg, f"{op} argument")
-        args.append(text.encode("utf-8", "surrogateescape")
-                    if i in bytes_args else text)
-    return Step(op, tuple(args))
+    bytes_args = _BYTES_ARGS.get(op, ())
+    return Step(op, tuple(arg.encode("utf-8", "surrogateescape") if i in bytes_args
+                          else arg for i, arg in enumerate(form[1:])))
 
 
-def parse_derivation(text: str) -> Derivation:
-    form = sexpr.parse_one(text)
-    if (not isinstance(form, list) or not form
-            or form[0] != sexpr.Sym("derivation")):
-        raise ParseError("not a derivation form")
-    fields = {}
-    for entry in form[1:]:
-        if not isinstance(entry, list) or not entry or not isinstance(entry[0], sexpr.Sym):
-            raise ParseError(f"bad derivation field: {entry!r}")
-        fields[entry[0].name] = entry[1:]
-    for req in ("name", "version", "system", "sources", "inputs", "steps", "env"):
-        if req not in fields:
-            raise ParseError(f"derivation missing field {req!r}")
+def parse_derivation(text) -> Derivation:
+    """The derivation of its canonical form, given as str or bytes."""
+    fields = sexpr.read_fields(sexpr.parse_one(text), "derivation", _FIELDS)
     sources = []
-    for s in fields["sources"]:
-        if not isinstance(s, list) or len(s) != 4 or s[0] != sexpr.Sym("source"):
-            raise ParseError(f"bad source form: {s!r}")
-        sources.append(SourceRef(url=_expect_str(s[1], "url"),
-                                 expected_hash=ContentHash(str(s[2])),
-                                 label=_expect_str(s[3], "label")))
+    for form in fields["sources"]:
+        _, url, digest, label = sexpr.read_items(form, Sym("source"), str, Sym, str)
+        sources.append(SourceRef(url, ContentHash(digest.name), label))
     inputs = []
-    for i in fields["inputs"]:
-        if not isinstance(i, list) or len(i) != 3 or i[0] != sexpr.Sym("input"):
-            raise ParseError(f"bad input form: {i!r}")
-        inputs.append(InputRef(derivation_hash=ContentHash(str(i[1])),
-                               label=_expect_str(i[2], "label")))
-    env = {}
-    for e in fields["env"]:
-        if not isinstance(e, list) or len(e) != 2:
-            raise ParseError(f"bad env form: {e!r}")
-        env[_expect_str(e[0], "env key")] = _expect_str(e[1], "env value")
-    drv = Derivation(
-        name=_expect_str(fields["name"][0], "name"),
-        version=_expect_str(fields["version"][0], "version"),
-        system=_expect_str(fields["system"][0], "system"),
-        sources=sources,
-        inputs=inputs,
-        steps=[_parse_step(s) for s in fields["steps"]],
-        env=env,
-    )
+    for form in fields["inputs"]:
+        _, digest, label = sexpr.read_items(form, Sym("input"), Sym, str)
+        inputs.append(InputRef(ContentHash(digest.name), label))
+    drv = Derivation(name=fields["name"], version=fields["version"],
+                     system=fields["system"], sources=sources, inputs=inputs,
+                     steps=[_parse_step(s) for s in fields["steps"]],
+                     env=dict(sexpr.read_items(e, str, str) for e in fields["env"]))
     drv.validate()
     return drv
 
@@ -263,6 +216,6 @@ def load_derivation(store, drv_hash: ContentHash) -> Derivation:
         actual = ContentHash.of_bytes(data)
         if actual != drv_hash:
             raise StoreCorruption(f"derivation {drv_hash}: bytes hash to {actual}")
-        drv = parse_derivation(data.decode("utf-8", "surrogateescape"))
+        drv = parse_derivation(data)
         store.derivations[drv_hash.hex] = drv
     return drv

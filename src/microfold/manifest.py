@@ -36,8 +36,8 @@ class Manifest(NamedTuple):
     specs: list
 
     def render(self) -> str:
-        inner = " ".join(sexpr.quote_string(s.render()) for s in self.specs)
-        return f"(specifications->manifest '({inner}))\n"
+        return sexpr.unparse([sexpr.Sym("specifications->manifest"),
+                              sexpr.Quoted([s.render() for s in self.specs])]) + "\n"
 
 
 def parse_spec(text: str) -> Spec:
@@ -59,8 +59,9 @@ def parse_manifest(text: str) -> Manifest:
         raise UnsupportedForm("manifest must be a (specifications->manifest ...) form")
     head = form[0]
     if head != sexpr.Sym("specifications->manifest"):
+        shown = head.name if isinstance(head, sexpr.Sym) else type(head).__name__
         raise UnsupportedForm(
-            f"unsupported form {head!r}: only (specifications->manifest '(...)) "
+            f"unsupported form {shown}: only (specifications->manifest '(...)) "
             "is accepted; full Scheme is out of scope")
     if len(form) != 2 or not isinstance(form[1], sexpr.Quoted):
         raise UnsupportedForm("expected a single quoted list of specs")
@@ -70,7 +71,7 @@ def parse_manifest(text: str) -> Manifest:
     specs, seen = [], set()
     for entry in spec_list:
         if not isinstance(entry, str):
-            raise UnsupportedForm(f"spec entries must be strings, got {entry!r}")
+            raise UnsupportedForm(f"spec entries must be strings, got {type(entry).__name__}")
         spec = parse_spec(entry)
         if spec.render() in seen:
             raise DuplicateSpec(spec.render())
@@ -166,11 +167,12 @@ class Instantiator:
             sources.append(pkg.source)
             mapping.setdefault("src", pkg.source.label)
         elif isinstance(pkg.source, bytes):
-            content_hash = ContentHash.of_bytes(
-                carc.MAGIC + carc.file_header(len(pkg.source)) + pkg.source)
-            label = f"{pkg.name}-{pkg.version}-source"
             if self.archive is not None:
-                self.archive.ingest(pkg.source)
+                content_hash = self.archive.ingest(pkg.source)
+            else:
+                content_hash = ContentHash.of_bytes(
+                    carc.MAGIC + carc.file_header(len(pkg.source)) + pkg.source)
+            label = f"{pkg.name}-{pkg.version}-source"
             sources.append(SourceRef(url=f"archive://{content_hash.hex}",
                                      expected_hash=content_hash, label=label))
             mapping.setdefault("src", label)

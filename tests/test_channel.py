@@ -7,6 +7,7 @@ from microfold import derivation as d
 from microfold.channel import (ChannelPin, ChannelRepo, PackageDef, PinFile,
                                parse_package, parse_pin, render_pin,
                                serialize_package)
+from microfold.cli import run_command
 from microfold.derivation import SourceRef
 from microfold.errors import (BadCommit, CorruptRevision, DuplicatePackage,
                               NoHead, ParseError, UnknownParent,
@@ -123,6 +124,58 @@ def test_pull_detects_tampering(repo, tmp_path):
     clone = ChannelRepo(tmp_path / "clone")
     with pytest.raises(CorruptRevision):
         clone.pull(repo.root)
+
+
+def _serve(remote: Path, revision: bytes, objects=()) -> str:
+    """A remote channel whose HEAD is a revision with these bytes; every
+    file hashes to its name, however malformed its contents."""
+    for sub in ("revisions", "objects"):
+        (remote / sub).mkdir(parents=True)
+    for data in objects:
+        (remote / "objects" / hashlib.sha256(data).hexdigest()).write_bytes(data)
+    rev_id = hashlib.sha256(revision).hexdigest()
+    (remote / "revisions" / rev_id).write_bytes(revision)
+    (remote / "HEAD").write_text(rev_id + "\n")
+    return rev_id
+
+
+@pytest.mark.parametrize("revision", [
+    b"(revision)",
+    b"(revision 1)",
+    b"(revision \xff\xfe)",
+    b'(revision (parent nil) (message "m") (tree ("a@1" "not-a-hash")))',
+    b'(revision (parent nil) (parent nil) (message "m") (tree))',
+])
+def test_pull_of_malformed_revision_is_a_verification_error(tmp_path, monkeypatch,
+                                                           capsys, revision):
+    """A revision that hashes to its id but does not parse fails `pull`
+    with exit 2 and one line, not a traceback."""
+    _serve(tmp_path / "remote", revision)
+    monkeypatch.setenv("MICROFOLD_HOME", str(tmp_path))
+    assert run_command(["pull", "--url", str(tmp_path / "remote")]) == 2
+    assert capsys.readouterr().err.startswith("microfold: error: malformed revision")
+
+
+@pytest.mark.parametrize("package", [
+    b"(package)",
+    b'(package (name a) (version "1") (synopsis "") (source nil) (deps) (steps))',
+    b'(package (name "a") (version "1") (synopsis "") (source (inline)) (deps) (steps))',
+    b'(package (name "a") (version "1") (synopsis "") (source nil) (deps) (steps (write "f")))',
+    b'(package (name "a") (version "1") (synopsis "") (source nil) (deps) (steps) (x "y"))',
+])
+def test_checkout_of_malformed_package_object_is_a_verification_error(
+        tmp_path, monkeypatch, capsys, package):
+    obj = hashlib.sha256(package).hexdigest()
+    rev = f'(revision (parent nil) (message "m") (tree ("a@1" {obj})))'.encode()
+    rev_id = _serve(tmp_path / "remote", rev, [package])
+    clone = ChannelRepo(tmp_path / "clone")
+    assert clone.pull(tmp_path / "remote").hex == rev_id
+    with pytest.raises(CorruptRevision, match="malformed package object"):
+        clone.checkout(ContentHash(rev_id))
+    monkeypatch.setenv("MICROFOLD_HOME", str(tmp_path))
+    monkeypatch.setenv("MICROFOLD_CHANNEL_REPO", str(clone.root))
+    assert run_command(["build", "a"]) == 2
+    assert capsys.readouterr().err.startswith("microfold: error: malformed package object")
 
 
 def _crash_at_write(monkeypatch, k):

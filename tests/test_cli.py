@@ -109,6 +109,36 @@ def test_build_check_serializes_no_derivation_after_instantiation(env, monkeypat
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["graph", "seed audit"])
+def test_graph_and_audit_serialize_no_derivation_after_instantiation(env, monkeypatch,
+                                                                    command):
+    """`graph` and `seed audit` walk by the derivation hashes the
+    instantiator holds, and the audit by the derivers the store records:
+    neither serializes a derivation to hash it again."""
+    assert run_command(["build", "app-alpha"]) == 0
+    calls = []
+    real_instantiate, real = cli._instantiate_spec, d.canonical_serialize
+
+    def counting_instantiate(*args):
+        result = real_instantiate(*args)
+        monkeypatch.setattr(d, "canonical_serialize",
+                            lambda drv: calls.append(drv.label) or real(drv))
+        return result
+    monkeypatch.setattr(cli, "_instantiate_spec", counting_instantiate)
+    assert run_command([*command.split(), "app-alpha"]) == 0
+    assert calls == []
+
+
+def test_deeply_nested_manifest_is_a_user_error(env, tmp_path, capsys):
+    """The reader keeps open lists on a stack, so a manifest nested 2,000
+    levels deep is rejected with one line, not a RecursionError."""
+    manifest = tmp_path / "deep.scm"
+    manifest.write_text("(specifications->manifest '(" + "(" * 2000 + ")" * 2000 + "))")
+    assert run_command(["package", "-m", str(manifest)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "microfold: error: spec entries must be strings")
+
+
 def test_build_check_flags_nondeterminism(env, tmp_path, capsys):
     store = Store(env["store"])
     seed = register_seed(store, on_disk(carc_model.Dir({"bin": carc_model.Dir({

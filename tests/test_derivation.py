@@ -8,7 +8,7 @@ from microfold import derivation as drv
 from microfold.derivation import (Derivation, InputRef, SourceRef,
                                   canonical_serialize, derivation_hash,
                                   load_derivation, parse_derivation)
-from microfold.errors import InvariantViolation, StoreCorruption
+from microfold.errors import InvariantViolation, ParseError, StoreCorruption
 from microfold.hashing import ContentHash
 from microfold.store import Store, StorePath
 
@@ -103,6 +103,21 @@ def test_parse_round_trip_full():
     )
     data = canonical_serialize(d)
     assert canonical_serialize(parse_derivation(data.decode())) == data
+
+
+@pytest.mark.parametrize("edit", [
+    lambda b: b.replace(b"(env)", b'(env) (name "other")'),
+    lambda b: b.replace(b"(env)", b'(env) (extra "x")'),
+    lambda b: b.replace(b' (env)', b""),
+    lambda b: b.replace(b'(name "hello")', b"(name hello)"),
+    lambda b: b.replace(b'(version "1.0")', b'(version "1.0" "2.0")'),
+    lambda b: b.replace(b"(derivation", b"(drv"),
+])
+def test_parse_rejects_malformed_fields(edit):
+    """Each field once, none missing or unknown, each value of its type:
+    the field rule every canonical form is read by."""
+    with pytest.raises(ParseError):
+        parse_derivation(edit(GOLDEN_DRV_BYTES))
 
 
 def test_invariants_rejected():

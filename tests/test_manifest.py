@@ -4,13 +4,14 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from microfold import derivation as d
+from microfold import carc, derivation as d
 from microfold.builder import build
 from microfold.channel import PackageDef
 from microfold.derivation import canonical_serialize, derivation_hash, parse_derivation
 from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
                               EmptyVersion, ReplacementCycle, UnknownPackage,
                               UnknownVersion, UnsupportedForm)
+from microfold.hashing import ContentHash
 from microfold.manifest import (Instantiator, Manifest, Spec, instantiate,
                                 parse_manifest, parse_spec, resolve, resolve_spec,
                                 rewrite_inputs, version_key)
@@ -140,6 +141,23 @@ def test_instantiate_pins_dependency_hashes(packages, store, archive, toolchain)
     numpy_comp = f"{derivation_hash(numpy_drv).prefix}-python-numpy-1.20"
     deps_step = [s for s in scipy.steps if s.args[0] == "lib/scipy-deps.txt"][0]
     assert numpy_comp.encode() in deps_step.args[1]
+
+
+def test_inline_source_is_encoded_and_hashed_once(packages, store, archive, toolchain,
+                                                   monkeypatch):
+    """With an archive, the hash Archive.ingest returns names an inline
+    source: app-alpha's graph has 4 inline sources, each hashed once."""
+    archive_hashes = []
+    real = ContentHash.of_bytes.__func__
+
+    def counting(cls, data):
+        if data.startswith(carc.MAGIC):
+            archive_hashes.append(data)
+        return real(cls, data)
+    monkeypatch.setattr(ContentHash, "of_bytes", classmethod(counting))
+    drv = instantiate(packages["app-alpha@1.0"], packages, store=store, archive=archive)
+    assert len(archive_hashes) == 4 == len(set(archive_hashes))
+    assert archive.has(drv.sources[0].expected_hash)
 
 
 def test_instantiation_is_deterministic(packages, store, archive, toolchain):

@@ -17,6 +17,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ('"seeds"', "store.py"),              # only the store knows db/seeds
     ("Thread(", "builder.py"),            # the one build scheduler
     ("os.link(", "carc.py"),              # one link helper shares inodes
+    ("quote_string(", "sexpr.py"),        # the one s-expression writer
+    ('b"("', "sexpr.py"),                 # no form is joined by hand
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()
