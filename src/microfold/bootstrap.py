@@ -13,8 +13,7 @@ import re
 from typing import NamedTuple
 
 from .derivation import Derivation, derivation_hash, load_derivation
-from .errors import DanglingReference, InvalidLabel
-from .hashing import ContentHash
+from .errors import DanglingReference
 from .store import Store, StorePath
 
 _COMPONENT_IN_TEXT = re.compile(r"[0-9a-f]{32}-[A-Za-z0-9._+-]+")
@@ -57,125 +56,75 @@ class AuditReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-class _Audit:
-    def __init__(self, store: Store):
-        self.store = store
-        self.seen_items = set()
-        self.seen_drvs = set()
-        self.offending = []
-        self.seeds = {}
-        self.leaf_counts = {}
-        self.sourced = set()  # components justified by a source declaration
-        self.seed_components = {r.path.component: r for r in store.seeds()}
-
-    def _flag(self, component, reason):
-        entry = (component, reason)
-        if entry not in self.offending:
-            self.offending.append(entry)
-
-    def _leaf(self, kind):
-        self.leaf_counts[kind] = self.leaf_counts.get(kind, 0) + 1
-
-    def walk_derivation(self, drv: Derivation, drv_hash: ContentHash):
-        if drv_hash.hex in self.seen_drvs:
-            return
-        self.seen_drvs.add(drv_hash.hex)
-
-        for src in drv.sources:
-            component = f"{src.expected_hash.prefix}-{src.label}"
-            if component not in self.sourced:
-                self.sourced.add(component)
-                self._leaf("fixed")
-        for inp in drv.inputs:
-            input_drv = load_derivation(self.store, inp.derivation_hash)
-            self.walk_derivation(input_drv, inp.derivation_hash)
-            input_path = StorePath(self.store.root,
-                                   inp.derivation_hash.prefix, input_drv.label)
-            if self.store.get_record(input_path) is not None:
-                self.walk_item(input_path)
-
-        # Every store component a step mentions must be accounted for.
-        for step in drv.steps:
-            for arg in step.args:
-                if not isinstance(arg, str):
-                    continue
-                for component in _COMPONENT_IN_TEXT.findall(arg):
-                    self.check_component(component)
-
-    def check_component(self, component: str):
-        if component in self.sourced or component in self.seen_items:
-            return
-        if component in self.seed_components:
-            rec = self.seed_components[component]
-            self.seeds[component] = rec
-            self.seen_items.add(component)
-            self._leaf("seed")
-            return
-        try:
-            path = StorePath.from_component(self.store.root, component)
-        except InvalidLabel:
-            self._flag(component, "malformed-component")
-            return
-        if self.store.get_record(path) is None:
-            self._flag(component, "unknown-component")
-            return
-        self.walk_item(path)
-
-    def walk_item(self, path: StorePath):
-        if path.component in self.seen_items:
-            return
-        self.seen_items.add(path.component)
-        rec = self.store.get_record(path)
-        if rec is None:
-            raise DanglingReference(path.component)
-        if rec.kind == "seed":
-            self.seeds[path.component] = rec
-            self._leaf("seed")
-            return
-        if rec.kind == "derived":
-            if rec.deriver is None:
-                self._flag(path.component, "derived-without-deriver")
-                return
-            try:
-                deriver = load_derivation(self.store, rec.deriver)
-            except DanglingReference:
-                self._flag(path.component, "deriver-derivation-missing")
-                return
-            self.walk_derivation(deriver, rec.deriver)
-            return
-        # kind == fixed
-        if rec.references:
-            # Union item (e.g. a profile): not a leaf, audit its members.
-            for ref in rec.references:
-                self.walk_item(ref)
-            return
-        if path.component in self.sourced:
-            self._leaf("fixed")
-            return
-        self._flag(path.component, "no-source-provenance")
-        self._leaf("fixed")
-
-
 def audit_trust(root, store: Store) -> AuditReport:
     """Audit a store path, a derivation, or the hash of a derivation in the
-    store against the opacity criterion."""
-    audit = _Audit(store)
-    if isinstance(root, StorePath):
-        audit.walk_item(root)
-    else:
-        drv, drv_hash = ((root, derivation_hash(root)) if isinstance(root, Derivation)
-                         else (load_derivation(store, root), root))
-        audit.walk_derivation(drv, drv_hash)
-        root_path = StorePath(store.root, drv_hash.prefix, drv.label)
-        if store.get_record(root_path) is not None:
-            audit.walk_item(root_path)
-    seeds = [SeedRecord(path=StorePath.from_component(store.root, c),
-                        size=r.size, description=getattr(r, "description", ""))
-             for c, r in sorted(audit.seeds.items())]
+    store against the opacity criterion.
+
+    One pass collects the graph: derivations, through inputs and the
+    derivers of derived items, and items: each derivation's output when the
+    store has it, the components that steps name (in text or bytes), and
+    the members of a union (a fixed item with references).  Then each item
+    is judged against the whole graph: a fixed item is explained when any
+    derivation in the graph declares it as a source, and a named component
+    that the store lacks when it is such a source or the output of a
+    derivation in the graph (an input not built yet).  So the verdict does
+    not depend on the order in which the graph is met.  A derivation, its
+    output and the output's deriver form a cycle: the pass is a plain
+    worklist, not store.postorder."""
+    drvs = {derivation_hash(root): root} if isinstance(root, Derivation) else {}
+    seen, todo = set(), list(drvs) or [root]  # derivation hashes, StorePaths
+    sourced, outputs, fixed, absent = set(), set(), set(), set()
+    seeds, offending = {}, set()
+    while todo:
+        node = todo.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        if isinstance(node, StorePath):
+            rec = store.get_record(node)
+            if rec is None:
+                raise DanglingReference(node.component)
+            if rec.kind == "seed":
+                seeds[node.component] = rec
+            elif rec.kind == "fixed":
+                todo.extend(rec.references)
+                if not rec.references:
+                    fixed.add(node.component)
+            elif rec.deriver is None:
+                offending.add((node.component, "derived-without-deriver"))
+            else:
+                try:
+                    load_derivation(store, rec.deriver)
+                    todo.append(rec.deriver)
+                except DanglingReference:
+                    offending.add((node.component, "deriver-derivation-missing"))
+            continue
+        drv = drvs.get(node) or load_derivation(store, node)
+        sourced.update(f"{s.expected_hash.prefix}-{s.label}" for s in drv.sources)
+        todo.extend(i.derivation_hash for i in drv.inputs)
+        output = StorePath(store.root, node.prefix, drv.label)
+        outputs.add(output.component)
+        if store.get_record(output) is not None:
+            todo.append(output)
+        for step in drv.steps:
+            for arg in step.args:
+                if isinstance(arg, bytes):
+                    arg = arg.decode("utf-8", "surrogateescape")
+                for component in _COMPONENT_IN_TEXT.findall(arg):
+                    if store.get_record(component) is None:
+                        absent.add(component)
+                    else:
+                        todo.append(StorePath.from_component(store.root, component))
+    offending.update((c, "unknown-component") for c in absent - sourced - outputs)
+    offending.update((c, "no-source-provenance") for c in fixed - sourced)
+    seed_list = [SeedRecord(path=StorePath.from_component(store.root, c),
+                            size=r.size, description=r.description)
+                 for c, r in sorted(seeds.items())]
+    leaves = {"fixed": len(fixed | sourced), "seed": len(seeds)}
     return AuditReport(
-        verdict="opaque" if audit.offending else "trusted",
-        offending=sorted(audit.offending),
-        seed_list=seeds,
-        total_seed_bytes=sum(s.size for s in seeds),
-        leaf_counts=audit.leaf_counts,
+        verdict="opaque" if offending else "trusted",
+        offending=sorted(offending),
+        seed_list=seed_list,
+        total_seed_bytes=sum(s.size for s in seed_list),
+        leaf_counts={kind: n for kind, n in leaves.items() if n},
     )

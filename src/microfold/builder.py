@@ -38,7 +38,7 @@ from .archive import fetch_source
 from .derivation import Derivation, canonical_serialize, load_derivation
 from .errors import EscapedClosure, MicrofoldError, StepFailure
 from .hashing import PREFIX_LEN, ContentHash
-from .store import Staged, Store, StorePath
+from .store import Staged, Store, StorePath, postorder
 
 OUT_PLACEHOLDER = "@out@"
 
@@ -88,33 +88,48 @@ class Builder:
 
     def build_all(self, roots) -> list:
         """Build each (drv, drv_hash) of roots, whose bytes the store holds,
-        and the inputs the store lacks, in one schedule: planned on this
-        thread, then run (_schedule).  Their store paths, in order."""
-        todo = {}
-        paths = [self._plan(drv, drv_hash, todo) for drv, drv_hash in roots]
+        and the inputs the store lacks, in one schedule: planned by one walk
+        of the graph on this thread (_plan), then run (_schedule).  Their
+        store paths, in order."""
+        paths, todo = self._plan(roots)
         if todo:
             self._schedule(todo)
-        return paths
+        return [paths[drv_hash] for _, drv_hash in roots]
 
     # -- scheduling --------------------------------------------------------
 
-    def _plan(self, drv: Derivation, drv_hash, todo: dict) -> StorePath:
-        """drv's store path.  Unless the store has it or a cache installs
-        it, drv goes into todo after the inputs it needs built, as
-        drv_hash -> the arguments of _run."""
-        target = StorePath(self.store.root, drv_hash.prefix, drv.label)
-        if drv_hash in todo or self.store.get_record(target) is not None:
-            return target
-        if self.options.caches:
-            from .substitute import fetch_substitute
-            try:
-                return fetch_substitute(target, self.options.caches, self.store)
-            except MicrofoldError:
-                pass  # fall back to building from source
-        input_paths = [self._plan(load_derivation(self.store, i.derivation_hash),
-                                  i.derivation_hash, todo) for i in drv.inputs]
-        todo[drv_hash] = (drv, drv_hash, target, input_paths)
-        return target
+    def _plan(self, roots):
+        """The store path of every derivation that roots reach, and what to
+        build, as drv_hash -> the arguments of _run: each derivation the
+        store lacks and no cache installs, after its inputs, in the order
+        of one post-order walk of drv.inputs (store.postorder).  The inputs
+        of a derivation that is not built are not walked."""
+        drvs = {drv_hash: drv for drv, drv_hash in roots}
+        paths, needed, todo = {}, set(), {}
+
+        def inputs(drv_hash):
+            drv = drvs[drv_hash] = (drvs.get(drv_hash)
+                                    or load_derivation(self.store, drv_hash))
+            target = paths[drv_hash] = StorePath(self.store.root, drv_hash.prefix,
+                                                 drv.label)
+            if self.store.get_record(target) is not None:
+                return ()
+            if self.options.caches:
+                from .substitute import fetch_substitute
+                try:
+                    fetch_substitute(target, self.options.caches, self.store)
+                    return ()
+                except MicrofoldError:
+                    pass  # fall back to building from source
+            needed.add(drv_hash)
+            return [i.derivation_hash for i in drv.inputs]
+
+        for drv_hash in postorder(list(drvs), inputs):
+            if drv_hash in needed:
+                drv = drvs[drv_hash]
+                todo[drv_hash] = (drv, drv_hash, paths[drv_hash],
+                                  [paths[i.derivation_hash] for i in drv.inputs])
+        return paths, todo
 
     def _schedule(self, todo: dict):
         """Run each node of todo once its inputs in todo are built, the

@@ -141,7 +141,7 @@ class UnknownVersion(MicrofoldError):
 
 class DependencyCycle(MicrofoldError):
     def __init__(self, chain):
-        super().__init__(" -> ".join(chain))
+        super().__init__(" -> ".join(map(str, chain)))
         self.chain = list(chain)
 
 

@@ -5,8 +5,9 @@ A manifest is the closed s-expression form
     (specifications->manifest '("name" "name@version" ...))
 
 with ';' line comments.  Resolution picks package definitions out of a
-revision's package set; instantiation lowers them (recursively, through
-their dependencies) to derivations whose hashes pin the whole graph.
+revision's package set; instantiation lowers them and their dependencies to
+derivations whose hashes pin the whole graph, in one walk that keeps its own
+stack (store.postorder), so a dependency chain may be of any depth.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
                      ParseError, ReplacementCycle, UnknownPackage,
                      UnknownVersion, UnsupportedForm)
 from .hashing import ContentHash
+from .store import postorder
 from . import carc
 
 
@@ -120,7 +122,9 @@ class Instantiator:
     """
 
     def __init__(self, packages: dict, *, store=None, archive=None):
-        self.packages = packages
+        self.named = {}  # name -> {key: definition}, for resolve_spec
+        for pkg in packages.values():
+            self.named.setdefault(pkg.name, {})[pkg.key] = pkg
         self.store = store
         self.archive = archive
         self.by_key = {}
@@ -145,22 +149,35 @@ class Instantiator:
             out = out[:start] + self._seed_component(label) + out[end + 1:]
         return out
 
-    def instantiate(self, pkg: PackageDef, _stack=()) -> Derivation:
-        if pkg.key in self.by_key:
-            return self.by_key[pkg.key]
-        if pkg.key in _stack:
-            names = [k.split("@")[0] for k in _stack] + [pkg.name]
-            raise DependencyCycle(names[names.index(pkg.name):])
-        stack = _stack + (pkg.key,)
+    def instantiate(self, pkg: PackageDef) -> Derivation:
+        """pkg's derivation.  One post-order walk (store.postorder) lowers
+        each dependency the package set resolves, once, before the packages
+        that depend on it; a cycle raises DependencyCycle, naming them."""
+        defs, deps = {pkg.key: pkg}, {}  # key -> its dependencies' definitions
 
-        inputs = []
-        mapping = {}
-        for dep_spec in pkg.deps:
-            dep = resolve_spec(parse_spec(dep_spec), self.packages)
-            dep_drv = self.instantiate(dep, stack)
+        def resolved(key):
+            if key in self.by_key:
+                return ()
+            deps[key] = [resolve_spec(spec, self.named.get(spec.name, {}))
+                         for spec in map(parse_spec, defs[key].deps)]
+            defs.update((dep.key, dep) for dep in deps[key])
+            return [dep.key for dep in deps[key]]
+
+        try:
+            for key in postorder([pkg.key], resolved):
+                if key in deps:
+                    self._lower(defs[key], deps.pop(key))
+        except DependencyCycle as e:
+            raise DependencyCycle([defs[key].name for key in e.chain]) from None
+        return self.by_key[pkg.key]
+
+    def _lower(self, pkg: PackageDef, deps: list):
+        """Make pkg's derivation, whose dependencies deps are lowered."""
+        inputs, mapping = [], {}
+        for dep in deps:
             dep_hash = self.hashes[dep.key]
             inputs.append(InputRef(derivation_hash=dep_hash, label=dep.name))
-            mapping[dep.name] = f"{dep_hash.prefix}-{dep_drv.label}"
+            mapping[dep.name] = f"{dep_hash.prefix}-{self.by_key[dep.key].label}"
 
         sources = []
         if isinstance(pkg.source, SourceRef):
@@ -200,7 +217,6 @@ class Instantiator:
             self.store.put_derivation(self.hashes[pkg.key], data)
             self.store.derivations[self.hashes[pkg.key].hex] = drv
         self.by_key[pkg.key] = drv
-        return drv
 
 
 def instantiate(pkg: PackageDef, packages: dict, *, store=None, archive=None) -> Derivation:
@@ -221,36 +237,23 @@ def rewrite_inputs(root: Spec, replacements: dict, packages: dict) -> dict:
 
     rewritten = dict(packages)
 
-    def rewrite_def(pkg: PackageDef) -> PackageDef:
-        new_deps = []
-        changed = False
-        for dep_spec in pkg.deps:
-            dep_name = parse_spec(dep_spec).name
-            if dep_name in replacements:
-                new_deps.append(replacements[dep_name].render())
-                changed = True
-            else:
-                new_deps.append(dep_spec)
-        if not changed:
-            return pkg
-        return PackageDef(name=pkg.name, version=pkg.version,
-                          synopsis=pkg.synopsis, source=pkg.source,
-                          deps=new_deps, steps=list(pkg.steps))
-
     # Walk the rewritten graph from root, applying the replacement map as
-    # we go so replacements' own subtrees are rewritten too.
-    visited = set()
-    stack = [(resolve_spec(root, packages).key, ())]
-    while stack:
-        key, chain = stack.pop()
-        if key in chain:
-            raise ReplacementCycle(" -> ".join(chain + (key,)))
-        if key in visited:
-            continue
-        visited.add(key)
-        new_def = rewrite_def(rewritten[key])
-        rewritten[key] = new_def
-        for dep_spec in new_def.deps:
-            dep = resolve_spec(parse_spec(dep_spec), rewritten)
-            stack.append((dep.key, chain + (key,)))
+    # each definition is entered, so replacements' own subtrees are
+    # rewritten too.
+    def rewritten_deps(key):
+        pkg = rewritten[key]
+        deps = [replacements[name].render()
+                if (name := parse_spec(spec).name) in replacements else spec
+                for spec in pkg.deps]
+        if deps != pkg.deps:
+            rewritten[key] = PackageDef(
+                name=pkg.name, version=pkg.version, synopsis=pkg.synopsis,
+                source=pkg.source, deps=deps, steps=list(pkg.steps))
+        return [resolve_spec(parse_spec(spec), rewritten).key for spec in deps]
+
+    try:
+        for _ in postorder([resolve_spec(root, packages).key], rewritten_deps):
+            pass
+    except DependencyCycle as e:
+        raise ReplacementCycle(" -> ".join(e.chain)) from None
     return rewritten

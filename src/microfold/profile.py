@@ -59,28 +59,27 @@ def _add_entries(children: dict, tree: bytes, provider: str):
         children.setdefault(name, []).append((tree + b"/" + name, provider))
 
 
-def _merge_dir(children: dict, dest: bytes, rel: str, emit):
+def _merge(children: dict, dest: bytes, rel: str, emit):
+    """Emit, and create at dest, a directory with an entry for each name
+    of children: the union of children[name], the (path, provider) pairs
+    at rel + name in member order.  The first provider owns an entry; a
+    later one may only add to its directory or repeat its file.  One frame
+    per level, so a union may be as deep as carc.MAX_DEPTH."""
     for name, sub in carc.directory(sorted(children), dest, emit):
-        _merge(children[name], sub, rel + os.fsdecode(name), emit)
-
-
-def _merge(entries: list, dest: bytes, rel: str, emit):
-    """Emit, and create at dest, the union of entries, the (path, provider)
-    pairs at rel in member order.  The first provider owns the entry; a
-    later one may only add to its directory or repeat its file."""
-    first, owner = entries[0]
-    if len(entries) > 1 and _is_dir(first):
-        children = {}
-        for path, provider in entries:
-            if not _is_dir(path):
-                raise ProfileCollision(rel, owner, provider)
-            _add_entries(children, path, provider)
-        _merge_dir(children, dest, rel + "/", emit)
-        return
-    for path, provider in entries[1:]:
-        if not _same(first, path):
-            raise ProfileCollision(rel, owner, provider)
-    carc.walk(first, dest, emit, links=True)
+        entries, path_rel = children[name], rel + os.fsdecode(name)
+        first, owner = entries[0]
+        if len(entries) > 1 and _is_dir(first):
+            below = {}
+            for path, provider in entries:
+                if not _is_dir(path):
+                    raise ProfileCollision(path_rel, owner, provider)
+                _add_entries(below, path, provider)
+            _merge(below, sub, path_rel + "/", emit)
+            continue
+        for path, provider in entries[1:]:
+            if not _same(first, path):
+                raise ProfileCollision(path_rel, owner, provider)
+        carc.walk(first, sub, emit, links=True)
 
 
 def union_tree(outputs, dest) -> tuple[ContentHash, int]:
@@ -97,7 +96,7 @@ def union_tree(outputs, dest) -> tuple[ContentHash, int]:
             _add_entries(top, tree, sp.component)
         else:
             top.setdefault(sp.label.encode(), []).append((tree, sp.component))
-    return carc.hashed(lambda emit: _merge_dir(top, os.fsencode(dest), "", emit))
+    return carc.hashed(lambda emit: _merge(top, os.fsencode(dest), "", emit))
 
 
 class Profile:

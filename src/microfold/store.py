@@ -54,8 +54,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import carc
-from .errors import (DanglingReference, InvalidLabel, OutputCollision,
-                     StoreCorruption)
+from .errors import (DanglingReference, DependencyCycle, InvalidLabel,
+                     OutputCollision, StoreCorruption)
 from .hashing import ContentHash, PREFIX_LEN
 
 LABEL_RE = re.compile(r"^[A-Za-z0-9._+-]+$")
@@ -200,6 +200,30 @@ def _referrers_first(refs: dict) -> list:
             if referrers[t] == 0 and t not in emitted:
                 heapq.heappush(ready, t)
     return order
+
+
+def postorder(roots, children):
+    """Yield each node that roots reach once, after the nodes that
+    children(node) lists, in that order: a depth-first walk that keeps its
+    own stack, so a graph of any depth.  children is called once per node,
+    when the walk enters it.  A node met again while its walk is still open
+    raises DependencyCycle, naming the open path from it back to itself."""
+    done, path, stack = set(), {}, [iter(roots)]  # path: open nodes, in order
+    while stack:
+        for node in stack[-1]:
+            if node in path:
+                chain = list(path)
+                raise DependencyCycle(chain[chain.index(node):] + [node])
+            if node not in done:
+                path[node] = None
+                stack.append(iter(children(node)))
+                break
+        else:  # stack[-1] is spent, so the node that opened it is done
+            stack.pop()
+            if path:
+                node = path.popitem()[0]
+                done.add(node)
+                yield node
 
 
 class Store:

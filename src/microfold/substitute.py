@@ -20,10 +20,11 @@ from typing import NamedTuple
 
 from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
-                     MicrofoldError, ParseError, SubstituteNotFound)
+                     DependencyCycle, MicrofoldError, ParseError,
+                     SubstituteNotFound)
 from .hashing import ContentHash
-from .store import (Staged, Store, StorePath, parse_fields, render_fields,
-                    write_atomic)
+from .store import (Staged, Store, StorePath, parse_fields, postorder,
+                    render_fields, write_atomic)
 
 
 class SubstituteInfo(NamedTuple):
@@ -107,65 +108,67 @@ def _provider_archive(cache, digest_prefix: str):
         return None
 
 
-def fetch_substitute(path: StorePath, caches, store: Store,
-                     *, _seen=None) -> StorePath:
-    """Install a pre-built item from the first cache that serves it honestly.
-
-    The served archive is restored under <store>/tmp and hashed in the same
-    pass, before registration; a mismatching or malformed
-    provider is skipped with a warning and the next one is tried.  The
-    item's references are fetched first so the store never dangles.
-    """
-    if store.get_record(path) is not None:
-        return path
-    _seen = _seen if _seen is not None else set()
-    if path.component in _seen:
-        raise SubstituteNotFound(f"reference cycle at {path.component}")
-    _seen.add(path.component)
-
+def _restore(path: StorePath, caches, scratch: Path):
+    """path's info and its archive restored under scratch, as a Staged
+    tree, from the first cache that serves it honestly.  A mismatching or
+    malformed provider is skipped with a warning and the next one tried."""
     found = corrupt = False
-    for cache in caches:
+    for n, cache in enumerate(caches):
         info = _provider_info(cache, path.digest_prefix)
         blocks = (None if info is None
                   else _provider_archive(cache, path.digest_prefix))
         if blocks is None:
             continue
-        found = True
-        with store.scratch() as scratch:
-            try:
-                with closing(blocks):
-                    staged = Staged(scratch / "item",
-                                    *carc.restore(blocks, scratch / "item"))
-                actual = staged.output_hash
-            except (ParseError, transport.BrokenFetch) as e:
-                actual = f"an unreadable archive ({e})"
-            if actual != info.output_hash or info.store_path != path.component:
-                print(f"cache {cache} serves corrupt archive for {path.component} "
-                      f"(expected {info.output_hash}, got {actual}); skipping",
-                      file=sys.stderr)
-                corrupt = True
-                continue
-            try:
-                refs = []
-                for comp in info.references:
-                    if comp == path.component:
-                        continue
-                    ref_path = StorePath.from_component(store.root, comp)
-                    if store.get_record(ref_path) is None:
-                        fetch_substitute(ref_path, caches, store, _seen=_seen)
-                    refs.append(ref_path)
-            except MicrofoldError as e:
-                print(f"cache {cache}: reference of {path.component} "
-                      f"unavailable ({e}); skipping", file=sys.stderr)
-                continue
-            store.register_output(staged, path, deriver=info.deriver,
-                                  references=refs,
-                                  kind="fixed" if info.deriver is None else "derived")
-        return path
-
+        found, dest = True, scratch / f"{path.component}.{n}"
+        try:
+            with closing(blocks):
+                staged = Staged(dest, *carc.restore(blocks, dest))
+            actual = staged.output_hash
+        except (ParseError, transport.BrokenFetch) as e:
+            actual = f"an unreadable archive ({e})"
+        if actual == info.output_hash and info.store_path == path.component:
+            return info, staged
+        print(f"cache {cache} serves corrupt archive for {path.component} "
+              f"(expected {info.output_hash}, got {actual}); skipping",
+              file=sys.stderr)
+        corrupt = True
     if found and corrupt:
         raise AllProvidersCorrupt(path.component)
     raise SubstituteNotFound(path.component)
+
+
+def fetch_substitute(path: StorePath, caches, store: Store) -> StorePath:
+    """Install a pre-built item, and the references the store lacks, each
+    from the first cache that serves it honestly.
+
+    One post-order walk over references (store.postorder) restores each
+    served archive under one scratch directory of <store>/tmp, hashing it
+    in the same pass, and registers each item after its references, so the
+    store never dangles.  A reference that no cache serves fails the whole
+    fetch, naming it (SubstituteNotFound or AllProvidersCorrupt), and so
+    does a reference cycle; either way nothing of the cycle is registered.
+    """
+    if store.get_record(path) is not None:
+        return path
+    fetched = {}  # StorePath -> (info, Staged tree, references)
+    with store.scratch() as scratch:
+        def missing_references(item):
+            info, staged = _restore(item, caches, scratch)
+            refs = [StorePath.from_component(store.root, c)
+                    for c in info.references if c != item.component]
+            fetched[item] = info, staged, refs
+            return [r for r in refs if store.get_record(r) is None]
+
+        try:
+            for item in postorder([path], missing_references):
+                info, staged, refs = fetched.pop(item)
+                store.register_output(
+                    staged, item, deriver=info.deriver, references=refs,
+                    kind="fixed" if info.deriver is None else "derived")
+        except DependencyCycle as e:
+            raise SubstituteNotFound("reference cycle " + " -> ".join(
+                p.component for p in e.chain)) from None
+    return path
 
 
 class ChallengeEntry(NamedTuple):

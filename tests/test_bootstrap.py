@@ -4,6 +4,7 @@ import carc_model
 from microfold import derivation as d
 from microfold.bootstrap import audit_trust, register_seed
 from microfold.builder import build
+from microfold.channel import PackageDef
 from microfold.derivation import Derivation, derivation_hash
 from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile
@@ -42,6 +43,19 @@ def test_seed_built_closure_is_trusted(store, archive, toolchain, packages):
     assert report.total_seed_bytes == toolchain.size
     assert report.leaf_counts.get("seed") == 1
     assert report.leaf_counts.get("fixed", 0) >= 4  # one source per package
+
+
+def test_verdict_before_the_build_is_the_verdict_after(store, archive, toolchain,
+                                                      packages):
+    """Steps name their inputs' outputs; before the build those are not in
+    the store, but the derivations in the graph explain them."""
+    inst = Instantiator(packages, store=store, archive=archive)
+    for key in ("app-alpha@1.0", "python-scipy@1.6"):
+        drv = inst.instantiate(packages[key])
+        before = audit_trust(drv, store)
+        assert before.trusted, before.offending
+        build(drv, store, archive=archive)
+        assert audit_trust(drv, store) == before
 
 
 def test_seed_counted_once_across_diamond(store, archive, toolchain, packages):
@@ -87,6 +101,39 @@ def test_unknown_component_is_opaque(store):
     report = audit_trust(drv, store)
     assert not report.trusted
     assert ("ab" * 16 + "-phantom-1.0", "unknown-component") in report.offending
+
+
+def test_component_named_in_bytes_is_audited(store):
+    drv = Derivation(name="ghost", version="1", steps=[
+        d.write("run", b"#!/bin/sh\nexec ../" + b"ab" * 16 + b"-phantom-1.0/bin/tool\n"),
+    ])
+    report = audit_trust(drv, store)
+    assert not report.trusted
+    assert ("ab" * 16 + "-phantom-1.0", "unknown-component") in report.offending
+
+
+def test_verdict_does_not_depend_on_input_order(store, archive):
+    """r depends on a and b@V; a names the source that b declares.  Which
+    of a and b comes first in r's inputs depends on V's hash; the source is
+    explained by b whichever it is."""
+    orders = set()
+    for version in map(str, range(1, 10)):
+        source_label = f"b-{version}-source"
+        pkgs = {p.key: p for p in (
+            PackageDef(name="b", version=version, source=b"b's source\n",
+                       steps=[d.write("f", b"b")]),
+            PackageDef(name="a", version=version, steps=[]),
+            PackageDef(name="r", version=version, deps=["a", "b"],
+                       steps=[d.write("f", b"r")]))}
+        inst = Instantiator(pkgs, store=store, archive=archive)
+        source = inst.instantiate(pkgs[f"b@{version}"]).sources[0]
+        pkgs[f"a@{version}"].steps.append(d.mkdir(
+            f"share-{source.expected_hash.prefix}-{source_label}"))
+        root = inst.instantiate(pkgs[f"r@{version}"])
+        orders.add(tuple(i.label for i in root.inputs))
+        report = audit_trust(build(root, store, archive=archive), store)
+        assert report.trusted, (version, report.offending)
+    assert orders == {("a", "b"), ("b", "a")}
 
 
 def test_derived_without_deriver_is_opaque(store):

@@ -19,8 +19,9 @@ from microfold.cli import run_command
 from microfold.derivation import (Derivation, Step, canonical_serialize,
                                   derivation_hash)
 from microfold import derivation as d
-from microfold.store import Store
-from microfold.substitute import publish
+from microfold.errors import MicrofoldError
+from microfold.store import Store, StorePath
+from microfold.substitute import SubstituteInfo, fetch_substitute, publish
 
 from conftest import RANDOM_TOOL, fixture_packages, fixture_packages_v2, on_disk, seed_tree
 
@@ -405,6 +406,44 @@ def test_build_with_substitute_url(env, tmp_path, monkeypatch, capsys):
                         "--substitute-url", str(cache)]) == 0
     assert Store(tmp_path / "store2").verify_item(
         StorePath.from_component(tmp_path / "store2", comp)).ok
+
+
+def test_build_from_a_cache_that_lies_about_references(env, tmp_path, monkeypatch,
+                                                      capsys):
+    """A cache whose info files make two items, python and python-numpy,
+    reference each other: a fetch of either fails and registers nothing,
+    and `build --substitute-url` builds all three from source."""
+    assert run_command(["build", "python-scipy"]) == 0
+    store = Store(env["store"])
+    scipy = StorePath.from_component(
+        store.root, capsys.readouterr().out.strip().split("/")[-1])
+    cache = tmp_path / "cache"
+    for member in store.closure(scipy):
+        publish(store, member, cache)
+    by_label = {r.label: r for r in store.get_record(scipy).references}
+    python, numpy = by_label["python-3.9"], by_label["python-numpy-1.20"]
+    assert [r.component for r in store.get_record(numpy).references] == \
+        [python.component]
+    info_file = cache / "info" / python.digest_prefix
+    info = SubstituteInfo.parse(info_file.read_text())
+    info_file.write_text(info._replace(references=[numpy.component]).render())
+
+    fresh = Store(tmp_path / "store2")
+    for item in (python, numpy):
+        with pytest.raises(MicrofoldError):
+            fetch_substitute(StorePath.from_component(fresh.root, item.component),
+                             [cache], fresh)
+    assert fresh.list_records() == []
+
+    ran = []
+    real_run = builder.Builder._run
+    monkeypatch.setattr(builder.Builder, "_run", lambda self, drv, *args:
+                        ran.append(drv.label) or real_run(self, drv, *args))
+    monkeypatch.setenv("MICROFOLD_STORE", str(fresh.root))
+    assert run_command(["build", "python-scipy",
+                        "--substitute-url", str(cache)]) == 0
+    assert sorted(ran) == ["python-3.9", "python-numpy-1.20", "python-scipy-1.6"]
+    assert fresh.verify_item(StorePath.from_component(fresh.root, scipy.component)).ok
 
 
 def test_graph_output(env, capsys):

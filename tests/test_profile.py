@@ -13,6 +13,7 @@ from microfold import carc, profile as profile_mod
 from microfold import derivation as d
 from microfold.derivation import Derivation, derivation_hash
 from microfold.errors import ProfileCollision, UnknownGeneration
+from microfold.hashing import ContentHash
 from microfold.cli import run_command
 from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile, union_tree
@@ -48,6 +49,22 @@ def test_union_disjoint_trees(tmp_path):
     union = _union(tmp_path, [(_sp("00" * 16 + "-a"), a), (_sp("11" * 16 + "-b"), b)])
     assert set(union.entries["bin"].entries) == {"a", "b"}
     assert union.entries["share"].entries["doc"].data == b"d"
+
+
+def test_union_as_deep_as_an_archive_may_be(tmp_path):
+    """Two members that share a directory path 599 levels deep: the union
+    takes one frame per level, so it stays within the recursion limit."""
+    depth = carc.MAX_DEPTH - 1
+    members = []
+    for name in ("a", "b"):
+        path = tmp_path / name / "/".join(["d"] * depth)
+        path.mkdir(parents=True)
+        (path / name).write_bytes(name.encode())
+        members.append((_sp(name * 32 + "-" + name), tmp_path / name))
+    archive = b"carc1\n" + b"d\n1\n1\nd" * depth + b"d\n2\n1\naf\n1\na1\nbf\n1\nb"
+    assert union_tree(members, tmp_path / "union") == \
+        (ContentHash.of_bytes(archive), len(archive))
+    assert carc.hash_path(tmp_path / "union") == ContentHash.of_bytes(archive)
 
 
 def test_union_identical_files_collapse(tmp_path):

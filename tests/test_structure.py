@@ -1,5 +1,6 @@
 """One implementation per job: each of these calls lives in one module."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -46,3 +47,44 @@ def test_no_dataclasses():
     """Value types are NamedTuples or plain classes: generating dataclass
     methods at import would cost every command tens of milliseconds."""
     assert sorted(p.name for p in SRC.glob("*.py") if "dataclass" in p.read_text()) == []
+
+
+def _recursive_functions(source: str) -> set:
+    """The functions of a module (methods and nested functions too, by
+    name) that reach themselves by calling or naming functions of the
+    module (`self.f` or `cls.f` for a method)."""
+    defs = {}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs.setdefault(node.name, []).append(node)
+    uses = {name: {n.id if isinstance(n, ast.Name) else n.attr
+                   for fn in fns for n in ast.walk(fn)
+                   if isinstance(n, ast.Name) and n.id in defs
+                   or isinstance(n, ast.Attribute) and n.attr in defs
+                   and isinstance(n.value, ast.Name)
+                   and n.value.id in ("self", "cls")}
+            for name, fns in defs.items()}
+    found = set()
+    for name in defs:
+        reached, todo = set(), list(uses[name])
+        while todo:
+            n = todo.pop()
+            if n not in reached:
+                reached.add(n)
+                todo.extend(uses[n])
+        if name in reached:
+            found.add(name)
+    return found
+
+
+def test_graph_walks_keep_their_own_stack():
+    """A graph of any depth is walked with an explicit stack (store.postorder
+    or a worklist), never by recursion, and no module raises Python's
+    recursion limit.  The exceptions walk trees that carc.MAX_DEPTH bounds,
+    or, for unparse, forms whose shapes the program's writers fix."""
+    bounded = {"carc.walk", "carc.link", "profile._merge", "sexpr.unparse"}
+    recursive = {f"{p.stem}.{name}" for p in SRC.glob("*.py")
+                 for name in _recursive_functions(p.read_text())}
+    assert recursive == bounded
+    assert [p.name for p in SRC.glob("*.py")
+            if "setrecursionlimit" in p.read_text()] == []
