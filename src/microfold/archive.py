@@ -128,10 +128,7 @@ def fetch_source(ref, store, archive: Archive | None,
         if staged is None:
             legs.append(f"upstream {ref.url}: unavailable")
         elif staged.output_hash == ref.expected_hash:
-            path = store.add_fixed(staged, ref.label)
-            if ingest and not archive.has(ref.expected_hash):
-                archive.ingest(path.path, origin=ref.url)
-            return path
+            return store.add_fixed(staged, ref.label)
         else:
             mismatch = HashMismatch("upstream", ref.expected_hash,
                                     staged.output_hash)

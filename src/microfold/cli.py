@@ -30,14 +30,6 @@ EXIT_USER = 1
 EXIT_VERIFY = 2
 EXIT_ENV = 3
 
-_USER_ERRORS = (
-    errors.ParseError, errors.InvalidLabel, errors.InvalidHash,
-    errors.UnknownPackage, errors.UnknownVersion,
-    errors.UnknownGeneration, errors.UnknownRevision, errors.UnknownParent,
-    errors.DuplicatePackage, errors.DependencyCycle, errors.ReplacementCycle,
-    errors.NoHead, errors.InvariantViolation, errors.ProfileCollision,
-    errors.EscapedClosure, errors.DanglingReference,
-)
 _VERIFY_ERRORS = (
     errors.HashMismatch, errors.StoreCorruption, errors.CorruptRevision,
     errors.CorruptItem, errors.AllProvidersCorrupt, errors.OutputCollision,
@@ -49,12 +41,11 @@ _ENV_ERRORS = (
 
 
 def classify(exc) -> int:
+    """Exit code for exc: a MicrofoldError in neither tuple is a user error (none is an OSError)."""
     if isinstance(exc, _VERIFY_ERRORS):
         return EXIT_VERIFY
     if isinstance(exc, _ENV_ERRORS):
         return EXIT_ENV
-    if isinstance(exc, _USER_ERRORS):
-        return EXIT_USER
     if isinstance(exc, OSError):
         return EXIT_ENV
     return EXIT_USER

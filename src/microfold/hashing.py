@@ -36,10 +36,6 @@ class ContentHash:
     def of_bytes(cls, data: bytes) -> "ContentHash":
         return cls(hashlib.sha256(data).hexdigest())
 
-    @classmethod
-    def parse(cls, text: str) -> "ContentHash":
-        return cls(text)
-
     @property
     def prefix(self) -> str:
         return self.hex[:PREFIX_LEN]

@@ -1,15 +1,15 @@
 """Profiles: materialized unions of built packages, with generations.
 
-A generation is an append-only snapshot: the union tree (a store item whose
-references are the member outputs) plus enough provenance (pin text,
-manifest text, resolved hashes) to replay it bit-for-bit.  The union's
-files are hard links to its members' files, and a generation's `tree` is
-hard links to the union's (copies where linking fails, see carc.link), so
-an edit made there edits the items, and `verify` reports them.  The active
-generation is a mutable pointer; rollback just moves the pointer.
+A generation is an append-only snapshot: the union tree (a store item named
+by the member outputs it references, so shared across profiles) plus enough
+provenance (pin text, manifest text, resolved hashes) to replay it exactly.
+The union's files are hard links to its members' files, and a generation's
+`tree` is hard links to the union's (copies where linking fails, see
+carc.link), so an edit made there edits the items, and `verify` reports
+them.  The active generation is a mutable pointer; rollback just moves it.
 
 On disk: <profile>/generations/<n>/{tree, channels.scm, manifest.scm,
-hashes.txt, created.txt}, <profile>/current (the active number).
+hashes.txt, store-path, created.txt}, <profile>/current (the active number).
 """
 
 from __future__ import annotations
@@ -105,11 +105,7 @@ class Profile:
         (self.root / "generations").mkdir(parents=True, exist_ok=True)
 
     def generation_numbers(self) -> list:
-        out = []
-        for entry in (self.root / "generations").iterdir():
-            if entry.name.isdigit():
-                out.append(int(entry.name))
-        return sorted(out)
+        return sorted(int(n) for n in os.listdir(self.root / "generations") if n.isdigit())
 
     def current(self) -> int | None:
         cur = self.root / "current"
@@ -138,28 +134,27 @@ def build_profile(derivations, store: Store, profile: Profile, *,
     whose bytes the store holds, in one schedule; materialize the union,
     append a generation.
 
-    A union is written once, into the store, and reused by a later build
-    of the same members (in any order or repeat; members are write-once):
-    generations are scanned newest first for a profile item that fits.
+    The union is named by its members, as a build output by its derivation:
+    the SHA-256 of the sorted, distinct member components, one per line.  So
+    a later build of the same members (in any order, into any profile) finds
+    it with one record read.  The profile lock guards only the generation.
     """
     builder = Builder(store, archive=archive, options=options)
     member_paths = builder.build_all(derivations)
     hashes = [(drv.label, drv_hash.hex, store.get_record(sp).output_hash.hex)
               for (drv, drv_hash), sp in zip(derivations, member_paths)]
 
+    members = sorted({sp.component for sp in member_paths})
+    key = ContentHash.of_bytes("".join(c + "\n" for c in members).encode())
+    union_path = StorePath(store.root, key.prefix, "profile")
+    if store.get_record(union_path) is None:
+        with store.scratch() as scratch:
+            staged = Staged(scratch / "union", *union_tree(
+                [(sp, sp.path) for sp in member_paths], scratch / "union"))
+            store.register_output(staged, union_path, deriver=None,
+                                  references=member_paths, kind="fixed")
     with locked(profile.root / "lock"):
         numbers = profile.generation_numbers()
-        for n in reversed(numbers):
-            rec = store.get_record(profile.generation_store_component(n))
-            if rec and rec.path.label == "profile" and rec.kind == "fixed" \
-                    and set(rec.references) == set(member_paths):
-                union_path = rec.path
-                break
-        else:
-            with store.scratch() as scratch:
-                staged = Staged(scratch / "union", *union_tree(
-                    [(sp, sp.path) for sp in member_paths], scratch / "union"))
-                union_path = store.add_fixed(staged, "profile", references=member_paths)
         number = (numbers[-1] + 1) if numbers else 1
         gen_dir = profile.generation_dir(number)
         tmp = gen_dir.with_suffix(".tmp")

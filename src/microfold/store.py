@@ -19,6 +19,10 @@ item directory with no record, left by an insert that crashed before its
 record landed, is re-hashed by the next insert: adopted if it matches,
 removed otherwise.
 
+A profile union is the one `fixed` item named by its members, not by its
+content (profile.build_profile); `bootstrap.audit_trust` still reads a fixed
+item with references as a union.
+
 `seeds()` reads only the records that `db/seeds` names.  A seed's entry is
 written, under `locks/seeds.lock`, before its record, so every committed
 seed record is listed; an entry with no seed record behind it is skipped.

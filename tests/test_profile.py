@@ -405,6 +405,30 @@ def test_an_older_generation_union_is_found(store, profile, unions):
     assert (profile.generation_dir(3) / "tree/f").read_bytes() == b"one"
 
 
+def test_members_with_identical_outputs_get_their_own_union(store, profile, unions):
+    """A union is named by its members, so a union byte-identical to another
+    member set's still references its own members."""
+    a, b = _drv("a", {"f": b"same"}), _drv("b", {"f": b"same"})
+    g1 = build_profile([a], store, profile)
+    g2 = build_profile([b], store, profile)
+    rec1, rec2 = store.get_record(g1.profile_tree), store.get_record(g2.profile_tree)
+    assert rec1.output_hash == rec2.output_hash
+    assert [r.label for r in rec2.references] == ["b-1"]
+    labels = {p.label for p in store.closure(g2.profile_tree)}
+    assert "b-1" in labels and "a-1" not in labels
+    g3 = build_profile([b], store, profile)
+    assert len(unions) == 2 and g3.profile_tree == g2.profile_tree
+
+
+def test_profiles_with_the_same_members_share_one_union(store, tmp_path, unions):
+    p1, p2 = Profile(tmp_path / "p1"), Profile(tmp_path / "p2")
+    g1 = build_profile([A1, B1], store, p1)
+    g2 = build_profile([B1, A1], store, p2)
+    assert len(unions) == 1
+    assert p1.generation_store_component(1) == p2.generation_store_component(1) \
+        == g1.profile_tree.component == g2.profile_tree.component
+
+
 def test_tree_is_a_copy_where_links_fail(store, profile, monkeypatch):
     def cross_device(*args, **kwargs):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
