@@ -33,7 +33,7 @@ class Archive:
         way, and renamed."""
         try:
             if isinstance(content, bytes):
-                data = carc.MAGIC + carc.file_header(len(content)) + content
+                data = carc.file_archive(content)
                 content_hash = ContentHash.of_bytes(data)
                 if not self.has(content_hash):
                     write_atomic(self.root / "carc" / content_hash.hex, data)

@@ -4,7 +4,8 @@ A closure is trusted when every leaf of its provenance graph is either an
 explicitly registered seed or a source declared (with its content hash) by
 some derivation in the graph.  Anything else -- a binary that appeared in
 the store with no recorded origin -- is opaque, and so is everything built
-on top of it.
+on top of it.  The audit starts from a store path or from a derivation hash
+whose bytes the store holds, and reads every derivation by its hash.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .derivation import Derivation, derivation_hash, load_derivation
+from .derivation import load_derivation
 from .errors import DanglingReference
 from .store import Store, StorePath
 
@@ -57,8 +58,8 @@ class AuditReport(NamedTuple):
 
 
 def audit_trust(root, store: Store) -> AuditReport:
-    """Audit a store path, a derivation, or the hash of a derivation in the
-    store against the opacity criterion.
+    """Audit a store path, or the hash of a derivation in the store, against
+    the opacity criterion.
 
     One pass collects the graph: derivations, through inputs and the
     derivers of derived items, and items: each derivation's output when the
@@ -71,8 +72,7 @@ def audit_trust(root, store: Store) -> AuditReport:
     not depend on the order in which the graph is met.  A derivation, its
     output and the output's deriver form a cycle: the pass is a plain
     worklist, not store.postorder."""
-    drvs = {derivation_hash(root): root} if isinstance(root, Derivation) else {}
-    seen, todo = set(), list(drvs) or [root]  # derivation hashes, StorePaths
+    seen, todo = set(), [root]  # derivation hashes, StorePaths
     sourced, outputs, fixed, absent = set(), set(), set(), set()
     seeds, offending = {}, set()
     while todo:
@@ -99,7 +99,7 @@ def audit_trust(root, store: Store) -> AuditReport:
                 except DanglingReference:
                     offending.add((node.component, "deriver-derivation-missing"))
             continue
-        drv = drvs.get(node) or load_derivation(store, node)
+        drv = load_derivation(store, node)
         sourced.update(f"{s.expected_hash.prefix}-{s.label}" for s in drv.sources)
         todo.extend(i.derivation_hash for i in drv.inputs)
         output = StorePath(store.root, node.prefix, drv.label)

@@ -1,11 +1,14 @@
 """Hermetic execution of derivations.
 
+A derivation is built by its hash, whose bytes the store holds
+(`Builder.build`); only the helper `build` takes a `Derivation`, and it
+registers it first.
+
 Each build runs in a fresh scratch directory under <store>/tmp.  Its exec
-steps get a scrubbed environment: exactly PATH (the inputs' bin dirs in
-canonical order, by derivation hash as canonical_serialize lists them; the
-hash leads each input's store path component), SOURCE_DATE_EPOCH=1, TZ=UTC,
-LC_ALL=C and HOME pointing into the scratch, plus the derivation's own
-declared env.  Steps only see the output tree under construction, the
+steps get a scrubbed environment: exactly PATH (the inputs' bin dirs, in
+the canonical order of the derivation's inputs, by hash), SOURCE_DATE_EPOCH=1,
+TZ=UTC, LC_ALL=C and HOME pointing into the scratch, plus the derivation's
+own declared env.  Steps only see the output tree under construction, the
 fetched sources, and store items addressed by digest-prefixed component.
 
 Isolation is contractual, not kernel-enforced: the step language cannot
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 from . import carc
 from .archive import fetch_source
-from .derivation import Derivation, canonical_serialize, load_derivation
+from .derivation import Derivation, load_derivation, register_derivation
 from .errors import EscapedClosure, MicrofoldError, StepFailure
 from .hashing import PREFIX_LEN, ContentHash
 from .store import Staged, Store, StorePath, postorder
@@ -76,40 +79,28 @@ class Builder:
 
     # -- public entry ------------------------------------------------------
 
-    def build(self, drv: Derivation, drv_hash=None) -> StorePath:
-        """Build drv and the inputs the store lacks.  drv_hash, if given,
-        names the bytes the store holds for drv, else they are serialized
-        and registered here."""
-        if drv_hash is None:
-            data = canonical_serialize(drv)
-            drv_hash = ContentHash.of_bytes(data)
-            self.store.put_derivation(drv_hash, data)
-        return self.build_all([(drv, drv_hash)])[0]
-
-    def build_all(self, roots) -> list:
-        """Build each (drv, drv_hash) of roots, whose bytes the store holds,
-        and the inputs the store lacks, in one schedule: planned by one walk
-        of the graph on this thread (_plan), then run (_schedule).  Their
-        store paths, in order."""
-        paths, todo = self._plan(roots)
+    def build(self, drv_hashes) -> list:
+        """Build each derivation that drv_hashes name, whose bytes the store
+        holds, and the inputs the store lacks, in one schedule: planned by
+        one walk of the graph on this thread (_plan), then run (_schedule).
+        Their store paths, in order."""
+        paths, todo = self._plan(drv_hashes)
         if todo:
             self._schedule(todo)
-        return [paths[drv_hash] for _, drv_hash in roots]
+        return [paths[drv_hash] for drv_hash in drv_hashes]
 
     # -- scheduling --------------------------------------------------------
 
-    def _plan(self, roots):
-        """The store path of every derivation that roots reach, and what to
-        build, as drv_hash -> the arguments of _run: each derivation the
-        store lacks and no cache installs, after its inputs, in the order
-        of one post-order walk of drv.inputs (store.postorder).  The inputs
-        of a derivation that is not built are not walked."""
-        drvs = {drv_hash: drv for drv, drv_hash in roots}
-        paths, needed, todo = {}, set(), {}
+    def _plan(self, drv_hashes):
+        """The store path of every derivation that drv_hashes reach, and
+        what to build, as drv_hash -> the arguments of _run: each derivation
+        the store lacks and no cache installs, after its inputs, in the
+        order of one post-order walk of drv.inputs (store.postorder).  The
+        inputs of a derivation that is not built are not walked."""
+        paths, needed, todo = {}, {}, {}
 
         def inputs(drv_hash):
-            drv = drvs[drv_hash] = (drvs.get(drv_hash)
-                                    or load_derivation(self.store, drv_hash))
+            drv = load_derivation(self.store, drv_hash)
             target = paths[drv_hash] = StorePath(self.store.root, drv_hash.prefix,
                                                  drv.label)
             if self.store.get_record(target) is not None:
@@ -121,12 +112,11 @@ class Builder:
                     return ()
                 except MicrofoldError:
                     pass  # fall back to building from source
-            needed.add(drv_hash)
+            needed[drv_hash] = drv
             return [i.derivation_hash for i in drv.inputs]
 
-        for drv_hash in postorder(list(drvs), inputs):
-            if drv_hash in needed:
-                drv = drvs[drv_hash]
+        for drv_hash in postorder(drv_hashes, inputs):
+            if (drv := needed.get(drv_hash)) is not None:
                 todo[drv_hash] = (drv, drv_hash, paths[drv_hash],
                                   [paths[i.derivation_hash] for i in drv.inputs])
         return paths, todo
@@ -214,11 +204,10 @@ class Builder:
 
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
              input_paths) -> StorePath:
-        sources = sorted(drv.sources, key=lambda s: s.expected_hash.hex)
         source_paths = [fetch_source(src, self.store, self.archive,
                                      archive_fallback=self.options.archive_fallback)
-                        for src in sources]
-        roots, items = self._roots(sources, source_paths, input_paths)
+                        for src in drv.sources]
+        roots, items = self._roots(drv.sources, source_paths, input_paths)
         with self.store.scratch() as scratch:
             out = scratch / "out"
             out.mkdir()
@@ -233,8 +222,7 @@ class Builder:
                     link = scratch / root_name
                     if not link.exists() and not link.is_symlink():
                         link.symlink_to(root_dir)
-                env = {"PATH": ":".join(str(isp.path / "bin") for isp in
-                                        sorted(input_paths, key=lambda p: p.component)),
+                env = {"PATH": ":".join(str(isp.path / "bin") for isp in input_paths),
                        "SOURCE_DATE_EPOCH": "1", "TZ": "UTC", "LC_ALL": "C",
                        "HOME": str(scratch / "homeless")} | drv.env
             for index, step in enumerate(drv.steps):
@@ -360,34 +348,35 @@ def _hash_and_scan(out: Path, candidates: dict) -> tuple[Staged, list]:
 
 def build(drv: Derivation, store: Store, *, archive=None,
           options: BuildOptions | None = None) -> StorePath:
-    return Builder(store, archive=archive, options=options).build(drv)
+    """Register drv in the store (register_derivation), then build it."""
+    return Builder(store, archive=archive, options=options).build(
+        [register_derivation(store, drv)])[0]
 
 
-def rebuild_output_hash(drv: Derivation, store: Store, drv_hash=None, *,
-                        archive=None, options: BuildOptions | None = None) -> str:
-    """drv's output hash (hex) from a build into a scratch store, removed
-    afterwards.  It reads the main store's seeds, sources and derivations
-    in place (drv_hash, if given, names drv's bytes there; see
-    Builder.build) but rebuilds every derived item; the main store is never
-    written to, so a nondeterministic derivation cannot pollute it."""
+def rebuild_output_hash(drv_hash: ContentHash, store: Store, *, archive=None,
+                        options: BuildOptions | None = None) -> str:
+    """The output hash (hex) of the derivation that drv_hash names, from a
+    build into a scratch store, removed afterwards.  It reads the main
+    store's seeds, sources and derivations in place but rebuilds every
+    derived item; the main store is never written to, so a
+    nondeterministic derivation cannot pollute it."""
     scratch_root = tempfile.mkdtemp(prefix="microfold-rebuild-")
     try:
         scratch_store = Store(scratch_root, base=store)
-        path = Builder(scratch_store, archive=archive, options=options).build(drv, drv_hash)
+        [path] = Builder(scratch_store, archive=archive, options=options).build([drv_hash])
         return scratch_store.get_record(path).output_hash.hex
     finally:
         shutil.rmtree(scratch_root, ignore_errors=True)
 
 
-def check_rebuild(drv: Derivation, store: Store, rounds: int = 2, *,
-                  drv_hash=None, archive=None,
-                  options: BuildOptions | None = None) -> RebuildReport:
-    """Rebuild drv `rounds` times, each in a fresh scratch store, and
-    compare the output hashes (drv_hash: see rebuild_output_hash)."""
+def check_rebuild(drv_hash: ContentHash, store: Store, rounds: int = 2, *,
+                  archive=None, options: BuildOptions | None = None) -> RebuildReport:
+    """Rebuild the derivation that drv_hash names `rounds` times, each in a
+    fresh scratch store, and compare the output hashes."""
     if rounds < 2:
         raise ValueError("rounds must be >= 2")
-    results = [RoundResult(rnd, rebuild_output_hash(drv, store, drv_hash,
-                                                    archive=archive, options=options))
+    results = [RoundResult(rnd, rebuild_output_hash(drv_hash, store, archive=archive,
+                                                    options=options))
                for rnd in range(1, rounds + 1)]
     deterministic = len({r.output_hash for r in results}) == 1
     return RebuildReport(rounds=results, deterministic=deterministic)

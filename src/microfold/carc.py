@@ -52,6 +52,11 @@ def file_header(size: int, executable=False) -> bytes:
     return (b"x\n%d\n" if executable else b"f\n%d\n") % size
 
 
+def file_archive(data: bytes) -> bytes:
+    """The archive of one regular file that holds data."""
+    return MAGIC + file_header(len(data)) + data
+
+
 # Streaming from disk.
 
 # Files are written (and read) through raw descriptors, never through a

@@ -121,10 +121,8 @@ def parse_revision(data: bytes) -> ChannelRevision:
     with _channel_object("revision"):
         fields = sexpr.read_fields(sexpr.parse_one(data), "revision", _REVISION_FIELDS)
         parent = fields["parent"]
-        tree = {}
-        for entry in fields["tree"]:
-            key, digest = sexpr.read_items(entry, str, Sym)
-            tree[key] = ContentHash(digest.name)
+        tree = {key: ContentHash(digest.name)
+                for key, digest in sexpr.read_map(fields["tree"], str, Sym).items()}
         return ChannelRevision(
             id=ContentHash.of_bytes(data),
             parent=None if parent == Sym("nil") else ContentHash(parent.name),

@@ -18,12 +18,12 @@ from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, parse_pin, render_pin
-from .derivation import load_derivation, parse_derivation
+from .derivation import load_derivation, parse_derivation, register_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
-from .manifest import Instantiator, Manifest, Spec, parse_manifest, parse_spec, resolve_spec
+from .manifest import Instantiator, parse_manifest, parse_spec, resolve_spec
 from .profile import Profile, build_profile
-from .store import Store, StorePath
+from .store import Store, StorePath, postorder
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -103,43 +103,38 @@ def _build_options(args) -> BuildOptions:
     )
 
 
-def _instantiate_spec(ctx: Context, spec_text: str):
-    """The derivation of a spec and its hash, which names its bytes in the store."""
+def _instantiate(ctx: Context, specs) -> list:
+    """The derivation hashes of specs, each resolved before any is
+    instantiated; the store holds their bytes."""
     packages = ctx.packages()
-    pkg = resolve_spec(parse_spec(spec_text), packages)
+    pkgs = [resolve_spec(spec, packages) for spec in specs]
     inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
-    return inst.instantiate(pkg), inst.hashes[pkg.key]
+    return [inst.instantiate(pkg) for pkg in pkgs]
 
 
 def cmd_build(ctx: Context, args) -> int:
     target = args.target
-    if Path(target).is_file():  # its bytes are not in the store: build() puts them
-        drv = parse_derivation(Path(target).read_bytes())
-        drv_hash = None
-        ctx.store  # ensure store exists
+    if Path(target).is_file():
+        drv_hash = register_derivation(ctx.store, parse_derivation(Path(target).read_bytes()))
     else:
-        drv, drv_hash = _instantiate_spec(ctx, target)
+        [drv_hash] = _instantiate(ctx, [parse_spec(target)])
     if args.check:
-        report = check_rebuild(drv, ctx.store, rounds=args.check, drv_hash=drv_hash,
+        report = check_rebuild(drv_hash, ctx.store, rounds=args.check,
                                archive=ctx.archive, options=_build_options(args))
         for rnd in report.rounds:
             print(f"round {rnd.round}: {rnd.output_hash}")
         print("deterministic" if report.deterministic else "nondeterministic")
         return EXIT_OK if report.deterministic else EXIT_VERIFY
     builder = Builder(ctx.store, archive=ctx.archive, options=_build_options(args))
-    path = builder.build(drv, drv_hash)
-    print(path.path)
+    print(builder.build([drv_hash])[0].path)
     return EXIT_OK
 
 
 def cmd_package(ctx: Context, args) -> int:
     manifest_text = Path(args.manifest).read_text()
     manifest = parse_manifest(manifest_text)
-    packages = ctx.packages()
-    inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
-    pkgs = [resolve_spec(s, packages) for s in manifest.specs]
-    derivs = [(inst.instantiate(pkg), inst.hashes[pkg.key]) for pkg in pkgs]
-    gen = build_profile(derivs, ctx.store, Profile(args.profile or ctx.default_profile),
+    gen = build_profile(_instantiate(ctx, manifest.specs), ctx.store,
+                        Profile(args.profile or ctx.default_profile),
                         archive=ctx.archive, options=_build_options(args),
                         pin_text=ctx.pin_text(), manifest_text=manifest_text)
     print(f"generation {gen.number}")
@@ -161,13 +156,9 @@ def cmd_pull(ctx: Context, args) -> int:
 
 def cmd_describe(ctx: Context, args) -> int:
     repo = ctx.repo
-    if args.format == "channels":
-        sys.stdout.write(repo.describe_pin())
-    elif args.format is None:
-        sys.stdout.write(repo.describe_human())
-    else:
-        print(f"unknown describe format: {args.format}", file=sys.stderr)
-        return EXIT_USER
+    # -f has choices=["channels"]: argparse rejects any other format
+    sys.stdout.write(repo.describe_pin() if args.format == "channels"
+                     else repo.describe_human())
     return EXIT_OK
 
 
@@ -193,15 +184,11 @@ def cmd_time_machine(ctx: Context, args) -> int:
 def cmd_challenge(ctx: Context, args) -> int:
     from .substitute import challenge as run_challenge
     store = ctx.store
-    packages = ctx.packages()
-    inst = Instantiator(packages, store=store, archive=ctx.archive)
-    paths, derivations = [], {}
-    for spec_text in args.specs:
-        pkg = resolve_spec(parse_spec(spec_text), packages)
-        drv, drv_hash = inst.instantiate(pkg), inst.hashes[pkg.key]
-        sp = StorePath(store.root, drv_hash.prefix, drv.label)
+    paths, derivations = [], {}  # derivations: component -> derivation hash
+    for drv_hash in _instantiate(ctx, map(parse_spec, args.specs)):
+        sp = StorePath(store.root, drv_hash.prefix, load_derivation(store, drv_hash).label)
         paths.append(sp)
-        derivations[sp.component] = (drv, drv_hash)
+        derivations[sp.component] = drv_hash
     report = run_challenge(paths, args.substitute_url or [], store,
                            rebuild=args.rebuild, derivations=derivations,
                            archive=ctx.archive)
@@ -210,18 +197,16 @@ def cmd_challenge(ctx: Context, args) -> int:
 
 
 def cmd_graph(ctx: Context, args) -> int:
-    _, root = _instantiate_spec(ctx, args.spec)
-    labels, links, todo = {}, set(), [root]  # derivation hash -> node label
-    while todo:
-        drv_hash = todo.pop()
-        if drv_hash not in labels:
-            drv = load_derivation(ctx.store, drv_hash)  # the instantiator's object
-            labels[drv_hash] = f"{drv.label}\\n{drv_hash.hex[:12]}"
-            for inp in drv.inputs:
-                links.add((drv_hash, inp.derivation_hash))
-                todo.append(inp.derivation_hash)
+    labels, edges = {}, set()  # derivation hash -> node label
+
+    def inputs(drv_hash):
+        return [i.derivation_hash for i in load_derivation(ctx.store, drv_hash).inputs]
+
+    for drv_hash in postorder(_instantiate(ctx, [parse_spec(args.spec)]), inputs):
+        drv = load_derivation(ctx.store, drv_hash)  # the instantiator's object
+        labels[drv_hash] = f"{drv.label}\\n{drv_hash.hex[:12]}"
+        edges.update((labels[drv_hash], labels[i.derivation_hash]) for i in drv.inputs)
     nodes = set(labels.values())
-    edges = {(labels[a], labels[b]) for a, b in links}
     if args.dot:
         print("digraph microfold {")
         for node in sorted(nodes):
@@ -268,7 +253,7 @@ def cmd_seed(ctx: Context, args) -> int:
         root = StorePath.from_component(store.root, target)
         report = audit_trust(root, store)
     else:
-        report = audit_trust(_instantiate_spec(ctx, target)[1], store)
+        report = audit_trust(_instantiate(ctx, [parse_spec(target)])[0], store)
     sys.stdout.write(report.render())
     return EXIT_OK if report.trusted else EXIT_VERIFY
 

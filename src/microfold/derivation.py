@@ -11,6 +11,11 @@ of `write` and `substitute` as they are), and read back by `sexpr.parse_one`
 and `sexpr.read_fields`.  Input references embed the inputs' derivation
 hashes, so any change anywhere in the dependency graph changes every
 downstream hash.
+
+A `Derivation` keeps sources and inputs in hash order and env in key order,
+so it equals the one its bytes parse to.  It enters the store one way,
+`register_derivation`, and then travels as its hash: every layer gets it
+back by `load_derivation`.
 """
 
 from __future__ import annotations
@@ -106,10 +111,10 @@ class Derivation:
                  inputs: list | None = None, steps: list | None = None,
                  env: dict | None = None, system: str = SYSTEM):
         self.name, self.version, self.system = name, version, system
-        self.sources = [] if sources is None else sources
-        self.inputs = [] if inputs is None else inputs
+        self.sources = sorted(sources or (), key=lambda s: s.expected_hash.hex)
+        self.inputs = sorted(inputs or (), key=lambda i: i.derivation_hash.hex)
         self.steps = [] if steps is None else steps
-        self.env = {} if env is None else env
+        self.env = dict(sorted((env or {}).items()))
 
     def __eq__(self, other):
         return type(other) is Derivation and vars(self) == vars(other)
@@ -139,11 +144,8 @@ class Derivation:
 
 
 def canonical_serialize(drv: Derivation) -> bytes:
-    """Render the derivation's identity bytes.
-
-    Field order is fixed; sources, inputs, and env are sorted so equal
-    derivations built in any insertion order serialize identically.
-    """
+    """Render the derivation's identity bytes: fixed field order, and
+    sources, inputs and env in the order the Derivation keeps them."""
     drv.validate()
     return sexpr.encode([
         Sym("derivation"),
@@ -151,11 +153,11 @@ def canonical_serialize(drv: Derivation) -> bytes:
         [Sym("version"), drv.version],
         [Sym("system"), drv.system],
         [Sym("sources"), *([Sym("source"), s.url, Sym(s.expected_hash.hex), s.label]
-                           for s in sorted(drv.sources, key=lambda s: s.expected_hash.hex))],
+                           for s in drv.sources)],
         [Sym("inputs"), *([Sym("input"), Sym(i.derivation_hash.hex), i.label]
-                          for i in sorted(drv.inputs, key=lambda i: i.derivation_hash.hex))],
+                          for i in drv.inputs)],
         [Sym("steps"), *([Sym(s.op), *s.args] for s in drv.steps)],
-        [Sym("env"), *sorted(drv.env.items())],
+        [Sym("env"), *drv.env.items()],
     ])
 
 
@@ -163,7 +165,18 @@ def derivation_hash(drv: Derivation) -> ContentHash:
     return ContentHash.of_bytes(canonical_serialize(drv))
 
 
-# -- parsing (for drv files fed to the CLI and for trust audits) ----------
+def register_derivation(store, drv: Derivation) -> ContentHash:
+    """Put drv's bytes in the store and drv in its memo, unless one is
+    there, so that load_derivation gives it back without a parse (drv must
+    not change afterwards); drv's hash."""
+    data = canonical_serialize(drv)
+    drv_hash = ContentHash.of_bytes(data)
+    store.put_derivation(drv_hash, data)
+    store.derivations.setdefault(drv_hash.hex, drv)
+    return drv_hash
+
+
+# -- parsing (load_derivation, and drv files fed to the CLI) ---------------
 
 _FIELDS = {"name": str, "version": str, "system": str, "sources": [list],
            "inputs": [list], "steps": [list], "env": [list]}
@@ -195,7 +208,7 @@ def parse_derivation(text) -> Derivation:
     drv = Derivation(name=fields["name"], version=fields["version"],
                      system=fields["system"], sources=sources, inputs=inputs,
                      steps=[_parse_step(s) for s in fields["steps"]],
-                     env=dict(sexpr.read_items(e, str, str) for e in fields["env"]))
+                     env=sexpr.read_map(fields["env"], str, str))
     drv.validate()
     return drv
 

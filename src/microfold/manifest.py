@@ -7,7 +7,8 @@ A manifest is the closed s-expression form
 with ';' line comments.  Resolution picks package definitions out of a
 revision's package set; instantiation lowers them and their dependencies to
 derivations whose hashes pin the whole graph, in one walk that keeps its own
-stack (store.postorder), so a dependency chain may be of any depth.
+stack (store.postorder), so a dependency chain may be of any depth.  Each
+derivation enters the store as it is made, and is named by its hash.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import NamedTuple
 from . import sexpr
 from .channel import PackageDef
 from .derivation import (Derivation, InputRef, SourceRef, Step,
-                         canonical_serialize)
+                         register_derivation)
 from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
                      ParseError, ReplacementCycle, UnknownPackage,
                      UnknownVersion, UnsupportedForm)
@@ -114,25 +115,23 @@ def resolve(manifest: Manifest, packages: dict) -> list:
 # -- instantiation ---------------------------------------------------------
 
 class Instantiator:
-    """Lower package definitions to derivations, memoized per package set.
+    """Lower package definitions to derivations in a store, memoized per
+    package set; a derivation is named by its hash from then on.
 
     Symbolic references in step strings:
       {name}        -> the dependency's output store path component
       {seed:LABEL}  -> the registered seed's store path component
     """
 
-    def __init__(self, packages: dict, *, store=None, archive=None):
+    def __init__(self, packages: dict, *, store, archive=None):
         self.named = {}  # name -> {key: definition}, for resolve_spec
         for pkg in packages.values():
             self.named.setdefault(pkg.name, {})[pkg.key] = pkg
         self.store = store
         self.archive = archive
-        self.by_key = {}
         self.hashes = {}  # package key -> derivation hash
 
     def _seed_component(self, label: str) -> str:
-        if self.store is None:
-            raise UnknownPackage(f"seed {label!r} (no store configured)")
         for rec in self.store.seeds():
             if rec.path.label == label:
                 return rec.path.component
@@ -149,14 +148,15 @@ class Instantiator:
             out = out[:start] + self._seed_component(label) + out[end + 1:]
         return out
 
-    def instantiate(self, pkg: PackageDef) -> Derivation:
-        """pkg's derivation.  One post-order walk (store.postorder) lowers
-        each dependency the package set resolves, once, before the packages
-        that depend on it; a cycle raises DependencyCycle, naming them."""
+    def instantiate(self, pkg: PackageDef) -> ContentHash:
+        """The hash of pkg's derivation, whose bytes the store holds.  One
+        post-order walk (store.postorder) lowers each dependency the package
+        set resolves, once, before the packages that depend on it; a cycle
+        raises DependencyCycle, naming them."""
         defs, deps = {pkg.key: pkg}, {}  # key -> its dependencies' definitions
 
         def resolved(key):
-            if key in self.by_key:
+            if key in self.hashes:
                 return ()
             deps[key] = [resolve_spec(spec, self.named.get(spec.name, {}))
                          for spec in map(parse_spec, defs[key].deps)]
@@ -169,26 +169,23 @@ class Instantiator:
                     self._lower(defs[key], deps.pop(key))
         except DependencyCycle as e:
             raise DependencyCycle([defs[key].name for key in e.chain]) from None
-        return self.by_key[pkg.key]
+        return self.hashes[pkg.key]
 
     def _lower(self, pkg: PackageDef, deps: list):
-        """Make pkg's derivation, whose dependencies deps are lowered."""
+        """Register pkg's derivation, whose dependencies deps are lowered."""
         inputs, mapping = [], {}
         for dep in deps:
             dep_hash = self.hashes[dep.key]
             inputs.append(InputRef(derivation_hash=dep_hash, label=dep.name))
-            mapping[dep.name] = f"{dep_hash.prefix}-{self.by_key[dep.key].label}"
+            mapping[dep.name] = f"{dep_hash.prefix}-{dep.name}-{dep.version}"
 
         sources = []
         if isinstance(pkg.source, SourceRef):
             sources.append(pkg.source)
             mapping.setdefault("src", pkg.source.label)
         elif isinstance(pkg.source, bytes):
-            if self.archive is not None:
-                content_hash = self.archive.ingest(pkg.source)
-            else:
-                content_hash = ContentHash.of_bytes(
-                    carc.MAGIC + carc.file_header(len(pkg.source)) + pkg.source)
+            content_hash = (self.archive.ingest(pkg.source) if self.archive is not None
+                            else ContentHash.of_bytes(carc.file_archive(pkg.source)))
             label = f"{pkg.name}-{pkg.version}-source"
             sources.append(SourceRef(url=f"archive://{content_hash.hex}",
                                      expected_hash=content_hash, label=label))
@@ -206,20 +203,12 @@ class Instantiator:
                     args.append(self._subst(a, mapping))
             steps.append(Step(step.op, tuple(args)))
 
-        # Inputs in canonical order, as parse_derivation gives them, so the
-        # store keeps this object as the parsed derivation (load_derivation).
-        drv = Derivation(name=pkg.name, version=pkg.version, sources=sources,
-                         inputs=sorted(inputs, key=lambda i: i.derivation_hash.hex),
-                         steps=steps)
-        data = canonical_serialize(drv)
-        self.hashes[pkg.key] = ContentHash.of_bytes(data)
-        if self.store is not None:
-            self.store.put_derivation(self.hashes[pkg.key], data)
-            self.store.derivations[self.hashes[pkg.key].hex] = drv
-        self.by_key[pkg.key] = drv
+        self.hashes[pkg.key] = register_derivation(self.store, Derivation(
+            name=pkg.name, version=pkg.version, sources=sources, inputs=inputs,
+            steps=steps))
 
 
-def instantiate(pkg: PackageDef, packages: dict, *, store=None, archive=None) -> Derivation:
+def instantiate(pkg: PackageDef, packages: dict, *, store, archive=None) -> ContentHash:
     return Instantiator(packages, store=store, archive=archive).instantiate(pkg)
 
 

@@ -3,10 +3,12 @@
 A generation is an append-only snapshot: the union tree (a store item named
 by the member outputs it references, so shared across profiles) plus enough
 provenance (pin text, manifest text, resolved hashes) to replay it exactly.
-The union's files are hard links to its members' files, and a generation's
-`tree` is hard links to the union's (copies where linking fails, see
-carc.link), so an edit made there edits the items, and `verify` reports
-them.  The active generation is a mutable pointer; rollback just moves it.
+Its members are built from derivation hashes whose bytes the store holds
+(`Builder.build`).  The union's files are hard links to its members' files,
+and a generation's `tree` is hard links to the union's (copies where linking
+fails, see carc.link), so an edit made there edits the items, and `verify`
+reports them.  The active generation is a mutable pointer; rollback just
+moves it.
 
 On disk: <profile>/generations/<n>/{tree, channels.scm, manifest.scm,
 hashes.txt, store-path, created.txt}, <profile>/current (the active number).
@@ -127,22 +129,20 @@ class Profile:
             return number
 
 
-def build_profile(derivations, store: Store, profile: Profile, *,
+def build_profile(drv_hashes, store: Store, profile: Profile, *,
                   archive=None, options: BuildOptions | None = None,
                   pin_text: str = "", manifest_text: str = "") -> Generation:
-    """Build every derivation, given as a list of (drv, drv_hash) pairs
-    whose bytes the store holds, in one schedule; materialize the union,
-    append a generation.
+    """Build every derivation that drv_hashes name, whose bytes the store
+    holds, in one schedule; materialize the union, append a generation.
 
     The union is named by its members, as a build output by its derivation:
     the SHA-256 of the sorted, distinct member components, one per line.  So
     a later build of the same members (in any order, into any profile) finds
     it with one record read.  The profile lock guards only the generation.
     """
-    builder = Builder(store, archive=archive, options=options)
-    member_paths = builder.build_all(derivations)
-    hashes = [(drv.label, drv_hash.hex, store.get_record(sp).output_hash.hex)
-              for (drv, drv_hash), sp in zip(derivations, member_paths)]
+    member_paths = Builder(store, archive=archive, options=options).build(drv_hashes)
+    hashes = [(sp.label, drv_hash.hex, store.get_record(sp).output_hash.hex)
+              for drv_hash, sp in zip(drv_hashes, member_paths)]
 
     members = sorted({sp.component for sp in member_paths})
     key = ContentHash.of_bytes("".join(c + "\n" for c in members).encode())

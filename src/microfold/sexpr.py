@@ -10,8 +10,9 @@ between tokens and quotes str and bytes (decoded with surrogateescape);
 hold each bytes string as it is.  `parse_all` keeps open lists on a stack,
 so no depth of nesting exhausts the interpreter's.  `read_fields` reads a
 record, `(head (key value ...) ...)`: the head is right, each field appears
-once, none is missing or unknown, and each value has its field's type.
-No error message renders a parsed form, which may be too deep to print.
+once, none is missing or unknown, and each value has its field's type;
+`read_map` reads (key value) pairs, each key once.  No error message
+renders a parsed form, which may be too deep to print.
 """
 
 from __future__ import annotations
@@ -143,6 +144,15 @@ def read_items(form, *kinds) -> list:
         shape = " ".join(k.name if type(k) is Sym else k.__name__ for k in kinds)
         raise ParseError(f"expected a ({shape}) form")
     return form
+
+
+def read_map(forms, key_kind, value_kind) -> dict:
+    """The (key value) forms, each read by read_items, as a dict; no key
+    may appear twice, so that one text names one mapping."""
+    pairs = dict(read_items(form, key_kind, value_kind) for form in forms)
+    if len(pairs) != len(forms):
+        raise ParseError("a key appears twice")
+    return pairs
 
 
 def quote_string(s: str) -> str:

@@ -3,7 +3,8 @@
 There are no signatures anywhere.  Integrity rests on content hashes: every
 archive fetched from a cache is re-hashed before registration, and the
 challenge operation compares hashes across independent providers (and
-optionally a fresh local rebuild) instead of trusting any of them.
+optionally a fresh local rebuild, from a derivation hash the store holds)
+instead of trusting any of them.
 
 Cache layout: <cache>/info/<digest_prefix> ("key: value" lines, keys
 sorted) and <cache>/carc/<digest_prefix> (raw CARC bytes).
@@ -205,7 +206,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
 
     Providers are the local store record, every cache (archives re-hashed,
     so a tampered archive shows up as a divergent value), and optionally a
-    fresh rebuild in a scratch store of the (drv, drv_hash) that
+    fresh rebuild in a scratch store of the derivation whose hash
     derivations maps a path's component to.  Unreachable providers simply
     do not contribute a value.
     """
@@ -230,9 +231,8 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
             elif (info := _provider_info(cache, path.digest_prefix)) is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:
-            drv, drv_hash = derivations[path.component]
             values.append(("rebuild", rebuild_output_hash(
-                drv, store, drv_hash, archive=archive)))
+                derivations[path.component], store, archive=archive)))
         distinct = {h for _, h in values}
         if len(values) >= 2 and len(distinct) == 1:
             verdict = "agree"

@@ -12,6 +12,7 @@ import carc_model
 from microfold import derivation as drv
 from microfold.archive import Archive
 from microfold.bootstrap import register_seed
+from microfold.builder import Builder
 from microfold.channel import ChannelRepo, PackageDef
 from microfold.derivation import SourceRef
 from microfold.hashing import ContentHash
@@ -30,9 +31,15 @@ printf '%s-%s\\n' "$$" "$(/bin/date +%N)" > "$1"
 """
 
 
+def build_hash(drv_hash, store, **options):
+    """The store path of the derivation that drv_hash names, built as
+    builder.build builds a Derivation; options go to Builder."""
+    return Builder(store, **options).build([drv_hash])[0]
+
+
 def instantiated(inst, pkgs):
-    """(derivation, hash) pairs of pkgs, as build_profile takes them."""
-    return [(inst.instantiate(p), inst.hashes[p.key]) for p in pkgs]
+    """The derivation hashes of pkgs, as build_profile takes them."""
+    return [inst.instantiate(p) for p in pkgs]
 
 
 def seed_tree():

@@ -13,10 +13,11 @@ import carc_model
 from microfold import derivation as d
 from microfold.archive import Archive
 from microfold.bootstrap import audit_trust, register_seed
-from microfold.builder import BuildOptions, Builder, build, check_rebuild
+from microfold.builder import BuildOptions, build, check_rebuild
 from microfold.channel import ChannelRepo, parse_pin, render_pin
 from microfold.cli import run_command
-from microfold.derivation import Derivation, InputRef, canonical_serialize, derivation_hash
+from microfold.derivation import (Derivation, InputRef, canonical_serialize, derivation_hash,
+                                  load_derivation)
 from microfold.errors import AllProvidersCorrupt
 from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator, Spec, parse_manifest, rewrite_inputs
@@ -63,8 +64,8 @@ def test_1_every_fixture_package_is_bit_deterministic(store, archive,
     started = time.monotonic()
     inst = Instantiator(packages, store=store, archive=archive)
     for key in sorted(packages):
-        drv = inst.instantiate(packages[key])
-        report = check_rebuild(drv, store, rounds=3, archive=archive)
+        drv_hash = inst.instantiate(packages[key])
+        report = check_rebuild(drv_hash, store, rounds=3, archive=archive)
         assert report.deterministic, key
         hashes = {r.output_hash for r in report.rounds}
         assert len(report.rounds) == 3 and len(hashes) == 1, key
@@ -103,7 +104,7 @@ def test_3_substitutes_verified_and_tamper_rejected(tmp_path, monkeypatch,
     packages = env["repo_obj"].checkout(env["repo_obj"].head())
     inst = Instantiator(packages, store=producer,
                         archive=Archive(env["archive"]))
-    drv = inst.instantiate(packages["python@3.9"])
+    drv = load_derivation(producer, inst.instantiate(packages["python@3.9"]))
     source_path = build(drv, producer)
     source_hash = producer.get_record(source_path).output_hash
     cache = tmp_path / "cache"
@@ -140,7 +141,7 @@ def test_3_substitutes_verified_and_tamper_rejected(tmp_path, monkeypatch,
         assert victim.get_record(source_path.component) is None
 
         opts = BuildOptions(caches=[bad_cache])
-        rebuilt = Builder(victim, options=opts).build(drv)
+        rebuilt = build(drv, victim, options=opts)
         assert victim.get_record(rebuilt).output_hash == source_hash
 
     # The challenge verdict on the tampered provider is a verification
@@ -163,8 +164,7 @@ def test_4_rewrite_changes_exactly_the_ancestor_set(store, archive, toolchain):
 
     def all_hashes(pkgs):
         inst = Instantiator(pkgs, store=store, archive=archive)
-        return {key: derivation_hash(inst.instantiate(pkgs[key])).hex
-                for key in pkgs}
+        return {key: inst.instantiate(pkgs[key]).hex for key in pkgs}
 
     before = all_hashes(packages)
     rewritten = rewrite_inputs(Spec("app-alpha"),

@@ -5,12 +5,12 @@ from microfold import derivation as d
 from microfold.bootstrap import audit_trust, register_seed
 from microfold.builder import build
 from microfold.channel import PackageDef
-from microfold.derivation import Derivation, derivation_hash
+from microfold.derivation import Derivation, load_derivation, register_derivation
 from microfold.manifest import Instantiator
 from microfold.profile import Profile, build_profile
 from microfold.store import StorePath
 
-from conftest import instantiated, on_disk, seed_tree
+from conftest import build_hash, instantiated, on_disk, seed_tree
 
 
 def test_register_seed_records_kind_and_size(tmp_path, store):
@@ -35,7 +35,7 @@ def test_pure_derivation_is_trusted(store):
 def test_seed_built_closure_is_trusted(store, archive, toolchain, packages):
     inst = Instantiator(packages, store=store, archive=archive)
     alpha = inst.instantiate(packages["app-alpha@1.0"])
-    path = build(alpha, store, archive=archive)
+    path = build_hash(alpha, store, archive=archive)
     report = audit_trust(path, store)
     assert report.trusted
     assert [s.path.component for s in report.seed_list] == \
@@ -51,11 +51,11 @@ def test_verdict_before_the_build_is_the_verdict_after(store, archive, toolchain
     the store, but the derivations in the graph explain them."""
     inst = Instantiator(packages, store=store, archive=archive)
     for key in ("app-alpha@1.0", "python-scipy@1.6"):
-        drv = inst.instantiate(packages[key])
-        before = audit_trust(drv, store)
+        drv_hash = inst.instantiate(packages[key])
+        before = audit_trust(drv_hash, store)
         assert before.trusted, before.offending
-        build(drv, store, archive=archive)
-        assert audit_trust(drv, store) == before
+        build_hash(drv_hash, store, archive=archive)
+        assert audit_trust(drv_hash, store) == before
 
 
 def test_seed_counted_once_across_diamond(store, archive, toolchain, packages):
@@ -63,7 +63,7 @@ def test_seed_counted_once_across_diamond(store, archive, toolchain, packages):
     # the CARC size of the distinct seed, not a per-use sum.
     inst = Instantiator(packages, store=store, archive=archive)
     alpha = inst.instantiate(packages["app-alpha@1.0"])
-    build(alpha, store, archive=archive)
+    build_hash(alpha, store, archive=archive)
     report = audit_trust(alpha, store)
     assert len(report.seed_list) == 1
     assert report.total_seed_bytes == toolchain.size
@@ -98,7 +98,7 @@ def test_unknown_component_is_opaque(store):
     drv = Derivation(name="ghost", version="1", steps=[
         d.exec_("ab" * 16 + "-phantom-1.0/bin/tool", "@out@/h"),
     ])
-    report = audit_trust(drv, store)
+    report = audit_trust(register_derivation(store, drv), store)
     assert not report.trusted
     assert ("ab" * 16 + "-phantom-1.0", "unknown-component") in report.offending
 
@@ -107,7 +107,7 @@ def test_component_named_in_bytes_is_audited(store):
     drv = Derivation(name="ghost", version="1", steps=[
         d.write("run", b"#!/bin/sh\nexec ../" + b"ab" * 16 + b"-phantom-1.0/bin/tool\n"),
     ])
-    report = audit_trust(drv, store)
+    report = audit_trust(register_derivation(store, drv), store)
     assert not report.trusted
     assert ("ab" * 16 + "-phantom-1.0", "unknown-component") in report.offending
 
@@ -126,12 +126,12 @@ def test_verdict_does_not_depend_on_input_order(store, archive):
             PackageDef(name="r", version=version, deps=["a", "b"],
                        steps=[d.write("f", b"r")]))}
         inst = Instantiator(pkgs, store=store, archive=archive)
-        source = inst.instantiate(pkgs[f"b@{version}"]).sources[0]
+        source = load_derivation(store, inst.instantiate(pkgs[f"b@{version}"])).sources[0]
         pkgs[f"a@{version}"].steps.append(d.mkdir(
             f"share-{source.expected_hash.prefix}-{source_label}"))
         root = inst.instantiate(pkgs[f"r@{version}"])
-        orders.add(tuple(i.label for i in root.inputs))
-        report = audit_trust(build(root, store, archive=archive), store)
+        orders.add(tuple(i.label for i in load_derivation(store, root).inputs))
+        report = audit_trust(build_hash(root, store, archive=archive), store)
         assert report.trusted, (version, report.offending)
     assert orders == {("a", "b"), ("b", "a")}
 
@@ -159,18 +159,34 @@ def test_profile_audit_recurses_into_members(store, archive, toolchain,
     assert report.total_seed_bytes == toolchain.size
 
 
+def test_every_member_of_a_library_profile_is_trusted(store, archive, toolchain,
+                                                      packages, tmp_path):
+    """Members built by hash from the library carry derivers whose bytes
+    the store holds, so the audit explains each of them."""
+    inst = Instantiator(packages, store=store, archive=archive)
+    hand = register_derivation(store, Derivation(name="hand", version="1",
+                                                 steps=[d.write("f", b"by hand")]))
+    members = instantiated(inst, [packages[k] for k in ("app-alpha@1.0", "python@3.9")])
+    gen = build_profile(members + [hand], store, Profile(tmp_path / "prof"),
+                        archive=archive)
+    references = store.get_record(gen.profile_tree).references
+    assert len(references) == 3
+    for member in references:
+        report = audit_trust(member, store)
+        assert report.trusted, (member.component, report.offending)
+
+
 def test_audit_monotone_under_injection(tmp_path, store, archive, toolchain, packages):
     """Opacity is monotone: adding an opaque input never cleans a closure."""
     inst = Instantiator(packages, store=store, archive=archive)
     beta = inst.instantiate(packages["app-beta@1.0"])
-    beta_path = build(beta, store, archive=archive)
+    beta_path = build_hash(beta, store, archive=archive)
     assert audit_trust(beta_path, store).trusted
 
     opaque = store.add_fixed(on_disk(carc_model.File(b"blob"), tmp_path), "wild-blob",
                              kind="fixed")
     wrapper = Derivation(name="wrapper", version="1", steps=[
-        d.copy(f"{derivation_hash(beta).prefix}-{beta.label}/share/deps.txt",
-               "deps.txt"),
+        d.copy(f"{beta_path.component}/share/deps.txt", "deps.txt"),
         d.write("note", f"uses {opaque.component}\n".encode()),
         d.concat("both", "out/deps.txt", f"{opaque.component}"),
     ])

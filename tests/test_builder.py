@@ -22,13 +22,15 @@ from microfold.bootstrap import register_seed
 from microfold.builder import BuildOptions, Builder, build, check_rebuild
 from microfold.channel import PackageDef
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
-                                  derivation_hash, load_derivation)
+                                  derivation_hash, load_derivation,
+                                  register_derivation)
 from microfold.errors import DanglingReference, EscapedClosure, StepFailure
 from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator
+from microfold.profile import Profile, build_profile
 from microfold.store import Store
 
-from conftest import RANDOM_TOOL, fixture_packages, on_disk
+from conftest import RANDOM_TOOL, build_hash, fixture_packages, on_disk
 
 # Oracle hash for the tree {hello.txt: "hello"}: literal CARC bytes hashed
 # independently of the carc module.
@@ -181,8 +183,31 @@ def test_failing_step_reports_index(store):
     assert str(info.value).startswith("step 1 of boom-2: ")
 
 
+@pytest.mark.parametrize("lacking", ["root", "input"])
+@pytest.mark.parametrize("entry", ["build", "check_rebuild", "build_profile"])
+def test_a_hash_whose_bytes_the_store_lacks_builds_nothing(tmp_path, store, entry,
+                                                            lacking):
+    """A derivation is built only from the bytes that its hash names."""
+    leaf = _leaf("leaf")
+    top = Derivation(name="top", version="1", steps=[d.write("top.txt", b"top")],
+                     inputs=[InputRef(derivation_hash(leaf), "leaf")])
+    if lacking == "root":
+        register_derivation(store, leaf)
+        drv_hash = derivation_hash(top)
+    else:
+        drv_hash = register_derivation(store, top)
+    run = {"build": lambda: Builder(store).build([drv_hash]),
+           "check_rebuild": lambda: check_rebuild(drv_hash, store),
+           "build_profile": lambda: build_profile([drv_hash], store,
+                                                  Profile(tmp_path / "profile"))}[entry]
+    with pytest.raises(DanglingReference):
+        run()
+    assert store.list_records() == []
+    assert Profile(tmp_path / "profile").generation_numbers() == []
+
+
 def test_check_rebuild_deterministic(store, toolchain):
-    report = check_rebuild(hello_drv(), store, rounds=3)
+    report = check_rebuild(register_derivation(store, hello_drv()), store, rounds=3)
     assert report.deterministic
     assert len(report.rounds) == 3
     assert len({r.output_hash for r in report.rounds}) == 1
@@ -214,12 +239,12 @@ def built_alpha(tmp_path, store, archive, toolchain):
     h = ContentHash.of_bytes(carc_model.serialize_path(upstream))
     pkgs = {p.key: p for p in fixture_packages(libc_source_url=f"file://{upstream}",
                                                libc_source_hash=h)}
-    drv = Instantiator(pkgs, store=store, archive=archive).instantiate(
+    drv_hash = Instantiator(pkgs, store=store, archive=archive).instantiate(
         pkgs["app-alpha@1.0"])
-    build(drv, store, archive=archive)
+    build_hash(drv_hash, store, archive=archive)
     upstream.unlink()
     (archive.root / "carc" / h.hex).unlink()
-    return drv
+    return drv_hash
 
 
 def test_check_rebuild_reads_the_main_store_in_place(store, archive, built_alpha,
@@ -236,7 +261,7 @@ def test_check_rebuild_reads_the_main_store_in_place(store, archive, built_alpha
     report = check_rebuild(built_alpha, store, rounds=2, archive=archive)
     assert report.deterministic
     assert {r.output_hash for r in report.rounds} == {store.get_record(
-        f"{derivation_hash(built_alpha).prefix}-app-alpha-1.0").output_hash.hex}
+        f"{built_alpha.prefix}-app-alpha-1.0").output_hash.hex}
     # Every derived item is rebuilt in each round, though the main store
     # has it; the seed and the source, gone upstream, are read in place.
     assert runs == {label: 2 for label in
@@ -257,8 +282,7 @@ def test_scratch_store_falls_back_to_base_for_seeds_and_sources_only(
             assert seen.path.path == rec.path.path
     assert [r.path for r in scratch.seeds()] == [toolchain.path]
     assert scratch.list_records() == []
-    drv_hash = derivation_hash(built_alpha)
-    assert derivation_hash(load_derivation(scratch, drv_hash)) == drv_hash
+    assert derivation_hash(load_derivation(scratch, built_alpha)) == built_alpha
 
 
 def test_check_rebuild_reports_nondeterminism_of_a_built_item(store):
@@ -269,7 +293,7 @@ def test_check_rebuild_reports_nondeterminism_of_a_built_item(store):
                      steps=[d.exec_(f"{seed.path.component}/bin/rand",
                                     "@out@/value.txt")])
     build(drv, store)
-    report = check_rebuild(drv, store, rounds=2)
+    report = check_rebuild(derivation_hash(drv), store, rounds=2)
     assert not report.deterministic
 
 
@@ -280,7 +304,7 @@ def test_check_rebuild_detects_nondeterminism(store):
     drv = Derivation(name="flaky", version="1",
                      steps=[d.exec_(f"{seed.path.component}/bin/rand",
                                     "@out@/value.txt")])
-    report = check_rebuild(drv, store, rounds=2)
+    report = check_rebuild(register_derivation(store, drv), store, rounds=2)
     assert not report.deterministic
     assert len({r.output_hash for r in report.rounds}) == 2
 
@@ -288,7 +312,7 @@ def test_check_rebuild_detects_nondeterminism(store):
 def test_fixture_channel_builds(store, archive, toolchain, packages):
     inst = Instantiator(packages, store=store, archive=archive)
     alpha = inst.instantiate(packages["app-alpha@1.0"])
-    path = build(alpha, store, archive=archive)
+    path = build_hash(alpha, store, archive=archive)
     compiled = (path.path / "bin/alpha").read_bytes()
     assert compiled.startswith(b"compiled-with-cc-1.0\n")
     assert b"int main() { return 0; }" in compiled
@@ -302,19 +326,16 @@ def test_parallel_build(store, archive, toolchain, packages):
     inst = Instantiator(packages, store=store, archive=archive)
     alpha = inst.instantiate(packages["app-alpha@1.0"])
     opts = BuildOptions(workers=4)
-    path = Builder(store, archive=archive, options=opts).build(alpha)
+    [path] = Builder(store, archive=archive, options=opts).build([alpha])
     assert store.verify_item(path).ok
 
 
 def _top_over(store, leaves, name="top"):
-    """A top derivation whose inputs are leaves, registered in store."""
-    inputs = []
-    for leaf in leaves:
-        leaf_hash = derivation_hash(leaf)
-        store.put_derivation(leaf_hash, canonical_serialize(leaf))
-        inputs.append(InputRef(leaf_hash, leaf.label))
-    return Derivation(name=name, version="1", inputs=inputs,
-                      steps=[d.write("top.txt", name.encode())])
+    """The hash of a top derivation whose inputs are leaves, all
+    registered in store."""
+    inputs = [InputRef(register_derivation(store, leaf), leaf.label) for leaf in leaves]
+    return register_derivation(store, Derivation(
+        name=name, version="1", inputs=inputs, steps=[d.write("top.txt", name.encode())]))
 
 
 def _leaf(name, fails=False):
@@ -341,43 +362,40 @@ def runs(monkeypatch):
 def test_failing_input_runs_once_and_fails_once(store, runs):
     top = _top_over(store, [_leaf("bad", fails=True), _leaf("good")])
     with pytest.raises(StepFailure, match="^step 1 of bad-1: "):
-        Builder(store, options=BuildOptions(workers=4)).build(top)
+        Builder(store, options=BuildOptions(workers=4)).build([top])
     assert runs.labels["bad-1"] == 1 and "top-1" not in runs.labels
 
 
 def test_parallel_failure_prints_nothing_from_a_thread(store, runs, capfd):
     top = _top_over(store, [_leaf("bad", fails=True), _leaf("good")])
     with pytest.raises(StepFailure):
-        Builder(store, options=BuildOptions(workers=4)).build(top)
+        Builder(store, options=BuildOptions(workers=4)).build([top])
     assert capfd.readouterr().err == ""
 
 
 def test_live_threads_stay_within_workers(store, runs):
     before = threading.active_count()
     top = _top_over(store, [_leaf(f"leaf{i:02d}") for i in range(64)])
-    path = Builder(store, options=BuildOptions(workers=2)).build(top)
+    [path] = Builder(store, options=BuildOptions(workers=2)).build([top])
     assert store.verify_item(path).ok
     assert len(runs.threads) == 65 and max(runs.threads) <= before + 2
     assert threading.active_count() == before
 
 
 def test_no_build_starts_after_the_first_failure(store, runs):
-    top = _top_over(store, [_leaf("first"), _leaf("bad", fails=True),
-                            _leaf("last")])
+    # Roots are planned in the order given (a derivation's inputs, by hash).
+    roots = [register_derivation(store, leaf) for leaf in
+             (_leaf("first"), _leaf("bad", fails=True), _leaf("last"))]
     with pytest.raises(StepFailure, match="bad-1"):
-        Builder(store, options=BuildOptions(workers=1)).build(top)
+        Builder(store, options=BuildOptions(workers=1)).build(roots)
     assert runs.labels == {"first-1": 1, "bad-1": 1}
 
 
 def test_build_all_plans_the_roots_together(store, runs):
     shared = _leaf("shared")
-    roots = []
-    for name in ("one", "two"):
-        top = _top_over(store, [shared, _leaf(f"{name}-leaf")], name=name)
-        top_hash = derivation_hash(top)
-        store.put_derivation(top_hash, canonical_serialize(top))
-        roots.append((top, top_hash))
-    paths = Builder(store, options=BuildOptions(workers=2)).build_all(roots)
+    roots = [_top_over(store, [shared, _leaf(f"{name}-leaf")], name=name)
+             for name in ("one", "two")]
+    paths = Builder(store, options=BuildOptions(workers=2)).build(roots)
     assert [p.label for p in paths] == ["one-1", "two-1"]
     assert all(store.verify_item(p).ok for p in paths)
     assert runs.labels == {label: 1 for label in (
@@ -401,7 +419,7 @@ def chain_packages(n: int) -> dict:
 def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
     pkgs = chain_packages(30)
     half = Instantiator(pkgs, store=store).instantiate(pkgs["c14@1"])
-    build(half, store)  # c00..c14 are on disk before the spied store opens
+    build_hash(half, store)  # c00..c14 are on disk before the spied store opens
 
     reads = Counter()  # (caller, component) -> record files read
     read_record = Store._read_record
@@ -415,7 +433,7 @@ def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
     monkeypatch.setattr(Store, "_read_record", spy)
     fresh = Store(store.root)
     top = Instantiator(pkgs, store=fresh).instantiate(pkgs["c29@1"])
-    path = build(top, fresh)
+    path = build_hash(top, fresh)
     assert len(fresh.closure(path)) == 31  # the chain and the seed
     cached = {c: n for (caller, c), n in reads.items() if caller == "get_record"}
     assert len(cached) == 16  # c00..c14 and the seed, found on disk
@@ -451,8 +469,8 @@ def test_a_dependency_is_built_as_it_is_built_as_a_root(tmp_path):
         b"#!/bin/sh\nprintf '%s\\n' \"$PATH\" > \"$1\"\n", executable=True)})})
     leaves = [PackageDef(name=n, version="1", steps=[d.write(f"bin/{n}", b"")])
               for n in ("aaa", "bbb")]
-    by_hash = sorted(leaves, key=lambda p: derivation_hash(
-        Instantiator({p.key: p}).instantiate(p)).hex)
+    by_hash = sorted(leaves, key=lambda p: Instantiator(
+        {p.key: p}, store=Store(tmp_path / "probe")).instantiate(p).hex)
     # Declared against hash order, so a build that keeps it differs.
     ddd = PackageDef(name="ddd", version="1", deps=[p.name for p in reversed(by_hash)],
                      steps=[d.mkdir("share"),
@@ -466,7 +484,7 @@ def test_a_dependency_is_built_as_it_is_built_as_a_root(tmp_path):
         store = Store(tmp_path / "store")
         register_seed(store, on_disk(tool, store.root.parent), "path-1")
         inst = Instantiator(pkgs, store=store)
-        build(inst.instantiate(top), store)
+        build_hash(inst.instantiate(top), store)
         target = inst.hashes[ddd.key].prefix + "-ddd-1"
         outputs.append(store.get_record(target).output_hash)
     assert outputs[0] == outputs[1]
@@ -477,12 +495,12 @@ def test_a_missing_record_in_an_inputs_closure_fails_the_build(store, toolchain)
     c00, whose record is gone."""
     pkgs = chain_packages(5)
     inst = Instantiator(pkgs, store=store)
-    build(inst.instantiate(pkgs["c03@1"]), store)
+    build_hash(inst.instantiate(pkgs["c03@1"]), store)
     leaf = inst.hashes["c00@1"].prefix + "-c00-1"
     os.unlink(store.root / "db" / "items" / leaf)
     fresh = Store(store.root)
     with pytest.raises(DanglingReference, match=leaf):
-        build(Instantiator(pkgs, store=fresh).instantiate(pkgs["c04@1"]), fresh)
+        build_hash(Instantiator(pkgs, store=fresh).instantiate(pkgs["c04@1"]), fresh)
 
 
 def test_parallel_chain_build_shares_memos(store, toolchain):
@@ -495,7 +513,7 @@ def test_parallel_chain_build_shares_memos(store, toolchain):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        worker = threading.Thread(target=lambda: result.append(builder.build(top)))
+        worker = threading.Thread(target=lambda: result.append(builder.build([top])[0]))
         worker.start()
         worker.join(timeout=120)
     finally:

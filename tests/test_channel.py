@@ -156,6 +156,19 @@ def test_pull_of_malformed_revision_is_a_verification_error(tmp_path, monkeypatc
     assert capsys.readouterr().err.startswith("microfold: error: malformed revision")
 
 
+def test_pull_of_a_revision_that_repeats_a_tree_key_is_a_verification_error(
+        tmp_path, monkeypatch, capsys):
+    """With one key twice, which package would the revision id name?"""
+    objects = [serialize_package(PackageDef(name="a", version="1", synopsis=synopsis))
+               for synopsis in ("one", "two")]
+    tree = " ".join(f'("a@1" {hashlib.sha256(o).hexdigest()})' for o in objects)
+    _serve(tmp_path / "remote", f'(revision (parent nil) (message "m") (tree {tree}))'.encode(),
+           objects)
+    monkeypatch.setenv("MICROFOLD_HOME", str(tmp_path))
+    assert run_command(["pull", "--url", str(tmp_path / "remote")]) == 2
+    assert capsys.readouterr().err.startswith("microfold: error: malformed revision")
+
+
 @pytest.mark.parametrize("package", [
     b"(package)",
     b'(package (name a) (version "1") (synopsis "") (source nil) (deps) (steps))',

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import carc_model
-from microfold import builder, cli, manifest as manifest_mod
+from microfold import builder, cli
 from microfold.bootstrap import register_seed
 from microfold.builder import build
 from microfold.channel import ChannelRepo, PackageDef
@@ -20,6 +20,7 @@ from microfold.derivation import (Derivation, Step, canonical_serialize,
                                   derivation_hash)
 from microfold import derivation as d
 from microfold.errors import MicrofoldError
+from microfold.hashing import ContentHash
 from microfold.store import Store, StorePath
 from microfold.substitute import SubstituteInfo, fetch_substitute, publish
 
@@ -73,6 +74,20 @@ def test_build_derivation_file(env, tmp_path, capsys):
     assert out.endswith(f"{derivation_hash(drv).prefix}-hand-1")
 
 
+def test_build_derivation_file_registers_it_first(env, tmp_path, capsys):
+    """`build FILE` builds the derivation the store holds: its record's
+    deriver is there, so the audit of what it built is trusted."""
+    drv = Derivation(name="hand", version="1", steps=[d.write("f", b"by hand")])
+    drv_file = tmp_path / "hand.drv"
+    drv_file.write_bytes(canonical_serialize(drv))
+    assert run_command(["build", str(drv_file)]) == 0
+    path = Path(capsys.readouterr().out.strip())
+    store = Store(env["store"])
+    assert store.get_derivation_bytes(derivation_hash(drv)) == drv_file.read_bytes()
+    assert run_command(["seed", "audit", path.name]) == 0
+    assert capsys.readouterr().out.endswith("verdict: trusted\n")
+
+
 def test_build_check_reports_failing_step(env, tmp_path, capsys):
     drv = Derivation(name="broken", version="1",
                      steps=[d.write("f", b"x"), d.copy("out/missing", "g")])
@@ -98,9 +113,8 @@ def test_build_check_serializes_no_derivation_after_instantiation(env, monkeypat
     real_check, real_put, real = cli.check_rebuild, Store.put_derivation, d.canonical_serialize
 
     def counting_check(*args, **kwargs):  # instantiation is over by now
-        for module in (d, manifest_mod, builder):
-            monkeypatch.setattr(module, "canonical_serialize",
-                                lambda drv: calls.append("serialize") or real(drv))
+        monkeypatch.setattr(d, "canonical_serialize",
+                            lambda drv: calls.append("serialize") or real(drv))
         monkeypatch.setattr(Store, "put_derivation",
                             lambda self, *a: calls.append("put") or real_put(self, *a))
         return real_check(*args, **kwargs)
@@ -118,14 +132,14 @@ def test_graph_and_audit_serialize_no_derivation_after_instantiation(env, monkey
     neither serializes a derivation to hash it again."""
     assert run_command(["build", "app-alpha"]) == 0
     calls = []
-    real_instantiate, real = cli._instantiate_spec, d.canonical_serialize
+    real_instantiate, real = cli._instantiate, d.canonical_serialize
 
     def counting_instantiate(*args):
         result = real_instantiate(*args)
         monkeypatch.setattr(d, "canonical_serialize",
                             lambda drv: calls.append(drv.label) or real(drv))
         return result
-    monkeypatch.setattr(cli, "_instantiate_spec", counting_instantiate)
+    monkeypatch.setattr(cli, "_instantiate", counting_instantiate)
     assert run_command([*command.split(), "app-alpha"]) == 0
     assert calls == []
 
@@ -300,10 +314,14 @@ def test_warm_package_serializes_each_derivation_once(env, tmp_path, monkeypatch
     calls = []
     real = d.canonical_serialize
     counted = lambda drv: calls.append(drv.label) or real(drv)  # noqa: E731
-    for module in (d, manifest_mod, builder):
-        monkeypatch.setattr(module, "canonical_serialize", counted)
+    monkeypatch.setattr(d, "canonical_serialize", counted)  # its one caller's module
     assert run_command(["package", "-m", str(manifest)]) == 0
     assert sorted(calls) == sorted(f"p{i}-1" for i in range(n))
+
+
+def test_describe_of_an_unknown_format_is_a_user_error(env, capsys):
+    assert run_command(["describe", "-f", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_describe_formats(env, capsys):
@@ -521,6 +539,14 @@ def test_verify_reports_changed_and_missing_items(env, capsys):
     assert run_command(["--store", str(env["store"]), "verify"]) == 2
     assert sorted(capsys.readouterr().out.splitlines()) == sorted(
         [lines[0], f"missing {seed.name}"])
+
+
+def test_verify_reports_a_derivation_with_a_repeated_env_key(env, capsys):
+    data = canonical_serialize(Derivation(name="dup", version="1")).replace(
+        b"(env)", b'(env ("K" "1") ("K" "2"))')
+    Store(env["store"]).put_derivation(ContentHash.of_bytes(data), data)
+    assert run_command(["verify"]) == 2
+    assert capsys.readouterr().out == "bad a key appears twice\n"
 
 
 def test_verify_reports_a_derivation_edited_in_place(env, capsys):

@@ -7,7 +7,8 @@ import pytest
 from microfold import derivation as drv
 from microfold.derivation import (Derivation, InputRef, SourceRef,
                                   canonical_serialize, derivation_hash,
-                                  load_derivation, parse_derivation)
+                                  load_derivation, parse_derivation,
+                                  register_derivation)
 from microfold.errors import InvariantViolation, ParseError, StoreCorruption
 from microfold.hashing import ContentHash
 from microfold.store import Store, StorePath
@@ -50,6 +51,41 @@ def test_field_order_does_not_matter():
     b = Derivation(name="p", version="1", sources=[s2, s1], inputs=[i2, i1],
                    env={"B": "2", "A": "1"})
     assert canonical_serialize(a) == canonical_serialize(b)
+
+
+def test_a_derivation_is_the_one_parsed_from_its_bytes():
+    """Sources, inputs and env are kept in canonical order however they
+    are given, so the object equals the one its bytes parse to."""
+    sources = sorted([SourceRef("http://a", _h(b"1"), "s1"),
+                      SourceRef("http://b", _h(b"2"), "s2")],
+                     key=lambda s: s.expected_hash.hex, reverse=True)
+    inputs = sorted([InputRef(_h(b"3"), "i1"), InputRef(_h(b"4"), "i2")],
+                    key=lambda i: i.derivation_hash.hex, reverse=True)
+    d = Derivation(name="p", version="1", sources=sources, inputs=inputs,
+                   env={"B": "2", "A": "1"})
+    assert parse_derivation(canonical_serialize(d)) == d
+
+
+def test_register_derivation_is_loaded_without_a_parse(tmp_path, monkeypatch):
+    store = Store(tmp_path / "store")
+    d = hello_drv()
+    h = register_derivation(store, d)
+    assert h.hex == GOLDEN_DRV_HASH
+    assert store.get_derivation_bytes(h) == GOLDEN_DRV_BYTES
+    monkeypatch.setattr(drv, "parse_derivation", None)  # any parse fails
+    assert load_derivation(store, h) is d
+    assert register_derivation(store, hello_drv()) == h
+    assert load_derivation(store, h) is d
+
+
+def test_load_derivation_refuses_a_repeated_env_key(tmp_path):
+    """With a key twice, which value would the hash name?"""
+    store = Store(tmp_path / "store")
+    data = GOLDEN_DRV_BYTES.replace(b"(env)", b'(env ("K" "1") ("K" "2"))')
+    h = ContentHash.of_bytes(data)
+    store.put_derivation(h, data)
+    with pytest.raises(ParseError, match="twice"):
+        load_derivation(store, h)
 
 
 def test_any_field_change_changes_bytes():

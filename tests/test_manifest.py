@@ -5,9 +5,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from microfold import carc, derivation as d
-from microfold.builder import build
 from microfold.channel import PackageDef
-from microfold.derivation import canonical_serialize, derivation_hash, parse_derivation
+from microfold.derivation import canonical_serialize, load_derivation, parse_derivation
 from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
                               EmptyVersion, ReplacementCycle, UnknownPackage,
                               UnknownVersion, UnsupportedForm)
@@ -16,7 +15,7 @@ from microfold.manifest import (Instantiator, Manifest, Spec, instantiate,
                                 parse_manifest, parse_spec, resolve, resolve_spec,
                                 rewrite_inputs, version_key)
 
-from conftest import fixture_packages, fixture_packages_v2
+from conftest import build_hash, fixture_packages, fixture_packages_v2
 
 REFERENCE_MANIFEST = """(specifications->manifest
  '("python"
@@ -131,14 +130,14 @@ def test_resolve_manifest(packages):
 # -- instantiation ---------------------------------------------------------
 
 def test_instantiate_pins_dependency_hashes(packages, store, archive, toolchain):
-    scipy = instantiate(packages["python-scipy@1.6"], packages,
-                        store=store, archive=archive)
+    scipy = load_derivation(store, instantiate(packages["python-scipy@1.6"], packages,
+                                               store=store, archive=archive))
     dep_labels = {i.label for i in scipy.inputs}
     assert dep_labels == {"python", "python-numpy"}
     # dependency store components are spliced into the step bytes
-    numpy_drv = instantiate(packages["python-numpy@1.20"], packages,
-                            store=store, archive=archive)
-    numpy_comp = f"{derivation_hash(numpy_drv).prefix}-python-numpy-1.20"
+    numpy_hash = instantiate(packages["python-numpy@1.20"], packages,
+                             store=store, archive=archive)
+    numpy_comp = f"{numpy_hash.prefix}-python-numpy-1.20"
     deps_step = [s for s in scipy.steps if s.args[0] == "lib/scipy-deps.txt"][0]
     assert numpy_comp.encode() in deps_step.args[1]
 
@@ -155,16 +154,14 @@ def test_inline_source_is_encoded_and_hashed_once(packages, store, archive, tool
             archive_hashes.append(data)
         return real(cls, data)
     monkeypatch.setattr(ContentHash, "of_bytes", classmethod(counting))
-    drv = instantiate(packages["app-alpha@1.0"], packages, store=store, archive=archive)
+    drv_hash = instantiate(packages["app-alpha@1.0"], packages, store=store, archive=archive)
     assert len(archive_hashes) == 4 == len(set(archive_hashes))
-    assert archive.has(drv.sources[0].expected_hash)
+    assert archive.has(load_derivation(store, drv_hash).sources[0].expected_hash)
 
 
 def test_instantiation_is_deterministic(packages, store, archive, toolchain):
-    h1 = derivation_hash(instantiate(packages["app-alpha@1.0"], packages,
-                                     store=store, archive=archive))
-    h2 = derivation_hash(instantiate(packages["app-alpha@1.0"], packages,
-                                     store=store, archive=archive))
+    h1 = instantiate(packages["app-alpha@1.0"], packages, store=store, archive=archive)
+    h2 = instantiate(packages["app-alpha@1.0"], packages, store=store, archive=archive)
     assert h1 == h2
 
 
@@ -204,8 +201,7 @@ def _diamond():
 def _hashes(pkgs, store, archive):
     inst_pkgs = {}
     for key in pkgs:
-        inst_pkgs[key] = derivation_hash(
-            instantiate(pkgs[key], pkgs, store=store, archive=archive)).hex
+        inst_pkgs[key] = instantiate(pkgs[key], pkgs, store=store, archive=archive).hex
     return inst_pkgs
 
 
@@ -241,9 +237,9 @@ def test_rewrite_cycle_detected():
 def test_rewritten_graph_builds(store, archive, toolchain, packages):
     rewritten = rewrite_inputs(Spec("app-beta"),
                                {"libmath": Spec("libmath", "1.0")}, packages)
-    drv = instantiate(rewritten["app-beta@1.0"], rewritten,
-                      store=store, archive=archive)
-    path = build(drv, store, archive=archive)
+    drv_hash = instantiate(rewritten["app-beta@1.0"], rewritten,
+                           store=store, archive=archive)
+    path = build_hash(drv_hash, store, archive=archive)
     assert store.verify_item(path).ok
 
 
@@ -276,6 +272,6 @@ def test_instantiated_derivations_are_kept_as_parsed(name, store, toolchain, tmp
             inst.instantiate(pkg)
         for key, drv_hash in inst.hashes.items():
             drv = store.derivations[drv_hash.hex]
-            assert drv is inst.by_key[key]
+            assert drv is load_derivation(store, drv_hash)
             assert drv == parse_derivation(canonical_serialize(drv).decode())
             assert canonical_serialize(drv) == store.get_derivation_bytes(drv_hash)

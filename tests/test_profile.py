@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import carc_model
 from microfold import carc, profile as profile_mod
 from microfold import derivation as d
-from microfold.derivation import Derivation, derivation_hash
+from microfold.derivation import Derivation, register_derivation
 from microfold.errors import ProfileCollision, UnknownGeneration
 from microfold.hashing import ContentHash
 from microfold.cli import run_command
@@ -191,14 +191,19 @@ def test_union_hash_is_the_hash_of_the_written_union(trees):
 
 
 def _drv(name, files):
-    """A (derivation, hash) pair, as build_profile takes them."""
-    drv = Derivation(name=name, version="1",
-                     steps=[d.write(p, c) for p, c in files.items()])
-    return drv, derivation_hash(drv)
+    """A derivation that writes files."""
+    return Derivation(name=name, version="1",
+                      steps=[d.write(p, c) for p, c in files.items()])
+
+
+def _build_profile(members, store, profile, **kwargs):
+    """build_profile of the derivations members, registered in store."""
+    return build_profile([register_derivation(store, drv) for drv in members],
+                         store, profile, **kwargs)
 
 
 def test_build_profile_creates_generation(store, profile):
-    gen = build_profile([_drv("a", {"bin/a": b"a"}),
+    gen = _build_profile([_drv("a", {"bin/a": b"a"}),
                          _drv("b", {"bin/b": b"b"})], store, profile,
                         pin_text="(channels)", manifest_text="; m\n")
     assert gen.number == 1
@@ -217,7 +222,7 @@ def test_build_profile_creates_generation(store, profile):
 
 
 def test_profile_union_registered_with_member_references(store, profile):
-    gen = build_profile([_drv("a", {"bin/a": b"a"})], store, profile)
+    gen = _build_profile([_drv("a", {"bin/a": b"a"})], store, profile)
     rec = store.get_record(gen.profile_tree)
     assert rec.kind == "fixed"
     assert [r.label for r in rec.references] == ["a-1"]
@@ -226,8 +231,8 @@ def test_profile_union_registered_with_member_references(store, profile):
 
 
 def test_generations_append_and_survive(store, profile):
-    g1 = build_profile([_drv("a", {"f": b"one"})], store, profile)
-    g2 = build_profile([_drv("a", {"f": b"two"})], store, profile)
+    g1 = _build_profile([_drv("a", {"f": b"one"})], store, profile)
+    g2 = _build_profile([_drv("a", {"f": b"two"})], store, profile)
     assert (g1.number, g2.number) == (1, 2)
     assert profile.current() == 2
     # generation 1 still materialized and readable
@@ -236,8 +241,8 @@ def test_generations_append_and_survive(store, profile):
 
 
 def test_rollback_moves_pointer_only(store, profile):
-    build_profile([_drv("a", {"f": b"one"})], store, profile)
-    build_profile([_drv("a", {"f": b"two"})], store, profile)
+    _build_profile([_drv("a", {"f": b"one"})], store, profile)
+    _build_profile([_drv("a", {"f": b"two"})], store, profile)
     assert profile.rollback(1) == 1
     assert profile.current() == 1
     assert profile.generation_numbers() == [1, 2]
@@ -260,12 +265,12 @@ def _crash_writes_to(monkeypatch, name):
 
 
 def test_crash_while_writing_current_keeps_the_old_pointer(store, profile):
-    build_profile([_drv("a", {"f": b"one"})], store, profile)
-    build_profile([_drv("a", {"f": b"two"})], store, profile)
+    _build_profile([_drv("a", {"f": b"one"})], store, profile)
+    _build_profile([_drv("a", {"f": b"two"})], store, profile)
     with pytest.MonkeyPatch.context() as mp:
         _crash_writes_to(mp, "current")
         with pytest.raises(OSError):
-            build_profile([_drv("a", {"f": b"three"})], store, profile)
+            _build_profile([_drv("a", {"f": b"three"})], store, profile)
         with pytest.raises(OSError):
             profile.rollback(1)
     assert profile.current() == 2
@@ -274,15 +279,15 @@ def test_crash_while_writing_current_keeps_the_old_pointer(store, profile):
 
 
 def test_rollback_unknown_generation(store, profile):
-    build_profile([_drv("a", {"f": b"x"})], store, profile)
+    _build_profile([_drv("a", {"f": b"x"})], store, profile)
     with pytest.raises(UnknownGeneration):
         profile.rollback(7)
 
 
 def test_identical_inputs_reuse_store_item(store, profile, tmp_path):
-    g1 = build_profile([_drv("a", {"f": b"x"})], store, profile)
+    g1 = _build_profile([_drv("a", {"f": b"x"})], store, profile)
     other = Profile(tmp_path / "p2")
-    g2 = build_profile([_drv("a", {"f": b"x"})], store, other)
+    g2 = _build_profile([_drv("a", {"f": b"x"})], store, other)
     assert g1.profile_tree == g2.profile_tree
 
 
@@ -318,7 +323,7 @@ def _shared_inodes(tree: Path, item: Path) -> dict:
 
 
 def test_generation_tree_is_hard_links_to_the_store_item(store, profile, capsys):
-    gen = build_profile([_drv("a", {"bin/a": b"a", "share/doc/a": b"doc"}),
+    gen = _build_profile([_drv("a", {"bin/a": b"a", "share/doc/a": b"doc"}),
                          _drv("b", {"bin/b": b"b"})], store, profile)
     tree = profile.generation_dir(gen.number) / "tree"
     shared = _shared_inodes(tree, gen.profile_tree.path)
@@ -377,9 +382,9 @@ A1, B1 = _drv("a", {"bin/a": b"a"}), _drv("b", {"bin/b": b"b"})
 @pytest.mark.parametrize("again", [[A1, B1], [B1, A1], [A1, B1, A1, B1]],
                          ids=["same", "reordered", "duplicated"])
 def test_same_members_reuse_the_union_without_a_walk(store, profile, unions, again):
-    g1 = build_profile([A1, B1], store, profile)
+    g1 = _build_profile([A1, B1], store, profile)
     assert len(unions) == 1
-    g2 = build_profile(again, store, profile)
+    g2 = _build_profile(again, store, profile)
     assert len(unions) == 1
     assert g2.profile_tree == g1.profile_tree
     shared = _shared_inodes(profile.generation_dir(2) / "tree", g1.profile_tree.path)
@@ -387,8 +392,8 @@ def test_same_members_reuse_the_union_without_a_walk(store, profile, unions, aga
 
 
 def test_different_members_write_a_new_union(store, profile, unions):
-    g1 = build_profile([A1], store, profile)
-    g2 = build_profile([A1, B1], store, profile)
+    g1 = _build_profile([A1], store, profile)
+    g2 = _build_profile([A1, B1], store, profile)
     assert len(unions) == 2 and g2.profile_tree != g1.profile_tree
     assert {r.label for r in store.get_record(g2.profile_tree).references} == {
         "a-1", "b-1"}
@@ -396,10 +401,10 @@ def test_different_members_write_a_new_union(store, profile, unions):
 
 def test_an_older_generation_union_is_found(store, profile, unions):
     r1, r2 = [_drv("a", {"f": b"one"})], [_drv("a", {"f": b"two"})]
-    g1 = build_profile(r1, store, profile)
-    g2 = build_profile(r2, store, profile)
+    g1 = _build_profile(r1, store, profile)
+    g2 = _build_profile(r2, store, profile)
     assert len(unions) == 2
-    g3 = build_profile(r1, store, profile)
+    g3 = _build_profile(r1, store, profile)
     assert len(unions) == 2
     assert g3.profile_tree == g1.profile_tree != g2.profile_tree
     assert (profile.generation_dir(3) / "tree/f").read_bytes() == b"one"
@@ -409,21 +414,21 @@ def test_members_with_identical_outputs_get_their_own_union(store, profile, unio
     """A union is named by its members, so a union byte-identical to another
     member set's still references its own members."""
     a, b = _drv("a", {"f": b"same"}), _drv("b", {"f": b"same"})
-    g1 = build_profile([a], store, profile)
-    g2 = build_profile([b], store, profile)
+    g1 = _build_profile([a], store, profile)
+    g2 = _build_profile([b], store, profile)
     rec1, rec2 = store.get_record(g1.profile_tree), store.get_record(g2.profile_tree)
     assert rec1.output_hash == rec2.output_hash
     assert [r.label for r in rec2.references] == ["b-1"]
     labels = {p.label for p in store.closure(g2.profile_tree)}
     assert "b-1" in labels and "a-1" not in labels
-    g3 = build_profile([b], store, profile)
+    g3 = _build_profile([b], store, profile)
     assert len(unions) == 2 and g3.profile_tree == g2.profile_tree
 
 
 def test_profiles_with_the_same_members_share_one_union(store, tmp_path, unions):
     p1, p2 = Profile(tmp_path / "p1"), Profile(tmp_path / "p2")
-    g1 = build_profile([A1, B1], store, p1)
-    g2 = build_profile([B1, A1], store, p2)
+    g1 = _build_profile([A1, B1], store, p1)
+    g2 = _build_profile([B1, A1], store, p2)
     assert len(unions) == 1
     assert p1.generation_store_component(1) == p2.generation_store_component(1) \
         == g1.profile_tree.component == g2.profile_tree.component
@@ -433,7 +438,7 @@ def test_tree_is_a_copy_where_links_fail(store, profile, monkeypatch):
     def cross_device(*args, **kwargs):
         raise OSError(errno.EXDEV, "Invalid cross-device link")
     monkeypatch.setattr(os, "link", cross_device)
-    gen = build_profile([_drv("a", {"bin/a": b"a", "lib/x": b"x"})], store, profile)
+    gen = _build_profile([_drv("a", {"bin/a": b"a", "lib/x": b"x"})], store, profile)
     tree = profile.generation_dir(gen.number) / "tree"
     assert carc.hash_path(tree) == store.get_record(gen.profile_tree).output_hash
     shared = _shared_inodes(tree, gen.profile_tree.path)
@@ -448,7 +453,7 @@ class _Crash(BaseException):
 @pytest.mark.parametrize("k", [0, 1, 3])
 @pytest.mark.parametrize("failure", ["crash", "disk full"])
 def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
-    g1 = build_profile([_drv("a", {"f": b"one"})], store, profile)
+    g1 = _build_profile([_drv("a", {"f": b"one"})], store, profile)
     members = [_drv("a", {"f": b"two", "g/h": b"h", "i": b"i", "j": b"j"})]
     real_link, made = os.link, []
 
@@ -468,7 +473,7 @@ def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
         mp.setattr(os, "link", link)
         mp.setattr(carc, "copy", no_room)
         with pytest.raises((_Crash, OSError)):
-            build_profile(members, store, profile)
+            _build_profile(members, store, profile)
     assert len(made) == k
     assert os.listdir(profile.root / "generations") == ["1"]
     assert profile.current() == 1
@@ -476,7 +481,7 @@ def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
            if r.path.label == "profile" and r.path != g1.profile_tree]
     assert len(new) == 1 and store.verify_item(new[0]).ok
     # A retry ends with the generation that the failed run would have made.
-    g2 = build_profile(members, store, profile)
+    g2 = _build_profile(members, store, profile)
     assert (g2.number, g2.profile_tree) == (2, new[0])
     assert carc.hash_path(profile.generation_dir(2) / "tree") == \
         store.get_record(g2.profile_tree).output_hash
@@ -484,7 +489,7 @@ def test_failure_while_linking_adds_no_generation(store, profile, k, failure):
 
 @pytest.mark.parametrize("k", [0, 2])
 def test_crash_while_the_union_is_linked_adds_nothing(store, profile, k):
-    g1 = build_profile([_drv("a", {"f": b"one"})], store, profile)
+    g1 = _build_profile([_drv("a", {"f": b"one"})], store, profile)
     members = [_drv("a", {"f": b"two", "g/h": b"h", "i": b"i"})]
     real_link, made = os.link, []
 
@@ -496,14 +501,14 @@ def test_crash_while_the_union_is_linked_adds_nothing(store, profile, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(os, "link", link)
         with pytest.raises(_Crash):
-            build_profile(members, store, profile)
+            _build_profile(members, store, profile)
     assert len(made) == k
     assert os.listdir(profile.root / "generations") == ["1"]
     assert profile.current() == 1
     assert [r.path for r in store.list_records()
             if r.path.label == "profile"] == [g1.profile_tree]
     assert os.listdir(store.root / "tmp") == []
-    g2 = build_profile(members, store, profile)
+    g2 = _build_profile(members, store, profile)
     assert g2.number == 2 and g2.profile_tree != g1.profile_tree
     assert store.verify_item(g2.profile_tree).ok
     assert carc.hash_path(profile.generation_dir(2) / "tree") == \

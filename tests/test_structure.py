@@ -12,6 +12,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("fcntl.flock", "store.py"),          # the one lock helper
     ("create_connection", "transport.py"),  # the one HTTP GET
     (".get_derivation_bytes(", "derivation.py"),  # the one derivation loader
+    ("canonical_serialize(", "derivation.py"),  # derivations enter the store
+    (".put_derivation(", "derivation.py"),     # one way: register_derivation
     ("_write_record(", "store.py"),       # store records are written once
     ("load_tree(", "carc.py"),            # trees on disk are streamed
     ('"drvs"', "store.py"),               # only the store knows db/drvs
@@ -20,6 +22,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("os.link(", "carc.py"),              # one link helper shares inodes
     ("quote_string(", "sexpr.py"),        # the one s-expression writer
     ('b"("', "sexpr.py"),                 # no form is joined by hand
+    ("MAGIC +", "carc.py"),               # one single-file archive encoder
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()

@@ -112,8 +112,7 @@ def test_one_worker_runs_in_the_planned_order(store, monkeypatch):
     single worker run a seeded random graph of 25 packages, three roots."""
     pkgs = random_packages(16, 25)
     inst = Instantiator(pkgs, store=store)
-    roots = [(inst.instantiate(pkgs[k]), inst.hashes[k])
-             for k in ("r22@1", "r24@1", "r17@1")]
+    roots = [inst.instantiate(pkgs[k]) for k in ("r22@1", "r24@1", "r17@1")]
     ran = []
     real_run = Builder._run
 
@@ -122,7 +121,7 @@ def test_one_worker_runs_in_the_planned_order(store, monkeypatch):
         return real_run(self, drv, *args)
 
     monkeypatch.setattr(Builder, "_run", spy)
-    Builder(store, options=BuildOptions(workers=1)).build_all(roots)
+    Builder(store, options=BuildOptions(workers=1)).build(roots)
     assert ran == ["r00", "r01", "r03", "r02", "r04", "r09", "r05", "r07",
                    "r11", "r10", "r13", "r14", "r06", "r08", "r12", "r16",
                    "r17", "r22", "r18", "r21", "r24"]
