@@ -5,7 +5,8 @@ explicitly registered seed or a source declared (with its content hash) by
 some derivation in the graph.  Anything else -- a binary that appeared in
 the store with no recorded origin -- is opaque, and so is everything built
 on top of it.  The audit starts from a store path or from a derivation hash
-whose bytes the store holds, and reads every derivation by its hash.
+whose bytes the store holds, and reads every derivation by its hash.  A
+seed is reported by its store record.
 """
 
 from __future__ import annotations
@@ -15,29 +16,23 @@ from typing import NamedTuple
 
 from .derivation import load_derivation
 from .errors import DanglingReference
-from .store import Store, StorePath
+from .store import Store, StoreItemRecord, StorePath
 
 _COMPONENT_IN_TEXT = re.compile(r"[0-9a-f]{32}-[A-Za-z0-9._+-]+")
 
 
-class SeedRecord(NamedTuple):
-    path: StorePath
-    size: int  # CARC byte length
-    description: str = ""
-
-
 def register_seed(store: Store, content, name: str,
-                  description: str = "") -> SeedRecord:
-    """Declare a trust root.  Seeds are never created implicitly by builds."""
-    path = store.add_fixed(content, name, kind="seed", description=description)
-    rec = store.get_record(path)
-    return SeedRecord(path=path, size=rec.size, description=rec.description)
+                  description: str = "") -> StoreItemRecord:
+    """Declare a trust root; its record.  Seeds are never created
+    implicitly by builds."""
+    return store.get_record(store.add_fixed(content, name, kind="seed",
+                                            description=description))
 
 
 class AuditReport(NamedTuple):
     verdict: str  # trusted | opaque
     offending: list  # (component, reason)
-    seed_list: list  # SeedRecord
+    seed_list: list  # the seeds' StoreItemRecords, by component
     total_seed_bytes: int
     leaf_counts: dict  # kind -> count
 
@@ -117,9 +112,7 @@ def audit_trust(root, store: Store) -> AuditReport:
                         todo.append(StorePath.from_component(store.root, component))
     offending.update((c, "unknown-component") for c in absent - sourced - outputs)
     offending.update((c, "no-source-provenance") for c in fixed - sourced)
-    seed_list = [SeedRecord(path=StorePath.from_component(store.root, c),
-                            size=r.size, description=r.description)
-                 for c, r in sorted(seeds.items())]
+    seed_list = [seeds[c] for c in sorted(seeds)]
     leaves = {"fixed": len(fixed | sourced), "seed": len(seeds)}
     return AuditReport(
         verdict="opaque" if offending else "trusted",

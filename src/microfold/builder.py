@@ -98,6 +98,7 @@ class Builder:
         order of one post-order walk of drv.inputs (store.postorder).  The
         inputs of a derivation that is not built are not walked."""
         paths, needed, todo = {}, {}, {}
+        refused = set()  # items that no fetch of this plan can install
 
         def inputs(drv_hash):
             drv = load_derivation(self.store, drv_hash)
@@ -108,7 +109,8 @@ class Builder:
             if self.options.caches:
                 from .substitute import fetch_substitute
                 try:
-                    fetch_substitute(target, self.options.caches, self.store)
+                    fetch_substitute(target, self.options.caches, self.store,
+                                     refused)
                     return ()
                 except MicrofoldError:
                     pass  # fall back to building from source

@@ -164,6 +164,16 @@ def parse_pin(text: str) -> PinFile:
     return PinFile(pins)
 
 
+def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
+    """The bytes of a channel's revision or object (kind) at location, a
+    repo root or a remote; None when it has none.  Bytes that do not hash
+    to their name raise CorruptRevision."""
+    data = transport.read_bytes(location, f"{kind}s/{name.hex}")
+    if data is not None and ContentHash.of_bytes(data) != name:
+        raise CorruptRevision(f"{kind} {name} bytes do not match its hash")
+    return data
+
+
 class ChannelRepo:
     def __init__(self, root, url: str | None = None):
         self.root = Path(root)
@@ -191,21 +201,13 @@ class ChannelRepo:
         return (self.root / "revisions" / rev_id.hex).exists()
 
     def get_revision(self, rev_id: ContentHash) -> ChannelRevision:
-        path = self.root / "revisions" / rev_id.hex
-        if not path.exists():
+        if (data := _read_named(self.root, "revision", rev_id)) is None:
             raise UnknownRevision(rev_id.hex)
-        data = path.read_bytes()
-        if ContentHash.of_bytes(data) != rev_id:
-            raise CorruptRevision(f"revision {rev_id} bytes do not match id")
         return parse_revision(data)
 
     def get_object(self, obj_hash: ContentHash) -> bytes:
-        path = self.root / "objects" / obj_hash.hex
-        if not path.exists():
+        if (data := _read_named(self.root, "object", obj_hash)) is None:
             raise CorruptRevision(f"missing object {obj_hash}")
-        data = path.read_bytes()
-        if ContentHash.of_bytes(data) != obj_hash:
-            raise CorruptRevision(f"object {obj_hash} bytes do not match hash")
         return data
 
     def ancestry(self, rev_id: ContentHash) -> list:
@@ -275,24 +277,16 @@ class ChannelRepo:
         with locked(self.root / "repo.lock"):
             cur = remote_head
             while cur is not None and not self.has_revision(cur):
-                data = transport.read_bytes(remote, f"revisions/{cur.hex}")
-                if data is None:
+                if (data := _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
-                if ContentHash.of_bytes(data) != cur:
-                    raise CorruptRevision(
-                        f"remote revision {cur} bytes do not match id")
                 rev = parse_revision(data)
                 for key, obj_hash in rev.tree.items():
                     obj_path = self.root / "objects" / obj_hash.hex
                     if obj_path.exists():
                         continue
-                    blob = transport.read_bytes(remote, f"objects/{obj_hash.hex}")
-                    if blob is None:
+                    if (blob := _read_named(remote, "object", obj_hash)) is None:
                         raise UnreachableRemote(
                             f"{remote}: missing object {obj_hash}")
-                    if ContentHash.of_bytes(blob) != obj_hash:
-                        raise CorruptRevision(
-                            f"remote object {obj_hash} bytes do not match hash")
                     write_atomic(obj_path, blob)
                 write_atomic(self.root / "revisions" / cur.hex, data)
                 cur = rev.parent
@@ -303,7 +297,7 @@ class ChannelRepo:
         the remote head."""
         remote_head = self.fetch(remote)
         if not transport.is_url(str(remote)):
-            remote = "file://" + str(Path(remote))
+            remote = "file://" + str(Path(str(remote).removeprefix("file://")))
         with locked(self.root / "repo.lock"):
             write_atomic(self.root / "URL", f"{remote}\n".encode())
             write_atomic(self.root / "HEAD", f"{remote_head.hex}\n".encode())
@@ -318,11 +312,8 @@ class ChannelRepo:
         rev_id = ContentHash(pin.commit)
         if self.has_revision(rev_id):
             return
-        url = pin.url
-        if url.startswith("file://"):
-            url = url[len("file://"):]
         try:
-            self.fetch(url)
+            self.fetch(pin.url)
         except (UnreachableRemote, OSError):
             pass
         if not self.has_revision(rev_id):

@@ -146,11 +146,7 @@ def cmd_package(ctx: Context, args) -> int:
 
 def cmd_pull(ctx: Context, args) -> int:
     repo = ctx.repo
-    remote = args.url or repo.url
-    if remote.startswith("file://"):
-        remote = remote[len("file://"):]
-    head = repo.pull(remote)
-    print(head.hex)
+    print(repo.pull(args.url or repo.url).hex)
     return EXIT_OK
 
 
@@ -276,7 +272,7 @@ def cmd_verify(ctx: Context, args) -> int:
         try:
             load_derivation(store, drv_hash)
         except MicrofoldError as e:
-            print(f"bad {e}")
+            print(f"bad {drv_hash.hex}: {e}")
             bad += 1
     return EXIT_VERIFY if bad else EXIT_OK
 

@@ -149,6 +149,28 @@ class StoreItemRecord:
     def __eq__(self, other):
         return type(other) is StoreItemRecord and vars(self) == vars(other)
 
+    def fields(self) -> dict:
+        """The record as "key: value" fields (render_fields): the store's
+        record file, and without kind and description a cache's info file."""
+        out = {"kind": self.kind, "outputhash": self.output_hash.hex,
+               "references": " ".join(p.component for p in self.references),
+               "size": str(self.size)}
+        if self.deriver is not None:
+            out["deriver"] = self.deriver.hex
+        if self.description:
+            out["description"] = self.description
+        return out
+
+    @classmethod
+    def from_fields(cls, path: StorePath, fields: dict) -> "StoreItemRecord":
+        """The record of path that fields (parse_fields) describe; its
+        references are paths in path's store."""
+        refs = [StorePath.from_component(path.store_root, c)
+                for c in fields.get("references", "").split()]
+        deriver = ContentHash(fields["deriver"]) if "deriver" in fields else None
+        return cls(path, ContentHash(fields["outputhash"]), refs, fields["kind"],
+                   deriver, int(fields.get("size", "0")), fields.get("description", ""))
+
 
 class VerifyReport(NamedTuple):
     status: str  # ok | mismatch | missing
@@ -270,20 +292,10 @@ class Store:
         return f"{self.root}/db/items/{component}"
 
     def _write_record(self, rec: StoreItemRecord):
-        lines = {
-            "kind": rec.kind,
-            "outputhash": rec.output_hash.hex,
-            "references": " ".join(p.component for p in rec.references),
-            "size": str(rec.size),
-        }
-        if rec.deriver is not None:
-            lines["deriver"] = rec.deriver.hex
-        if rec.description:
-            lines["description"] = rec.description
         if rec.kind == "seed":  # its index entry first (module docstring)
             self._seed_index(rec.path.component)
         write_atomic(self._record_path(rec.path.component),
-                     render_fields(lines).encode())
+                     render_fields(rec.fields()).encode())
         self._records[rec.path.component] = rec
 
     def _read_record(self, component: str) -> StoreItemRecord | None:
@@ -293,18 +305,8 @@ class Store:
                 text = f.read()
         except FileNotFoundError:
             return None
-        fields = parse_fields(text)
-        refs = [StorePath.from_component(self.root, c)
-                for c in fields.get("references", "").split() if c]
-        return StoreItemRecord(
-            path=StorePath.from_component(self.root, component),
-            output_hash=ContentHash(fields["outputhash"]),
-            references=refs,
-            kind=fields["kind"],
-            deriver=ContentHash(fields["deriver"]) if "deriver" in fields else None,
-            size=int(fields.get("size", "0")),
-            description=fields.get("description", ""),
-        )
+        return StoreItemRecord.from_fields(
+            StorePath.from_component(self.root, component), parse_fields(text))
 
     def get_record(self, path) -> StoreItemRecord | None:
         component = path.component if isinstance(path, StorePath) else path

@@ -6,8 +6,10 @@ challenge operation compares hashes across independent providers (and
 optionally a fresh local rebuild, from a derivation hash the store holds)
 instead of trusting any of them.
 
-Cache layout: <cache>/info/<digest_prefix> ("key: value" lines, keys
-sorted) and <cache>/carc/<digest_prefix> (raw CARC bytes).
+Cache layout: <cache>/info/<digest_prefix>, the item's store record
+(StoreItemRecord.fields) without kind and description, plus storepath;
+its reader sets the kind (derived when it names a deriver, else fixed:
+a cache never installs a seed); <cache>/carc/<digest_prefix>, raw CARC.
 """
 
 from __future__ import annotations
@@ -23,43 +25,12 @@ from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
                      DependencyCycle, MicrofoldError, ParseError,
                      SubstituteNotFound)
-from .hashing import ContentHash
-from .store import (Staged, Store, StorePath, parse_fields, postorder,
-                    render_fields, write_atomic)
+from .store import (Staged, Store, StoreItemRecord, StorePath, parse_fields,
+                    postorder, render_fields, write_atomic)
 
 
-class SubstituteInfo(NamedTuple):
-    store_path: str  # final path component
-    output_hash: ContentHash
-    archive_size: int
-    references: list  # sorted components
-    deriver: ContentHash | None = None
-
-    def render(self) -> str:
-        fields = {
-            "outputhash": self.output_hash.hex,
-            "references": " ".join(self.references),
-            "size": str(self.archive_size),
-            "storepath": self.store_path,
-        }
-        if self.deriver is not None:
-            fields["deriver"] = self.deriver.hex
-        return render_fields(fields)
-
-    @classmethod
-    def parse(cls, text: str) -> "SubstituteInfo":
-        fields = parse_fields(text)
-        return cls(
-            store_path=fields["storepath"],
-            output_hash=ContentHash(fields["outputhash"]),
-            archive_size=int(fields["size"]),
-            references=[c for c in fields.get("references", "").split() if c],
-            deriver=ContentHash(fields["deriver"]) if "deriver" in fields else None,
-        )
-
-
-def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
-    """Write a verified store item into a local cache directory.
+def publish(store: Store, path: StorePath, cache) -> StoreItemRecord:
+    """Write a verified store item into a local cache directory; its record.
 
     The item's archive is streamed into a tmp file and hashed on the way;
     it is renamed into the cache only if it matches the item's record.
@@ -71,31 +42,31 @@ def publish(store: Store, path: StorePath, cache) -> SubstituteInfo:
         cache = Path(cache)
         (cache / "info").mkdir(parents=True, exist_ok=True)
         (cache / "carc").mkdir(parents=True, exist_ok=True)
-        tmp, actual, size = carc.dump_to_tmp(path.path, cache / "carc")
+        tmp, actual, _ = carc.dump_to_tmp(path.path, cache / "carc")
         if actual != rec.output_hash:
             os.unlink(tmp)
             raise CorruptItem(f"{path.component}: mismatch")
         os.replace(tmp, cache / "carc" / path.digest_prefix)
-        info = SubstituteInfo(
-            store_path=path.component,
-            output_hash=rec.output_hash,
-            archive_size=size,
-            references=[r.component for r in rec.references],
-            deriver=rec.deriver,
-        )
-        write_atomic(cache / "info" / path.digest_prefix, info.render().encode())
+        info = {k: v for k, v in rec.fields().items() if k not in ("kind", "description")}
+        write_atomic(cache / "info" / path.digest_prefix,
+                     render_fields(info | {"storepath": path.component}).encode())
     except OSError as e:
         raise CacheWriteError(str(e)) from e
-    return info
+    return rec
 
 
-def _provider_info(cache, digest_prefix: str):
-    """One provider's info for an item, or None: the provider has none,
-    cannot be reached (refused, reset, timed out, not speaking HTTP) or
-    serves an unreadable one."""
+def _provider_info(cache, path: StorePath) -> StoreItemRecord | None:
+    """One provider's record of path's item, named by its storepath, or
+    None: the provider has none, cannot be reached (refused, reset, timed
+    out, not speaking HTTP) or serves an unreadable one."""
     try:
-        info_text = transport.read_bytes(cache, f"info/{digest_prefix}")
-        return SubstituteInfo.parse(info_text.decode()) if info_text else None
+        info_text = transport.read_bytes(cache, f"info/{path.digest_prefix}")
+        if not info_text:
+            return None
+        info = parse_fields(info_text.decode())
+        info["kind"] = "derived" if "deriver" in info else "fixed"
+        return StoreItemRecord.from_fields(
+            StorePath.from_component(path.store_root, info["storepath"]), info)
     except (OSError, ValueError, KeyError, MicrofoldError):
         return None
 
@@ -115,7 +86,7 @@ def _restore(path: StorePath, caches, scratch: Path):
     malformed provider is skipped with a warning and the next one tried."""
     found = corrupt = False
     for n, cache in enumerate(caches):
-        info = _provider_info(cache, path.digest_prefix)
+        info = _provider_info(cache, path)
         blocks = (None if info is None
                   else _provider_archive(cache, path.digest_prefix))
         if blocks is None:
@@ -127,7 +98,7 @@ def _restore(path: StorePath, caches, scratch: Path):
             actual = staged.output_hash
         except (ParseError, transport.BrokenFetch) as e:
             actual = f"an unreadable archive ({e})"
-        if actual == info.output_hash and info.store_path == path.component:
+        if actual == info.output_hash and info.path == path:
             return info, staged
         print(f"cache {cache} serves corrupt archive for {path.component} "
               f"(expected {info.output_hash}, got {actual}); skipping",
@@ -138,7 +109,8 @@ def _restore(path: StorePath, caches, scratch: Path):
     raise SubstituteNotFound(path.component)
 
 
-def fetch_substitute(path: StorePath, caches, store: Store) -> StorePath:
+def fetch_substitute(path: StorePath, caches, store: Store,
+                     refused: set | None = None) -> StorePath:
     """Install a pre-built item, and the references the store lacks, each
     from the first cache that serves it honestly.
 
@@ -148,27 +120,32 @@ def fetch_substitute(path: StorePath, caches, store: Store) -> StorePath:
     store never dangles.  A reference that no cache serves fails the whole
     fetch, naming it (SubstituteNotFound or AllProvidersCorrupt), and so
     does a reference cycle; either way nothing of the cycle is registered.
+    A failed fetch adds the items left open in its walk to refused, and a
+    fetch given the same set fails at once on meeting one of them.
     """
     if store.get_record(path) is not None:
         return path
-    fetched = {}  # StorePath -> (info, Staged tree, references)
+    refused = set() if refused is None else refused
+    fetched = {}  # StorePath -> (record, Staged tree, references)
     with store.scratch() as scratch:
         def missing_references(item):
+            if item in refused:
+                raise SubstituteNotFound(f"{item.component}: needs an unserved item")
             info, staged = _restore(item, caches, scratch)
-            refs = [StorePath.from_component(store.root, c)
-                    for c in info.references if c != item.component]
+            refs = [r for r in info.references if r != item]
             fetched[item] = info, staged, refs
             return [r for r in refs if store.get_record(r) is None]
 
         try:
             for item in postorder([path], missing_references):
                 info, staged, refs = fetched.pop(item)
-                store.register_output(
-                    staged, item, deriver=info.deriver, references=refs,
-                    kind="fixed" if info.deriver is None else "derived")
+                store.register_output(staged, item, deriver=info.deriver,
+                                      references=refs, kind=info.kind)
         except DependencyCycle as e:
             raise SubstituteNotFound("reference cycle " + " -> ".join(
                 p.component for p in e.chain)) from None
+        finally:
+            refused.update(fetched)  # empty unless the fetch failed
     return path
 
 
@@ -228,7 +205,7 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
                 except transport.BrokenFetch:
                     continue  # no value
                 values.append((str(cache), sha.hexdigest()))
-            elif (info := _provider_info(cache, path.digest_prefix)) is not None:
+            elif (info := _provider_info(cache, path)) is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:
             values.append(("rebuild", rebuild_output_hash(

@@ -104,10 +104,11 @@ def _get(url: str):
 
 def stream(location, relpath: str = ""):
     """location/relpath (location itself if relpath is empty) as a stream of
-    blocks of at most _BLOCK bytes, or None if it does not exist.  Opening
+    blocks of at most _BLOCK bytes, or None if it does not exist.  A
+    location is an http(s):// base, a file:// URL or a directory.  Opening
     raises OSError, reading BrokenFetch; closing or dropping the stream
     releases its socket or file."""
-    location = str(location)
+    location = str(location).removeprefix("file://")
     if is_url(location):
         return _get(location.rstrip("/") + "/" + relpath if relpath else location)
     try:

@@ -117,6 +117,16 @@ def test_pull_fresh_and_idempotent(repo, tmp_path):
     assert set(clone.checkout(r1.id)) == {"a@1.0", "b@2.0", "c@0.1"}
 
 
+def test_pull_from_a_file_url(repo, tmp_path):
+    """A file:// URL reads the repo it names; the clone's URL is the one a
+    pull of the plain path records."""
+    rev = repo.commit_revision(golden_tree(), message="one")
+    clone = ChannelRepo(tmp_path / "clone")
+    assert clone.pull(f"file://{repo.root}/") == rev.id == clone.head()
+    assert clone.url == f"file://{repo.root}"
+    assert set(clone.checkout(rev.id)) == {"a@1.0", "b@2.0", "c@0.1"}
+
+
 def test_pull_detects_tampering(repo, tmp_path):
     rev = repo.commit_revision(golden_tree(), message="one")
     rev_file = repo.root / "revisions" / rev.id.hex

@@ -21,8 +21,8 @@ from microfold.derivation import (Derivation, Step, canonical_serialize,
 from microfold import derivation as d
 from microfold.errors import MicrofoldError
 from microfold.hashing import ContentHash
-from microfold.store import Store, StorePath
-from microfold.substitute import SubstituteInfo, fetch_substitute, publish
+from microfold.store import Store, StorePath, parse_fields, render_fields
+from microfold.substitute import fetch_substitute, publish
 
 from conftest import RANDOM_TOOL, fixture_packages, fixture_packages_v2, on_disk, seed_tree
 
@@ -443,8 +443,8 @@ def test_build_from_a_cache_that_lies_about_references(env, tmp_path, monkeypatc
     assert [r.component for r in store.get_record(numpy).references] == \
         [python.component]
     info_file = cache / "info" / python.digest_prefix
-    info = SubstituteInfo.parse(info_file.read_text())
-    info_file.write_text(info._replace(references=[numpy.component]).render())
+    info = parse_fields(info_file.read_text())
+    info_file.write_text(render_fields({**info, "references": numpy.component}))
 
     fresh = Store(tmp_path / "store2")
     for item in (python, numpy):
@@ -544,9 +544,10 @@ def test_verify_reports_changed_and_missing_items(env, capsys):
 def test_verify_reports_a_derivation_with_a_repeated_env_key(env, capsys):
     data = canonical_serialize(Derivation(name="dup", version="1")).replace(
         b"(env)", b'(env ("K" "1") ("K" "2"))')
-    Store(env["store"]).put_derivation(ContentHash.of_bytes(data), data)
+    drv_hash = ContentHash.of_bytes(data)
+    Store(env["store"]).put_derivation(drv_hash, data)
     assert run_command(["verify"]) == 2
-    assert capsys.readouterr().out == "bad a key appears twice\n"
+    assert capsys.readouterr().out == f"bad {drv_hash.hex}: a key appears twice\n"
 
 
 def test_verify_reports_a_derivation_edited_in_place(env, capsys):

@@ -23,6 +23,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("quote_string(", "sexpr.py"),        # the one s-expression writer
     ('b"("', "sexpr.py"),                 # no form is joined by hand
     ("MAGIC +", "carc.py"),               # one single-file archive encoder
+    ('"outputhash"', "store.py"),         # one item record codec
+    ('"storepath"', "substitute.py"),     # a cache's info names its item
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()

@@ -12,12 +12,13 @@ import pytest
 import carc_model
 from microfold import transport
 from microfold import derivation as d
-from microfold.builder import BuildOptions, build
-from microfold.derivation import Derivation, InputRef, canonical_serialize, derivation_hash
+from microfold.builder import BuildOptions, Builder, build
+from microfold.derivation import (Derivation, InputRef, canonical_serialize,
+                                  derivation_hash, register_derivation)
 from microfold.errors import (AllProvidersCorrupt, CorruptItem,
                               SubstituteNotFound)
-from microfold.store import Store, StorePath
-from microfold.substitute import (SubstituteInfo, challenge, fetch_substitute,
+from microfold.store import Store, StorePath, parse_fields, render_fields
+from microfold.substitute import (_provider_info, challenge, fetch_substitute,
                                   publish)
 
 from conftest import http_200, on_disk, peak_growth_kib
@@ -46,12 +47,13 @@ def cache(tmp_path):
 
 def test_publish_round_trip(store, cache):
     path = build(hello_drv(), store)
-    info = publish(store, path, cache)
-    assert info.store_path == path.component
+    rec = publish(store, path, cache)
+    assert rec == store.get_record(path)
     assert (cache / "carc" / path.digest_prefix).exists()
-    parsed = SubstituteInfo.parse(
-        (cache / "info" / path.digest_prefix).read_text())
-    assert parsed == info
+    info = parse_fields((cache / "info" / path.digest_prefix).read_text())
+    assert info.pop("storepath") == path.component
+    assert render_fields({**info, "kind": rec.kind}) == render_fields(rec.fields())
+    assert _provider_info(cache, path) == rec
 
 
 def test_publish_refuses_corrupt_item(store, cache):
@@ -291,6 +293,40 @@ def test_redirect_is_followed(tmp_path, cache, raw_http):
     moved = raw_http(answer)
     fetch_substitute(target, [moved], consumer)
     assert consumer.verify_item(target).ok
+
+
+def test_an_unserved_item_deep_in_a_chain_is_fetched_for_once(tmp_path, cache,
+                                                               monkeypatch):
+    """Each level of a 20-level chain names the level below in its output,
+    and every level but the bottom is published.  Planning tries every
+    level, but a fetch that failed for want of the bottom is not repeated
+    from the levels below it: about 2 cache reads per level, not one
+    restore of the whole chain below each level.  All 20 are built."""
+    drvs, dep = [], None
+    for i in range(20):
+        step = d.write("dep.txt", f"{dep}\n".encode())
+        inputs = [InputRef(drvs[-1][0], "dep")] if drvs else []
+        drv = Derivation(name=f"level{i}", version="1", inputs=inputs, steps=[step])
+        drvs.append((derivation_hash(drv), drv))
+        dep = f"{drvs[-1][0].prefix}-level{i}-1"
+    producer, consumer = Store(tmp_path / "producer"), Store(tmp_path / "consumer")
+    for _, drv in drvs:
+        register_derivation(producer, drv)
+        register_derivation(consumer, drv)
+    [top] = Builder(producer).build([drvs[-1][0]])
+    for member in producer.closure(top):
+        if not member.label.startswith("level0-"):
+            publish(producer, member, cache)
+
+    reads, ran = [], []
+    real_stream, real_run = transport.stream, Builder._run
+    monkeypatch.setattr(transport, "stream", lambda *a: reads.append(a) or real_stream(*a))
+    monkeypatch.setattr(Builder, "_run", lambda self, drv, *args:
+                        ran.append(drv.label) or real_run(self, drv, *args))
+    got = Builder(consumer, options=BuildOptions(caches=[cache])).build([drvs[-1][0]])
+    assert got == [top] and len(ran) == 20
+    assert len(reads) <= 2 * 20 + 2
+    assert consumer.get_record(got[0]).output_hash == producer.get_record(top).output_hash
 
 
 # Fetches one item in a child process and prints how far its peak RSS grew

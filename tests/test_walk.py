@@ -22,8 +22,8 @@ from microfold.cli import run_command
 from microfold.errors import DependencyCycle
 from microfold.hashing import ContentHash
 from microfold.manifest import Instantiator
-from microfold.store import Store, StorePath, postorder
-from microfold.substitute import SubstituteInfo, fetch_substitute
+from microfold.store import Store, StorePath, postorder, render_fields
+from microfold.substitute import fetch_substitute
 
 
 class _Cycle(Exception):
@@ -180,8 +180,9 @@ def test_substitute_a_reference_chain_2000_items_long(mem_path):
         archive = carc.MAGIC + carc.file_header(len(data)) + data
         digest = ContentHash.of_bytes(archive)
         (cache / "carc" / digest.prefix).write_bytes(archive)
-        (cache / "info" / digest.prefix).write_text(SubstituteInfo(
-            f"{digest.prefix}-item{i}", digest, len(archive), refs).render())
+        (cache / "info" / digest.prefix).write_text(render_fields({
+            "storepath": f"{digest.prefix}-item{i}", "outputhash": digest.hex,
+            "size": str(len(archive)), "references": " ".join(refs)}))
         refs = [f"{digest.prefix}-item{i}"]
     store = Store(mem_path / "store")
     top = StorePath.from_component(store.root, refs[0])
