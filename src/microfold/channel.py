@@ -3,7 +3,8 @@
 A revision id is the SHA-256 of its canonical serialization (parent id,
 message, and the sorted name@version -> definition-hash tree), so a single
 64-hex id pins every package definition and, through it, the entire
-dependency graph.  Pin files record such ids for exact replay.
+dependency graph.  Pin files record such ids for exact replay: a package
+set is always `pinned_packages` of a pin file, and `pin()` is HEAD's.
 
 Package objects, revisions and pin files are forms written by
 `sexpr.unparse` and read by `sexpr.parse_one` and `sexpr.read_fields`
@@ -117,14 +118,15 @@ def serialize_revision(parent, tree: dict, message: str) -> bytes:
 _REVISION_FIELDS = {"parent": Sym, "message": str, "tree": [list]}
 
 
-def parse_revision(data: bytes) -> ChannelRevision:
+def parse_revision(data: bytes, rev_id: ContentHash) -> ChannelRevision:
+    """The revision in data, whose bytes have been checked to hash to rev_id."""
     with _channel_object("revision"):
         fields = sexpr.read_fields(sexpr.parse_one(data), "revision", _REVISION_FIELDS)
         parent = fields["parent"]
         tree = {key: ContentHash(digest.name)
                 for key, digest in sexpr.read_map(fields["tree"], str, Sym).items()}
         return ChannelRevision(
-            id=ContentHash.of_bytes(data),
+            id=rev_id,
             parent=None if parent == Sym("nil") else ContentHash(parent.name),
             tree=tree, message=fields["message"])
 
@@ -203,7 +205,7 @@ class ChannelRepo:
     def get_revision(self, rev_id: ContentHash) -> ChannelRevision:
         if (data := _read_named(self.root, "revision", rev_id)) is None:
             raise UnknownRevision(rev_id.hex)
-        return parse_revision(data)
+        return parse_revision(data, rev_id)
 
     def get_object(self, obj_hash: ContentHash) -> bytes:
         if (data := _read_named(self.root, "object", obj_hash)) is None:
@@ -279,7 +281,7 @@ class ChannelRepo:
             while cur is not None and not self.has_revision(cur):
                 if (data := _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
-                rev = parse_revision(data)
+                rev = parse_revision(data, cur)
                 for key, obj_hash in rev.tree.items():
                     obj_path = self.root / "objects" / obj_hash.hex
                     if obj_path.exists():
@@ -305,8 +307,9 @@ class ChannelRepo:
 
     # -- pins and replay ---------------------------------------------------
 
-    def describe_pin(self, name: str = "microfold") -> str:
-        return render_pin([ChannelPin(name, self.url, self.head().hex)])
+    def pin(self) -> ChannelPin:
+        """The pin of HEAD, the package set of a command run without a pin file."""
+        return ChannelPin("microfold", self.url, self.head().hex)
 
     def ensure_revision(self, pin: ChannelPin):
         rev_id = ContentHash(pin.commit)
@@ -319,26 +322,25 @@ class ChannelRepo:
         if not self.has_revision(rev_id):
             raise UnknownRevision(pin.commit)
 
-    def time_machine(self, pin_file: PinFile, action):
-        """Run action against exactly the pinned package sets, never HEAD."""
+    def pinned_packages(self, pin_file: PinFile) -> dict:
+        """Exactly the pinned package sets, merged; HEAD is never read."""
         merged = {}
         for pin in pin_file.pins:
             self.ensure_revision(pin)
-            pkgs = self.checkout(ContentHash(pin.commit))
-            for key, pkg in pkgs.items():
+            for key, pkg in self.checkout(ContentHash(pin.commit)).items():
                 if key in merged:
                     raise DuplicatePackage(
                         f"{key} defined by more than one pinned channel")
                 merged[key] = pkg
-        return action(merged)
+        return merged
 
-    def describe_human(self) -> str:
-        """Transcript-style description.  The date line is display only and
-        never feeds any hash."""
-        head = self.head()
-        generation = len(self.ancestry(head))
+    def describe_human(self, pin_file: PinFile) -> str:
+        """Transcript-style description of each pin, its generation the
+        length of its commit's ancestry.  The date is display only and never
+        feeds any hash."""
         now = time.strftime("%d %b %Y %H:%M:%S")
-        return (f"Generation {generation}  {now}  (current)\n"
-                f"  microfold {head.hex[:7]}\n"
-                f"    repository URL: {self.url}\n"
-                f"    commit: {head.hex}\n")
+        return "".join(
+            f"Generation {len(self.ancestry(ContentHash(pin.commit)))}  {now}  (current)\n"
+            f"  {pin.name} {pin.commit[:7]}\n"
+            f"    repository URL: {pin.url}\n"
+            f"    commit: {pin.commit}\n" for pin in pin_file.pins)

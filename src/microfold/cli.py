@@ -3,7 +3,9 @@
 Exit codes are stable: 0 success, 1 user error, 2 verification failure,
 3 environment/IO failure.  Diagnostics go to stderr; machine-readable
 output (store paths, pin files, reports) goes to stdout.  Nothing that
-feeds hashing ever contains wall-clock data.
+feeds hashing ever contains wall-clock data.  A command's package set is
+named by one pin file, Context.pins: HEAD's, read once, or the one that
+time-machine sets; package -m records that pin file in its generation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from pathlib import Path
 from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
-from .channel import ChannelRepo, parse_pin, render_pin
+from .channel import ChannelRepo, PinFile, parse_pin, render_pin
 from .derivation import load_derivation, parse_derivation, register_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
@@ -63,35 +65,27 @@ class Context:
             "MICROFOLD_ARCHIVE", base / "archive"))
         self.default_profile = os.environ.get(
             "MICROFOLD_PROFILE", str(base / "profile"))
-        self._packages = None  # time-machine override
-        self._pin_text = None  # time-machine override
 
     @cached_property
     def store(self) -> Store:
         return Store(self.store_root)
 
-    @property
+    @cached_property
     def repo(self) -> ChannelRepo:
         return ChannelRepo(self.repo_root)
 
-    @property
+    @cached_property
     def archive(self) -> Archive:
         return Archive(self.archive_root)
 
-    def packages(self) -> dict:
-        if self._packages is not None:
-            return self._packages
-        repo = self.repo
-        return repo.checkout(repo.head())
+    @cached_property
+    def pins(self) -> PinFile:
+        """The pins that name this command's package set: HEAD's, read once,
+        unless time-machine has set them from its pin file."""
+        return PinFile([self.repo.pin()])
 
-    def pin_text(self) -> str:
-        """The pin of the package set packages() returns; "" with no HEAD."""
-        if self._pin_text is not None:
-            return self._pin_text
-        try:
-            return self.repo.describe_pin()
-        except errors.NoHead:
-            return ""
+    def packages(self) -> dict:
+        return self.repo.pinned_packages(self.pins)
 
 
 def _build_options(args) -> BuildOptions:
@@ -136,7 +130,7 @@ def cmd_package(ctx: Context, args) -> int:
     gen = build_profile(_instantiate(ctx, manifest.specs), ctx.store,
                         Profile(args.profile or ctx.default_profile),
                         archive=ctx.archive, options=_build_options(args),
-                        pin_text=ctx.pin_text(), manifest_text=manifest_text)
+                        pin_text=render_pin(ctx.pins.pins), manifest_text=manifest_text)
     print(f"generation {gen.number}")
     for label, drv_hex, _ in gen.drv_hashes:
         print(f"  {label} {drv_hex[:12]}")
@@ -151,10 +145,9 @@ def cmd_pull(ctx: Context, args) -> int:
 
 
 def cmd_describe(ctx: Context, args) -> int:
-    repo = ctx.repo
     # -f has choices=["channels"]: argparse rejects any other format
-    sys.stdout.write(repo.describe_pin() if args.format == "channels"
-                     else repo.describe_human())
+    sys.stdout.write(render_pin(ctx.pins.pins) if args.format == "channels"
+                     else ctx.repo.describe_human(ctx.pins))
     return EXIT_OK
 
 
@@ -167,14 +160,10 @@ def cmd_time_machine(ctx: Context, args) -> int:
         print("time-machine: missing command after --", file=sys.stderr)
         return EXIT_USER
 
-    def action(packages):
-        ctx._packages, ctx._pin_text = packages, render_pin(pin_file.pins)
-        try:
-            return _dispatch(ctx.parser, rest, ctx)
-        finally:
-            ctx._packages = ctx._pin_text = None
-
-    return ctx.repo.time_machine(pin_file, action)
+    for pin in pin_file.pins:
+        ctx.repo.ensure_revision(pin)
+    ctx.pins = pin_file
+    return _dispatch(ctx.parser, rest, ctx)
 
 
 def cmd_challenge(ctx: Context, args) -> int:

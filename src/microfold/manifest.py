@@ -108,10 +108,6 @@ def resolve_spec(spec: Spec, packages: dict) -> PackageDef:
     return max(candidates, key=lambda p: version_key(p.version))
 
 
-def resolve(manifest: Manifest, packages: dict) -> list:
-    return [resolve_spec(s, packages) for s in manifest.specs]
-
-
 # -- instantiation ---------------------------------------------------------
 
 class Instantiator:

@@ -261,7 +261,7 @@ def test_pull_unreachable(tmp_path):
 
 def test_describe_pin_round_trips(repo):
     rev = repo.commit_revision(golden_tree(), message="one")
-    text = repo.describe_pin()
+    text = render_pin([repo.pin()])
     assert f'(commit "{rev.id.hex}")' in text
     assert f'(url "{repo.url}")' in text
     pin = parse_pin(text)
@@ -271,7 +271,7 @@ def test_describe_pin_round_trips(repo):
 
 def test_describe_without_head(repo):
     with pytest.raises(NoHead):
-        repo.describe_pin()
+        render_pin([repo.pin()])
 
 
 def test_parse_pin_minimal():
@@ -305,14 +305,13 @@ def test_parse_pin_rejects_garbage():
 
 def test_time_machine_uses_pinned_tree(repo):
     r1 = repo.commit_revision(golden_tree(), message="one")
-    pin_text = repo.describe_pin()
+    pin_text = render_pin([repo.pin()])
     newer = golden_tree()
     newer[0] = PackageDef(name="a", version="2.0", synopsis="pkg a",
                           source=b"aa", steps=newer[0].steps)
     repo.commit_revision(newer, parent=r1.id, message="two")
 
-    seen = {}
-    repo.time_machine(parse_pin(pin_text), lambda pkgs: seen.update(pkgs))
+    seen = repo.pinned_packages(parse_pin(pin_text))
     assert "a@1.0" in seen and "a@2.0" not in seen
 
 
@@ -321,14 +320,14 @@ def test_time_machine_unknown_revision(repo, tmp_path):
     pin = PinFile([ChannelPin("c", "file://" + str(tmp_path / "gone"),
                               "ab" * 32)])
     with pytest.raises(UnknownRevision):
-        repo.time_machine(pin, lambda pkgs: pkgs)
+        repo.pinned_packages(pin)
 
 
 def test_time_machine_pulls_from_pin_url(repo, tmp_path):
     rev = repo.commit_revision(golden_tree(), message="one")
     clone = ChannelRepo(tmp_path / "clone")
     pin = PinFile([ChannelPin("c", "file://" + str(repo.root), rev.id.hex)])
-    result = clone.time_machine(pin, lambda pkgs: set(pkgs))
+    result = set(clone.pinned_packages(pin))
     assert result == {"a@1.0", "b@2.0", "c@0.1"}
 
 
@@ -340,7 +339,7 @@ def test_time_machine_leaves_head_and_url_alone(tmp_path):
     url_before = (repo.root / "URL").read_bytes()
     pin = PinFile([ChannelPin("c", "file://" + str(other.root),
                               remote.id.hex)])
-    seen = repo.time_machine(pin, lambda pkgs: set(pkgs))
+    seen = set(repo.pinned_packages(pin))
     assert seen == {"a@1.0", "b@2.0", "c@0.1"}
     assert repo.head() == own.id
     assert (repo.root / "URL").read_bytes() == url_before
@@ -348,6 +347,19 @@ def test_time_machine_leaves_head_and_url_alone(tmp_path):
 
 def test_describe_human_mentions_commit(repo):
     rev = repo.commit_revision(golden_tree(), message="one")
-    text = repo.describe_human()
+    text = repo.describe_human(PinFile([repo.pin()]))
     assert rev.id.hex in text
     assert "Generation 1" in text
+
+
+def test_ancestry_hashes_each_revision_once(repo, monkeypatch):
+    """A revision's bytes are hashed once per read, to check its name."""
+    rev_id = None
+    for i in range(5):
+        rev_id = repo.commit_revision(golden_tree(), parent=rev_id, message=str(i)).id
+    hashed = []
+    real = ContentHash.of_bytes
+    monkeypatch.setattr(ContentHash, "of_bytes",
+                        staticmethod(lambda data: hashed.append(data) or real(data)))
+    assert len(repo.ancestry(rev_id)) == 5
+    assert len(hashed) == 5

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import carc_model
-from microfold import builder, cli
+from microfold import builder, cli, manifest, transport
 from microfold.bootstrap import register_seed
 from microfold.builder import build
-from microfold.channel import ChannelRepo, PackageDef
+from microfold.channel import ChannelRepo, PackageDef, parse_pin
 from microfold.cli import run_command
 from microfold.derivation import (Derivation, Step, canonical_serialize,
                                   derivation_hash)
@@ -380,6 +380,50 @@ def test_time_machine_package_records_replayed_pin(env, tmp_path, capsys):
     recorded = (env["profile"] / "generations/1/channels.scm").read_text()
     assert recorded == r1_pin
     assert r2.id.hex not in recorded
+
+
+def test_time_machine_describes_the_pinned_revision(env, tmp_path, monkeypatch, capsys):
+    assert run_command(["describe", "-f", "channels"]) == 0
+    r1_pin = capsys.readouterr().out
+    pin_file = tmp_path / "r1.scm"
+    pin_file.write_text(r1_pin)
+    r1 = env["repo_obj"].head()
+    r2 = env["repo_obj"].commit_revision(fixture_packages_v2(), parent=r1,
+                                         message="upgrades")
+    reads = []
+    real = transport.read_bytes
+    monkeypatch.setattr(transport, "read_bytes", lambda *a: reads.append(a) or real(*a))
+    assert run_command(["time-machine", "-C", str(pin_file), "--",
+                        "describe", "-f", "channels"]) == 0
+    assert capsys.readouterr().out == r1_pin
+    assert reads == []  # a pin is printed without reading its revision or packages
+    assert run_command(["time-machine", "-C", str(pin_file), "--", "describe"]) == 0
+    human = capsys.readouterr().out
+    assert human.startswith("Generation 1  ")
+    assert f"    commit: {r1.hex}\n" in human
+    assert r2.id.hex not in human
+
+
+def test_a_generation_records_the_pin_it_built(env, tmp_path, monkeypatch, capsys):
+    """A HEAD that moves while `package -m` runs does not change the pin its
+    generation records: the command reads HEAD once."""
+    repo = env["repo_obj"]
+    built = repo.head()
+    real_init = manifest.Instantiator.__init__
+
+    def init_after_a_commit(self, *args, **kwargs):
+        if repo.head() == built:
+            repo.commit_revision(fixture_packages_v2(), parent=built, message="moved")
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(manifest.Instantiator, "__init__", init_after_a_commit)
+    manifest_file = tmp_path / "manifest.scm"
+    manifest_file.write_text(MANIFEST)
+    assert run_command(["package", "-m", str(manifest_file)]) == 0
+    assert "  python-3.9 " in capsys.readouterr().out
+    assert repo.head() != built
+    recorded = parse_pin((env["profile"] / "generations/1/channels.scm").read_text())
+    assert [p.commit for p in recorded.pins] == [built.hex]
 
 
 def test_time_machine_missing_command(env, tmp_path, capsys):

@@ -12,7 +12,7 @@ from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
                               UnknownVersion, UnsupportedForm)
 from microfold.hashing import ContentHash
 from microfold.manifest import (Instantiator, Manifest, Spec, instantiate,
-                                parse_manifest, parse_spec, resolve, resolve_spec,
+                                parse_manifest, parse_spec, resolve_spec,
                                 rewrite_inputs, version_key)
 
 from conftest import build_hash, fixture_packages, fixture_packages_v2
@@ -122,7 +122,7 @@ def test_resolve_errors():
 
 def test_resolve_manifest(packages):
     m = parse_manifest(REFERENCE_MANIFEST)
-    picked = resolve(m, packages)
+    picked = [resolve_spec(s, packages) for s in m.specs]
     assert [(p.name, p.version) for p in picked] == [
         ("python", "3.9"), ("python-scipy", "1.6"), ("python-numpy", "1.20")]
 

@@ -216,7 +216,7 @@ def test_writers_match_the_reference_encoder(drv, pkg, parent, tree, message,
     assert serialize_package(parse_package(data)) == data
     data = serialize_revision(parent, tree, message)
     assert data == sexpr_model.revision_bytes(parent, tree, message)
-    rev = parse_revision(data)
+    rev = parse_revision(data, ContentHash.of_bytes(data))
     assert (rev.parent, rev.tree, rev.message) == (parent, tree, message)
     text = render_pin(pin_list)
     assert text.encode("utf-8", "surrogateescape") == sexpr_model.pin_bytes(pin_list)

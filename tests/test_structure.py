@@ -25,6 +25,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ("MAGIC +", "carc.py"),               # one single-file archive encoder
     ('"outputhash"', "store.py"),         # one item record codec
     ('"storepath"', "substitute.py"),     # a cache's info names its item
+    (".head()", "channel.py"),            # commands reach HEAD through pin()
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()
