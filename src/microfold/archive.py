@@ -24,8 +24,9 @@ from .store import Staged, StorePath, locked, write_atomic
 class Archive:
     def __init__(self, root):
         self.root = Path(root)
-        (self.root / "carc").mkdir(parents=True, exist_ok=True)
-        (self.root / "origins").mkdir(parents=True, exist_ok=True)
+        if not (self.root / "origins").is_dir():  # made last
+            for sub in ("carc", "origins"):
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
 
     def ingest(self, content, origin: str | None = None) -> ContentHash:
         """Store content (the tree at a path, or bytes as a single file) by

@@ -179,8 +179,9 @@ def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
 class ChannelRepo:
     def __init__(self, root, url: str | None = None):
         self.root = Path(root)
-        (self.root / "revisions").mkdir(parents=True, exist_ok=True)
-        (self.root / "objects").mkdir(parents=True, exist_ok=True)
+        if not (self.root / "objects").is_dir():  # made last
+            for sub in ("revisions", "objects"):
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
         if url is not None:
             write_atomic(self.root / "URL", f"{url}\n".encode())
 

@@ -104,7 +104,8 @@ def union_tree(outputs, dest) -> tuple[ContentHash, int]:
 class Profile:
     def __init__(self, root):
         self.root = Path(root)
-        (self.root / "generations").mkdir(parents=True, exist_ok=True)
+        if not (self.root / "generations").is_dir():
+            (self.root / "generations").mkdir(parents=True, exist_ok=True)
 
     def generation_numbers(self) -> list:
         return sorted(int(n) for n in os.listdir(self.root / "generations") if n.isdigit())

@@ -260,10 +260,11 @@ class Store:
         self.root = Path(root)
         self.base = base
         self._seed_dir = self.root / "db" / "seeds"
-        if not (self.root / "db").is_dir():  # a new store: an empty index is whole
-            self._seed_dir.mkdir(parents=True, exist_ok=True)
-        for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
+        if not (self.root / "tmp").is_dir():  # made last: a store with tmp is whole
+            if not (self.root / "db").is_dir():  # a new store: an empty index is whole
+                self._seed_dir.mkdir(parents=True, exist_ok=True)
+            for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
+                (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Memos over write-once data (see the module docstring).
         self._records = {}  # component -> StoreItemRecord
         # drv hash hex -> Derivation, for load_derivation; shared with the

@@ -32,14 +32,22 @@ from .store import (Staged, Store, StoreItemRecord, StorePath, parse_fields,
 def publish(store: Store, path: StorePath, cache) -> StoreItemRecord:
     """Write a verified store item into a local cache directory; its record.
 
-    The item's archive is streamed into a tmp file and hashed on the way;
-    it is renamed into the cache only if it matches the item's record.
+    An entry that holds publish's info bytes and re-hashes to the record is
+    kept without reading the item.  Otherwise the item's archive is streamed
+    to a tmp file, hashed on the way and renamed in only if it matches the
+    record: publish verifies what it writes, and repairs a damaged entry.
     """
     rec = store.get_record(path)
     if rec is None or not os.path.lexists(path.path):
         raise CorruptItem(f"{path.component}: missing")
+    info = {k: v for k, v in rec.fields().items() if k not in ("kind", "description")}
+    info = render_fields(info | {"storepath": path.component}).encode()
     try:
         cache = Path(cache)
+        held = transport.read_bytes(cache, f"info/{path.digest_prefix}") == info
+        blocks = _provider_archive(cache, path.digest_prefix) if held else None
+        if blocks is not None and _archive_hex(blocks) == rec.output_hash.hex:
+            return rec
         (cache / "info").mkdir(parents=True, exist_ok=True)
         (cache / "carc").mkdir(parents=True, exist_ok=True)
         tmp, actual, _ = carc.dump_to_tmp(path.path, cache / "carc")
@@ -47,12 +55,18 @@ def publish(store: Store, path: StorePath, cache) -> StoreItemRecord:
             os.unlink(tmp)
             raise CorruptItem(f"{path.component}: mismatch")
         os.replace(tmp, cache / "carc" / path.digest_prefix)
-        info = {k: v for k, v in rec.fields().items() if k not in ("kind", "description")}
-        write_atomic(cache / "info" / path.digest_prefix,
-                     render_fields(info | {"storepath": path.component}).encode())
+        write_atomic(cache / "info" / path.digest_prefix, info)
     except OSError as e:
         raise CacheWriteError(str(e)) from e
     return rec
+
+
+def _archive_hex(blocks) -> str:
+    """SHA-256 hex of a stream of blocks; a broken stream raises BrokenFetch."""
+    sha = hashlib.sha256()
+    for block in blocks:
+        sha.update(block)
+    return sha.hexdigest()
 
 
 def _provider_info(cache, path: StorePath) -> StoreItemRecord | None:
@@ -198,13 +212,10 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
         for cache in caches:
             blocks = _provider_archive(cache, path.digest_prefix)
             if blocks is not None:
-                sha = hashlib.sha256()
                 try:
-                    for block in blocks:
-                        sha.update(block)
+                    values.append((str(cache), _archive_hex(blocks)))
                 except transport.BrokenFetch:
                     continue  # no value
-                values.append((str(cache), sha.hexdigest()))
             elif (info := _provider_info(cache, path)) is not None:
                 values.append((str(cache), info.output_hash.hex))
         if rebuild and derivations and path.component in derivations:

@@ -21,6 +21,7 @@ from microfold.derivation import (Derivation, Step, canonical_serialize,
 from microfold import derivation as d
 from microfold.errors import MicrofoldError
 from microfold.hashing import ContentHash
+from microfold.profile import Profile
 from microfold.store import Store, StorePath, parse_fields, render_fields
 from microfold.substitute import fetch_substitute, publish
 
@@ -227,6 +228,30 @@ def test_start_and_warm_package_load_only_what_they_run(env, tmp_path):
         assert "microfold.cli" in imported.split(",")
         assert NOT_AT_START & set(imported.split(",")) == set()
         assert NOT_AT_START & set(loaded.split(",")) == set()
+
+
+# Runs argv, then opens the profile at MICROFOLD_PROFILE, and prints the
+# exit code and the directories that os.mkdir was asked to make.
+MKDIRS = """
+import os, sys
+made = []
+sys.addaudithook(lambda event, args: event == "os.mkdir" and made.append(args[0]))
+from microfold.cli import run_command
+from microfold.profile import Profile
+code = run_command(sys.argv[1:])
+Profile(os.environ["MICROFOLD_PROFILE"])
+print(code, made)
+"""
+
+
+def test_a_warm_build_makes_no_directory(env):
+    """The Store, Archive, ChannelRepo and Profile constructors make their
+    layout only when the directory they make last is missing."""
+    assert run_command(["build", "app-alpha"]) == 0
+    Profile(env["profile"])
+    proc = subprocess.run([sys.executable, "-c", MKDIRS, "build", "app-alpha"],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "0 []", proc.stderr
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -10,13 +10,14 @@ import time
 import pytest
 
 import carc_model
-from microfold import transport
+from microfold import carc, transport
 from microfold import derivation as d
 from microfold.builder import BuildOptions, Builder, build
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
                                   derivation_hash, register_derivation)
 from microfold.errors import (AllProvidersCorrupt, CorruptItem,
                               SubstituteNotFound)
+from microfold.hashing import ContentHash
 from microfold.store import Store, StorePath, parse_fields, render_fields
 from microfold.substitute import (_provider_info, challenge, fetch_substitute,
                                   publish)
@@ -63,6 +64,80 @@ def test_publish_refuses_corrupt_item(store, cache):
         publish(store, path, cache)
 
 
+def _entry(cache, path):
+    """The (st_ino, st_mtime_ns) of path's info and archive files in cache."""
+    stats = [(cache / sub / path.digest_prefix).stat() for sub in ("info", "carc")]
+    return [(st.st_ino, st.st_mtime_ns) for st in stats]
+
+
+def _archive_hash(cache, path):
+    return ContentHash.of_bytes((cache / "carc" / path.digest_prefix).read_bytes())
+
+
+def test_a_second_publish_keeps_the_entry(store, cache, monkeypatch):
+    """A cache that holds an entry which re-hashes to the record keeps it:
+    the item is not serialized again and neither file is rewritten."""
+    path = build(hello_drv(), store)
+    rec = publish(store, path, cache)
+    before = _entry(cache, path)
+    dumps = []
+    monkeypatch.setattr(carc, "dump_to_tmp",
+                        lambda *a, real=carc.dump_to_tmp: dumps.append(a) or real(*a))
+    assert publish(store, path, cache) == rec
+    assert dumps == []
+    assert _entry(cache, path) == before
+
+
+def _flip_last_byte(f):
+    data = bytearray(f.read_bytes())
+    data[-1] ^= 0xFF
+    f.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda entry: _flip_last_byte(entry["carc"]),
+    lambda entry: entry["carc"].unlink(),
+    lambda entry: entry["info"].unlink(),
+    lambda entry: entry["info"].write_text("storepath: elsewhere\n"),
+    lambda entry: entry["info"].write_bytes(entry["info"].read_bytes()[:-1]),
+], ids=["flipped-archive", "no-archive", "no-info", "other-info", "truncated-info"])
+def test_publish_repairs_a_damaged_entry(tmp_path, store, cache, damage):
+    """An entry that lacks a file, or whose info differs or whose archive
+    does not re-hash to the record, is written again as a fresh publish
+    writes it, and a consumer then substitutes from it."""
+    path = build(hello_drv(), store)
+    rec = publish(store, path, cache)
+    fresh = (cache / "info" / path.digest_prefix).read_bytes()
+    damage({sub: cache / sub / path.digest_prefix for sub in ("info", "carc")})
+    assert publish(store, path, cache) == rec
+    assert (cache / "info" / path.digest_prefix).read_bytes() == fresh
+    assert _archive_hash(cache, path) == rec.output_hash
+    consumer = Store(tmp_path / "consumer")
+    got = fetch_substitute(StorePath.from_component(consumer.root, path.component),
+                           [cache], consumer)
+    assert consumer.get_record(got).output_hash == rec.output_hash
+
+
+def test_publish_verifies_only_what_it_writes(store, cache):
+    """An item changed on disk is not read while the cache holds an entry
+    that re-hashes to its record; it is refused once the entry must be
+    written again.  A missing item is refused either way."""
+    path = build(hello_drv(), store)
+    rec = publish(store, path, cache)
+    before = _entry(cache, path)
+    (path.path / "hello.txt").write_bytes(b"mutated")
+    assert publish(store, path, cache) == rec
+    assert _entry(cache, path) == before
+    assert _archive_hash(cache, path) == rec.output_hash
+    _flip_last_byte(cache / "carc" / path.digest_prefix)
+    with pytest.raises(CorruptItem, match="mismatch"):
+        publish(store, path, cache)
+    assert os.listdir(cache / "carc") == [path.digest_prefix]  # no tmp file left
+    shutil.rmtree(path.path)
+    with pytest.raises(CorruptItem, match="missing"):
+        publish(store, path, cache)
+
+
 def test_fetch_equals_local_build(tmp_path, cache):
     producer = Store(tmp_path / "producer")
     path = build(hello_drv(), producer)
@@ -97,10 +172,7 @@ def test_tampered_archive_rejected(tmp_path, cache):
     producer = Store(tmp_path / "producer")
     path = build(hello_drv(), producer)
     publish(producer, path, cache)
-    blob = cache / "carc" / path.digest_prefix
-    data = bytearray(blob.read_bytes())
-    data[-1] ^= 0xFF
-    blob.write_bytes(bytes(data))
+    _flip_last_byte(cache / "carc" / path.digest_prefix)
 
     consumer = Store(tmp_path / "consumer")
     target = StorePath.from_component(consumer.root, path.component)
