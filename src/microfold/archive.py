@@ -15,10 +15,11 @@ from contextlib import closing
 from pathlib import Path
 
 from . import carc, transport
+from .derivation import source_path
 from .errors import (ArchiveWriteError, HashMismatch, ParseError,
                      SourceUnavailable)
 from .hashing import ContentHash
-from .store import Staged, StorePath, locked, write_atomic
+from .store import Staged, locked, write_atomic
 
 
 class Archive:
@@ -116,8 +117,7 @@ def fetch_source(ref, store, archive: Archive | None,
     the archive lacks is ingested on the way.
     """
     ingest = archive is not None and not archive.has(ref.expected_hash)
-    present = store.get_record(StorePath.from_component(
-        store.root, f"{ref.expected_hash.prefix}-{ref.label}"))
+    present = store.get_record(source_path(store, ref))
     if present is not None and present.output_hash == ref.expected_hash:
         if ingest:
             archive.ingest(present.path.path, origin=ref.url)

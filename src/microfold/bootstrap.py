@@ -11,14 +11,11 @@ seed is reported by its store record.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
-from .derivation import load_derivation
+from .derivation import load_derivation, output_path, source_path
 from .errors import DanglingReference
-from .store import Store, StoreItemRecord, StorePath
-
-_COMPONENT_IN_TEXT = re.compile(r"[0-9a-f]{32}-[A-Za-z0-9._+-]+")
+from .store import COMPONENT_RE, Store, StoreItemRecord, StorePath
 
 
 def register_seed(store: Store, content, name: str,
@@ -95,9 +92,9 @@ def audit_trust(root, store: Store) -> AuditReport:
                     offending.add((node.component, "deriver-derivation-missing"))
             continue
         drv = load_derivation(store, node)
-        sourced.update(f"{s.expected_hash.prefix}-{s.label}" for s in drv.sources)
+        sourced.update(source_path(store, s).component for s in drv.sources)
         todo.extend(i.derivation_hash for i in drv.inputs)
-        output = StorePath(store.root, node.prefix, drv.label)
+        output = output_path(store, node)
         outputs.add(output.component)
         if store.get_record(output) is not None:
             todo.append(output)
@@ -105,7 +102,7 @@ def audit_trust(root, store: Store) -> AuditReport:
             for arg in step.args:
                 if isinstance(arg, bytes):
                     arg = arg.decode("utf-8", "surrogateescape")
-                for component in _COMPONENT_IN_TEXT.findall(arg):
+                for component in COMPONENT_RE.findall(arg):
                     if store.get_record(component) is None:
                         absent.add(component)
                     else:

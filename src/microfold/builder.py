@@ -28,17 +28,15 @@ from __future__ import annotations
 import hashlib
 import heapq
 import os
-import shutil
 import stat
 import sys
-import tempfile
 import threading
 from pathlib import Path
 from typing import NamedTuple
 
 from . import carc
 from .archive import fetch_source
-from .derivation import Derivation, load_derivation, register_derivation
+from .derivation import Derivation, load_derivation, output_path, register_derivation
 from .errors import EscapedClosure, MicrofoldError, StepFailure
 from .hashing import PREFIX_LEN, ContentHash
 from .store import Staged, Store, StorePath, postorder
@@ -101,9 +99,7 @@ class Builder:
         refused = set()  # items that no fetch of this plan can install
 
         def inputs(drv_hash):
-            drv = load_derivation(self.store, drv_hash)
-            target = paths[drv_hash] = StorePath(self.store.root, drv_hash.prefix,
-                                                 drv.label)
+            target = paths[drv_hash] = output_path(self.store, drv_hash)
             if self.store.get_record(target) is not None:
                 return ()
             if self.options.caches:
@@ -114,7 +110,7 @@ class Builder:
                     return ()
                 except MicrofoldError:
                     pass  # fall back to building from source
-            needed[drv_hash] = drv
+            drv = needed[drv_hash] = load_derivation(self.store, drv_hash)
             return [i.derivation_hash for i in drv.inputs]
 
         for drv_hash in postorder(drv_hashes, inputs):
@@ -360,15 +356,14 @@ def rebuild_output_hash(drv_hash: ContentHash, store: Store, *, archive=None,
     """The output hash (hex) of the derivation that drv_hash names, from a
     build into a scratch store, removed afterwards.  It reads the main
     store's seeds, sources and derivations in place but rebuilds every
-    derived item; the main store is never written to, so a
-    nondeterministic derivation cannot pollute it."""
-    scratch_root = tempfile.mkdtemp(prefix="microfold-rebuild-")
-    try:
+    derived item; the main store's items and records are never written to,
+    so a nondeterministic derivation cannot pollute it.  The scratch store
+    lies under <store>/tmp (Store.scratch), on the main store's filesystem,
+    so its copy steps can link files rather than copy them."""
+    with store.scratch() as scratch_root:
         scratch_store = Store(scratch_root, base=store)
         [path] = Builder(scratch_store, archive=archive, options=options).build([drv_hash])
         return scratch_store.get_record(path).output_hash.hex
-    finally:
-        shutil.rmtree(scratch_root, ignore_errors=True)
 
 
 def check_rebuild(drv_hash: ContentHash, store: Store, rounds: int = 2, *,

@@ -29,7 +29,7 @@ from .derivation import SourceRef, _parse_step
 from .errors import (BadCommit, CorruptRevision, DuplicatePackage,
                      InvalidHash, InvariantViolation, NoHead, ParseError,
                      UnknownParent, UnknownRevision, UnreachableRemote)
-from .hashing import ContentHash
+from .hashing import HEX64, ContentHash
 from .sexpr import Sym
 from .store import locked, write_atomic
 
@@ -158,7 +158,7 @@ def parse_pin(text: str) -> PinFile:
     for channel in form[1:]:
         fields = sexpr.read_fields(channel, "channel", _PIN_FIELDS)
         commit = fields["commit"]
-        if len(commit) != 64 or not all(c in "0123456789abcdef" for c in commit):
+        if not HEX64.fullmatch(commit):
             raise BadCommit(f"commit must be 64 hex chars, got {commit!r}")
         pins.append(ChannelPin(fields["name"], fields["url"], commit))
     if not pins:

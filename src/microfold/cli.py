@@ -13,19 +13,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, PinFile, parse_pin, render_pin
-from .derivation import load_derivation, parse_derivation, register_derivation
+from .derivation import load_derivation, output_path, parse_derivation, register_derivation
 from .errors import MicrofoldError
 from .hashing import ContentHash
-from .manifest import Instantiator, parse_manifest, parse_spec, resolve_spec
+from .manifest import Instantiator, parse_manifest, parse_spec
 from .profile import Profile, build_profile
-from .store import Store, StorePath, postorder
+from .store import COMPONENT_RE, Store, StorePath, postorder
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -100,9 +100,8 @@ def _build_options(args) -> BuildOptions:
 def _instantiate(ctx: Context, specs) -> list:
     """The derivation hashes of specs, each resolved before any is
     instantiated; the store holds their bytes."""
-    packages = ctx.packages()
-    pkgs = [resolve_spec(spec, packages) for spec in specs]
-    inst = Instantiator(packages, store=ctx.store, archive=ctx.archive)
+    inst = Instantiator(ctx.packages(), store=ctx.store, archive=ctx.archive)
+    pkgs = [inst.resolve(spec) for spec in specs]
     return [inst.instantiate(pkg) for pkg in pkgs]
 
 
@@ -169,13 +168,10 @@ def cmd_time_machine(ctx: Context, args) -> int:
 def cmd_challenge(ctx: Context, args) -> int:
     from .substitute import challenge as run_challenge
     store = ctx.store
-    paths, derivations = [], {}  # derivations: component -> derivation hash
-    for drv_hash in _instantiate(ctx, map(parse_spec, args.specs)):
-        sp = StorePath(store.root, drv_hash.prefix, load_derivation(store, drv_hash).label)
-        paths.append(sp)
-        derivations[sp.component] = drv_hash
-    report = run_challenge(paths, args.substitute_url or [], store,
-                           rebuild=args.rebuild, derivations=derivations,
+    hashes = _instantiate(ctx, map(parse_spec, args.specs))
+    paths = [output_path(store, drv_hash) for drv_hash in hashes]
+    report = run_challenge(paths, args.substitute_url or [], store, rebuild=args.rebuild,
+                           derivations={p.component: h for p, h in zip(paths, hashes)},
                            archive=ctx.archive)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
@@ -232,13 +228,11 @@ def cmd_seed(ctx: Context, args) -> int:
         print(f"{rec.path.component} {rec.size}")
         return EXIT_OK
     # audit
-    target = args.spec
-    store = ctx.store
-    if len(target) > 33 and target[:32].strip("0123456789abcdef") == "" and target[32] == "-":
-        root = StorePath.from_component(store.root, target)
-        report = audit_trust(root, store)
+    if COMPONENT_RE.fullmatch(args.spec):
+        root = StorePath.from_component(ctx.store.root, args.spec)
     else:
-        report = audit_trust(_instantiate(ctx, [parse_spec(target)])[0], store)
+        [root] = _instantiate(ctx, [parse_spec(args.spec)])
+    report = audit_trust(root, ctx.store)
     sys.stdout.write(report.render())
     return EXIT_OK if report.trusted else EXIT_VERIFY
 
@@ -273,10 +267,10 @@ def cmd_rollback(ctx: Context, args) -> int:
     return EXIT_OK
 
 
-def _workers(text: str) -> int:
-    """--workers: the number of build threads, at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a number of at least 1, got {text!r}")
+def _at_least(low: int, text: str) -> int:
+    """An argparse type: a whole number of at least low (--workers, --check)."""
+    if not text.isdecimal() or int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected a number of at least {low}, got {text!r}")
     return int(text)
 
 
@@ -303,8 +297,8 @@ def make_parser(argv=()) -> argparse.ArgumentParser:
         p.add_argument("target")
         p.add_argument("--substitute-url", action="append")
         p.add_argument("--no-archive-fallback", action="store_true")
-        p.add_argument("--workers", type=_workers, default=1)
-        p.add_argument("--check", type=int, metavar="ROUNDS",
+        p.add_argument("--workers", type=partial(_at_least, 1), default=1)
+        p.add_argument("--check", type=partial(_at_least, 2), metavar="ROUNDS",
                        help="rebuild ROUNDS times and compare output hashes")
         p.set_defaults(func=cmd_build)
 
@@ -312,7 +306,7 @@ def make_parser(argv=()) -> argparse.ArgumentParser:
         p.add_argument("-m", "--manifest", required=True)
         p.add_argument("-p", "--profile")
         p.add_argument("--substitute-url", action="append")
-        p.add_argument("--workers", type=_workers, default=1)
+        p.add_argument("--workers", type=partial(_at_least, 1), default=1)
         p.set_defaults(func=cmd_package)
 
     if p := add("pull", "fetch channel revisions from a remote"):

@@ -27,7 +27,7 @@ from .errors import (DanglingReference, InvariantViolation, ParseError,
                      StoreCorruption)
 from .hashing import ContentHash
 from .sexpr import Sym
-from .store import LABEL_RE
+from .store import LABEL_RE, StorePath
 
 SYSTEM = "generic"
 
@@ -124,7 +124,7 @@ class Derivation:
         return f"{self.name}-{self.version}"
 
     def validate(self):
-        if not LABEL_RE.match(self.label):
+        if not LABEL_RE.fullmatch(self.label):
             raise InvariantViolation(f"bad name-version label: {self.label!r}")
         if self.system != SYSTEM:
             raise InvariantViolation(f"unsupported system {self.system!r}")
@@ -174,6 +174,16 @@ def register_derivation(store, drv: Derivation) -> ContentHash:
     store.put_derivation(drv_hash, data)
     store.derivations.setdefault(drv_hash.hex, drv)
     return drv_hash
+
+
+def output_path(store, drv_hash: ContentHash) -> StorePath:
+    """The store path of the output of the derivation that drv_hash names."""
+    return StorePath(store.root, drv_hash.prefix, load_derivation(store, drv_hash).label)
+
+
+def source_path(store, src: SourceRef) -> StorePath:
+    """A source's store path: a fixed item, named by its declared hash and label."""
+    return StorePath.from_component(store.root, f"{src.expected_hash.prefix}-{src.label}")
 
 
 # -- parsing (load_derivation, and drv files fed to the CLI) ---------------

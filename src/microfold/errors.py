@@ -12,7 +12,7 @@ class MicrofoldError(Exception):
 # --- store ---------------------------------------------------------------
 
 class InvalidLabel(MicrofoldError):
-    """A store label violates the [A-Za-z0-9._+-]+ rule."""
+    """A store label or path component breaks its rule (store.LABEL_RE)."""
 
 
 class InvalidHash(MicrofoldError):

@@ -7,7 +7,7 @@ import re
 
 from .errors import InvalidHash
 
-_HEX64 = re.compile(r"^[0-9a-f]{64}$")
+HEX64 = re.compile(r"[0-9a-f]{64}")  # a digest: match it whole (fullmatch)
 
 # Store path components carry the first 32 hex chars of a digest.
 PREFIX_LEN = 32
@@ -19,7 +19,7 @@ class ContentHash:
     __slots__ = ("hex",)
 
     def __init__(self, hex: str):
-        if not _HEX64.match(hex):
+        if not HEX64.fullmatch(hex):
             raise InvalidHash(f"not a 64-char lowercase hex digest: {hex!r}")
         self.hex = hex
 

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import sexpr
 from .channel import PackageDef
-from .derivation import (Derivation, InputRef, SourceRef, Step,
+from .derivation import (Derivation, InputRef, SourceRef, Step, output_path,
                          register_derivation)
 from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
                      ParseError, ReplacementCycle, UnknownPackage,
@@ -120,12 +120,16 @@ class Instantiator:
     """
 
     def __init__(self, packages: dict, *, store, archive=None):
-        self.named = {}  # name -> {key: definition}, for resolve_spec
+        self.named = {}  # name -> {key: definition}, for resolve
         for pkg in packages.values():
             self.named.setdefault(pkg.name, {})[pkg.key] = pkg
         self.store = store
         self.archive = archive
         self.hashes = {}  # package key -> derivation hash
+
+    def resolve(self, spec: Spec) -> PackageDef:
+        """resolve_spec over the definitions of spec's name only."""
+        return resolve_spec(spec, self.named.get(spec.name, {}))
 
     def _seed_component(self, label: str) -> str:
         for rec in self.store.seeds():
@@ -154,8 +158,7 @@ class Instantiator:
         def resolved(key):
             if key in self.hashes:
                 return ()
-            deps[key] = [resolve_spec(spec, self.named.get(spec.name, {}))
-                         for spec in map(parse_spec, defs[key].deps)]
+            deps[key] = [self.resolve(parse_spec(spec)) for spec in defs[key].deps]
             defs.update((dep.key, dep) for dep in deps[key])
             return [dep.key for dep in deps[key]]
 
@@ -173,7 +176,7 @@ class Instantiator:
         for dep in deps:
             dep_hash = self.hashes[dep.key]
             inputs.append(InputRef(derivation_hash=dep_hash, label=dep.name))
-            mapping[dep.name] = f"{dep_hash.prefix}-{dep.name}-{dep.version}"
+            mapping[dep.name] = output_path(self.store, dep_hash).component
 
         sources = []
         if isinstance(pkg.source, SourceRef):

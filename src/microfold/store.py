@@ -60,15 +60,15 @@ from typing import NamedTuple
 from . import carc
 from .errors import (DanglingReference, DependencyCycle, InvalidLabel,
                      OutputCollision, StoreCorruption)
-from .hashing import ContentHash, PREFIX_LEN
+from .hashing import HEX64, PREFIX_LEN, ContentHash
 
-LABEL_RE = re.compile(r"^[A-Za-z0-9._+-]+$")
-_COMPONENT_RE = re.compile(r"^[0-9a-f]{32}-[A-Za-z0-9._+-]+$")
-_HEX64_RE = re.compile(r"^[0-9a-f]{64}$")
+# A name is checked whole (fullmatch): "$" would let a trailing newline in.
+LABEL_RE = re.compile(r"[A-Za-z0-9._+-]+")
+COMPONENT_RE = re.compile(r"[0-9a-f]{32}-" + LABEL_RE.pattern)
 
 
 def check_label(label: str):
-    if not LABEL_RE.match(label):
+    if not LABEL_RE.fullmatch(label):
         raise InvalidLabel(f"invalid store label: {label!r}")
 
 
@@ -121,7 +121,7 @@ class StorePath:
 
     @classmethod
     def from_component(cls, store_root, component: str) -> "StorePath":
-        if not _COMPONENT_RE.match(component):
+        if not COMPONENT_RE.fullmatch(component):
             raise InvalidLabel(f"invalid store path component: {component!r}")
         return cls(store_root, component[:PREFIX_LEN], component[PREFIX_LEN + 1:])
 
@@ -324,7 +324,7 @@ class Store:
 
     def list_records(self) -> list:
         names = sorted(os.listdir(self.root / "db" / "items"))
-        return [self.get_record(n) for n in names if _COMPONENT_RE.match(n)]
+        return [self.get_record(n) for n in names if COMPONENT_RE.fullmatch(n)]
 
     def _seed_index(self, entry: str = "") -> list:
         """The names in db/seeds, after adding entry under the seeds lock.
@@ -370,7 +370,7 @@ class Store:
     def list_derivations(self) -> list:
         """The hashes that name this store's derivation files."""
         return [ContentHash(n) for n in sorted(os.listdir(self.root / "db" / "drvs"))
-                if _HEX64_RE.match(n)]
+                if HEX64.fullmatch(n)]
 
     # -- item insertion ---------------------------------------------------
 

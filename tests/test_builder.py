@@ -216,6 +216,16 @@ def test_check_rebuild_deterministic(store, toolchain):
         f"{derivation_hash(hello_drv()).prefix}-hello-1.0") is None
 
 
+def test_check_rebuild_stages_rounds_in_the_store(store, toolchain, tmp_path,
+                                                   monkeypatch):
+    """Each round's scratch store lies under <store>/tmp, on the store's
+    filesystem, whatever the temporary directory is, and is removed."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    report = check_rebuild(register_derivation(store, hello_drv()), store)
+    assert report.deterministic
+    assert os.listdir(store.root / "tmp") == []
+
+
 def _snapshot(root: Path) -> dict:
     """Every entry under root: file bytes and mode, symlink targets, dirs."""
     out = {}

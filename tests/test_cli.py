@@ -262,6 +262,26 @@ def test_build_needs_at_least_one_worker(env, workers, capsys):
     assert "argument --workers: expected a number of at least 1" in err
 
 
+@pytest.mark.parametrize("rounds", ["0", "1", "-1"])
+def test_build_check_needs_at_least_two_rounds(env, rounds, capsys):
+    assert run_command(["build", "python", "--check", rounds]) == 1
+    assert "argument --check: expected a number of at least 2" in capsys.readouterr().err
+    assert Store(env["store"]).list_derivations() == []
+
+
+@pytest.mark.parametrize("command", ["package", "challenge"])
+def test_an_unknown_spec_leaves_no_derivation_of_the_others(env, tmp_path, command,
+                                                             capsys):
+    """Every spec is resolved before any is instantiated."""
+    manifest = tmp_path / "m.scm"
+    manifest.write_text('(specifications->manifest \'("python" "no-such-package"))\n')
+    argv = {"package": ["package", "-m", str(manifest)],
+            "challenge": ["challenge", "python", "no-such-package"]}[command]
+    assert run_command(argv) == 1
+    assert "no-such-package" in capsys.readouterr().err
+    assert Store(env["store"]).list_derivations() == []
+
+
 def test_substitute_over_http_loads_no_http_library(env, tmp_path, monkeypatch):
     manifest = tmp_path / "manifest.scm"
     manifest.write_text(MANIFEST)

@@ -8,8 +8,8 @@ from microfold import carc, derivation as d
 from microfold.channel import PackageDef
 from microfold.derivation import canonical_serialize, load_derivation, parse_derivation
 from microfold.errors import (DependencyCycle, DuplicateSpec, EmptyName,
-                              EmptyVersion, ReplacementCycle, UnknownPackage,
-                              UnknownVersion, UnsupportedForm)
+                              EmptyVersion, InvariantViolation, ReplacementCycle,
+                              UnknownPackage, UnknownVersion, UnsupportedForm)
 from microfold.hashing import ContentHash
 from microfold.manifest import (Instantiator, Manifest, Spec, instantiate,
                                 parse_manifest, parse_spec, resolve_spec,
@@ -178,6 +178,17 @@ def test_self_cycle_detected(store):
     pkgs = _pkgset(PackageDef(name="a", version="1", deps=["a"]))
     with pytest.raises(DependencyCycle):
         instantiate(pkgs["a@1"], pkgs, store=store)
+
+
+def test_a_version_ending_in_a_newline_registers_nothing(store):
+    """A label is checked whole: a dependency versioned "1.0\n" is refused
+    before any derivation of the graph enters the store, so no record can
+    name its output."""
+    pkgs = _pkgset(PackageDef(name="low", version="1.0\n"),
+                   PackageDef(name="top", version="1", deps=["low"]))
+    with pytest.raises(InvariantViolation):
+        instantiate(pkgs["top@1"], pkgs, store=store)
+    assert store.list_derivations() == []
 
 
 # -- input rewriting -------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carc_model
-from microfold.errors import (DanglingReference, InvalidLabel, OutputCollision,
-                              StoreCorruption)
+from microfold.errors import (DanglingReference, InvalidHash, InvalidLabel,
+                              OutputCollision, StoreCorruption)
 from microfold.hashing import ContentHash
 from microfold.store import Staged, Store, StorePath
 
@@ -89,9 +89,17 @@ def test_items_enter_only_as_paths_or_staged_trees(store):
 
 
 def test_invalid_labels_rejected(store):
-    for label in ("", "a/b", "a b", "a\x00b", "café"):
+    for label in ("", "a/b", "a b", "a\x00b", "café", "a\n"):
         with pytest.raises(InvalidLabel):
             add(store, b"x", label)
+
+
+def test_a_digest_or_component_is_checked_whole(tmp_path):
+    """A name that ends in a newline is refused, not matched up to it."""
+    with pytest.raises(InvalidHash):
+        ContentHash("a" * 64 + "\n")
+    with pytest.raises(InvalidLabel):
+        StorePath.from_component(tmp_path, "0" * 32 + "-a\n")
 
 
 def test_store_path_equality_is_by_component(tmp_path):

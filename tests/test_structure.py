@@ -26,6 +26,12 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ('"outputhash"', "store.py"),         # one item record codec
     ('"storepath"', "substitute.py"),     # a cache's info names its item
     (".head()", "channel.py"),            # commands reach HEAD through pin()
+    ("[0-9a-f]{64}", "hashing.py"),       # one digest rule
+    ("0123456789abcdef", "hashing.py"),   # and no hex test by hand
+    ("[0-9a-f]{32}", "store.py"),         # one path component rule
+    ("A-Za-z0-9._+-", "store.py"),        # one label rule
+    ("drv_hash.prefix", "derivation.py"),  # one output path: output_path
+    (".prefix}-", "derivation.py"),       # one source path: source_path
 ])
 def test_single_home(needle, home):
     assert (SRC / home).is_file()
