@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import carc, transport
 from .derivation import source_path
-from .errors import (ArchiveWriteError, HashMismatch, ParseError,
-                     SourceUnavailable)
+from .errors import ArchiveWriteError, ParseError, SourceUnavailable
 from .hashing import ContentHash
 from .store import Staged, locked, write_atomic
 
@@ -106,8 +105,7 @@ def _fetch_upstream(ref, dest: Path, archive: Archive | None) -> Staged | None:
     return Staged(dest, content_hash, size)
 
 
-def fetch_source(ref, store, archive: Archive | None,
-                 *, archive_fallback: bool = True):
+def fetch_source(ref, store, archive: Archive | None):
     """Fetch a source, verifying its hash: upstream first, then the archive.
 
     Returns the store path of the fixed item; an item the store already
@@ -131,11 +129,10 @@ def fetch_source(ref, store, archive: Archive | None,
         elif staged.output_hash == ref.expected_hash:
             return store.add_fixed(staged, ref.label)
         else:
-            mismatch = HashMismatch("upstream", ref.expected_hash,
-                                    staged.output_hash)
-            legs.append(f"upstream {ref.url}: {mismatch}")
+            legs.append(f"upstream {ref.url}: upstream: expected "
+                        f"{ref.expected_hash}, got {staged.output_hash}")
 
-        if archive_fallback and archive is not None:
+        if archive is not None:
             blocks = archive.lookup(ref.expected_hash)
             if blocks is None:
                 legs.append("archive: not present")
@@ -149,10 +146,8 @@ def fetch_source(ref, store, archive: Archive | None,
                     actual = f"an unreadable archive ({e})"
                 if actual == ref.expected_hash:
                     return store.add_fixed(staged, ref.label)
-                legs.append(f"archive: {HashMismatch('archive', ref.expected_hash, actual)}")
-        elif archive_fallback:
-            legs.append("archive: not configured")
+                legs.append(f"archive: archive: expected {ref.expected_hash}, got {actual}")
         else:
-            legs.append("archive: fallback disabled")
+            legs.append("archive: not configured")
 
     raise SourceUnavailable(legs)

@@ -54,7 +54,6 @@ def __getattr__(name):
 
 
 class BuildOptions(NamedTuple):
-    archive_fallback: bool = True
     caches: tuple = ()  # substitute cache locations, tried in order
     workers: int = 1
 
@@ -202,8 +201,7 @@ class Builder:
 
     def _run(self, drv: Derivation, drv_hash, target: StorePath,
              input_paths) -> StorePath:
-        source_paths = [fetch_source(src, self.store, self.archive,
-                                     archive_fallback=self.options.archive_fallback)
+        source_paths = [fetch_source(src, self.store, self.archive)
                         for src in drv.sources]
         roots, items = self._roots(drv.sources, source_paths, input_paths)
         with self.store.scratch() as scratch:

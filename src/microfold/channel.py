@@ -177,13 +177,11 @@ def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
 
 
 class ChannelRepo:
-    def __init__(self, root, url: str | None = None):
+    def __init__(self, root):
         self.root = Path(root)
         if not (self.root / "objects").is_dir():  # made last
             for sub in ("revisions", "objects"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
-        if url is not None:
-            write_atomic(self.root / "URL", f"{url}\n".encode())
 
     @property
     def url(self) -> str:

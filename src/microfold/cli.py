@@ -33,8 +33,8 @@ EXIT_VERIFY = 2
 EXIT_ENV = 3
 
 _VERIFY_ERRORS = (
-    errors.HashMismatch, errors.StoreCorruption, errors.CorruptRevision,
-    errors.CorruptItem, errors.AllProvidersCorrupt, errors.OutputCollision,
+    errors.StoreCorruption, errors.CorruptRevision, errors.CorruptItem,
+    errors.AllProvidersCorrupt, errors.OutputCollision,
 )
 _ENV_ERRORS = (
     errors.UnreachableRemote, errors.SourceUnavailable, errors.CacheWriteError,
@@ -89,12 +89,8 @@ class Context:
 
 
 def _build_options(args) -> BuildOptions:
-    caches = tuple(getattr(args, "substitute_url", None) or ())
-    return BuildOptions(
-        caches=caches,
-        archive_fallback=not getattr(args, "no_archive_fallback", False),
-        workers=getattr(args, "workers", 1),
-    )
+    return BuildOptions(caches=tuple(getattr(args, "substitute_url", None) or ()),
+                        workers=getattr(args, "workers", 1))
 
 
 def _instantiate(ctx: Context, specs) -> list:
@@ -296,7 +292,6 @@ def make_parser(argv=()) -> argparse.ArgumentParser:
     if p := add("build", "build a derivation file or a package spec"):
         p.add_argument("target")
         p.add_argument("--substitute-url", action="append")
-        p.add_argument("--no-archive-fallback", action="store_true")
         p.add_argument("--workers", type=partial(_at_least, 1), default=1)
         p.add_argument("--check", type=partial(_at_least, 2), metavar="ROUNDS",
                        help="rebuild ROUNDS times and compare output hashes")

@@ -131,6 +131,9 @@ class Derivation:
         hashes = [s.expected_hash.hex for s in self.sources]
         if len(set(hashes)) != len(hashes):
             raise InvariantViolation("duplicate source hashes")
+        for src in self.sources:
+            if not LABEL_RE.fullmatch(src.label):
+                raise InvariantViolation(f"bad source label: {src.label!r}")
         in_hashes = [i.derivation_hash.hex for i in self.inputs]
         if len(set(in_hashes)) != len(in_hashes):
             raise InvariantViolation("duplicate input hashes")

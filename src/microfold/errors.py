@@ -55,14 +55,6 @@ class OutputCollision(MicrofoldError):
     """Output path already exists with a different output hash."""
 
 
-class HashMismatch(MicrofoldError):
-    def __init__(self, leg, expected, actual):
-        super().__init__(f"{leg}: expected {expected}, got {actual}")
-        self.leg = leg
-        self.expected = expected
-        self.actual = actual
-
-
 class SourceUnavailable(MicrofoldError):
     """Both the upstream URL and the archive failed to provide a source."""
 

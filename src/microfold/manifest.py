@@ -20,7 +20,7 @@ from .channel import PackageDef
 from .derivation import (Derivation, InputRef, SourceRef, Step, output_path,
                          register_derivation)
 from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
-                     ParseError, ReplacementCycle, UnknownPackage,
+                     InvariantViolation, ReplacementCycle, UnknownPackage,
                      UnknownVersion, UnsupportedForm)
 from .hashing import ContentHash
 from .store import postorder
@@ -143,7 +143,9 @@ class Instantiator:
             out = out.replace("{" + name + "}", component)
         while "{seed:" in out:
             start = out.index("{seed:")
-            end = out.index("}", start)
+            end = out.find("}", start)
+            if end < 0:
+                raise InvariantViolation(f"unclosed placeholder {out[start:start + 64]!r}")
             label = out[start + len("{seed:"):end]
             out = out[:start] + self._seed_component(label) + out[end + 1:]
         return out

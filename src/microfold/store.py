@@ -24,10 +24,8 @@ content (profile.build_profile); `bootstrap.audit_trust` still reads a fixed
 item with references as a union.
 
 `seeds()` reads only the records that `db/seeds` names.  A seed's entry is
-written, under `locks/seeds.lock`, before its record, so every committed
-seed record is listed; an entry with no seed record behind it is skipped.
-A store that predates the index is indexed once, from all its records,
-under that lock, so a seed registered meanwhile is not lost.
+made before its record, so every committed seed record is listed; an entry
+with no seed record behind it is skipped.
 
 Records are written once and never edited: each is written to a dot-named
 tmp file and renamed into place, so a reader sees all of a record or none
@@ -261,9 +259,7 @@ class Store:
         self.base = base
         self._seed_dir = self.root / "db" / "seeds"
         if not (self.root / "tmp").is_dir():  # made last: a store with tmp is whole
-            if not (self.root / "db").is_dir():  # a new store: an empty index is whole
-                self._seed_dir.mkdir(parents=True, exist_ok=True)
-            for sub in ("items", "db/items", "db/drvs", "locks", "tmp"):
+            for sub in ("items", "db/items", "db/seeds", "db/drvs", "locks", "tmp"):
                 (self.root / sub).mkdir(parents=True, exist_ok=True)
         # Memos over write-once data (see the module docstring).
         self._records = {}  # component -> StoreItemRecord
@@ -294,7 +290,7 @@ class Store:
 
     def _write_record(self, rec: StoreItemRecord):
         if rec.kind == "seed":  # its index entry first (module docstring)
-            self._seed_index(rec.path.component)
+            (self._seed_dir / rec.path.component).touch()
         write_atomic(self._record_path(rec.path.component),
                      render_fields(rec.fields()).encode())
         self._records[rec.path.component] = rec
@@ -326,25 +322,9 @@ class Store:
         names = sorted(os.listdir(self.root / "db" / "items"))
         return [self.get_record(n) for n in names if COMPONENT_RE.fullmatch(n)]
 
-    def _seed_index(self, entry: str = "") -> list:
-        """The names in db/seeds, after adding entry under the seeds lock.
-        A store that predates the index is indexed first, under that lock."""
-        if not entry and self._seed_dir.is_dir():
-            return os.listdir(self._seed_dir)
-        with self.lock("seeds"):
-            if not self._seed_dir.is_dir():
-                with self.scratch() as scratch:
-                    for rec in self.list_records():
-                        if rec.kind == "seed":
-                            (scratch / rec.path.component).touch()
-                    os.rename(scratch, self._seed_dir)
-            if entry:
-                (self._seed_dir / entry).touch()
-            return os.listdir(self._seed_dir)
-
     def seeds(self) -> list:
         """Seed records (a base's too) by component, read through db/seeds."""
-        found = {c: r for c in self._seed_index()
+        found = {c: r for c in os.listdir(self._seed_dir)
                  if (r := self.get_record(c)) is not None and r.kind == "seed"}
         if self.base is not None:
             found.update((r.path.component, r) for r in self.base.seeds())

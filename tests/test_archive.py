@@ -10,7 +10,7 @@ import carc_model
 from microfold import carc
 from microfold.archive import Archive, fetch_source
 from microfold.derivation import SourceRef
-from microfold.errors import ArchiveWriteError, HashMismatch, SourceUnavailable
+from microfold.errors import ArchiveWriteError, SourceUnavailable
 from microfold.hashing import ContentHash
 from microfold.store import Store
 
@@ -109,12 +109,22 @@ def test_fetch_reports_both_legs(tmp_path, store, archive):
     assert any("archive" in leg for leg in legs)
 
 
-def test_fetch_fallback_disabled(tmp_path, store, archive):
+def test_each_leg_says_what_it_found(tmp_path, store, archive):
     upstream, ref = _file_source(tmp_path)
-    archive.ingest(upstream)
-    upstream.unlink()
-    with pytest.raises(SourceUnavailable):
-        fetch_source(ref, store, archive, archive_fallback=False)
+    upstream.write_bytes(b"tampered\n")
+    got = ContentHash.of_bytes(carc_model.serialize_path(upstream))
+    want = ref.expected_hash
+    upstream_leg = f"upstream {ref.url}: upstream: expected {want.hex}, got {got.hex}"
+    for arch, archive_leg in ((None, "archive: not configured"),
+                              (archive, "archive: not present")):
+        with pytest.raises(SourceUnavailable) as exc:
+            fetch_source(ref, store, arch)
+        assert exc.value.legs == [upstream_leg, archive_leg]
+    (archive.root / "carc" / want.hex).write_bytes(carc_model.serialize_path(upstream))
+    with pytest.raises(SourceUnavailable) as exc:
+        fetch_source(ref, store, archive)
+    assert exc.value.legs == [
+        upstream_leg, f"archive: archive: expected {want.hex}, got {got.hex}"]
 
 
 def test_fetch_archive_only_url(store, archive):
@@ -193,7 +203,7 @@ def test_fetch_returns_the_item_the_store_has(tmp_path, store, archive):
     path = fetch_source(ref, store, archive)
     upstream.unlink()
     (archive.root / "carc" / ref.expected_hash.hex).unlink()
-    assert fetch_source(ref, store, archive, archive_fallback=False) == path
+    assert fetch_source(ref, store, archive) == path
     # An archive that lacks the source gets it from the store item.
     empty = Archive(tmp_path / "empty-archive")
     assert fetch_source(ref, store, empty) == path

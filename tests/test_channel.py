@@ -334,7 +334,8 @@ def test_time_machine_pulls_from_pin_url(repo, tmp_path):
 def test_time_machine_leaves_head_and_url_alone(tmp_path):
     other = ChannelRepo(tmp_path / "other")
     remote = other.commit_revision(golden_tree(), message="remote only")
-    repo = ChannelRepo(tmp_path / "mine", url="file:///srv/channel")
+    repo = ChannelRepo(tmp_path / "mine")
+    (repo.root / "URL").write_text("file:///srv/channel\n")
     own = repo.commit_revision(golden_tree()[:1], message="local")
     url_before = (repo.root / "URL").read_bytes()
     pin = PinFile([ChannelPin("c", "file://" + str(other.root),

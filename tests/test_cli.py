@@ -589,6 +589,12 @@ def test_seed_add_and_audit(env, tmp_path, capsys):
     assert "total_seed_bytes:" in out
 
 
+def test_a_store_without_a_seed_index_is_an_io_error(env, capsys):
+    shutil.rmtree(env["store"] / "db" / "seeds")
+    assert run_command(["build", "app-alpha"]) == 3
+    assert f"{env['store']}/db/seeds" in capsys.readouterr().err
+
+
 def test_seed_audit_flags_opaque_component(env, tmp_path, capsys):
     store = Store(env["store"])
     opaque = store.add_fixed(on_disk(carc_model.File(b"mystery"), tmp_path), "rogue",

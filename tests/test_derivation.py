@@ -169,6 +169,20 @@ def test_invariants_rejected():
         drv.Step("frobnicate", ("x",))
 
 
+def test_a_source_label_is_checked_before_registration(tmp_path):
+    """A source whose label cannot name a store path is refused when the
+    derivation is made or read, not when a build forms the path."""
+    store = Store(tmp_path / "store")
+    src = SourceRef("http://x/src.tar", _h(b"s"), "a b")
+    with pytest.raises(InvariantViolation, match="source label"):
+        register_derivation(store, Derivation(name="p", version="1", sources=[src]))
+    data = canonical_serialize(Derivation(name="p", version="1",
+                                          sources=[src._replace(label="src")]))
+    with pytest.raises(InvariantViolation, match="source label"):
+        parse_derivation(data.replace(b'"src")', b'"a b")'))
+    assert store.list_derivations() == []
+
+
 def test_avalanche_over_five_node_graph():
     """Editing any single node changes the hash of every node above it."""
 

@@ -191,6 +191,13 @@ def test_a_version_ending_in_a_newline_registers_nothing(store):
     assert store.list_derivations() == []
 
 
+def test_an_unclosed_seed_placeholder_registers_nothing(store):
+    pkgs = _pkgset(PackageDef("q", "1", steps=[d.write("f", b"{seed:abc")]))
+    with pytest.raises(InvariantViolation, match="{seed:abc"):
+        instantiate(pkgs["q@1"], pkgs, store=store)
+    assert store.list_derivations() == []
+
+
 # -- input rewriting -------------------------------------------------------
 
 def _diamond():

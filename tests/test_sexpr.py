@@ -186,8 +186,9 @@ steps = st.one_of(
               st.lists(texts, min_size=1, max_size=3)))
 sources = st.builds(SourceRef, texts, hashes, texts)
 derivations = st.builds(
-    Derivation, name=labels, version=labels,
-    sources=st.lists(sources, max_size=3, unique_by=lambda s: s.expected_hash.hex),
+    Derivation, name=labels, version=labels,  # a source's label names a store path
+    sources=st.lists(st.builds(SourceRef, texts, hashes, labels), max_size=3,
+                     unique_by=lambda s: s.expected_hash.hex),
     inputs=st.lists(st.builds(InputRef, hashes, texts), max_size=3,
                     unique_by=lambda i: i.derivation_hash.hex),
     steps=st.lists(steps, max_size=4),

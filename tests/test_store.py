@@ -4,7 +4,6 @@ import random
 import shutil
 import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
@@ -285,60 +284,13 @@ def test_seeds_read_only_the_seed_records(store, monkeypatch):
     assert sorted(reads) == sorted(p.component for p in seeds)
 
 
-def _pre_index_store(root) -> list:
-    """A store at root as the program left it before db/seeds existed:
-    two seeds among plain items.  The seeds' paths."""
-    store = Store(root)
-    seeds = [add(store, b"old tool %d" % i, f"old-{i}", kind="seed") for i in range(2)]
-    for i in range(3):
-        add(store, b"item %d" % i, f"item-{i}")
-    shutil.rmtree(root / "db" / "seeds")
-    return seeds
-
-
-def test_a_store_that_predates_the_seed_index_is_indexed_once(tmp_path, monkeypatch):
-    seeds = _pre_index_store(tmp_path / "store")
-    listed = _count_calls(monkeypatch, "list_records")
-    for _ in range(2):
-        assert {r.path for r in Store(tmp_path / "store").seeds()} == set(seeds)
-    assert len(listed) == 1
-
-
-def test_a_seed_registered_while_the_store_is_indexed_is_kept(tmp_path, monkeypatch):
-    root = tmp_path / "store"
-    seeds = _pre_index_store(root)
-    listing, go = threading.Event(), threading.Event()
-    real = Store.list_records
-
-    def slow_list(self):
-        listing.set()
-        go.wait(5)
-        return real(self)
-    monkeypatch.setattr(Store, "list_records", slow_list)
-    indexer = threading.Thread(target=lambda: Store(root).seeds())
-    indexer.start()
-    assert listing.wait(5)
-    new = []
-    adder = threading.Thread(target=lambda: new.append(
-        add(Store(root), b"new tool", "new-1", kind="seed")))
-    adder.start()
-    time.sleep(0.05)  # the adder waits for the index
-    go.set()
-    indexer.join(5)
-    adder.join(5)
-    assert not indexer.is_alive() and not adder.is_alive()
-    assert {r.path for r in Store(root).seeds()} == set(seeds + new)
-
-
-@pytest.mark.parametrize("pre_index", [False, True], ids=["indexed", "pre-index"])
 def test_a_crash_at_any_write_of_a_seed_registration_loses_no_seed(
-        tmp_path, monkeypatch, pre_index):
+        tmp_path, monkeypatch):
     """The process dies at the n-th write of a seed registration, for every
     n (each later write fails too): a fresh Store lists the new seed if and
     only if its record landed, and the old seeds always."""
     template = tmp_path / "template"
-    old = _pre_index_store(template) if pre_index else [
-        add(Store(template), b"old tool", "old-1", kind="seed")]
+    old = [add(Store(template), b"old tool", "old-1", kind="seed")]
     writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
     real = {(os, name): getattr(os, name)
             for name in ("open", "mkdir", "rename", "replace", "symlink")}

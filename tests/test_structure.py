@@ -100,3 +100,12 @@ def test_graph_walks_keep_their_own_stack():
     assert recursive == bounded
     assert [p.name for p in SRC.glob("*.py")
             if "setrecursionlimit" in p.read_text()] == []
+
+
+def test_every_error_is_raised():
+    """An error class that no module raises is dead code: every class in
+    errors.py is raised somewhere else in the program."""
+    classes = ast.parse((SRC / "errors.py").read_text()).body
+    others = "".join(p.read_text() for p in SRC.glob("*.py") if p.name != "errors.py")
+    assert [c.name for c in classes if isinstance(c, ast.ClassDef)
+            and f"raise {c.name}(" not in others] == []

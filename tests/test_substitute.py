@@ -14,7 +14,7 @@ from microfold import carc, transport
 from microfold import derivation as d
 from microfold.builder import BuildOptions, Builder, build
 from microfold.derivation import (Derivation, InputRef, canonical_serialize,
-                                  derivation_hash, register_derivation)
+                                  derivation_hash, output_path, register_derivation)
 from microfold.errors import (AllProvidersCorrupt, CorruptItem,
                               SubstituteNotFound)
 from microfold.hashing import ContentHash
@@ -23,6 +23,7 @@ from microfold.substitute import (_provider_info, challenge, fetch_substitute,
                                   publish)
 
 from conftest import http_200, on_disk, peak_growth_kib
+from cost import counting
 
 
 def hello_drv():
@@ -367,38 +368,45 @@ def test_redirect_is_followed(tmp_path, cache, raw_http):
     assert consumer.verify_item(target).ok
 
 
-def test_an_unserved_item_deep_in_a_chain_is_fetched_for_once(tmp_path, cache,
-                                                               monkeypatch):
-    """Each level of a 20-level chain names the level below in its output,
-    and every level but the bottom is published.  Planning tries every
-    level, but a fetch that failed for want of the bottom is not repeated
-    from the levels below it: about 2 cache reads per level, not one
-    restore of the whole chain below each level.  All 20 are built."""
-    drvs, dep = [], None
-    for i in range(20):
-        step = d.write("dep.txt", f"{dep}\n".encode())
-        inputs = [InputRef(drvs[-1][0], "dep")] if drvs else []
-        drv = Derivation(name=f"level{i}", version="1", inputs=inputs, steps=[step])
-        drvs.append((derivation_hash(drv), drv))
-        dep = f"{drvs[-1][0].prefix}-level{i}-1"
+def unserved_chain(tmp_path, n):
+    """An n-level chain, each level naming the level below in its output.
+    A producer store builds it and publishes every level but the bottom to
+    a directory cache; a consumer store holds the chain's derivations and
+    no item.  The producer, the consumer, the cache and the top's
+    derivation hash."""
     producer, consumer = Store(tmp_path / "producer"), Store(tmp_path / "consumer")
-    for _, drv in drvs:
-        register_derivation(producer, drv)
-        register_derivation(consumer, drv)
-    [top] = Builder(producer).build([drvs[-1][0]])
+    drvs, dep = [], None
+    for i in range(n):
+        step = d.write("dep.txt", f"{dep}\n".encode())
+        inputs = [InputRef(drvs[-1], "dep")] if drvs else []
+        drv = Derivation(name=f"level{i}", version="1", inputs=inputs, steps=[step])
+        drvs.append(derivation_hash(drv))
+        dep = f"{drvs[-1].prefix}-level{i}-1"
+        for store in (producer, consumer):
+            register_derivation(store, drv)
+    [top] = Builder(producer).build([drvs[-1]])
     for member in producer.closure(top):
         if not member.label.startswith("level0-"):
-            publish(producer, member, cache)
+            publish(producer, member, tmp_path / "cache")
+    return producer, consumer, tmp_path / "cache", drvs[-1]
 
-    reads, ran = [], []
-    real_stream, real_run = transport.stream, Builder._run
-    monkeypatch.setattr(transport, "stream", lambda *a: reads.append(a) or real_stream(*a))
+
+def test_an_unserved_item_deep_in_a_chain_is_fetched_for_once(tmp_path, monkeypatch):
+    """Every level of a 20-level chain but the bottom is published.
+    Planning tries every level, but a fetch that failed for want of the
+    bottom is not repeated from the levels below it: about 2 cache reads
+    per level, not one restore of the whole chain below each level.  All
+    20 are built."""
+    producer, consumer, cache, top = unserved_chain(tmp_path, 20)
+    top_path = output_path(producer, top)
+    ran, real_run = [], Builder._run
     monkeypatch.setattr(Builder, "_run", lambda self, drv, *args:
                         ran.append(drv.label) or real_run(self, drv, *args))
-    got = Builder(consumer, options=BuildOptions(caches=[cache])).build([drvs[-1][0]])
-    assert got == [top] and len(ran) == 20
-    assert len(reads) <= 2 * 20 + 2
-    assert consumer.get_record(got[0]).output_hash == producer.get_record(top).output_hash
+    with counting() as c:
+        got = Builder(consumer, options=BuildOptions(caches=[cache])).build([top])
+    assert got == [top_path] and len(ran) == 20
+    assert c.where({"stream"}, {"other"}) <= 2 * 20 + 2
+    assert consumer.get_record(got[0]).output_hash == producer.get_record(top_path).output_hash
 
 
 # Fetches one item in a child process and prints how far its peak RSS grew
