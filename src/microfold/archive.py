@@ -16,9 +16,9 @@ from pathlib import Path
 
 from . import carc, transport
 from .derivation import source_path
-from .errors import ArchiveWriteError, ParseError, SourceUnavailable
+from .errors import ArchiveWriteError, ParseError, SourceUnavailable, StoreCorruption
 from .hashing import ContentHash
-from .store import Staged, locked, write_atomic
+from .store import Staged, locked, read_state, write_atomic
 
 
 class Archive:
@@ -56,8 +56,8 @@ class Archive:
                              text.encode())
 
     def origins(self, content_hash: ContentHash) -> list:
-        path = self.root / "origins" / content_hash.hex
-        return sorted(set(path.read_text().splitlines())) if path.exists() else []
+        return read_state(self.root / "origins" / content_hash.hex, StoreCorruption,
+                          lambda text: sorted(set(text.splitlines()))) or []
 
     def lookup(self, content_hash: ContentHash):
         """The CARC bytes for a hash as a stream of blocks (see

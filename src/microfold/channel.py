@@ -9,7 +9,7 @@ set is always `pinned_packages` of a pin file, and `pin()` is HEAD's.
 Package objects, revisions and pin files are forms written by
 `sexpr.unparse` and read by `sexpr.parse_one` and `sexpr.read_fields`
 (each field once, none missing or unknown, each of its type).  A package
-object or revision that does not parse raises CorruptRevision.
+object, revision, HEAD or URL that does not parse raises CorruptRevision.
 
 Repository layout: <repo>/revisions/<id>, <repo>/objects/<hash>,
 <repo>/HEAD (64-hex), <repo>/URL (advisory origin).  Every file is
@@ -31,7 +31,7 @@ from .errors import (BadCommit, CorruptRevision, DuplicatePackage,
                      UnknownParent, UnknownRevision, UnreachableRemote)
 from .hashing import HEX64, ContentHash
 from .sexpr import Sym
-from .store import locked, write_atomic
+from .store import decode_state, locked, read_state, write_atomic
 
 
 class PackageDef:
@@ -137,10 +137,6 @@ class ChannelPin(NamedTuple):
     commit: str  # 64-hex revision id
 
 
-class PinFile(NamedTuple):
-    pins: list  # of ChannelPin
-
-
 def render_pin(pins) -> str:
     return sexpr.unparse([Sym("channels"), *(
         [Sym("channel"), [Sym("name"), p.name], [Sym("url"), p.url],
@@ -150,7 +146,7 @@ def render_pin(pins) -> str:
 _PIN_FIELDS = {"name": str, "url": str, "commit": str}
 
 
-def parse_pin(text: str) -> PinFile:
+def parse_pin(text: str) -> list:  # of ChannelPin
     form = sexpr.parse_one(text)
     if not isinstance(form, list) or form[:1] != [Sym("channels")]:
         raise ParseError("expected a (channels ...) form")
@@ -163,7 +159,7 @@ def parse_pin(text: str) -> PinFile:
         pins.append(ChannelPin(fields["name"], fields["url"], commit))
     if not pins:
         raise ParseError("pin file declares no channels")
-    return PinFile(pins)
+    return pins
 
 
 def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
@@ -185,18 +181,16 @@ class ChannelRepo:
 
     @property
     def url(self) -> str:
-        url_file = self.root / "URL"
-        if url_file.exists():
-            return url_file.read_text().strip()
-        return "file://" + str(self.root)
+        recorded = read_state(self.root / "URL", CorruptRevision, str.strip)
+        return recorded or "file://" + str(self.root)
 
     # -- local access ------------------------------------------------------
 
     def head(self) -> ContentHash:
-        head_file = self.root / "HEAD"
-        if not head_file.exists():
+        rev_id = read_state(self.root / "HEAD", CorruptRevision, lambda t: ContentHash(t.strip()))
+        if rev_id is None:
             raise NoHead(f"no HEAD in {self.root}")
-        return ContentHash(head_file.read_text().strip())
+        return rev_id
 
     def has_revision(self, rev_id: ContentHash) -> bool:
         return (self.root / "revisions" / rev_id.hex).exists()
@@ -270,18 +264,22 @@ class ChannelRepo:
 
     def fetch(self, remote) -> ContentHash:
         """Copy the verified revisions and objects reachable from the remote
-        head; returns that head.  HEAD and URL are left alone; idempotent."""
+        head; returns that head.  HEAD and URL are left alone; idempotent.
+        Revisions are written oldest first, each after its objects."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
             raise UnreachableRemote(str(remote))
-        remote_head = ContentHash(head_bytes.decode().strip())
+        remote_head = decode_state(head_bytes, f"{remote}/HEAD", CorruptRevision,
+                                   lambda t: ContentHash(t.strip()))
         with locked(self.root / "repo.lock"):
-            cur = remote_head
+            missing, cur = [], remote_head  # newest first
             while cur is not None and not self.has_revision(cur):
                 if (data := _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
-                rev = parse_revision(data, cur)
-                for key, obj_hash in rev.tree.items():
+                missing.append((parse_revision(data, cur), data))
+                cur = missing[-1][0].parent
+            for rev, data in reversed(missing):
+                for obj_hash in rev.tree.values():
                     obj_path = self.root / "objects" / obj_hash.hex
                     if obj_path.exists():
                         continue
@@ -289,16 +287,15 @@ class ChannelRepo:
                         raise UnreachableRemote(
                             f"{remote}: missing object {obj_hash}")
                     write_atomic(obj_path, blob)
-                write_atomic(self.root / "revisions" / cur.hex, data)
-                cur = rev.parent
+                write_atomic(self.root / "revisions" / rev.id.hex, data)
         return remote_head
 
     def pull(self, remote) -> ContentHash:
-        """fetch, then point URL at the remote and HEAD, written last, at
-        the remote head."""
+        """fetch, then point URL at the remote (a directory by its absolute
+        path) and HEAD, written last, at the remote head."""
         remote_head = self.fetch(remote)
         if not transport.is_url(str(remote)):
-            remote = "file://" + str(Path(str(remote).removeprefix("file://")))
+            remote = "file://" + str(Path(str(remote).removeprefix("file://")).resolve())
         with locked(self.root / "repo.lock"):
             write_atomic(self.root / "URL", f"{remote}\n".encode())
             write_atomic(self.root / "HEAD", f"{remote_head.hex}\n".encode())
@@ -321,10 +318,10 @@ class ChannelRepo:
         if not self.has_revision(rev_id):
             raise UnknownRevision(pin.commit)
 
-    def pinned_packages(self, pin_file: PinFile) -> dict:
-        """Exactly the pinned package sets, merged; HEAD is never read."""
+    def pinned_packages(self, pins) -> dict:
+        """Exactly the package sets of pins (ChannelPins), merged; HEAD is never read."""
         merged = {}
-        for pin in pin_file.pins:
+        for pin in pins:
             self.ensure_revision(pin)
             for key, pkg in self.checkout(ContentHash(pin.commit)).items():
                 if key in merged:
@@ -333,7 +330,7 @@ class ChannelRepo:
                 merged[key] = pkg
         return merged
 
-    def describe_human(self, pin_file: PinFile) -> str:
+    def describe_human(self, pins) -> str:
         """Transcript-style description of each pin, its generation the
         length of its commit's ancestry.  The date is display only and never
         feeds any hash."""
@@ -342,4 +339,4 @@ class ChannelRepo:
             f"Generation {len(self.ancestry(ContentHash(pin.commit)))}  {now}  (current)\n"
             f"  {pin.name} {pin.commit[:7]}\n"
             f"    repository URL: {pin.url}\n"
-            f"    commit: {pin.commit}\n" for pin in pin_file.pins)
+            f"    commit: {pin.commit}\n" for pin in pins)

@@ -19,13 +19,13 @@ from pathlib import Path
 from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
-from .channel import ChannelRepo, PinFile, parse_pin, render_pin
+from .channel import ChannelRepo, parse_pin, render_pin
 from .derivation import load_derivation, output_path, parse_derivation, register_derivation
-from .errors import MicrofoldError
+from .errors import MicrofoldError, ParseError
 from .hashing import ContentHash
 from .manifest import Instantiator, parse_manifest, parse_spec
 from .profile import Profile, build_profile
-from .store import COMPONENT_RE, Store, StorePath, postorder
+from .store import COMPONENT_RE, Store, StorePath, decode_state, postorder
 
 EXIT_OK = 0
 EXIT_USER = 1
@@ -79,10 +79,10 @@ class Context:
         return Archive(self.archive_root)
 
     @cached_property
-    def pins(self) -> PinFile:
-        """The pins that name this command's package set: HEAD's, read once,
-        unless time-machine has set them from its pin file."""
-        return PinFile([self.repo.pin()])
+    def pins(self) -> list:
+        """The ChannelPins that name this command's package set: HEAD's,
+        read once, unless time-machine has set them from its pin file."""
+        return [self.repo.pin()]
 
     def packages(self) -> dict:
         return self.repo.pinned_packages(self.pins)
@@ -120,12 +120,12 @@ def cmd_build(ctx: Context, args) -> int:
 
 
 def cmd_package(ctx: Context, args) -> int:
-    manifest_text = Path(args.manifest).read_text()
+    manifest_text = decode_state(Path(args.manifest).read_bytes(), args.manifest, ParseError)
     manifest = parse_manifest(manifest_text)
     gen = build_profile(_instantiate(ctx, manifest.specs), ctx.store,
                         Profile(args.profile or ctx.default_profile),
                         archive=ctx.archive, options=_build_options(args),
-                        pin_text=render_pin(ctx.pins.pins), manifest_text=manifest_text)
+                        pin_text=render_pin(ctx.pins), manifest_text=manifest_text)
     print(f"generation {gen.number}")
     for label, drv_hex, _ in gen.drv_hashes:
         print(f"  {label} {drv_hex[:12]}")
@@ -141,13 +141,13 @@ def cmd_pull(ctx: Context, args) -> int:
 
 def cmd_describe(ctx: Context, args) -> int:
     # -f has choices=["channels"]: argparse rejects any other format
-    sys.stdout.write(render_pin(ctx.pins.pins) if args.format == "channels"
+    sys.stdout.write(render_pin(ctx.pins) if args.format == "channels"
                      else ctx.repo.describe_human(ctx.pins))
     return EXIT_OK
 
 
 def cmd_time_machine(ctx: Context, args) -> int:
-    pin_file = parse_pin(Path(args.channels).read_text())
+    pins = decode_state(Path(args.channels).read_bytes(), args.channels, ParseError, parse_pin)
     rest = list(args.rest)
     if rest and rest[0] == "--":
         rest = rest[1:]
@@ -155,9 +155,9 @@ def cmd_time_machine(ctx: Context, args) -> int:
         print("time-machine: missing command after --", file=sys.stderr)
         return EXIT_USER
 
-    for pin in pin_file.pins:
+    for pin in pins:
         ctx.repo.ensure_revision(pin)
-    ctx.pins = pin_file
+    ctx.pins = pins
     return _dispatch(ctx.parser, rest, ctx)
 
 

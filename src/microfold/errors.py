@@ -24,7 +24,7 @@ class UnsupportedNode(MicrofoldError):
 
 
 class StoreCorruption(MicrofoldError):
-    """An existing store path disagrees with its recorded hash."""
+    """A store path disagrees with its recorded hash, or a state file is damaged."""
 
 
 class DanglingReference(MicrofoldError):

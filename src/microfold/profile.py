@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 from . import carc
 from .builder import BuildOptions, Builder
-from .errors import ProfileCollision, UnknownGeneration
+from .errors import ProfileCollision, StoreCorruption, UnknownGeneration
 from .hashing import ContentHash
-from .store import Staged, Store, StorePath, locked, write_atomic
+from .store import Staged, Store, StorePath, locked, read_state, write_atomic
 
 
 class Generation(NamedTuple):
@@ -111,16 +111,13 @@ class Profile:
         return sorted(int(n) for n in os.listdir(self.root / "generations") if n.isdigit())
 
     def current(self) -> int | None:
-        cur = self.root / "current"
-        if not cur.exists():
-            return None
-        return int(cur.read_text().strip())
+        return read_state(self.root / "current", StoreCorruption, int)
 
     def generation_dir(self, number: int) -> Path:
         return self.root / "generations" / str(number)
 
-    def generation_store_component(self, number: int) -> str:
-        return (self.generation_dir(number) / "store-path").read_text().strip()
+    def generation_store_component(self, number: int) -> str | None:
+        return read_state(self.generation_dir(number) / "store-path", StoreCorruption, str.strip)
 
     def rollback(self, number: int) -> int:
         with locked(self.root / "lock"):

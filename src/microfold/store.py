@@ -30,7 +30,8 @@ with no seed record behind it is skipped.
 Records are written once and never edited: each is written to a dot-named
 tmp file and renamed into place, so a reader sees all of a record or none
 of it.  This module also owns the helpers other layers share: the `flock`
-lock, that tmp-and-rename write, and the "key: value" codec.
+lock, that tmp-and-rename write, the "key: value" codec, and `read_state`,
+the one reader of small state files (a damaged one is a verification error).
 
 Because records never change, a `Store` memoizes the records it reads for
 its life (`derivation.load_derivation` and the instantiator keep parsed
@@ -56,8 +57,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import carc
-from .errors import (DanglingReference, DependencyCycle, InvalidLabel,
-                     OutputCollision, StoreCorruption)
+from .errors import (DanglingReference, DependencyCycle, InvalidHash, InvalidLabel,
+                     MicrofoldError, OutputCollision, StoreCorruption)
 from .hashing import HEX64, PREFIX_LEN, ContentHash
 
 # A name is checked whole (fullmatch): "$" would let a trailing newline in.
@@ -94,6 +95,25 @@ def write_atomic(path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def read_state(path, error, parse=str):
+    """decode_state of the small state file at path; None when there is none."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except FileNotFoundError:
+        return None
+    return decode_state(data, path, error, parse)
+
+
+def decode_state(data: bytes, name, error, parse=str):
+    """parse(text) of data, the bytes of the state file name.  Bytes that are
+    not strict UTF-8, or text that parse rejects, raise error naming the file."""
+    try:
+        return parse(data.decode())
+    except (ValueError, MicrofoldError) as e:
+        raise error(f"{name}: {e}") from None
 
 
 def render_fields(fields: dict) -> str:
@@ -161,13 +181,16 @@ class StoreItemRecord:
 
     @classmethod
     def from_fields(cls, path: StorePath, fields: dict) -> "StoreItemRecord":
-        """The record of path that fields (parse_fields) describe; its
-        references are paths in path's store."""
-        refs = [StorePath.from_component(path.store_root, c)
-                for c in fields.get("references", "").split()]
-        deriver = ContentHash(fields["deriver"]) if "deriver" in fields else None
-        return cls(path, ContentHash(fields["outputhash"]), refs, fields["kind"],
-                   deriver, int(fields.get("size", "0")), fields.get("description", ""))
+        """The record of path that fields (parse_fields) describe; its references
+        are paths in path's store.  A missing or ill-typed field is StoreCorruption."""
+        try:
+            refs = [StorePath.from_component(path.store_root, c)
+                    for c in fields.get("references", "").split()]
+            deriver = ContentHash(fields["deriver"]) if "deriver" in fields else None
+            return cls(path, ContentHash(fields["outputhash"]), refs, fields["kind"],
+                       deriver, int(fields.get("size", "0")), fields.get("description", ""))
+        except (KeyError, ValueError, InvalidHash, InvalidLabel) as e:
+            raise StoreCorruption(f"missing or ill-typed record field: {e}") from None
 
 
 class VerifyReport(NamedTuple):
@@ -297,13 +320,10 @@ class Store:
 
     def _read_record(self, component: str) -> StoreItemRecord | None:
         """Parse the record file of component; None when there is none."""
-        try:
-            with open(self._record_path(component)) as f:
-                text = f.read()
-        except FileNotFoundError:
-            return None
-        return StoreItemRecord.from_fields(
-            StorePath.from_component(self.root, component), parse_fields(text))
+        return read_state(self._record_path(component), StoreCorruption,
+                          lambda text: StoreItemRecord.from_fields(
+                              StorePath.from_component(self.root, component),
+                              parse_fields(text)))
 
     def get_record(self, path) -> StoreItemRecord | None:
         component = path.component if isinstance(path, StorePath) else path

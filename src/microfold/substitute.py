@@ -22,10 +22,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import carc, transport
-from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem,
-                     DependencyCycle, MicrofoldError, ParseError,
-                     SubstituteNotFound)
-from .store import (Staged, Store, StoreItemRecord, StorePath, parse_fields,
+from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem, DependencyCycle,
+                     MicrofoldError, ParseError, StoreCorruption, SubstituteNotFound)
+from .store import (Staged, Store, StoreItemRecord, StorePath, decode_state, parse_fields,
                     postorder, render_fields, write_atomic)
 
 
@@ -75,13 +74,13 @@ def _provider_info(cache, path: StorePath) -> StoreItemRecord | None:
     out, not speaking HTTP) or serves an unreadable one."""
     try:
         info_text = transport.read_bytes(cache, f"info/{path.digest_prefix}")
-        if not info_text:
+        if info_text is None:
             return None
-        info = parse_fields(info_text.decode())
+        info = decode_state(info_text, f"info/{path.digest_prefix}", StoreCorruption, parse_fields)
         info["kind"] = "derived" if "deriver" in info else "fixed"
         return StoreItemRecord.from_fields(
-            StorePath.from_component(path.store_root, info["storepath"]), info)
-    except (OSError, ValueError, KeyError, MicrofoldError):
+            StorePath.from_component(path.store_root, info.get("storepath", "")), info)
+    except (OSError, MicrofoldError):
         return None
 
 

@@ -261,9 +261,9 @@ def test_7_reference_transcript_fidelity(tmp_path, monkeypatch, capsys):
     # `describe -f channels > canaux.scm` round-trips through the parser.
     assert run_command(["describe", "-f", "channels"]) == 0
     pin_text = capsys.readouterr().out
-    pin = parse_pin(pin_text)
-    assert render_pin(pin.pins) == pin_text
-    assert pin.pins[0].commit == env["repo_obj"].head().hex
+    pins = parse_pin(pin_text)
+    assert render_pin(pins) == pin_text
+    assert pins[0].commit == env["repo_obj"].head().hex
     canaux = tmp_path / "canaux.scm"
     canaux.write_text(pin_text)
 

@@ -4,9 +4,8 @@ from pathlib import Path
 import pytest
 
 from microfold import derivation as d
-from microfold.channel import (ChannelPin, ChannelRepo, PackageDef, PinFile,
-                               parse_package, parse_pin, render_pin,
-                               serialize_package)
+from microfold.channel import (ChannelPin, ChannelRepo, PackageDef, parse_package,
+                               parse_pin, render_pin, serialize_package)
 from microfold.cli import run_command
 from microfold.derivation import SourceRef
 from microfold.errors import (BadCommit, CorruptRevision, DuplicatePackage,
@@ -251,6 +250,23 @@ def test_crash_at_any_write_keeps_head_and_files_whole(tmp_path, action):
     assert k > 4  # the crash hit two objects, the revision and HEAD
 
 
+def test_a_failed_fetch_leaves_no_revision_without_its_parent(tmp_path):
+    """A revision is written after its parent, so a pull that fails part
+    way leaves nothing that a later pull would take as complete."""
+    remote = ChannelRepo(tmp_path / "remote")
+    r1 = remote.commit_revision(golden_tree(), message="one")
+    r2 = remote.commit_revision(golden_tree()[:1], parent=r1.id, message="two")
+    hidden = remote.root / "revisions" / r1.id.hex
+    hidden.rename(tmp_path / "r1")
+    clone = ChannelRepo(tmp_path / "clone")
+    with pytest.raises(UnreachableRemote):
+        clone.pull(remote.root)
+    assert not clone.has_revision(r2.id)
+    (tmp_path / "r1").rename(hidden)
+    assert clone.pull(remote.root) == r2.id
+    assert clone.ancestry(r2.id) == [r2.id, r1.id]
+
+
 def test_pull_unreachable(tmp_path):
     clone = ChannelRepo(tmp_path / "clone")
     with pytest.raises(UnreachableRemote):
@@ -264,9 +280,9 @@ def test_describe_pin_round_trips(repo):
     text = render_pin([repo.pin()])
     assert f'(commit "{rev.id.hex}")' in text
     assert f'(url "{repo.url}")' in text
-    pin = parse_pin(text)
-    assert pin.pins == [ChannelPin("microfold", repo.url, rev.id.hex)]
-    assert render_pin(pin.pins) == text
+    pins = parse_pin(text)
+    assert pins == [ChannelPin("microfold", repo.url, rev.id.hex)]
+    assert render_pin(pins) == text
 
 
 def test_describe_without_head(repo):
@@ -277,9 +293,9 @@ def test_describe_without_head(repo):
 def test_parse_pin_minimal():
     text = ('(channels (channel (name "c") (url "file:///tmp/x") '
             '(commit "' + "ab" * 32 + '")))')
-    pin = parse_pin(text)
-    assert len(pin.pins) == 1
-    assert pin.pins[0].commit == "ab" * 32
+    pins = parse_pin(text)
+    assert len(pins) == 1
+    assert pins[0].commit == "ab" * 32
 
 
 def test_parse_pin_rejects_40_hex():
@@ -317,8 +333,7 @@ def test_time_machine_uses_pinned_tree(repo):
 
 def test_time_machine_unknown_revision(repo, tmp_path):
     repo.commit_revision(golden_tree(), message="one")
-    pin = PinFile([ChannelPin("c", "file://" + str(tmp_path / "gone"),
-                              "ab" * 32)])
+    pin = [ChannelPin("c", "file://" + str(tmp_path / "gone"), "ab" * 32)]
     with pytest.raises(UnknownRevision):
         repo.pinned_packages(pin)
 
@@ -326,7 +341,7 @@ def test_time_machine_unknown_revision(repo, tmp_path):
 def test_time_machine_pulls_from_pin_url(repo, tmp_path):
     rev = repo.commit_revision(golden_tree(), message="one")
     clone = ChannelRepo(tmp_path / "clone")
-    pin = PinFile([ChannelPin("c", "file://" + str(repo.root), rev.id.hex)])
+    pin = [ChannelPin("c", "file://" + str(repo.root), rev.id.hex)]
     result = set(clone.pinned_packages(pin))
     assert result == {"a@1.0", "b@2.0", "c@0.1"}
 
@@ -338,8 +353,7 @@ def test_time_machine_leaves_head_and_url_alone(tmp_path):
     (repo.root / "URL").write_text("file:///srv/channel\n")
     own = repo.commit_revision(golden_tree()[:1], message="local")
     url_before = (repo.root / "URL").read_bytes()
-    pin = PinFile([ChannelPin("c", "file://" + str(other.root),
-                              remote.id.hex)])
+    pin = [ChannelPin("c", "file://" + str(other.root), remote.id.hex)]
     seen = set(repo.pinned_packages(pin))
     assert seen == {"a@1.0", "b@2.0", "c@0.1"}
     assert repo.head() == own.id
@@ -348,7 +362,7 @@ def test_time_machine_leaves_head_and_url_alone(tmp_path):
 
 def test_describe_human_mentions_commit(repo):
     rev = repo.commit_revision(golden_tree(), message="one")
-    text = repo.describe_human(PinFile([repo.pin()]))
+    text = repo.describe_human([repo.pin()])
     assert rev.id.hex in text
     assert "Generation 1" in text
 

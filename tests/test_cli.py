@@ -393,6 +393,28 @@ def test_pull_from_remote(env, tmp_path, monkeypatch, capsys):
     assert head == env["repo_obj"].head().hex
 
 
+def test_pull_records_the_remote_by_its_absolute_path(env, tmp_path, monkeypatch, capsys):
+    """A pin saved after `pull --url` of a relative path replays from any
+    directory, with a channel repo that lacks the revision."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MICROFOLD_CHANNEL_REPO", str(tmp_path / "clone"))
+    assert run_command(["pull", "--url", env["repo"].name]) == 0
+    capsys.readouterr()
+    assert run_command(["describe", "-f", "channels"]) == 0
+    pin_file = tmp_path / "channels.scm"
+    pin_file.write_text(capsys.readouterr().out)
+    monkeypatch.chdir(tmp_path / "store")
+    monkeypatch.setenv("MICROFOLD_CHANNEL_REPO", str(tmp_path / "fresh"))
+    assert run_command(["time-machine", "-C", str(pin_file), "--", "describe"]) == 0
+    assert f"repository URL: file://{env['repo']}\n" in capsys.readouterr().out
+
+
+def test_describe_of_a_head_that_names_no_revision_exits_2(env, capsys):
+    (env["repo"] / "HEAD").write_text("not a revision\n")
+    assert run_command(["describe"]) == 2
+    assert f"{env['repo'] / 'HEAD'}: " in capsys.readouterr().err
+
+
 def test_time_machine_replays_pinned_revision(env, tmp_path, capsys):
     assert run_command(["describe", "-f", "channels"]) == 0
     pin_file = tmp_path / "channels.scm"
@@ -468,7 +490,7 @@ def test_a_generation_records_the_pin_it_built(env, tmp_path, monkeypatch, capsy
     assert "  python-3.9 " in capsys.readouterr().out
     assert repo.head() != built
     recorded = parse_pin((env["profile"] / "generations/1/channels.scm").read_text())
-    assert [p.commit for p in recorded.pins] == [built.hex]
+    assert [p.commit for p in recorded] == [built.hex]
 
 
 def test_time_machine_missing_command(env, tmp_path, capsys):
@@ -634,6 +656,17 @@ def test_verify_reports_changed_and_missing_items(env, capsys):
     assert run_command(["--store", str(env["store"]), "verify"]) == 2
     assert sorted(capsys.readouterr().out.splitlines()) == sorted(
         [lines[0], f"missing {seed.name}"])
+
+
+@pytest.mark.parametrize("damage", [lambda data: data[:len(data) // 2],
+                                    lambda data: data[:-1] + b"\xff"])
+def test_verify_of_a_truncated_or_non_utf8_record_exits_2(env, capsys, damage):
+    assert run_command(["build", "python"]) == 0
+    component = Path(capsys.readouterr().out.strip()).name
+    record = env["store"] / "db" / "items" / component
+    record.write_bytes(damage(record.read_bytes()))
+    assert run_command(["verify"]) == 2
+    assert f"{record}: " in capsys.readouterr().err
 
 
 def test_verify_reports_a_derivation_with_a_repeated_env_key(env, capsys):

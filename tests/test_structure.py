@@ -109,3 +109,38 @@ def test_every_error_is_raised():
     others = "".join(p.read_text() for p in SRC.glob("*.py") if p.name != "errors.py")
     assert [c.name for c in classes if isinstance(c, ast.ClassDef)
             and f"raise {c.name}(" not in others] == []
+
+
+def _opens_to_read(node) -> bool:
+    """node is a call of the builtin open whose mode does not write."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "open"):
+        return False
+    modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+    return not any("w" in m.value for m in modes)
+
+
+def test_small_state_files_have_one_reader():
+    """Small state files are read only through store.read_state, which
+    decodes strict UTF-8 and turns a damaged file into its owner's error:
+    no module reads a file as text, or opens one to read, by itself
+    (transport.stream opens the entries it streams)."""
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert [name for name, text in sources.items() if ".read_text(" in text] == []
+    assert sorted(name for name, text in sources.items()
+                  if any(map(_opens_to_read, ast.walk(ast.parse(text))))) == [
+        "store.py", "transport.py"]
+
+
+def test_no_handler_catches_every_error():
+    """No `except Exception` and no bare `except:`: run_command maps each
+    error it knows to an exit code, and a defect it does not know ends in a
+    traceback, where it is seen."""
+    def catches_all(handler):
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        return any(t is None or isinstance(t, ast.Name) and t.id == "Exception"
+                   for t in types)
+
+    assert sorted(p.name for p in SRC.glob("*.py")
+                  for node in ast.walk(ast.parse(p.read_text()))
+                  if isinstance(node, ast.ExceptHandler) and catches_all(node)) == []
