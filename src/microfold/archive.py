@@ -18,7 +18,7 @@ from . import carc, transport
 from .derivation import source_path
 from .errors import ArchiveWriteError, ParseError, SourceUnavailable, StoreCorruption
 from .hashing import ContentHash
-from .store import Staged, locked, read_state, write_atomic
+from .store import Staged, locked, read_state, write_atomic, write_named
 
 
 class Archive:
@@ -36,8 +36,7 @@ class Archive:
             if isinstance(content, bytes):
                 data = carc.file_archive(content)
                 content_hash = ContentHash.of_bytes(data)
-                if not self.has(content_hash):
-                    write_atomic(self.root / "carc" / content_hash.hex, data)
+                write_named(self.root / "carc" / content_hash.hex, data)
             else:
                 tmp, content_hash, _ = carc.dump_to_tmp(content, self.root / "carc")
                 os.replace(tmp, self.root / "carc" / content_hash.hex)

@@ -75,7 +75,7 @@ def audit_trust(root, store: Store) -> AuditReport:
         if isinstance(node, StorePath):
             rec = store.get_record(node)
             if rec is None:
-                raise DanglingReference(node.component)
+                raise DanglingReference(f"dangling reference {node.component}: not in the store")
             if rec.kind == "seed":
                 seeds[node.component] = rec
             elif rec.kind == "fixed":

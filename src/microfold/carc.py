@@ -34,7 +34,7 @@ import os
 import stat
 import tempfile
 
-from .errors import ParseError, UnsupportedNode
+from .errors import MicrofoldError, ParseError
 from .hashing import ContentHash
 
 MAGIC = b"carc1\n"
@@ -43,7 +43,7 @@ _BLOCK = 1 << 20
 # Longest decimal the grammar needs (2**64 has 20 digits).
 _MAX_DIGITS = 20
 # Most levels an entry may lie below the root: deeper, walk raises
-# UnsupportedNode and restore ParseError.  walk recurses a frame a level.
+# MicrofoldError and restore ParseError.  walk recurses a frame a level.
 MAX_DEPTH = 600
 
 
@@ -127,7 +127,7 @@ def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False, depth=
             while left:
                 block = os.read(fd, min(left, _BLOCK))
                 if not block:
-                    raise UnsupportedNode(f"{os.fsdecode(src)}: shrank while read")
+                    raise MicrofoldError(f"{os.fsdecode(src)}: shrank while read")
                 emit(block)
                 if out is not None:
                     _write(out, block)
@@ -144,11 +144,11 @@ def walk(src: bytes, dest: bytes | None, emit, links=False, settle=False, depth=
     elif stat.S_ISDIR(mode):
         names = sorted(os.listdir(src))
         if names and depth == MAX_DEPTH:
-            raise UnsupportedNode(f"{os.fsdecode(src)}: more than {MAX_DEPTH} levels deep")
+            raise MicrofoldError(f"{os.fsdecode(src)}: more than {MAX_DEPTH} levels deep")
         for name, sub in directory(names, dest, emit):
             walk(src + b"/" + name, sub, emit, links, settle, depth + 1)
     else:
-        raise UnsupportedNode(f"{os.fsdecode(src)}: unsupported file type")
+        raise MicrofoldError(f"{os.fsdecode(src)}: unsupported file type")
 
 
 def directory(names, dest: bytes | None, emit):

@@ -26,12 +26,11 @@ from typing import NamedTuple
 
 from . import sexpr, transport
 from .derivation import SourceRef, _parse_step
-from .errors import (BadCommit, CorruptRevision, DuplicatePackage,
-                     InvalidHash, InvariantViolation, NoHead, ParseError,
-                     UnknownParent, UnknownRevision, UnreachableRemote)
+from .errors import (CorruptRevision, InvalidHash, InvariantViolation, MicrofoldError,
+                     ParseError, UnreachableRemote)
 from .hashing import HEX64, ContentHash
 from .sexpr import Sym
-from .store import decode_state, locked, read_state, write_atomic
+from .store import decode_state, locked, read_state, write_atomic, write_named
 
 
 class PackageDef:
@@ -155,7 +154,7 @@ def parse_pin(text: str) -> list:  # of ChannelPin
         fields = sexpr.read_fields(channel, "channel", _PIN_FIELDS)
         commit = fields["commit"]
         if not HEX64.fullmatch(commit):
-            raise BadCommit(f"commit must be 64 hex chars, got {commit!r}")
+            raise ParseError(f"commit must be 64 hex chars, got {commit!r}")
         pins.append(ChannelPin(fields["name"], fields["url"], commit))
     if not pins:
         raise ParseError("pin file declares no channels")
@@ -189,7 +188,7 @@ class ChannelRepo:
     def head(self) -> ContentHash:
         rev_id = read_state(self.root / "HEAD", CorruptRevision, lambda t: ContentHash(t.strip()))
         if rev_id is None:
-            raise NoHead(f"no HEAD in {self.root}")
+            raise MicrofoldError(f"no HEAD in {self.root}")
         return rev_id
 
     def has_revision(self, rev_id: ContentHash) -> bool:
@@ -197,7 +196,7 @@ class ChannelRepo:
 
     def get_revision(self, rev_id: ContentHash) -> ChannelRevision:
         if (data := _read_named(self.root, "revision", rev_id)) is None:
-            raise UnknownRevision(rev_id.hex)
+            raise MicrofoldError(f"unknown revision {rev_id.hex}")
         return parse_revision(data, rev_id)
 
     def get_object(self, obj_hash: ContentHash) -> bytes:
@@ -224,12 +223,12 @@ class ChannelRepo:
         """Append a revision holding the given package definitions."""
         with locked(self.root / "repo.lock"):
             if parent is not None and not self.has_revision(parent):
-                raise UnknownParent(parent.hex)
+                raise MicrofoldError(f"unknown parent revision {parent.hex}")
             tree = {}
             blobs = {}
             for pkg in packages:
                 if pkg.key in tree:
-                    raise DuplicatePackage(pkg.key)
+                    raise MicrofoldError(f"duplicate package {pkg.key}")
                 data = serialize_package(pkg)
                 obj_hash = ContentHash.of_bytes(data)
                 tree[pkg.key] = obj_hash
@@ -237,12 +236,8 @@ class ChannelRepo:
             data = serialize_revision(parent, tree, message)
             rev_id = ContentHash.of_bytes(data)
             for hex_digest, blob in blobs.items():
-                obj_path = self.root / "objects" / hex_digest
-                if not obj_path.exists():
-                    write_atomic(obj_path, blob)
-            rev_path = self.root / "revisions" / rev_id.hex
-            if not rev_path.exists():
-                write_atomic(rev_path, data)
+                write_named(self.root / "objects" / hex_digest, blob)
+            write_named(self.root / "revisions" / rev_id.hex, data)
             write_atomic(self.root / "HEAD", f"{rev_id.hex}\n".encode())
             return ChannelRevision(id=rev_id, parent=parent, tree=tree,
                                    message=message)
@@ -268,7 +263,7 @@ class ChannelRepo:
         Revisions are written oldest first, each after its objects."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
-            raise UnreachableRemote(str(remote))
+            raise UnreachableRemote(f"unreachable remote {remote}: it serves no HEAD")
         remote_head = decode_state(head_bytes, f"{remote}/HEAD", CorruptRevision,
                                    lambda t: ContentHash(t.strip()))
         with locked(self.root / "repo.lock"):
@@ -286,8 +281,8 @@ class ChannelRepo:
                     if (blob := _read_named(remote, "object", obj_hash)) is None:
                         raise UnreachableRemote(
                             f"{remote}: missing object {obj_hash}")
-                    write_atomic(obj_path, blob)
-                write_atomic(self.root / "revisions" / rev.id.hex, data)
+                    write_named(obj_path, blob)
+                write_named(self.root / "revisions" / rev.id.hex, data)
         return remote_head
 
     def pull(self, remote) -> ContentHash:
@@ -316,7 +311,7 @@ class ChannelRepo:
         except (UnreachableRemote, OSError):
             pass
         if not self.has_revision(rev_id):
-            raise UnknownRevision(pin.commit)
+            raise MicrofoldError(f"unknown revision {pin.commit}")
 
     def pinned_packages(self, pins) -> dict:
         """Exactly the package sets of pins (ChannelPins), merged; HEAD is never read."""
@@ -325,8 +320,8 @@ class ChannelRepo:
             self.ensure_revision(pin)
             for key, pkg in self.checkout(ContentHash(pin.commit)).items():
                 if key in merged:
-                    raise DuplicatePackage(
-                        f"{key} defined by more than one pinned channel")
+                    raise MicrofoldError(
+                        f"duplicate package {key}: defined by more than one pinned channel")
                 merged[key] = pkg
         return merged
 

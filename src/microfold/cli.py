@@ -16,7 +16,6 @@ import sys
 from functools import cached_property, partial
 from pathlib import Path
 
-from . import errors
 from .archive import Archive
 from .builder import BuildOptions, Builder, check_rebuild
 from .channel import ChannelRepo, parse_pin, render_pin
@@ -31,26 +30,6 @@ EXIT_OK = 0
 EXIT_USER = 1
 EXIT_VERIFY = 2
 EXIT_ENV = 3
-
-_VERIFY_ERRORS = (
-    errors.StoreCorruption, errors.CorruptRevision, errors.CorruptItem,
-    errors.AllProvidersCorrupt, errors.OutputCollision,
-)
-_ENV_ERRORS = (
-    errors.UnreachableRemote, errors.SourceUnavailable, errors.CacheWriteError,
-    errors.ArchiveWriteError, errors.StepFailure, errors.SubstituteNotFound,
-)
-
-
-def classify(exc) -> int:
-    """Exit code for exc: a MicrofoldError in neither tuple is a user error (none is an OSError)."""
-    if isinstance(exc, _VERIFY_ERRORS):
-        return EXIT_VERIFY
-    if isinstance(exc, _ENV_ERRORS):
-        return EXIT_ENV
-    if isinstance(exc, OSError):
-        return EXIT_ENV
-    return EXIT_USER
 
 
 class Context:
@@ -375,7 +354,7 @@ def run_command(argv) -> int:
         return _dispatch(make_parser(argv), argv)
     except MicrofoldError as e:
         print(f"microfold: error: {e}", file=sys.stderr)
-        return classify(e)
+        return e.exit_code
     except OSError as e:
         print(f"microfold: i/o error: {e}", file=sys.stderr)
         return EXIT_ENV

@@ -1,12 +1,17 @@
 """Exception hierarchy for microfold.
 
 Every error carries enough context to be printed as a one-line diagnostic.
-The CLI maps each class onto a stable exit code (see cli.EXIT_CODES).
+Each class declares the stable exit code the CLI returns for it: 1 user
+error, 2 verification failure, 3 environment/IO failure.  A class exists
+only when code tells it apart: some code catches it by name, it carries
+fields, or it exits with its own code.
 """
 
 
 class MicrofoldError(Exception):
     """Base class for all microfold errors."""
+
+    exit_code = 1
 
 
 # --- store ---------------------------------------------------------------
@@ -19,12 +24,10 @@ class InvalidHash(MicrofoldError):
     """Text does not parse as a 64-char lowercase hex digest."""
 
 
-class UnsupportedNode(MicrofoldError):
-    """A file tree contains something other than file/dir/symlink."""
-
-
 class StoreCorruption(MicrofoldError):
     """A store path disagrees with its recorded hash, or a state file is damaged."""
+
+    exit_code = 2
 
 
 class DanglingReference(MicrofoldError):
@@ -40,6 +43,8 @@ class InvariantViolation(MicrofoldError):
 class StepFailure(MicrofoldError):
     """Step `index` of the derivation labelled `label` failed."""
 
+    exit_code = 3
+
     def __init__(self, index, label, detail):
         super().__init__(f"step {index} of {label}: {detail}")
         self.index = index
@@ -54,9 +59,13 @@ class EscapedClosure(MicrofoldError):
 class OutputCollision(MicrofoldError):
     """Output path already exists with a different output hash."""
 
+    exit_code = 2
+
 
 class SourceUnavailable(MicrofoldError):
     """Both the upstream URL and the archive failed to provide a source."""
+
+    exit_code = 3
 
     def __init__(self, legs):
         super().__init__("; ".join(legs))
@@ -65,28 +74,14 @@ class SourceUnavailable(MicrofoldError):
 
 # --- channel -------------------------------------------------------------
 
-class DuplicatePackage(MicrofoldError):
-    pass
-
-
-class UnknownParent(MicrofoldError):
-    pass
-
-
-class UnknownRevision(MicrofoldError):
-    pass
-
-
 class UnreachableRemote(MicrofoldError):
-    pass
+    exit_code = 3
 
 
 class CorruptRevision(MicrofoldError):
     """Transferred revision or object bytes do not hash to their id."""
 
-
-class NoHead(MicrofoldError):
-    pass
+    exit_code = 2
 
 
 # --- parsing -------------------------------------------------------------
@@ -101,44 +96,12 @@ class ParseError(MicrofoldError):
         self.detail = detail
 
 
-class UnsupportedForm(ParseError):
-    """A Scheme construct outside the supported declarative subset."""
-
-
-class BadCommit(ParseError):
-    """A pin commit is not a 64-char hex revision id."""
-
-
-class DuplicateSpec(ParseError):
-    pass
-
-
-class EmptyName(ParseError):
-    pass
-
-
-class EmptyVersion(ParseError):
-    pass
-
-
 # --- resolution ----------------------------------------------------------
-
-class UnknownPackage(MicrofoldError):
-    pass
-
-
-class UnknownVersion(MicrofoldError):
-    pass
-
 
 class DependencyCycle(MicrofoldError):
     def __init__(self, chain):
-        super().__init__(" -> ".join(map(str, chain)))
+        super().__init__("dependency cycle: " + " -> ".join(map(str, chain)))
         self.chain = list(chain)
-
-
-class ReplacementCycle(MicrofoldError):
-    pass
 
 
 # --- profile -------------------------------------------------------------
@@ -151,27 +114,23 @@ class ProfileCollision(MicrofoldError):
         self.provider2 = provider2
 
 
-class UnknownGeneration(MicrofoldError):
-    pass
-
-
 # --- substitute / archive ------------------------------------------------
 
 class CorruptItem(MicrofoldError):
-    pass
+    exit_code = 2
 
 
 class CacheWriteError(MicrofoldError):
-    pass
+    exit_code = 3
 
 
 class SubstituteNotFound(MicrofoldError):
-    pass
+    exit_code = 3
 
 
 class AllProvidersCorrupt(MicrofoldError):
-    pass
+    exit_code = 2
 
 
 class ArchiveWriteError(MicrofoldError):
-    pass
+    exit_code = 3

@@ -19,9 +19,7 @@ from . import sexpr
 from .channel import PackageDef
 from .derivation import (Derivation, InputRef, SourceRef, Step, output_path,
                          register_derivation)
-from .errors import (DependencyCycle, DuplicateSpec, EmptyName, EmptyVersion,
-                     InvariantViolation, ReplacementCycle, UnknownPackage,
-                     UnknownVersion, UnsupportedForm)
+from .errors import DependencyCycle, InvariantViolation, MicrofoldError, ParseError
 from .hashing import ContentHash
 from .store import postorder
 from . import carc
@@ -47,37 +45,37 @@ def parse_spec(text: str) -> Spec:
     if "@" in text:
         name, _, version = text.rpartition("@")
         if not name:
-            raise EmptyName(f"spec {text!r} has an empty name")
+            raise ParseError(f"spec {text!r} has an empty name")
         if not version:
-            raise EmptyVersion(f"spec {text!r} has an empty version")
+            raise ParseError(f"spec {text!r} has an empty version")
         return Spec(name, version)
     if not text:
-        raise EmptyName("empty spec")
+        raise ParseError("empty spec")
     return Spec(text)
 
 
 def parse_manifest(text: str) -> Manifest:
     form = sexpr.parse_one(text)
     if not isinstance(form, list) or not form:
-        raise UnsupportedForm("manifest must be a (specifications->manifest ...) form")
+        raise ParseError("manifest must be a (specifications->manifest ...) form")
     head = form[0]
     if head != sexpr.Sym("specifications->manifest"):
         shown = head.name if isinstance(head, sexpr.Sym) else type(head).__name__
-        raise UnsupportedForm(
+        raise ParseError(
             f"unsupported form {shown}: only (specifications->manifest '(...)) "
             "is accepted; full Scheme is out of scope")
     if len(form) != 2 or not isinstance(form[1], sexpr.Quoted):
-        raise UnsupportedForm("expected a single quoted list of specs")
+        raise ParseError("expected a single quoted list of specs")
     spec_list = form[1].value
     if not isinstance(spec_list, list):
-        raise UnsupportedForm("expected a quoted list of spec strings")
+        raise ParseError("expected a quoted list of spec strings")
     specs, seen = [], set()
     for entry in spec_list:
         if not isinstance(entry, str):
-            raise UnsupportedForm(f"spec entries must be strings, got {type(entry).__name__}")
+            raise ParseError(f"spec entries must be strings, got {type(entry).__name__}")
         spec = parse_spec(entry)
         if spec.render() in seen:
-            raise DuplicateSpec(spec.render())
+            raise ParseError(f"duplicate spec {spec.render()}")
         seen.add(spec.render())
         specs.append(spec)
     return Manifest(specs)
@@ -99,11 +97,11 @@ def resolve_spec(spec: Spec, packages: dict) -> PackageDef:
     """Pick the matching definition, highest version wins for bare names."""
     candidates = [p for p in packages.values() if p.name == spec.name]
     if not candidates:
-        raise UnknownPackage(spec.render())
+        raise MicrofoldError(f"unknown package {spec.render()}")
     if spec.version is not None:
         exact = [p for p in candidates if p.version == spec.version]
         if not exact:
-            raise UnknownVersion(spec.render())
+            raise MicrofoldError(f"unknown version {spec.render()}")
         return exact[0]
     return max(candidates, key=lambda p: version_key(p.version))
 
@@ -135,7 +133,7 @@ class Instantiator:
         for rec in self.store.seeds():
             if rec.path.label == label:
                 return rec.path.component
-        raise UnknownPackage(f"seed {label!r} is not registered")
+        raise MicrofoldError(f"seed {label!r} is not registered")
 
     def _subst(self, text: str, mapping: dict) -> str:
         out = text
@@ -223,7 +221,7 @@ def rewrite_inputs(root: Spec, replacements: dict, packages: dict) -> dict:
     package set is left unmodified.
     """
     for spec in replacements.values():
-        resolve_spec(spec, packages)  # UnknownPackage if target missing
+        resolve_spec(spec, packages)  # raises if the target is missing
 
     rewritten = dict(packages)
 
@@ -245,5 +243,5 @@ def rewrite_inputs(root: Spec, replacements: dict, packages: dict) -> dict:
         for _ in postorder([resolve_spec(root, packages).key], rewritten_deps):
             pass
     except DependencyCycle as e:
-        raise ReplacementCycle(" -> ".join(e.chain)) from None
+        raise MicrofoldError("replacement cycle: " + " -> ".join(e.chain)) from None
     return rewritten

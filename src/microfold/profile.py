@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from . import carc
 from .builder import BuildOptions, Builder
-from .errors import ProfileCollision, StoreCorruption, UnknownGeneration
+from .errors import MicrofoldError, ProfileCollision, StoreCorruption
 from .hashing import ContentHash
 from .store import Staged, Store, StorePath, locked, read_state, write_atomic
 
@@ -122,7 +122,7 @@ class Profile:
     def rollback(self, number: int) -> int:
         with locked(self.root / "lock"):
             if number not in self.generation_numbers():
-                raise UnknownGeneration(str(number))
+                raise MicrofoldError(f"unknown generation {number}")
             write_atomic(self.root / "current", b"%d\n" % number)
             return number
 

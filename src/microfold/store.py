@@ -30,8 +30,10 @@ with no seed record behind it is skipped.
 Records are written once and never edited: each is written to a dot-named
 tmp file and renamed into place, so a reader sees all of a record or none
 of it.  This module also owns the helpers other layers share: the `flock`
-lock, that tmp-and-rename write, the "key: value" codec, and `read_state`,
-the one reader of small state files (a damaged one is a verification error).
+lock, that tmp-and-rename write, `write_named`, the one writer of files named
+by the hash of their bytes (it rewrites a damaged one), the "key: value"
+codec, and `read_state`, the one reader of small state files (a damaged one
+is a verification error).
 
 Because records never change, a `Store` memoizes the records it reads for
 its life (`derivation.load_derivation` and the instantiator keep parsed
@@ -95,6 +97,19 @@ def write_atomic(path, data: bytes):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_named(path, data: bytes):
+    """write_atomic of data to path, a file named by the hash of data,
+    unless the file already holds data: a damaged file is rewritten, an
+    intact one costs one read and no write."""
+    try:
+        with open(path, "rb") as f:
+            if f.read(len(data) + 1) == data:
+                return
+    except FileNotFoundError:
+        pass
+    write_atomic(path, data)
 
 
 def read_state(path, error, parse=str):
@@ -356,9 +371,7 @@ class Store:
         return self.root / "db" / "drvs" / drv_hash.hex
 
     def put_derivation(self, drv_hash: ContentHash, data: bytes):
-        path = self._drv_path(drv_hash)
-        if not path.exists():
-            write_atomic(path, data)
+        write_named(self._drv_path(drv_hash), data)
 
     def get_derivation_bytes(self, drv_hash: ContentHash) -> bytes | None:
         """The derivation's bytes, from this store or else from its base."""
@@ -461,7 +474,8 @@ class Store:
             if path.component not in found:
                 rec = self.get_record(path)
                 if rec is None:
-                    raise DanglingReference(path.component)
+                    raise DanglingReference(
+                        f"dangling reference {path.component}: not in the store")
                 found[path.component] = rec
                 todo.extend(rec.references)
         return found

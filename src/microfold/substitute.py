@@ -118,8 +118,8 @@ def _restore(path: StorePath, caches, scratch: Path):
               file=sys.stderr)
         corrupt = True
     if found and corrupt:
-        raise AllProvidersCorrupt(path.component)
-    raise SubstituteNotFound(path.component)
+        raise AllProvidersCorrupt(f"every cache serves a corrupt archive of {path.component}")
+    raise SubstituteNotFound(f"no cache serves {path.component}")
 
 
 def fetch_substitute(path: StorePath, caches, store: Store,

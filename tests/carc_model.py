@@ -12,7 +12,7 @@ import stat
 from pathlib import Path
 
 from microfold import carc
-from microfold.errors import ParseError, UnsupportedNode
+from microfold.errors import MicrofoldError, ParseError
 from microfold.hashing import ContentHash
 
 MAGIC = b"carc1\n"
@@ -66,7 +66,7 @@ def _serialize_node(node) -> bytes:
             out.append(str(len(raw)).encode() + b"\n" + raw)
             out.append(_serialize_node(node.entries[name]))
         return b"".join(out)
-    raise UnsupportedNode(f"not a tree node: {node!r}")
+    raise MicrofoldError(f"not a tree node: {node!r}")
 
 
 def serialize_tree(node) -> bytes:
@@ -155,7 +155,7 @@ def write_tree(node, dest) -> Path:
             check_name(name.encode())
             write_tree(child, dest / name)
     else:
-        raise UnsupportedNode(f"not a tree node: {node!r}")
+        raise MicrofoldError(f"not a tree node: {node!r}")
     return dest
 
 
@@ -173,7 +173,7 @@ def load_tree(path):
             check_name(child.name.encode())
             d.entries[child.name] = load_tree(child)
         return d
-    raise UnsupportedNode(f"{p}: unsupported file type")
+    raise MicrofoldError(f"{p}: unsupported file type")
 
 
 def serialize_path(path) -> bytes:

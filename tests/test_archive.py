@@ -30,6 +30,15 @@ def test_ingest_is_content_addressed(archive):
     assert _archived(archive, h1) == carc_model.serialize_bytes(b"payload")
 
 
+def test_ingest_of_bytes_repairs_a_damaged_entry(archive):
+    content_hash = archive.ingest(b"hello\n")
+    entry = archive.root / "carc" / content_hash.hex
+    intact = entry.read_bytes()
+    entry.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    assert archive.ingest(b"hello\n") == content_hash
+    assert entry.read_bytes() == intact
+
+
 def test_ingest_tree_and_path(archive, tmp_path):
     src = tmp_path / "src"
     (src / "sub").mkdir(parents=True)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import carc_model
 from microfold import carc
-from microfold.errors import ParseError, UnsupportedNode
+from microfold.errors import MicrofoldError, ParseError
 from microfold.hashing import ContentHash
 
 # Golden vectors: the byte strings were written out by hand against the
@@ -84,7 +84,7 @@ def test_rejects_bad_entry_names():
 def test_rejects_special_files(tmp_path):
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    with pytest.raises(UnsupportedNode):
+    with pytest.raises(MicrofoldError, match="unsupported file type"):
         carc_model.serialize_path(tmp_path)
 
 
@@ -335,10 +335,12 @@ def test_dump_copy_and_restore_share_one_depth_bound(tmp_path):
     assert carc.copy(tmp_path / "restored", tmp_path / "copied") == digest
 
     deeper = _deep_tree(tmp_path / "deeper", carc.MAX_DEPTH + 1)
-    with pytest.raises(UnsupportedNode, match="levels deep"):
+    with pytest.raises(MicrofoldError, match="levels deep") as refused:
         carc.dump(deeper, lambda block: None)
-    with pytest.raises(UnsupportedNode, match="levels deep"):
+    assert type(refused.value) is MicrofoldError
+    with pytest.raises(MicrofoldError, match="levels deep") as refused:
         carc.copy(deeper, tmp_path / "deeper-copied")
+    assert type(refused.value) is MicrofoldError
     for depth in (carc.MAX_DEPTH + 1, 5000):
         with pytest.raises(ParseError, match="levels deep"):
             carc.restore([_deep_archive(depth)], tmp_path / f"restored-{depth}")

@@ -8,9 +8,8 @@ from microfold.channel import (ChannelPin, ChannelRepo, PackageDef, parse_packag
                                parse_pin, render_pin, serialize_package)
 from microfold.cli import run_command
 from microfold.derivation import SourceRef
-from microfold.errors import (BadCommit, CorruptRevision, DuplicatePackage,
-                              NoHead, ParseError, UnknownParent,
-                              UnknownRevision, UnreachableRemote)
+from microfold.errors import (CorruptRevision, MicrofoldError, ParseError,
+                              UnreachableRemote)
 from microfold.hashing import ContentHash
 
 # Frozen fixture: package and revision bytes were written by hand against
@@ -53,12 +52,12 @@ def test_commit_is_content_addressed(repo, tmp_path):
 
 def test_duplicate_package_rejected(repo):
     pkgs = golden_tree() + [PackageDef(name="a", version="1.0")]
-    with pytest.raises(DuplicatePackage):
+    with pytest.raises(MicrofoldError, match="duplicate package a@1.0"):
         repo.commit_revision(pkgs)
 
 
 def test_unknown_parent_rejected(repo):
-    with pytest.raises(UnknownParent):
+    with pytest.raises(MicrofoldError, match="unknown parent revision " + "ab" * 32):
         repo.commit_revision(golden_tree(), parent=ContentHash("ab" * 32))
 
 
@@ -81,7 +80,7 @@ def test_checkout_parent_unaffected_by_child(repo):
 
 
 def test_checkout_unknown_revision(repo):
-    with pytest.raises(UnknownRevision):
+    with pytest.raises(MicrofoldError, match="unknown revision " + "cd" * 32):
         repo.checkout(ContentHash("cd" * 32))
 
 
@@ -92,6 +91,19 @@ def test_history_immutable_on_commit(repo):
     repo.commit_revision(golden_tree()[:2], parent=r1.id, message="two")
     for name, data in before.items():
         assert (repo.root / "revisions" / name).read_bytes() == data
+
+
+@pytest.mark.parametrize("kind", ["objects", "revisions"])
+def test_a_commit_repairs_a_damaged_file_it_names(repo, kind):
+    """A package object or revision is named by the hash of its bytes: a
+    commit that names one again rewrites it when it is damaged."""
+    rev = repo.commit_revision(golden_tree(), message="one")
+    victim = sorted((repo.root / kind).iterdir())[0]
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    assert repo.commit_revision(golden_tree(), message="one").id == rev.id
+    assert victim.read_bytes() == intact
+    assert set(repo.checkout(rev.id)) == {"a@1.0", "b@2.0", "c@0.1"}
 
 
 def test_package_serialization_round_trips():
@@ -269,7 +281,7 @@ def test_a_failed_fetch_leaves_no_revision_without_its_parent(tmp_path):
 
 def test_pull_unreachable(tmp_path):
     clone = ChannelRepo(tmp_path / "clone")
-    with pytest.raises(UnreachableRemote):
+    with pytest.raises(UnreachableRemote, match="unreachable remote .*nowhere"):
         clone.pull(tmp_path / "nowhere")
 
 
@@ -286,7 +298,7 @@ def test_describe_pin_round_trips(repo):
 
 
 def test_describe_without_head(repo):
-    with pytest.raises(NoHead):
+    with pytest.raises(MicrofoldError, match="no HEAD"):
         render_pin([repo.pin()])
 
 
@@ -301,7 +313,7 @@ def test_parse_pin_minimal():
 def test_parse_pin_rejects_40_hex():
     text = ('(channels (channel (name "c") (url "u") '
             '(commit "' + "ab" * 20 + '")))')
-    with pytest.raises(BadCommit):
+    with pytest.raises(ParseError, match="commit must be 64 hex chars"):
         parse_pin(text)
 
 
@@ -334,7 +346,7 @@ def test_time_machine_uses_pinned_tree(repo):
 def test_time_machine_unknown_revision(repo, tmp_path):
     repo.commit_revision(golden_tree(), message="one")
     pin = [ChannelPin("c", "file://" + str(tmp_path / "gone"), "ab" * 32)]
-    with pytest.raises(UnknownRevision):
+    with pytest.raises(MicrofoldError, match="unknown revision " + "ab" * 32):
         repo.pinned_packages(pin)
 
 

@@ -11,10 +11,10 @@ from pathlib import Path
 import pytest
 
 import carc_model
-from microfold import builder, cli, manifest, transport
+from microfold import builder, cli, errors, manifest, transport
 from microfold.bootstrap import register_seed
 from microfold.builder import build
-from microfold.channel import ChannelRepo, PackageDef, parse_pin
+from microfold.channel import ChannelPin, ChannelRepo, PackageDef, parse_pin, render_pin
 from microfold.cli import run_command
 from microfold.derivation import (Derivation, Step, canonical_serialize,
                                   derivation_hash)
@@ -691,3 +691,50 @@ def test_verify_reports_a_derivation_edited_in_place(env, capsys):
     assert run_command(["verify"]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 and victim.name in lines[0]
+
+
+def test_a_rebuild_repairs_a_damaged_derivation_file(env, capsys):
+    """A derivation file is named by the hash of its bytes: instantiating
+    the derivation again rewrites it when it is damaged."""
+    assert run_command(["build", "python"]) == 0
+    victim = sorted((env["store"] / "db" / "drvs").iterdir())[0]
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    assert run_command(["verify"]) == 2
+    assert run_command(["build", "python"]) == 0
+    assert victim.read_bytes() == intact
+    assert run_command(["verify"]) == 0
+
+
+# The exit code of every error class: 1 user error, 2 verification failure,
+# 3 environment/IO failure.  These are the codes the CLI gave each class
+# while it kept them in a table of its own.
+EXIT_CODES = {
+    "MicrofoldError": 1, "InvalidLabel": 1, "InvalidHash": 1, "StoreCorruption": 2,
+    "DanglingReference": 1, "InvariantViolation": 1, "StepFailure": 3,
+    "EscapedClosure": 1, "OutputCollision": 2, "SourceUnavailable": 3,
+    "UnreachableRemote": 3, "CorruptRevision": 2, "ParseError": 1, "DependencyCycle": 1,
+    "ProfileCollision": 1, "CorruptItem": 2, "CacheWriteError": 3,
+    "SubstituteNotFound": 3, "AllProvidersCorrupt": 2, "ArchiveWriteError": 3,
+}
+
+
+def test_each_error_class_declares_its_exit_code():
+    classes = {name: c for name, c in vars(errors).items()
+               if isinstance(c, type) and issubclass(c, MicrofoldError)}
+    assert {name: c.exit_code for name, c in classes.items()} == EXIT_CODES
+
+
+def test_a_user_error_says_what_failed(env, tmp_path, capsys):
+    twice = tmp_path / "twice.scm"
+    twice.write_text('(specifications->manifest \'("python" "python"))\n')
+    gone = tmp_path / "gone.scm"
+    gone.write_text(render_pin([ChannelPin("c", "file://" + str(tmp_path / "gone"), "ab" * 32)]))
+    for argv, said in [(["build", "nosuch"], "unknown package nosuch"),
+                       (["build", "python@9"], "unknown version python@9"),
+                       (["rollback", "5"], "unknown generation 5"),
+                       (["package", "-m", str(twice)], "duplicate spec python"),
+                       (["time-machine", "-C", str(gone), "--", "describe"],
+                        "unknown revision " + "ab" * 32)]:
+        assert run_command(argv) == 1
+        assert capsys.readouterr().err == f"microfold: error: {said}\n"

@@ -12,7 +12,7 @@ import carc_model
 from microfold import carc, profile as profile_mod
 from microfold import derivation as d
 from microfold.derivation import Derivation, register_derivation
-from microfold.errors import ProfileCollision, UnknownGeneration
+from microfold.errors import MicrofoldError, ProfileCollision
 from microfold.hashing import ContentHash
 from microfold.cli import run_command
 from microfold.manifest import Instantiator
@@ -280,7 +280,7 @@ def test_crash_while_writing_current_keeps_the_old_pointer(store, profile):
 
 def test_rollback_unknown_generation(store, profile):
     _build_profile([_drv("a", {"f": b"x"})], store, profile)
-    with pytest.raises(UnknownGeneration):
+    with pytest.raises(MicrofoldError, match="unknown generation 7"):
         profile.rollback(7)
 
 

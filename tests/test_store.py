@@ -209,7 +209,7 @@ def test_closure_order_stable_across_roots(tmp_path):
 def test_closure_dangling_reference(store):
     ghost = StorePath(store.root, "ab" * 16, "ghost-1")
     a = add(store, b"a", "a-1", references=[ghost])
-    with pytest.raises(DanglingReference):
+    with pytest.raises(DanglingReference, match="dangling reference " + ghost.component):
         store.closure(a)
 
 

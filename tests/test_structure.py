@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from microfold import errors
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
 
 
@@ -144,3 +146,32 @@ def test_no_handler_catches_every_error():
     assert sorted(p.name for p in SRC.glob("*.py")
                   for node in ast.walk(ast.parse(p.read_text()))
                   if isinstance(node, ast.ExceptHandler) and catches_all(node)) == []
+
+
+def _error_classes() -> dict:
+    return {name: c for name, c in vars(errors).items()
+            if isinstance(c, type) and issubclass(c, errors.MicrofoldError)}
+
+
+def test_cli_names_no_other_error_class():
+    """Each error class declares its exit code, so cli.py keeps no table of
+    classes: it names only the two it catches and raises."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    named = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+             | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                for a in n.names})
+    assert sorted(named & set(_error_classes())) == ["MicrofoldError", "ParseError"]
+
+
+def test_every_error_class_is_told_apart():
+    """A class other than MicrofoldError is caught by name somewhere in the
+    program, carries fields (its own __init__), or exits with a code other
+    than its base's; one that is told apart only by tests is a message, and
+    raises its base class instead."""
+    caught = {n.id for p in SRC.glob("*.py") for h in ast.walk(ast.parse(p.read_text()))
+              if isinstance(h, ast.ExceptHandler) and h.type is not None
+              for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+    assert [name for name, c in _error_classes().items()
+            if c is not errors.MicrofoldError and name not in caught
+            and "__init__" not in vars(c) and c.exit_code == c.__base__.exit_code] == []

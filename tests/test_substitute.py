@@ -177,7 +177,7 @@ def test_tampered_archive_rejected(tmp_path, cache):
 
     consumer = Store(tmp_path / "consumer")
     target = StorePath.from_component(consumer.root, path.component)
-    with pytest.raises(AllProvidersCorrupt):
+    with pytest.raises(AllProvidersCorrupt, match="every cache serves a corrupt archive of"):
         fetch_substitute(target, [cache], consumer)
     assert consumer.get_record(target) is None  # nothing entered the store
 
@@ -204,7 +204,7 @@ def test_corrupt_provider_skipped_for_honest_one(tmp_path, capsys):
 def test_fetch_not_found(tmp_path, cache):
     consumer = Store(tmp_path / "consumer")
     cache.mkdir()
-    with pytest.raises(SubstituteNotFound):
+    with pytest.raises(SubstituteNotFound, match="no cache serves " + "ab" * 16 + "-x"):
         fetch_substitute(StorePath.from_component(consumer.root, "ab" * 16 + "-x"),
                          [cache], consumer)
 
