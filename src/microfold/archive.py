@@ -111,24 +111,23 @@ def fetch_source(ref, store, archive: Archive | None):
     has with that hash is returned as it is, fetching nothing.  Every leg
     stages what it fetched under <store>/tmp and hashes the staged bytes;
     bytes that do not match ref.expected_hash never get a record.  A source
-    the archive lacks is ingested on the way.
+    fetched from upstream is written into the archive on the way, over a
+    damaged entry too; one the store has is ingested if the archive lacks it.
     """
-    ingest = archive is not None and not archive.has(ref.expected_hash)
     present = store.get_record(source_path(store, ref))
     if present is not None and present.output_hash == ref.expected_hash:
-        if ingest:
+        if archive is not None and not archive.has(ref.expected_hash):
             archive.ingest(present.path.path, origin=ref.url)
         return present.path
     legs = []
     with store.scratch() as scratch:
-        staged = _fetch_upstream(ref, scratch / "upstream",
-                                 archive if ingest else None)
+        staged = _fetch_upstream(ref, scratch / "upstream", archive)
         if staged is None:
             legs.append(f"upstream {ref.url}: unavailable")
         elif staged.output_hash == ref.expected_hash:
             return store.add_fixed(staged, ref.label)
         else:
-            legs.append(f"upstream {ref.url}: upstream: expected "
+            legs.append(f"upstream {ref.url}: expected "
                         f"{ref.expected_hash}, got {staged.output_hash}")
 
         if archive is not None:
@@ -145,7 +144,7 @@ def fetch_source(ref, store, archive: Archive | None):
                     actual = f"an unreadable archive ({e})"
                 if actual == ref.expected_hash:
                     return store.add_fixed(staged, ref.label)
-                legs.append(f"archive: archive: expected {ref.expected_hash}, got {actual}")
+                legs.append(f"archive: expected {ref.expected_hash}, got {actual}")
         else:
             legs.append("archive: not configured")
 

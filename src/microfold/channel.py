@@ -171,6 +171,14 @@ def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
     return data
 
 
+def _intact(location, kind: str, name: ContentHash) -> bool:
+    """Whether location holds the named revision or object (kind) intact."""
+    try:
+        return _read_named(location, kind, name) is not None
+    except CorruptRevision:
+        return False
+
+
 class ChannelRepo:
     def __init__(self, root):
         self.root = Path(root)
@@ -260,7 +268,9 @@ class ChannelRepo:
     def fetch(self, remote) -> ContentHash:
         """Copy the verified revisions and objects reachable from the remote
         head; returns that head.  HEAD and URL are left alone; idempotent.
-        Revisions are written oldest first, each after its objects."""
+        Revisions are written oldest first, each after its objects.  A local
+        file that does not hash to its name is fetched again, so a pull
+        repairs a damaged revision or object it walks."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
             raise UnreachableRemote(f"unreachable remote {remote}: it serves no HEAD")
@@ -268,20 +278,19 @@ class ChannelRepo:
                                    lambda t: ContentHash(t.strip()))
         with locked(self.root / "repo.lock"):
             missing, cur = [], remote_head  # newest first
-            while cur is not None and not self.has_revision(cur):
+            while cur is not None and not _intact(self.root, "revision", cur):
                 if (data := _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
                 missing.append((parse_revision(data, cur), data))
                 cur = missing[-1][0].parent
             for rev, data in reversed(missing):
                 for obj_hash in rev.tree.values():
-                    obj_path = self.root / "objects" / obj_hash.hex
-                    if obj_path.exists():
+                    if _intact(self.root, "object", obj_hash):
                         continue
                     if (blob := _read_named(remote, "object", obj_hash)) is None:
                         raise UnreachableRemote(
                             f"{remote}: missing object {obj_hash}")
-                    write_named(obj_path, blob)
+                    write_named(self.root / "objects" / obj_hash.hex, blob)
                 write_named(self.root / "revisions" / rev.id.hex, data)
         return remote_head
 

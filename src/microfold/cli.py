@@ -214,16 +214,22 @@ def cmd_seed(ctx: Context, args) -> int:
 
 def cmd_verify(ctx: Context, args) -> int:
     """Re-hash every recorded item and load every derivation; one line per
-    item that is missing or does not match its record, and per derivation
-    that does not hash to its name or does not parse."""
+    record that does not parse, per item that is missing or does not match
+    its record, and per derivation that does not hash to its name or does
+    not parse."""
     store = ctx.store
     bad = 0
-    for rec in store.list_records():
-        report = store.verify_item(rec.path)
+    for component in store.components():
+        try:
+            report = store.verify_item(StorePath.from_component(store.root, component))
+        except MicrofoldError as e:
+            print(f"bad {component}: {e}")
+            bad += 1
+            continue
         if report.status == "missing":
-            print(f"missing {rec.path.component}")
+            print(f"missing {component}")
         elif not report.ok:
-            print(f"mismatch {rec.path.component}: recorded {report.expected}, "
+            print(f"mismatch {component}: recorded {report.expected}, "
                   f"actual {report.actual}")
         bad += not report.ok
     for drv_hash in store.list_derivations():

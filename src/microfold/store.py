@@ -14,10 +14,13 @@ Every item enters the store the same way: its tree is staged under `tmp/`
 bytes that produced it; then, under the item's lock, the tree is renamed
 into `items/` and its record written.  So `add_fixed` takes the path of a
 tree to copy in or a `Staged` tree, and `register_output` a `Staged` tree;
-neither takes content held in memory.  The record is the commit point.  An
-item directory with no record, left by an insert that crashed before its
-record landed, is re-hashed by the next insert: adopted if it matches,
-removed otherwise.
+neither takes content held in memory.  The record is the commit point, and
+it is refused while an item it references, itself apart, has no record.  So
+the closure invariant holds: every item a record references has a record
+too, and `closure` lists items each after what it references, an order in
+which a store admits them.  An item directory with no record, left by an
+insert that crashed before its record landed, is re-hashed by the next
+insert: adopted if it matches, removed otherwise.
 
 A profile union is the one `fixed` item named by its members, not by its
 content (profile.build_profile); `bootstrap.audit_trust` still reads a fixed
@@ -47,7 +50,6 @@ is still caught as corruption.
 from __future__ import annotations
 
 import fcntl
-import heapq
 import os
 import re
 import shutil
@@ -234,36 +236,6 @@ def _remove(path: Path):
         path.unlink()
 
 
-def _referrers_first(refs: dict) -> list:
-    """Order the keys of refs (node -> set of nodes it references, itself
-    excluded) so that every node precedes the nodes it references, taking
-    the smallest ready node each time; on a cycle, the smallest node left.
-    Kahn's algorithm over a min-heap."""
-    referrers = dict.fromkeys(refs, 0)
-    for targets in refs.values():
-        for t in targets:
-            referrers[t] += 1
-    ready = [c for c, n in referrers.items() if n == 0]
-    heapq.heapify(ready)
-    by_name = sorted(refs)
-    next_left = 0  # no node before by_name[next_left] is left to emit
-    emitted, order = set(), []
-    while len(order) < len(refs):
-        if ready:
-            pick = heapq.heappop(ready)
-        else:
-            while by_name[next_left] in emitted:
-                next_left += 1
-            pick = by_name[next_left]
-        emitted.add(pick)
-        order.append(pick)
-        for t in refs[pick]:
-            referrers[t] -= 1
-            if referrers[t] == 0 and t not in emitted:
-                heapq.heappush(ready, t)
-    return order
-
-
 def postorder(roots, children):
     """Yield each node that roots reach once, after the nodes that
     children(node) lists, in that order: a depth-first walk that keeps its
@@ -353,9 +325,13 @@ class Store:
                 self._records[component] = rec
         return rec
 
+    def components(self) -> list:
+        """The components of this store's records, sorted."""
+        return [n for n in sorted(os.listdir(self.root / "db" / "items"))
+                if COMPONENT_RE.fullmatch(n)]
+
     def list_records(self) -> list:
-        names = sorted(os.listdir(self.root / "db" / "items"))
-        return [self.get_record(n) for n in names if COMPONENT_RE.fullmatch(n)]
+        return [self.get_record(n) for n in self.components()]
 
     def seeds(self) -> list:
         """Seed records (a base's too) by component, read through db/seeds."""
@@ -403,7 +379,12 @@ class Store:
         """Rename the staged tree into place as rec.path and write rec,
         whose output_hash the tree has.  If the item already has a record,
         nothing is written and that record is returned for the caller to
-        compare."""
+        compare.  A reference, other than the item itself, that has no
+        record raises DanglingReference before anything is written."""
+        for ref in rec.references:
+            if ref != rec.path and self.get_record(ref) is None:
+                raise DanglingReference(
+                    f"dangling reference {ref.component}: not in the store")
         dest = rec.path.path
         with self.lock(rec.path.digest_prefix):
             existing = self._read_record(rec.path.component)
@@ -481,9 +462,9 @@ class Store:
         return found
 
     def closure(self, path: StorePath) -> list:
-        """Transitive references closure, root first, deterministic order:
-        referrers before referees, ties by component bytes."""
+        """Transitive references closure, each item after the items it
+        references, root last: one post-order walk.  A reference cycle,
+        which only damaged records make, raises DependencyCycle."""
         graph = self.members([path])
-        refs = {c: {r.component for r in rec.references} - {c}
-                for c, rec in graph.items()}
-        return [graph[c].path for c in _referrers_first(refs)]
+        return [graph[c].path for c in postorder([path.component], lambda c: [
+            r.component for r in graph[c].references if r.component != c])]

@@ -81,6 +81,21 @@ def test_fetch_upstream_then_auto_ingest(tmp_path, store, archive):
     assert path2 == path
 
 
+def test_a_refetch_repairs_a_damaged_archive_entry(tmp_path, archive):
+    """A source fetched from upstream is written into the archive again, so
+    a damaged entry is mended while the upstream still serves it."""
+    upstream, ref = _file_source(tmp_path)
+    fetch_source(ref, Store(tmp_path / "s1"), archive)
+    entry = archive.root / "carc" / ref.expected_hash.hex
+    intact = entry.read_bytes()
+    entry.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    fetch_source(ref, Store(tmp_path / "s2"), archive)
+    assert entry.read_bytes() == intact
+    upstream.unlink()
+    path = fetch_source(ref, Store(tmp_path / "s3"), archive)
+    assert path.path.read_bytes() == b"source bytes\n"
+
+
 def test_fetch_archive_fallback_when_upstream_refuses(store, archive):
     h = archive.ingest(b"archived body")
     with socket.socket() as s:  # a port that nothing listens on
@@ -123,7 +138,7 @@ def test_each_leg_says_what_it_found(tmp_path, store, archive):
     upstream.write_bytes(b"tampered\n")
     got = ContentHash.of_bytes(carc_model.serialize_path(upstream))
     want = ref.expected_hash
-    upstream_leg = f"upstream {ref.url}: upstream: expected {want.hex}, got {got.hex}"
+    upstream_leg = f"upstream {ref.url}: expected {want.hex}, got {got.hex}"
     for arch, archive_leg in ((None, "archive: not configured"),
                               (archive, "archive: not present")):
         with pytest.raises(SourceUnavailable) as exc:
@@ -133,7 +148,7 @@ def test_each_leg_says_what_it_found(tmp_path, store, archive):
     with pytest.raises(SourceUnavailable) as exc:
         fetch_source(ref, store, archive)
     assert exc.value.legs == [
-        upstream_leg, f"archive: archive: expected {want.hex}, got {got.hex}"]
+        upstream_leg, f"archive: expected {want.hex}, got {got.hex}"]
 
 
 def test_fetch_archive_only_url(store, archive):

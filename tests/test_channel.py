@@ -147,6 +147,22 @@ def test_pull_detects_tampering(repo, tmp_path):
         clone.pull(repo.root)
 
 
+def test_pull_repairs_a_damaged_revision_and_object(repo, tmp_path):
+    """A local revision or object counts as held only when its bytes hash
+    to its name: a pull that walks a damaged one fetches it again."""
+    r1 = repo.commit_revision(golden_tree()[:1], message="one")
+    clone = ChannelRepo(tmp_path / "clone")
+    clone.pull(repo.root)
+    [obj] = (clone.root / "objects").iterdir()
+    for victim in (obj, clone.root / "revisions" / r1.id.hex):
+        intact = victim.read_bytes()
+        victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    r2 = repo.commit_revision(golden_tree()[:2], parent=r1.id, message="two")
+    assert clone.pull(repo.root) == r2.id
+    assert set(clone.checkout(r2.id)) == {"a@1.0", "b@2.0"}
+    assert clone.ancestry(r2.id) == [r2.id, r1.id]
+
+
 def _serve(remote: Path, revision: bytes, objects=()) -> str:
     """A remote channel whose HEAD is a revision with these bytes; every
     file hashes to its name, however malformed its contents."""

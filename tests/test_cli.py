@@ -666,7 +666,27 @@ def test_verify_of_a_truncated_or_non_utf8_record_exits_2(env, capsys, damage):
     record = env["store"] / "db" / "items" / component
     record.write_bytes(damage(record.read_bytes()))
     assert run_command(["verify"]) == 2
-    assert f"{record}: " in capsys.readouterr().err
+    assert capsys.readouterr().out.startswith(f"bad {component}: {record}: ")
+
+
+def test_verify_reports_every_damaged_record_and_checks_every_other_item(env, capsys):
+    """A record that does not parse is one line of the report, not its end."""
+    assert run_command(["build", "python-scipy"]) == 0
+    capsys.readouterr()
+    items = {p.name.split("-", 1)[1]: p for p in (env["store"] / "items").iterdir()}
+    records = env["store"] / "db" / "items"
+    for label, damage in (("python-numpy-1.20", lambda data: data[:len(data) // 2]),
+                          ("python-scipy-1.6", lambda data: data[:-1] + b"\xff")):
+        record = records / items[label].name
+        record.write_bytes(damage(record.read_bytes()))
+    victim = next(p for p in sorted(items["python-3.9"].rglob("*")) if p.is_file())
+    victim.write_bytes(victim.read_bytes() + b"!")
+    assert run_command(["verify"]) == 2
+    lines = sorted(capsys.readouterr().out.splitlines())
+    assert [line.split(":")[0] for line in lines] == [
+        f"bad {items['python-numpy-1.20'].name}", f"bad {items['python-scipy-1.6'].name}",
+        f"mismatch {items['python-3.9'].name}"]
+    assert all(f"{records}/" in line for line in lines[:2])
 
 
 def test_verify_reports_a_derivation_with_a_repeated_env_key(env, capsys):

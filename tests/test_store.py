@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import carc_model
-from microfold.errors import (DanglingReference, InvalidHash, InvalidLabel,
-                              OutputCollision, StoreCorruption)
+from microfold.errors import (DanglingReference, DependencyCycle, InvalidHash,
+                              InvalidLabel, OutputCollision, StoreCorruption)
 from microfold.hashing import ContentHash
-from microfold.store import Staged, Store, StorePath
+from microfold.store import Staged, Store, StorePath, parse_fields, render_fields
 
 from conftest import on_disk
 from test_carc import random_tree
@@ -156,7 +156,7 @@ def test_closure_chain(store):
     c = add(store, b"c", "c-1")
     b = _with_refs(store, b"b", "b-1", [c])
     a = _with_refs(store, b"a", "a-1", [b])
-    assert store.closure(a) == [a, b, c]
+    assert store.closure(a) == [c, b, a]
 
 
 def test_closure_diamond_matches_bruteforce(store):
@@ -207,10 +207,29 @@ def test_closure_order_stable_across_roots(tmp_path):
 
 
 def test_closure_dangling_reference(store):
-    ghost = StorePath(store.root, "ab" * 16, "ghost-1")
+    ghost = add(store, b"ghost", "ghost-1")
     a = add(store, b"a", "a-1", references=[ghost])
+    os.unlink(store.root / "db" / "items" / ghost.component)
     with pytest.raises(DanglingReference, match="dangling reference " + ghost.component):
-        store.closure(a)
+        Store(store.root).closure(a)
+
+
+@pytest.mark.parametrize("via", ["add_fixed", "register_output"])
+def test_an_item_is_refused_while_a_reference_has_no_record(store, via):
+    """The closure invariant is checked where an item is admitted: nothing
+    of an item whose reference the store lacks is written."""
+    ghost = StorePath(store.root, "ab" * 16, "ghost-1")
+    with pytest.raises(DanglingReference, match="dangling reference " + ghost.component):
+        if via == "add_fixed":
+            add(store, b"a", "a-1", references=[ghost])
+        else:
+            tree = staged(store, carc_model.File(b"a"))
+            store.register_output(tree, StorePath(store.root, "cd" * 16, "a-1"),
+                                  deriver=None, references=[ghost])
+    assert os.listdir(store.root / "db" / "items") == []
+    assert os.listdir(store.root / "items") == []
+    if via == "add_fixed":
+        assert os.listdir(store.root / "tmp") == []
 
 
 def test_concurrent_registration_single_item(store):
@@ -324,29 +343,6 @@ def test_a_crash_at_any_write_of_a_seed_registration_loses_no_seed(
     assert committed and n > 5
 
 
-def _closure_oracle(graph: dict, root: str) -> list:
-    """The closure order of the reference implementation: rescan the
-    remaining nodes for the smallest one with no remaining referrer."""
-    reach, stack = set(), [root]
-    while stack:
-        c = stack.pop()
-        if c not in reach:
-            reach.add(c)
-            stack.extend(graph[c])
-    referrers = {c: set() for c in reach}
-    for c in reach:
-        for r in graph[c]:
-            if r != c:
-                referrers[r].add(c)
-    emitted, remaining = [], set(reach)
-    while remaining:
-        ready = sorted(c for c in remaining if not (referrers[c] & remaining))
-        pick = ready[0] if ready else sorted(remaining)[0]
-        emitted.append(pick)
-        remaining.remove(pick)
-    return emitted
-
-
 @st.composite
 def ref_graphs(draw):
     """Edges over n nodes: forward edges make a DAG, plus self-references
@@ -361,24 +357,51 @@ def ref_graphs(draw):
     return n, edges
 
 
+def _reachable(refs: dict, root: int) -> set:
+    reach, todo = set(), [root]
+    while todo:
+        if (i := todo.pop()) not in reach:
+            reach.add(i)
+            todo.extend(refs[i])
+    return reach
+
+
 @settings(max_examples=60, deadline=None)
 @given(ref_graphs())
-def test_closure_order_matches_oracle(graph):
+def test_closure_lists_each_item_after_its_references(graph):
+    """Items added referees first: closure lists every item the root
+    reaches once, after every item it references, and a fresh Store lists
+    the same.  The drawn cycle, which no admitted record can make, is
+    written into a record file: a closure that reaches it raises
+    DependencyCycle."""
     n, edges = graph
     contents = [b"node %d" % i for i in range(n)]
     comps = [f"{carc_model.hash_tree(carc_model.File(c)).prefix}-n{i}"
              for i, c in enumerate(contents)]
-    refs = {comps[i]: {comps[b] for a, b in edges if a == i} for i in range(n)}
+    refs = {i: {b for a, b in edges if a == i} for i in range(n)}
+    back = [a for a, b in edges if a > b]  # the edge that closes the cycle
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp, "store")
         store = Store(root)
-        for i, c in enumerate(contents):
-            add(store, c, f"n{i}", references=[
-                StorePath.from_component(store.root, r) for r in refs[comps[i]]])
+        for i in reversed(range(n)):
+            add(store, contents[i], f"n{i}", references=[
+                StorePath.from_component(root, comps[r]) for r in refs[i] if r >= i])
+        for a in back:
+            record = root / "db" / "items" / comps[a]
+            fields = parse_fields(record.read_text())
+            fields["references"] = " ".join(sorted(comps[r] for r in refs[a]))
+            record.write_text(render_fields(fields))
         for i in range(n):
-            root_path = StorePath.from_component(store.root, comps[i])
+            reach = _reachable(refs, i)
+            root_path = StorePath.from_component(root, comps[i])
+            if reach.intersection(back):
+                with pytest.raises(DependencyCycle):
+                    Store(root).closure(root_path)
+                continue
             got = [p.component for p in store.closure(root_path)]
-            assert got == _closure_oracle(refs, comps[i])
+            assert sorted(got) == sorted(comps[j] for j in reach)
+            at = {c: k for k, c in enumerate(got)}
+            assert all(at[comps[r]] < at[comps[j]] for j in reach for r in refs[j] - {j})
             assert [p.component for p in Store(root).closure(root_path)] == got
 
 

@@ -21,6 +21,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "microfold"
     ('"drvs"', "store.py"),               # only the store knows db/drvs
     ('"seeds"', "store.py"),              # only the store knows db/seeds
     ("Thread(", "builder.py"),            # the one build scheduler
+    ("heapq", "builder.py"),              # and the program's only heap
     ("os.link(", "carc.py"),              # one link helper shares inodes
     ("quote_string(", "sexpr.py"),        # the one s-expression writer
     ('b"("', "sexpr.py"),                 # no form is joined by hand

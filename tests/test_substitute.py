@@ -169,6 +169,25 @@ def test_fetch_pulls_references_first(tmp_path, cache):
     assert consumer.verify_item(got).ok
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_closure_published_part_way_leaves_only_fetchable_items(tmp_path, store, cache, k):
+    """A closure lists each item after its references, so a publish of it
+    that stops after k items leaves a cache in which every item it holds
+    substitutes into a fresh store, references and all."""
+    below = []
+    for label in ("c-1", "b-1", "a-1"):
+        below = [store.add_fixed(on_disk(carc_model.File(label.encode()), tmp_path),
+                                 label, references=below)]
+    published = store.closure(below[0])[:k]
+    for member in published:
+        publish(store, member, cache)
+    for member in published:
+        fresh = Store(tmp_path / f"fresh-{member.label}")
+        target = StorePath.from_component(fresh.root, member.component)
+        assert fetch_substitute(target, [cache], fresh) == target
+        assert fresh.verify_item(target).ok
+
+
 def test_tampered_archive_rejected(tmp_path, cache):
     producer = Store(tmp_path / "producer")
     path = build(hello_drv(), producer)
