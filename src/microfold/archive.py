@@ -114,7 +114,8 @@ def fetch_source(ref, store, archive: Archive | None):
     fetched from upstream is written into the archive on the way, over a
     damaged entry too; one the store has is ingested if the archive lacks it.
     """
-    present = store.get_record(source_path(store, ref))
+    item = source_path(store, ref)
+    present = store.get_record(item)
     if present is not None and present.output_hash == ref.expected_hash:
         if archive is not None and not archive.has(ref.expected_hash):
             archive.ingest(present.path.path, origin=ref.url)
@@ -125,7 +126,8 @@ def fetch_source(ref, store, archive: Archive | None):
         if staged is None:
             legs.append(f"upstream {ref.url}: unavailable")
         elif staged.output_hash == ref.expected_hash:
-            return store.add_fixed(staged, ref.label)
+            return store.register_output(staged, item, kind="fixed", deriver=None,
+                                         references=[]).path
         else:
             legs.append(f"upstream {ref.url}: expected "
                         f"{ref.expected_hash}, got {staged.output_hash}")
@@ -143,7 +145,8 @@ def fetch_source(ref, store, archive: Archive | None):
                 except ParseError as e:
                     actual = f"an unreadable archive ({e})"
                 if actual == ref.expected_hash:
-                    return store.add_fixed(staged, ref.label)
+                    return store.register_output(staged, item, kind="fixed",
+                                                 deriver=None, references=[]).path
                 legs.append(f"archive: expected {ref.expected_hash}, got {actual}")
         else:
             legs.append("archive: not configured")

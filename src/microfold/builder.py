@@ -350,28 +350,30 @@ def build(drv: Derivation, store: Store, *, archive=None,
 
 
 def rebuild_output_hash(drv_hash: ContentHash, store: Store, *, archive=None,
-                        options: BuildOptions | None = None) -> str:
+                        workers: int = 1) -> str:
     """The output hash (hex) of the derivation that drv_hash names, from a
     build into a scratch store, removed afterwards.  It reads the main
     store's seeds, sources and derivations in place but rebuilds every
     derived item; the main store's items and records are never written to,
     so a nondeterministic derivation cannot pollute it.  The scratch store
     lies under <store>/tmp (Store.scratch), on the main store's filesystem,
-    so its copy steps can link files rather than copy them."""
+    so its copy steps can link files rather than copy them.  It never
+    substitutes: a rebuild that downloaded would compare downloads."""
     with store.scratch() as scratch_root:
         scratch_store = Store(scratch_root, base=store)
-        [path] = Builder(scratch_store, archive=archive, options=options).build([drv_hash])
+        [path] = Builder(scratch_store, archive=archive,
+                         options=BuildOptions(workers=workers)).build([drv_hash])
         return scratch_store.get_record(path).output_hash.hex
 
 
 def check_rebuild(drv_hash: ContentHash, store: Store, rounds: int = 2, *,
-                  archive=None, options: BuildOptions | None = None) -> RebuildReport:
+                  archive=None, workers: int = 1) -> RebuildReport:
     """Rebuild the derivation that drv_hash names `rounds` times, each in a
     fresh scratch store, and compare the output hashes."""
     if rounds < 2:
         raise ValueError("rounds must be >= 2")
     results = [RoundResult(rnd, rebuild_output_hash(drv_hash, store, archive=archive,
-                                                    options=options))
+                                                    workers=workers))
                for rnd in range(1, rounds + 1)]
     deterministic = len({r.output_hash for r in results}) == 1
     return RebuildReport(rounds=results, deterministic=deterministic)

@@ -171,12 +171,13 @@ def _read_named(location, kind: str, name: ContentHash) -> bytes | None:
     return data
 
 
-def _intact(location, kind: str, name: ContentHash) -> bool:
-    """Whether location holds the named revision or object (kind) intact."""
+def _intact(location, kind: str, name: ContentHash) -> bytes | None:
+    """The bytes of the named revision or object (kind) at location; None
+    when location lacks it or holds it damaged."""
     try:
-        return _read_named(location, kind, name) is not None
+        return _read_named(location, kind, name)
     except CorruptRevision:
-        return False
+        return None
 
 
 class ChannelRepo:
@@ -268,9 +269,10 @@ class ChannelRepo:
     def fetch(self, remote) -> ContentHash:
         """Copy the verified revisions and objects reachable from the remote
         head; returns that head.  HEAD and URL are left alone; idempotent.
-        Revisions are written oldest first, each after its objects.  A local
-        file that does not hash to its name is fetched again, so a pull
-        repairs a damaged revision or object it walks."""
+        Revisions are written oldest first, each after its objects.  The
+        walk reads every revision to the root once, the local file when it
+        hashes to its name; a revision missing or damaged here is fetched,
+        with its missing or damaged objects."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
             raise UnreachableRemote(f"unreachable remote {remote}: it serves no HEAD")
@@ -278,14 +280,17 @@ class ChannelRepo:
                                    lambda t: ContentHash(t.strip()))
         with locked(self.root / "repo.lock"):
             missing, cur = [], remote_head  # newest first
-            while cur is not None and not _intact(self.root, "revision", cur):
-                if (data := _read_named(remote, "revision", cur)) is None:
+            while cur is not None:
+                local = _intact(self.root, "revision", cur)
+                if (data := local or _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
-                missing.append((parse_revision(data, cur), data))
-                cur = missing[-1][0].parent
+                rev = parse_revision(data, cur)
+                if local is None:
+                    missing.append((rev, data))
+                cur = rev.parent
             for rev, data in reversed(missing):
                 for obj_hash in rev.tree.values():
-                    if _intact(self.root, "object", obj_hash):
+                    if _intact(self.root, "object", obj_hash) is not None:
                         continue
                     if (blob := _read_named(remote, "object", obj_hash)) is None:
                         raise UnreachableRemote(

@@ -88,7 +88,7 @@ def cmd_build(ctx: Context, args) -> int:
         [drv_hash] = _instantiate(ctx, [parse_spec(target)])
     if args.check:
         report = check_rebuild(drv_hash, ctx.store, rounds=args.check,
-                               archive=ctx.archive, options=_build_options(args))
+                               archive=ctx.archive, workers=args.workers)
         for rnd in report.rounds:
             print(f"round {rnd.round}: {rnd.output_hash}")
         print("deterministic" if report.deterministic else "nondeterministic")
@@ -215,13 +215,17 @@ def cmd_seed(ctx: Context, args) -> int:
 def cmd_verify(ctx: Context, args) -> int:
     """Re-hash every recorded item and load every derivation; one line per
     record that does not parse, per item that is missing or does not match
-    its record, and per derivation that does not hash to its name or does
-    not parse."""
+    its record, per reference with no record, per derived record whose
+    deriver the store lacks, and per derivation that does not hash to its
+    name or does not parse."""
     store = ctx.store
+    components = store.components()
+    recorded, drvs = set(components), set(store.list_derivations())
     bad = 0
-    for component in store.components():
+    for component in components:
         try:
             report = store.verify_item(StorePath.from_component(store.root, component))
+            rec = store.get_record(component)
         except MicrofoldError as e:
             print(f"bad {component}: {e}")
             bad += 1
@@ -232,6 +236,13 @@ def cmd_verify(ctx: Context, args) -> int:
             print(f"mismatch {component}: recorded {report.expected}, "
                   f"actual {report.actual}")
         bad += not report.ok
+        for ref in rec.references:
+            if ref.component not in recorded:
+                print(f"dangling {component}: {ref.component}")
+                bad += 1
+        if rec.kind == "derived" and rec.deriver not in drvs:
+            print(f"missing deriver {component}: {rec.deriver}")
+            bad += 1
     for drv_hash in store.list_derivations():
         try:
             load_derivation(store, drv_hash)

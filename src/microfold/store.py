@@ -9,12 +9,12 @@ Layout under the store root (a plain user-writable directory):
     locks/<digest_prefix>.lock          per-digest advisory write locks
     tmp/                                scratch: build directories, staged trees
 
-Every item enters the store the same way: its tree is staged under `tmp/`
-(restored from an archive, copied, or built there) and hashed from the same
-bytes that produced it; then, under the item's lock, the tree is renamed
-into `items/` and its record written.  So `add_fixed` takes the path of a
-tree to copy in or a `Staged` tree, and `register_output` a `Staged` tree;
-neither takes content held in memory.  The record is the commit point, and
+Every item enters the store through one door, `register_output`: its tree
+is staged under `tmp/` (restored from an archive, copied, or built there)
+and hashed from the same bytes that produced it; then, under the item's
+lock, the tree is renamed into `items/` and its record written.
+`add_fixed` only copies the tree at a path into `tmp/` and passes it on;
+nothing takes content held in memory.  The record is the commit point, and
 it is refused while an item it references, itself apart, has no record.  So
 the closure invariant holds: every item a record references has a record
 too, and `closure` lists items each after what it references, an order in
@@ -41,10 +41,10 @@ is a verification error).
 Because records never change, a `Store` memoizes the records it reads for
 its life (`derivation.load_derivation` and the instantiator keep parsed
 derivations here too).  Only hits are kept, so an item registered later by
-anyone is still found.  The write path (`add_fixed`, `register_output`)
-does not trust the memo: under the item's lock it re-reads the record from
-disk, through the same reader, so a record changed behind the store's back
-is still caught as corruption.
+anyone is still found.  The write path (`register_output`) does not trust
+the memo: under the item's lock it re-reads the record from disk, through
+the same reader, so a record whose hash was changed behind the store's back
+is still caught, as an OutputCollision.
 """
 
 from __future__ import annotations
@@ -68,11 +68,6 @@ from .hashing import HEX64, PREFIX_LEN, ContentHash
 # A name is checked whole (fullmatch): "$" would let a trailing newline in.
 LABEL_RE = re.compile(r"[A-Za-z0-9._+-]+")
 COMPONENT_RE = re.compile(r"[0-9a-f]{32}-" + LABEL_RE.pattern)
-
-
-def check_label(label: str):
-    if not LABEL_RE.fullmatch(label):
-        raise InvalidLabel(f"invalid store label: {label!r}")
 
 
 @contextmanager
@@ -363,77 +358,48 @@ class Store:
 
     # -- item insertion ---------------------------------------------------
 
-    @contextmanager
-    def _staged(self, content):
-        """content as a Staged tree: a Staged tree as it is, the tree at a path
-        copied into a scratch directory that lasts as long as the context."""
-        if isinstance(content, Staged):
-            yield content
-            return
-        if not isinstance(content, (str, os.PathLike)):
-            raise TypeError(f"not a path or a Staged tree: {content!r}")
-        with self.scratch() as scratch:
-            yield Staged(scratch / "item", *carc.copy(content, scratch / "item"))
-
-    def _admit(self, tree: Path, rec: StoreItemRecord) -> StoreItemRecord:
-        """Rename the staged tree into place as rec.path and write rec,
-        whose output_hash the tree has.  If the item already has a record,
-        nothing is written and that record is returned for the caller to
-        compare.  A reference, other than the item itself, that has no
-        record raises DanglingReference before anything is written."""
-        for ref in rec.references:
-            if ref != rec.path and self.get_record(ref) is None:
+    def register_output(self, staged: Staged, store_path: StorePath, *,
+                        kind: str = "derived", deriver: ContentHash | None,
+                        references: list, description: str = "") -> StoreItemRecord:
+        """Admit the Staged tree, moved in, as store_path: the one way in.  A
+        reference, other than the item itself, with no record raises
+        DanglingReference before anything is written.  Under the item's lock
+        the record is re-read: one with the staged hash is returned as it is,
+        one with another raises OutputCollision.  Records are never rewritten."""
+        refs = sorted(set(references), key=lambda p: p.component)
+        for ref in refs:
+            if ref != store_path and self.get_record(ref) is None:
                 raise DanglingReference(
                     f"dangling reference {ref.component}: not in the store")
-        dest = rec.path.path
-        with self.lock(rec.path.digest_prefix):
-            existing = self._read_record(rec.path.component)
-            if existing is not None:
-                return existing
-            if os.path.lexists(dest):  # a crashed insert's: adopt or remove
-                if carc.hash_path(dest) != rec.output_hash:
-                    _remove(dest)
-            if not os.path.lexists(dest):
-                os.rename(tree, dest)
-            self._write_record(rec)
+        dest = store_path.path
+        with self.lock(store_path.digest_prefix):
+            rec = self._read_record(store_path.component)
+            if rec is None:
+                if os.path.lexists(dest) and carc.hash_path(dest) != staged.output_hash:
+                    _remove(dest)  # a crashed insert's; one that matches is adopted
+                if not os.path.lexists(dest):
+                    os.rename(staged.path, dest)
+                rec = StoreItemRecord(store_path, staged.output_hash, refs, kind,
+                                      deriver, staged.size, description)
+                self._write_record(rec)
+        if rec.output_hash != staged.output_hash:
+            raise OutputCollision(f"{store_path.component}: recorded output "
+                                  f"{rec.output_hash}, new output {staged.output_hash}")
         return rec
 
-    def add_fixed(self, content, label: str, *, kind: str = "fixed",
+    def add_fixed(self, tree, label: str, *, kind: str = "fixed",
                   description: str = "", references: list = ()) -> StorePath:
-        """Insert a copy of the tree at a path, or a Staged tree (moved
-        in), content-addressed; idempotent."""
-        check_label(label)
-        refs = sorted(set(references), key=lambda p: p.component)
-        with self._staged(content) as staged:
-            store_path = StorePath(self.root, staged.output_hash.prefix, label)
-            rec = self._admit(staged.path, StoreItemRecord(
-                path=store_path, output_hash=staged.output_hash,
-                references=refs, kind=kind, size=staged.size,
-                description=description))
-        if rec.output_hash != staged.output_hash:
-            raise StoreCorruption(
-                f"{store_path.component}: recorded hash "
-                f"{rec.output_hash} != content hash {staged.output_hash}")
-        return store_path
-
-    def register_output(self, staged: Staged, store_path: StorePath, *,
-                        deriver: ContentHash | None, references: list,
-                        kind: str = "derived") -> StoreItemRecord:
-        """Register a Staged output tree, moved in, at a derivation-addressed
-        path.
-
-        An existing record with the same hash is a no-op; one with a
-        different hash raises OutputCollision.  Records are never rewritten.
-        """
-        refs = sorted(set(references), key=lambda p: p.component)
-        rec = self._admit(staged.path, StoreItemRecord(
-            path=store_path, output_hash=staged.output_hash,
-            references=refs, kind=kind, deriver=deriver, size=staged.size))
-        if rec.output_hash != staged.output_hash:
-            raise OutputCollision(
-                f"{store_path.component}: existing output "
-                f"{rec.output_hash}, rebuilt output {staged.output_hash}")
-        return rec
+        """Copy the tree at a path in, content-addressed, by register_output."""
+        if not isinstance(tree, (str, os.PathLike)):
+            raise TypeError(f"not a path: {tree!r}")
+        if not LABEL_RE.fullmatch(label):
+            raise InvalidLabel(f"invalid store label: {label!r}")
+        with self.scratch() as scratch:
+            staged = Staged(scratch / "item", *carc.copy(tree, scratch / "item"))
+            return self.register_output(
+                staged, StorePath(self.root, staged.output_hash.prefix, label),
+                kind=kind, deriver=None, references=references,
+                description=description).path
 
     # -- verification and closure -----------------------------------------
 

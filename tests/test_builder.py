@@ -449,7 +449,7 @@ def test_each_record_is_read_once_per_store(store, toolchain, monkeypatch):
     assert len(cached) == 16  # c00..c14 and the seed, found on disk
     assert max(cached.values()) == 1
     # The only other reader is the write path's re-read under the lock.
-    assert {caller for caller, _ in reads} <= {"get_record", "_admit"}
+    assert {caller for caller, _ in reads} <= {"get_record", "register_output"}
 
 
 def test_check_rounds_parse_each_derivation_once(store, toolchain, monkeypatch):

@@ -163,6 +163,22 @@ def test_pull_repairs_a_damaged_revision_and_object(repo, tmp_path):
     assert clone.ancestry(r2.id) == [r2.id, r1.id]
 
 
+def test_pull_repairs_a_damaged_revision_below_an_intact_one(repo, tmp_path):
+    """The walk does not stop at the first intact local revision: a damaged
+    one further down the chain is fetched again too."""
+    r1 = repo.commit_revision(golden_tree()[:1], message="one")
+    r2 = repo.commit_revision(golden_tree()[:2], parent=r1.id, message="two")
+    clone = ChannelRepo(tmp_path / "clone")
+    clone.pull(repo.root)
+    victim = clone.root / "revisions" / r1.id.hex
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    r3 = repo.commit_revision(golden_tree(), parent=r2.id, message="three")
+    assert clone.pull(repo.root) == r3.id
+    assert clone.ancestry(r3.id) == [r3.id, r2.id, r1.id]
+    assert victim.read_bytes() == intact
+
+
 def _serve(remote: Path, revision: bytes, objects=()) -> str:
     """A remote channel whose HEAD is a revision with these bytes; every
     file hashes to its name, however malformed its contents."""

@@ -168,6 +168,23 @@ def test_build_check_flags_nondeterminism(env, tmp_path, capsys):
     assert "nondeterministic" in capsys.readouterr().out
 
 
+def test_build_check_rebuilds_what_a_cache_holds(env, tmp_path, capsys):
+    """`build --check` compares rebuilds even when a cache holds the output:
+    a round that downloaded it would report the published hash every time."""
+    store = Store(env["store"])
+    seed = register_seed(store, on_disk(carc_model.Dir({"bin": carc_model.Dir({
+        "rand": carc_model.File(RANDOM_TOOL, executable=True)})}), tmp_path), "rng-1.0")
+    drv = Derivation(name="flaky", version="1",
+                     steps=[d.exec_(f"{seed.path.component}/bin/rand", "@out@/v")])
+    drv_file = tmp_path / "flaky.drv"
+    drv_file.write_bytes(canonical_serialize(drv))
+    cache = tmp_path / "cache"
+    publish(store, build(drv, store), cache)
+    assert run_command(["build", str(drv_file), "--check", "2",
+                        "--substitute-url", str(cache)]) == 2
+    assert capsys.readouterr().out.endswith("\nnondeterministic\n")
+
+
 def test_package_creates_generation_and_rollback(env, tmp_path, capsys):
     manifest = tmp_path / "manifest.scm"
     manifest.write_text(MANIFEST)
@@ -687,6 +704,27 @@ def test_verify_reports_every_damaged_record_and_checks_every_other_item(env, ca
         f"bad {items['python-numpy-1.20'].name}", f"bad {items['python-scipy-1.6'].name}",
         f"mismatch {items['python-3.9'].name}"]
     assert all(f"{records}/" in line for line in lines[:2])
+
+
+def test_verify_reports_a_reference_with_no_record(env, capsys):
+    assert run_command(["build", "python-scipy"]) == 0
+    top = Path(capsys.readouterr().out.strip()).name
+    store = Store(env["store"])
+    [ghost, *_] = [r for r in store.get_record(top).references if r.component != top]
+    (env["store"] / "db" / "items" / ghost.component).unlink()
+    assert run_command(["verify"]) == 2
+    assert sorted(capsys.readouterr().out.splitlines()) == sorted(
+        f"dangling {rec.path.component}: {ghost.component}"
+        for rec in Store(env["store"]).list_records() if ghost in rec.references)
+
+
+def test_verify_reports_a_derived_record_whose_derivation_is_gone(env, capsys):
+    assert run_command(["build", "python"]) == 0
+    item = Path(capsys.readouterr().out.strip()).name
+    deriver = Store(env["store"]).get_record(item).deriver
+    (env["store"] / "db" / "drvs" / deriver.hex).unlink()
+    assert run_command(["verify"]) == 2
+    assert capsys.readouterr().out == f"missing deriver {item}: {deriver}\n"
 
 
 def test_verify_reports_a_derivation_with_a_repeated_env_key(env, capsys):

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import carc_model
 from microfold.errors import (DanglingReference, DependencyCycle, InvalidHash,
-                              InvalidLabel, OutputCollision, StoreCorruption)
+                              InvalidLabel, OutputCollision)
 from microfold.hashing import ContentHash
 from microfold.store import Staged, Store, StorePath, parse_fields, render_fields
 
@@ -138,8 +138,10 @@ def test_corruption_detected_on_reinsert(store):
     rec_file.write_text(rec_file.read_text().replace(
         p.digest_prefix, "f" * 32).replace(
         store.get_record(p).output_hash.hex, "f" * 64))
-    with pytest.raises(StoreCorruption):
+    tampered = rec_file.read_bytes()
+    with pytest.raises(OutputCollision):
         add(store, b"abc", "thing-1")
+    assert rec_file.read_bytes() == tampered
 
 
 def _with_refs(store, content, label, refs):

@@ -105,6 +105,14 @@ def test_graph_walks_keep_their_own_stack():
             if "setrecursionlimit" in p.read_text()] == []
 
 
+def test_items_enter_by_one_door():
+    """Every tree that is fetched, built or restored enters the store by
+    Store.register_output; add_fixed, which copies a path in and passes it
+    on, serves only seeds."""
+    assert sorted(p.name for p in SRC.glob("*.py") if "add_fixed(" in p.read_text()) == [
+        "bootstrap.py", "store.py"]
+
+
 def test_every_error_is_raised():
     """An error class that no module raises is dead code: every class in
     errors.py is raised somewhere else in the program."""
