@@ -25,7 +25,6 @@ the store.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import os
 import stat
@@ -320,26 +319,25 @@ def _replace(path: Path, data: bytes):
 def _hash_and_scan(out: Path, candidates: dict) -> tuple[Staged, list]:
     """Give the output tree canonical modes, hash it and find the candidate
     store paths (by component) whose digest prefix is in its archive, in one
-    walk.  Each block is searched for every prefix not yet found, together
-    with the last PREFIX_LEN - 1 bytes of the block before it."""
+    walk: carc.dump hashes the archive, and the reference scan is the only
+    consumer of its blocks.  Each block is searched for every prefix not
+    yet found, together with the last PREFIX_LEN - 1 bytes of the block
+    before it."""
     by_prefix = {}
     for sp in candidates.values():
         by_prefix.setdefault(sp.digest_prefix.encode(), []).append(sp)
     found = []
-    sha = hashlib.sha256()
     tail = b""
 
-    def write(block):
+    def scan(block):
         nonlocal tail
-        sha.update(block)
         window = tail + block
         for prefix in [p for p in by_prefix if p in window]:
             found.extend(by_prefix.pop(prefix))
         tail = window[-(PREFIX_LEN - 1):]
 
-    size = carc.dump(out, write, settle=True)
-    references = sorted(found, key=lambda sp: sp.component)
-    return Staged(out, ContentHash(sha.hexdigest()), size), references
+    staged = Staged(out, *carc.dump(out, scan, settle=True))
+    return staged, sorted(found, key=lambda sp: sp.component)
 
 
 def build(drv: Derivation, store: Store, *, archive=None,

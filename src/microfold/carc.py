@@ -15,11 +15,12 @@ Grammar:
 Directory entries are sorted ascending by raw name bytes; sizes and counts
 are ASCII decimals.
 
-Trees are streamed, never held in memory: `dump` writes the archive of a
-tree on disk to any sink in blocks of at most `_BLOCK` bytes, `copy` copies
-a tree while hashing the bytes it copies, and `restore` unpacks an archive,
-checking the grammar and hashing the input as it writes; `link` makes a tree
-of hard links to another's files.  Trees that these create, and build outputs
+Trees are streamed, never held in memory, and hashed as they stream: `dump`
+writes the archive of a tree on disk to any sink in blocks of at most
+`_BLOCK` bytes and returns its hash, `copy` copies a tree while hashing the
+bytes it copies, and `restore` unpacks an archive, checking the grammar and
+hashing the input as it writes; `link` makes a tree of hard links to
+another's files.  Trees that these create, and build outputs
 (see `dump`'s settle), all carry the same mode bits: 0755 for directories
 and executable files, 0644 for the rest.  None of them goes more than
 `MAX_DEPTH` levels below the root.  This is the only encoder in the program;
@@ -81,11 +82,12 @@ def _mkdir(path: bytes):
 
 class _Blocks:
     """A sink that joins small pieces into blocks of at most _BLOCK bytes
-    (a larger piece goes alone) before passing them on, and counts the
-    bytes it passes."""
+    (a larger piece goes alone) before passing them on, and hashes and
+    counts the bytes it passes: the one SHA-256 of a streamed archive."""
 
     def __init__(self, write):
         self.write = write
+        self.sha = hashlib.sha256()
         self.pending = []
         self.held = 0
         self.total = 0
@@ -98,7 +100,8 @@ class _Blocks:
 
     def flush(self):
         if self.pending:
-            self.write(b"".join(self.pending))
+            self.sha.update(block := b"".join(self.pending))
+            self.write(block)
             self.total += self.held
             self.pending.clear()
             self.held = 0
@@ -164,27 +167,20 @@ def directory(names, dest: bytes | None, emit):
         yield name, None if dest is None else dest + b"/" + name
 
 
-def stream(node, write) -> int:
+def stream(node, write=lambda block: None) -> tuple[ContentHash, int]:
     """Stream the archive whose root node node(emit) emits (see walk) into
-    write (a hashlib object's update, a file's write, a list's append,
-    ...) in blocks of at most _BLOCK bytes; returns the archive's length."""
+    write (a file's write, a list's append, ...; by default nowhere) in
+    blocks of at most _BLOCK bytes; returns the archive's hash and length."""
     sink = _Blocks(write)
     sink(MAGIC)
     node(sink)
     sink.flush()
-    return sink.total
+    return ContentHash(sink.sha.hexdigest()), sink.total
 
 
-def hashed(node) -> tuple[ContentHash, int]:
-    """The hash and length of the archive streamed by stream(node, ...)."""
-    sha = hashlib.sha256()
-    size = stream(node, sha.update)
-    return ContentHash(sha.hexdigest()), size
-
-
-def dump(path: os.PathLike, write, settle: bool = False) -> int:
-    """Stream the archive of the tree at path into write (see stream);
-    with settle, give each entry the mode bits of a copy (see walk)."""
+def dump(path: os.PathLike, write, settle: bool = False) -> tuple[ContentHash, int]:
+    """Stream the archive of the tree at path into write; its hash and length.
+    With settle, give each entry the mode bits of a copy (see walk)."""
     return stream(lambda emit: walk(os.fsencode(path), None, emit, False, settle), write)
 
 
@@ -192,7 +188,7 @@ def copy(src: os.PathLike, dest=None) -> tuple[ContentHash, int]:
     """Copy the tree at src to dest (whose parent must exist), entry by
     entry with canonical mode bits, or only read it.  Returns the hash and
     length of the archive of the bytes read, which are the bytes of the copy."""
-    return hashed(lambda emit: walk(os.fsencode(src), dest and os.fsencode(dest), emit))
+    return stream(lambda emit: walk(os.fsencode(src), dest and os.fsencode(dest), emit))
 
 
 def hash_path(path: os.PathLike) -> ContentHash:
@@ -232,25 +228,21 @@ def dump_to_tmp(path: os.PathLike, tmp_dir: os.PathLike,
                 copy_to: os.PathLike | None = None
                 ) -> tuple[str, ContentHash, int]:
     """Write the archive of the tree at path to a new hidden file in
-    tmp_dir, hashing it on the way, and copy the tree to copy_to when
-    given, in the same pass.  Returns the file's path, the hash and the
-    length; the caller renames the file into place or removes it."""
+    tmp_dir, and copy the tree to copy_to when given, in the same pass
+    (stream hashes what it writes).  Returns the file's path, the hash and
+    the length; the caller renames the file into place or removes it."""
     dest = None if copy_to is None else os.fsencode(copy_to)
     fd, tmp = tempfile.mkstemp(dir=tmp_dir, prefix=".", suffix=".tmp")
-    sha = hashlib.sha256()
     try:
         os.fchmod(fd, 0o644)
-
-        def write(block):
-            _write(fd, block)
-            sha.update(block)
-        size = stream(lambda emit: walk(os.fsencode(path), dest, emit), write)
+        content_hash, size = stream(lambda emit: walk(os.fsencode(path), dest, emit),
+                                    lambda block: _write(fd, block))
     except BaseException:
         os.unlink(tmp)
         raise
     finally:
         os.close(fd)
-    return tmp, ContentHash(sha.hexdigest()), size
+    return tmp, content_hash, size
 
 
 # Parsing, used on archives from caches and the source archive.

@@ -20,7 +20,7 @@ dies part way leaves HEAD at the old revision.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -272,31 +272,34 @@ class ChannelRepo:
         Revisions are written oldest first, each after its objects.  The
         walk reads every revision to the root once, the local file when it
         hashes to its name; a revision missing or damaged here is fetched,
-        with its missing or damaged objects."""
+        and so is any object of the chain's revisions, each checked once."""
         head_bytes = transport.read_bytes(remote, "HEAD")
         if head_bytes is None:
             raise UnreachableRemote(f"unreachable remote {remote}: it serves no HEAD")
         remote_head = decode_state(head_bytes, f"{remote}/HEAD", CorruptRevision,
                                    lambda t: ContentHash(t.strip()))
         with locked(self.root / "repo.lock"):
-            missing, cur = [], remote_head  # newest first
+            chain, cur = [], remote_head  # newest first
             while cur is not None:
                 local = _intact(self.root, "revision", cur)
                 if (data := local or _read_named(remote, "revision", cur)) is None:
                     raise UnreachableRemote(f"{remote}: missing revision {cur}")
                 rev = parse_revision(data, cur)
-                if local is None:
-                    missing.append((rev, data))
+                chain.append((rev, None if local else data))  # bytes to write
                 cur = rev.parent
-            for rev, data in reversed(missing):
-                for obj_hash in rev.tree.values():
+            checked = set()
+            for rev, data in reversed(chain):
+                objects = [h for h in rev.tree.values() if h not in checked]
+                checked.update(objects)
+                for obj_hash in objects:
                     if _intact(self.root, "object", obj_hash) is not None:
                         continue
                     if (blob := _read_named(remote, "object", obj_hash)) is None:
                         raise UnreachableRemote(
                             f"{remote}: missing object {obj_hash}")
                     write_named(self.root / "objects" / obj_hash.hex, blob)
-                write_named(self.root / "revisions" / rev.id.hex, data)
+                if data is not None:
+                    write_named(self.root / "revisions" / rev.id.hex, data)
         return remote_head
 
     def pull(self, remote) -> ContentHash:
@@ -328,11 +331,18 @@ class ChannelRepo:
             raise MicrofoldError(f"unknown revision {pin.commit}")
 
     def pinned_packages(self, pins) -> dict:
-        """Exactly the package sets of pins (ChannelPins), merged; HEAD is never read."""
+        """Exactly the package sets of pins (ChannelPins), merged; HEAD is
+        never read.  A pinned revision damaged here is fetched from the pin's URL."""
         merged = {}
         for pin in pins:
             self.ensure_revision(pin)
-            for key, pkg in self.checkout(ContentHash(pin.commit)).items():
+            try:
+                packages = self.checkout(ContentHash(pin.commit))
+            except CorruptRevision:
+                with suppress(UnreachableRemote, OSError):
+                    self.fetch(pin.url)
+                packages = self.checkout(ContentHash(pin.commit))
+            for key, pkg in packages.items():
                 if key in merged:
                     raise MicrofoldError(
                         f"duplicate package {key}: defined by more than one pinned channel")

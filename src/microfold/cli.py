@@ -145,9 +145,9 @@ def cmd_challenge(ctx: Context, args) -> int:
     store = ctx.store
     hashes = _instantiate(ctx, map(parse_spec, args.specs))
     paths = [output_path(store, drv_hash) for drv_hash in hashes]
-    report = run_challenge(paths, args.substitute_url or [], store, rebuild=args.rebuild,
-                           derivations={p.component: h for p, h in zip(paths, hashes)},
-                           archive=ctx.archive)
+    derivations = {p.component: h for p, h in zip(paths, hashes)} if args.rebuild else None
+    report = run_challenge(paths, args.substitute_url or [], store,
+                           derivations=derivations, archive=ctx.archive)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_VERIFY
 

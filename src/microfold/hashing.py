@@ -36,6 +36,14 @@ class ContentHash:
     def of_bytes(cls, data: bytes) -> "ContentHash":
         return cls(hashlib.sha256(data).hexdigest())
 
+    @classmethod
+    def of_blocks(cls, blocks) -> "ContentHash":
+        """The hash of the bytes of an iterable of blocks, read to its end."""
+        sha = hashlib.sha256()
+        for block in blocks:
+            sha.update(block)
+        return cls(sha.hexdigest())
+
     @property
     def prefix(self) -> str:
         return self.hex[:PREFIX_LEN]

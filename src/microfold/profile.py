@@ -98,7 +98,7 @@ def union_tree(outputs, dest) -> tuple[ContentHash, int]:
             _add_entries(top, tree, sp.component)
         else:
             top.setdefault(sp.label.encode(), []).append((tree, sp.component))
-    return carc.hashed(lambda emit: _merge(top, os.fsencode(dest), "", emit))
+    return carc.stream(lambda emit: _merge(top, os.fsencode(dest), "", emit))
 
 
 class Profile:

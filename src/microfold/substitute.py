@@ -14,7 +14,6 @@ a cache never installs a seed); <cache>/carc/<digest_prefix>, raw CARC.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 from contextlib import closing
@@ -24,6 +23,7 @@ from typing import NamedTuple
 from . import carc, transport
 from .errors import (AllProvidersCorrupt, CacheWriteError, CorruptItem, DependencyCycle,
                      MicrofoldError, ParseError, StoreCorruption, SubstituteNotFound)
+from .hashing import ContentHash
 from .store import (Staged, Store, StoreItemRecord, StorePath, decode_state, parse_fields,
                     postorder, render_fields, write_atomic)
 
@@ -45,7 +45,7 @@ def publish(store: Store, path: StorePath, cache) -> StoreItemRecord:
         cache = Path(cache)
         held = transport.read_bytes(cache, f"info/{path.digest_prefix}") == info
         blocks = _provider_archive(cache, path.digest_prefix) if held else None
-        if blocks is not None and _archive_hex(blocks) == rec.output_hash.hex:
+        if blocks is not None and ContentHash.of_blocks(blocks) == rec.output_hash:
             return rec
         (cache / "info").mkdir(parents=True, exist_ok=True)
         (cache / "carc").mkdir(parents=True, exist_ok=True)
@@ -58,14 +58,6 @@ def publish(store: Store, path: StorePath, cache) -> StoreItemRecord:
     except OSError as e:
         raise CacheWriteError(str(e)) from e
     return rec
-
-
-def _archive_hex(blocks) -> str:
-    """SHA-256 hex of a stream of blocks; a broken stream raises BrokenFetch."""
-    sha = hashlib.sha256()
-    for block in blocks:
-        sha.update(block)
-    return sha.hexdigest()
 
 
 def _provider_info(cache, path: StorePath) -> StoreItemRecord | None:
@@ -97,14 +89,14 @@ def _restore(path: StorePath, caches, scratch: Path):
     """path's info and its archive restored under scratch, as a Staged
     tree, from the first cache that serves it honestly.  A mismatching or
     malformed provider is skipped with a warning and the next one tried."""
-    found = corrupt = False
+    corrupt = False
     for n, cache in enumerate(caches):
         info = _provider_info(cache, path)
         blocks = (None if info is None
                   else _provider_archive(cache, path.digest_prefix))
         if blocks is None:
             continue
-        found, dest = True, scratch / f"{path.component}.{n}"
+        dest = scratch / f"{path.component}.{n}"
         try:
             with closing(blocks):
                 staged = Staged(dest, *carc.restore(blocks, dest))
@@ -117,7 +109,7 @@ def _restore(path: StorePath, caches, scratch: Path):
               f"(expected {info.output_hash}, got {actual}); skipping",
               file=sys.stderr)
         corrupt = True
-    if found and corrupt:
+    if corrupt:
         raise AllProvidersCorrupt(f"every cache serves a corrupt archive of {path.component}")
     raise SubstituteNotFound(f"no cache serves {path.component}")
 
@@ -190,15 +182,15 @@ class ChallengeReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def challenge(paths, caches, store: Store, *, rebuild: bool = False,
-              derivations=None, archive=None) -> ChallengeReport:
+def challenge(paths, caches, store: Store, *, derivations=None,
+              archive=None) -> ChallengeReport:
     """Compare output hashes across providers without installing anything.
 
     Providers are the local store record, every cache (archives re-hashed,
     so a tampered archive shows up as a divergent value), and optionally a
     fresh rebuild in a scratch store of the derivation whose hash
-    derivations maps a path's component to.  Unreachable providers simply
-    do not contribute a value.
+    derivations, when given, maps a path's component to.  Unreachable
+    providers simply do not contribute a value.
     """
     from .builder import rebuild_output_hash
 
@@ -212,12 +204,12 @@ def challenge(paths, caches, store: Store, *, rebuild: bool = False,
             blocks = _provider_archive(cache, path.digest_prefix)
             if blocks is not None:
                 try:
-                    values.append((str(cache), _archive_hex(blocks)))
+                    values.append((str(cache), ContentHash.of_blocks(blocks).hex))
                 except transport.BrokenFetch:
                     continue  # no value
             elif (info := _provider_info(cache, path)) is not None:
                 values.append((str(cache), info.output_hash.hex))
-        if rebuild and derivations and path.component in derivations:
+        if derivations and path.component in derivations:
             values.append(("rebuild", rebuild_output_hash(
                 derivations[path.component], store, archive=archive)))
         distinct = {h for _, h in values}

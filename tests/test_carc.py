@@ -226,11 +226,11 @@ def test_dump_matches_in_memory_model_and_round_trips(tree, modes):
         src = Path(tmp) / "src"
         _materialize(tree, src, itertools.cycle(modes))
         chunks = []
-        size = carc.dump(src, chunks.append)
+        dumped = carc.dump(src, chunks.append)
         archive = b"".join(chunks)
         assert archive == carc_model.serialize_tree(carc_model.load_tree(src))
         assert archive == carc_model.serialize_tree(tree)
-        assert size == len(archive)
+        assert dumped == (ContentHash.of_bytes(archive), len(archive))
 
         restored = Path(tmp) / "restored"
         digest = carc.restore(chunks, restored)

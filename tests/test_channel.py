@@ -179,6 +179,22 @@ def test_pull_repairs_a_damaged_revision_below_an_intact_one(repo, tmp_path):
     assert victim.read_bytes() == intact
 
 
+def test_pull_repairs_a_damaged_object_of_an_intact_revision(repo, tmp_path):
+    """pull checks the objects of every revision on the chain it walks, not
+    only of those it fetches: an object that only an intact local revision
+    names is fetched again when it is damaged."""
+    r1 = repo.commit_revision(golden_tree(), message="one")
+    clone = ChannelRepo(tmp_path / "clone")
+    clone.pull(repo.root)
+    victim = clone.root / "objects" / r1.tree["c@0.1"].hex
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    r2 = repo.commit_revision(golden_tree()[:1], parent=r1.id, message="two")
+    assert clone.pull(repo.root) == r2.id
+    assert victim.read_bytes() == intact
+    assert set(clone.checkout(r1.id)) == {"a@1.0", "b@2.0", "c@0.1"}
+
+
 def _serve(remote: Path, revision: bytes, objects=()) -> str:
     """A remote channel whose HEAD is a revision with these bytes; every
     file hashes to its name, however malformed its contents."""
@@ -388,6 +404,23 @@ def test_time_machine_pulls_from_pin_url(repo, tmp_path):
     pin = [ChannelPin("c", "file://" + str(repo.root), rev.id.hex)]
     result = set(clone.pinned_packages(pin))
     assert result == {"a@1.0", "b@2.0", "c@0.1"}
+
+
+@pytest.mark.parametrize("kind", ["revision", "object"])
+def test_time_machine_repairs_a_damaged_pinned_revision_from_the_pin_url(
+        repo, tmp_path, kind):
+    """A pinned revision, or an object it names, that is damaged here is
+    fetched again from the pin's URL, and the pin's packages are read."""
+    r1 = repo.commit_revision(golden_tree(), message="one")
+    clone = ChannelRepo(tmp_path / "clone")
+    clone.pull(repo.root)
+    name = r1.id if kind == "revision" else r1.tree["a@1.0"]
+    victim = clone.root / f"{kind}s" / name.hex
+    intact = victim.read_bytes()
+    victim.write_bytes(intact[:-1] + bytes([intact[-1] ^ 1]))
+    pin = [ChannelPin("c", "file://" + str(repo.root), r1.id.hex)]
+    assert set(clone.pinned_packages(pin)) == {"a@1.0", "b@2.0", "c@0.1"}
+    assert victim.read_bytes() == intact
 
 
 def test_time_machine_leaves_head_and_url_alone(tmp_path):

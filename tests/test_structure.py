@@ -43,6 +43,13 @@ def test_single_home(needle, home):
     assert offenders == []
 
 
+def test_sha256_is_taken_in_carc_and_hashing_only():
+    """An archive is hashed where carc streams it, and any other bytes by
+    ContentHash: no other module keeps a SHA-256 of its own."""
+    assert sorted(p.name for p in SRC.glob("*.py") if "hashlib" in p.read_text()) == [
+        "carc.py", "hashing.py"]
+
+
 def test_one_carc_encoder():
     """Trees are encoded only by streaming them from disk; the in-memory
     model is the tests' reference (tests/carc_model.py), not the program's."""

@@ -582,7 +582,7 @@ def test_challenge_with_rebuild(tmp_path, store, toolchain):
     path = build(hello_drv(), store)
     cache = tmp_path / "c1"
     publish(store, path, cache)
-    report = challenge([path], [cache], store, rebuild=True,
+    report = challenge([path], [cache], store,
                        derivations={path.component: derivation_hash(hello_drv())})
     entry = report.entries[path.component]
     assert ("rebuild", store.get_record(path).output_hash.hex) in entry.values
